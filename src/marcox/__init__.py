@@ -3,9 +3,10 @@
 A counting process whose conditional rate is beta0 + w Y(t), with Y itself a
 non-homogeneous Poisson process, admits a closed-form marginal likelihood
 once Y is integrated out.  This package provides exact simulation of the
-pair (X, Y), the closed-form likelihood via a numerically stabilized
-coefficient recursion, two independent validation oracles, and posterior /
-maximum-likelihood fitting of the latent polynomial rate.
+pair (X, Y), the closed-form likelihood via an O(M^2) log-space recursion
+over the events (``MarginalLikelihood``, bound to one path), independent
+validation oracles, and posterior / maximum-likelihood fitting of the latent
+polynomial rate.
 """
 
 __version__ = "0.1.0"
@@ -13,13 +14,7 @@ __version__ = "0.1.0"
 from .errors import ConvergenceError, ValidationError
 from .inference import Chain, ChainSummary, FitConfig, MleResult, mh_fit, mle_fit, summarize
 from .intensity import PolyIntensity, alpha_integral, lambda_integral
-from .marginal import (
-    CoefficientTable,
-    MarginalResult,
-    batch_loglik,
-    compute_coefficients,
-    marginal_loglik,
-)
+from .marginal import MarginalLikelihood, MarginalResult, batch_loglik, marginal_loglik
 from .oracles import GridSpec, McSpec, grid_coeff_marginal, grid_marginal, mc_marginal
 from .paths import CountPath, ModelParams, adapt_path, load_path, tune_w
 from .simulator import LatentPath, SimResult, conditional_loglik, simulate, simulate_latent
@@ -27,12 +22,12 @@ from .simulator import LatentPath, SimResult, conditional_loglik, simulate, simu
 __all__ = [
     "Chain",
     "ChainSummary",
-    "CoefficientTable",
     "ConvergenceError",
     "CountPath",
     "FitConfig",
     "GridSpec",
     "LatentPath",
+    "MarginalLikelihood",
     "MarginalResult",
     "McSpec",
     "MleResult",
@@ -43,7 +38,6 @@ __all__ = [
     "adapt_path",
     "alpha_integral",
     "batch_loglik",
-    "compute_coefficients",
     "conditional_loglik",
     "grid_coeff_marginal",
     "grid_marginal",

@@ -180,7 +180,13 @@ def _cmd_validate(args) -> int:
     T, params = _load_model_config(args.config)
     x = _load_events(args.events, T)
     res = marginal_loglik(x, params)
-    exact = math.exp(res.loglik)
+    try:
+        exact = math.exp(res.loglik)
+    except OverflowError:
+        raise ValidationError(
+            f"loglik {res.loglik:.6g} puts p(x) beyond the double range; "
+            "the linear-space oracles cannot represent this path"
+        ) from None
 
     n = args.grid_n
     grid_fine = grid_marginal(x, params, GridSpec(n=n))

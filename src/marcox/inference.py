@@ -4,7 +4,9 @@ of the latent rate, and a derivative-free maximum-likelihood counterpart.
 The baseline rate and jump weight stay fixed; only the coefficients move.
 Proposals are block Gaussian updates.  Coefficient vectors whose polynomial
 dips below zero anywhere on [0, T] are outside the posterior support and are
-rejected without evaluating the likelihood.
+rejected without evaluating the likelihood.  Each fit binds one
+``MarginalLikelihood`` to its path, so an evaluated proposal costs one
+nonnegativity check and one likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from scipy.optimize import minimize
 
 from .errors import ValidationError
 from .intensity import PolyIntensity
-from .marginal import marginal_loglik
-from .paths import CountPath, ModelParams
+from .marginal import MarginalLikelihood
+from .paths import CountPath
 
 _TARGET_ACCEPT = 0.25
 
@@ -108,14 +110,15 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     d = cfg.degree + 1
 
     evals = 0
+    lik = MarginalLikelihood(x, beta0, w, cfg.degree) if cfg.use_likelihood else None
 
     def loglik(coeffs: np.ndarray) -> float:
+        """Marginal log-likelihood; the caller has checked the support."""
         nonlocal evals
-        if not cfg.use_likelihood:
+        if lik is None:
             return 0.0
         evals += 1
-        params = ModelParams(beta0=beta0, w=w, gamma=PolyIntensity(tuple(coeffs)))
-        return marginal_loglik(x, params).loglik
+        return lik.loglik(coeffs).loglik
 
     def log_prior(coeffs: np.ndarray) -> float:
         z = (coeffs - cfg.prior_mean) / cfg.prior_sd
@@ -245,13 +248,12 @@ def mle_fit(
         x0 = _as_vector(start, d, "start")
     if not PolyIntensity(tuple(x0)).is_nonneg(T):
         raise ValidationError("starting coefficients give a negative intensity")
+    lik = MarginalLikelihood(x, beta0, w, degree)
 
     def objective(coeffs: np.ndarray) -> float:
-        gamma = PolyIntensity(tuple(coeffs))
-        if not gamma.is_nonneg(T):
+        if not PolyIntensity(tuple(coeffs)).is_nonneg(T):
             return math.inf
-        params = ModelParams(beta0=beta0, w=w, gamma=gamma)
-        return -marginal_loglik(x, params).loglik
+        return -lik.loglik(coeffs).loglik
 
     res = minimize(
         objective,

@@ -8,8 +8,12 @@ to three integrals, all available in closed form:
     alpha_integral(w, T, a, b)  int_a^b exp(-w (T - t)) gamma(t) dt
     lambda_integral(w, T)       int_0^T (1 - exp(-w (T - t))) gamma(t) dt
 
-The discounted integral uses the antiderivative of t^k e^{w t} (integration
-by parts), never quadrature.
+The last two are linear in the coefficients of gamma.  ``discounted_moments``
+and ``lambda_moments`` give their values on the monomials t^p, so a caller
+that keeps w and the intervals fixed (the likelihood of one path) computes
+them once and then needs one dot product per gamma.  Both are built from
+moments of the bounded kernel e^{-z (1 - u)} on [0, 1], never quadrature,
+and stay finite for any w T.
 """
 
 from __future__ import annotations
@@ -146,46 +150,86 @@ def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.nda
     return hi
 
 
-def _unit_moments(z: float, jmax: int) -> list[float]:
-    """m_j = int_0^1 u^j e^{z u} du for j = 0..jmax, z >= 0.
+def _decay_moments(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of mu_j(z) = int_0^1 u^j e^{-z (1 - u)} du and nu_j(z) = 1/(j + 1) - mu_j(z).
 
-    Power series m_j = sum_n z^n / (n! (j + n + 1)): every term is positive,
-    so the evaluation is cancellation-free for any z (unlike the by-parts
-    recursion, which loses ~k!/w^k digits when z is small).
+    One row per entry of the 1-d array z >= 0, columns j = 0..degree.  Both
+    integrands lie in [0, 1], so no e^{+z} is ever formed.  Below
+    z = 2 (degree + 1) the positive series
+
+        mu_j = e^{-z} sum_{n>=0} z^n / (n! (j + n + 1))
+        nu_j = e^{-z} sum_{n>=1} z^n / ((n - 1)! (j + 1) (j + n + 1))
+
+    give both to full relative precision.  Above it the upward recurrence
+    mu_j = (1 - j mu_(j-1)) / z from mu_0 = -expm1(-z) / z is stable: each
+    step scales the inherited error by j / z < 1/2, and mu_j <= 1/z keeps
+    nu_j >= 1 / (2 (j + 1)) clear of cancellation.
     """
-    out = [0.0] * (jmax + 1)
-    term = 1.0  # z^n / n!
-    n = 0
-    while True:
-        for j in range(jmax + 1):
-            out[j] += term / (j + n + 1)
-        n += 1
-        term *= z / n
-        if term < 1e-18 * out[jmax] or n > 5000:
-            return out
+    j = np.arange(degree + 1)
+    mu = np.empty((z.size, degree + 1))
+    nu = np.empty_like(mu)
+    big = z >= 2.0 * (degree + 1)
+    if np.any(big):
+        zb = z[big]
+        m = -np.expm1(-zb) / zb
+        cols = [m]
+        for k in range(1, degree + 1):
+            m = (1.0 - k * m) / zb
+            cols.append(m)
+        mu[big] = np.column_stack(cols)
+        nu[big] = 1.0 / (j + 1) - mu[big]
+    small = ~big
+    if np.any(small):
+        zs = z[small]
+        # Terms n = 0..N with z^N / N! <= 1e-20 z; z^(N-1) / N! grows with z,
+        # so the largest z sets N for all.
+        top, term, N = float(zs.max()), 1.0, 0
+        while term > 1e-20 * top:
+            N += 1
+            term *= top / N
+        n = np.arange(N + 1)
+        terms = np.cumprod(np.where(n > 0, zs[:, None] / np.maximum(n, 1), 1.0), axis=1)
+        denom = j + n[:, None] + 1.0
+        decay = np.exp(-zs)[:, None]
+        mu[small] = decay * (terms @ (1.0 / denom))
+        nu[small] = decay * (terms @ (n[:, None] / denom)) / (j + 1)
+    return mu, nu
 
 
-def _shift_scale(coeffs: tuple[float, ...], a: float, h: float) -> list[float]:
-    """Coefficients of u |-> p(a + h u) via Horner shift + power scaling."""
-    q = [0.0] * len(coeffs)
-    for c in reversed(coeffs):  # q <- q * (s + a) + c, in place
-        for i in range(len(q) - 1, 0, -1):
-            q[i] = q[i - 1] + a * q[i]
-        q[0] = a * q[0] + c
-    scale = 1.0
-    for i in range(len(q)):
-        q[i] *= scale
-        scale *= h
-    return q
+def discounted_moments(w: float, T: float, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """int_(a_i)^(b_i) e^{-w (T - s)} s^p ds for p = 0..degree, one row per interval.
+
+    With h = b - a, z = w h and s = a + h u the integrand becomes
+    e^{-w (T - b)} e^{-z (1 - u)} T^p (a/T + (h/T) u)^p.  The binomial
+    expansion of the last factor has only nonnegative terms, each a decay
+    moment mu_j(z) (``_decay_moments``) times factors at most 1, so the rows
+    are positive, cancellation-free and overflow only through T^p.  Requires
+    w > 0, T > 0 and 0 <= a <= b <= T elementwise.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = b - a
+    mu, _ = _decay_moments(w * h, degree)
+    p = np.arange(degree + 1)
+    a_pow = (a / T)[:, None] ** p
+    h_mu = mu * (h / T)[:, None] ** p
+    out = np.empty_like(mu)
+    for q in range(degree + 1):
+        binom = np.array([math.comb(q, i) for i in range(q + 1)], dtype=float)
+        out[:, q] = (binom * a_pow[:, q::-1] * h_mu[:, : q + 1]).sum(axis=1)
+    return out * (np.exp(-w * (T - b)) * h)[:, None] * float(T) ** p
+
+
+def lambda_moments(w: float, T: float, degree: int) -> np.ndarray:
+    """int_0^T (1 - e^{-w (T - s)}) s^p ds = T^(p+1) nu_p(w T) for p = 0..degree."""
+    _, nu = _decay_moments(np.array([w * T]), degree)
+    return nu[0] * float(T) ** np.arange(1, degree + 2)
 
 
 def alpha_integral(gamma: PolyIntensity, w: float, T: float, a: float, b: float) -> float:
-    """int_a^b exp(-w (T - t)) gamma(t) dt in closed form (no quadrature).
+    """int_a^b exp(-w (T - t)) gamma(t) dt in closed form (``discounted_moments``).
 
-    Substituting t = a + (b - a) u gives
-        e^{-w (T - a)} (b - a) * sum_p g_p m_p(w (b - a)),
-    with g the coefficients of gamma re-centered on the interval and m_p the
-    unit moments above.  Requires 0 <= a <= b <= T and w > 0.
+    Requires 0 <= a <= b <= T and w > 0.
     """
     if not w > 0:
         raise ValidationError("jump weight w must be positive")
@@ -193,14 +237,14 @@ def alpha_integral(gamma: PolyIntensity, w: float, T: float, a: float, b: float)
         raise ValidationError("integral bounds must satisfy 0 <= a <= b <= T")
     if a == b:
         return 0.0
-    h = b - a
-    g = _shift_scale(gamma.coeffs, a, h)
-    m = _unit_moments(w * h, gamma.degree)
-    return math.exp(-w * (T - a)) * h * math.fsum(gp * mp for gp, mp in zip(g, m))
+    row = discounted_moments(w, T, np.array([a]), np.array([b]), gamma.degree)[0]
+    return float(row @ np.asarray(gamma.coeffs))
 
 
 def lambda_integral(gamma: PolyIntensity, w: float, T: float) -> float:
-    """int_0^T (1 - exp(-w (T - t))) gamma(t) dt; nonnegative when gamma is."""
+    """int_0^T (1 - exp(-w (T - t))) gamma(t) dt (``lambda_moments``); nonnegative when gamma is."""
     if not w > 0:
         raise ValidationError("jump weight w must be positive")
-    return gamma.cum(T) - alpha_integral(gamma, w, T, 0.0, T)
+    if not T >= 0.0:
+        raise ValidationError("horizon T must be nonnegative")
+    return float(lambda_moments(w, T, gamma.degree) @ np.asarray(gamma.coeffs))

@@ -1,32 +1,26 @@
 """Exact marginal likelihood of the observed count path.
 
-With the latent process integrated out, the likelihood factorizes as
+Expanding prod_m (beta0 + w Y(t_m-)) and integrating the latent points out
+with the Mecke (Campbell) formula gives
 
-    p(x) = ( sum_{j=0}^M c_j w^j beta0^(M-j) ) * exp(-beta0 T - int_0^T lambda)
+    p(x) = ( sum_k f_M(k) ) * exp(-beta0 T - int_0^T lambda),
+    lambda(t) = (1 - e^{-w (T - t)}) gamma(t),
 
-where lambda(t) = (1 - e^{-w (T - t)}) gamma(t) and the coefficients c_j come
-from a triangular recursion driven by the discounted kernel masses
-A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt, one per event, with the event
-times relabeled in descending order (t_1 > t_2 > ... > t_M):
+where f runs over the events in ascending order (t_1 < t_2 < ... < t_M):
 
-    c_0^(0) = 1
-    c_0^(m) = c_0^(m-1)
-    c_j^(m) = A_m * sum_{i<j} c_i^(m-1) C(m-i-1, j-i-1) + c_j^(m-1)
+    f_0 = [1],   f_m(k) = (beta0 + w k) f_(m-1)(k) + w A_m f_(m-1)(k - 1).
 
-(the j = m case reads c_m^(m-1) as 0).  All terms are nonnegative, so rows
-can only grow; each row is stored as mantissas times a power-of-two scale
-tracked per row, which keeps the O(M^3) arithmetic in hardware floats.
+Here k counts the distinct latent points the first m events have attached
+to, and A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt is the discounted
+kernel mass up to event m.  The sum over k equals the coefficient polynomial
+sum_j c_j w^j beta0^(M-j) of the closed form.  Rows are kept in log space
+(``np.logaddexp``), so no term is lost at any M; the whole path costs
+O(M^2).
 
-Two row kernels implement the same update:
-
-* a dense float path using a precomputed Pascal triangle, valid while the
-  largest binomial fits in a double (rows up to ``_FLOAT_ROW_LIMIT``);
-* a log-domain path (log-binomials via lgamma, log-sum-exp reductions) for
-  longer paths, where binomial magnitudes exceed the double range.
-
-Entries more than ~300 orders of magnitude below their row maximum flush to
-zero in the stored float mantissas; the final row is also kept in log form so
-the likelihood evaluation never loses dominant terms to that flush.
+A_m and int lambda are linear in the coefficients of gamma: A = B c and
+int lambda = L c, with moment tables B (M x (degree + 1)) and L that depend
+only on the path, w and the degree.  ``MarginalLikelihood`` builds them once,
+so one evaluation costs two small matrix-vector products and the DP.
 """
 
 from __future__ import annotations
@@ -35,109 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .intensity import alpha_integral, lambda_integral
+from .intensity import MAX_DEGREE, discounted_moments, lambda_moments
 from .paths import CountPath, ModelParams
-
-# Largest row updated with raw binomials: C(959, 479) ~ 1e287 leaves headroom
-# for the matrix-vector product before the row is rescaled.
-_FLOAT_ROW_LIMIT = 960
-
-_LN2 = math.log(2.0)
-
-_pascal_cache: np.ndarray = np.ones((1, 1))
-_log_factorial_cache: np.ndarray = np.zeros(1)
-
-
-def _pascal(n: int) -> np.ndarray:
-    """Float Pascal matrix P[a, b] = C(a, b) (zero above the diagonal)."""
-    global _pascal_cache
-    if _pascal_cache.shape[0] < n + 1:
-        P = np.zeros((n + 1, n + 1))
-        P[:, 0] = 1.0
-        for a in range(1, n + 1):
-            P[a, 1 : a + 1] = P[a - 1, 1 : a + 1] + P[a - 1, : a]
-        _pascal_cache = P
-    return _pascal_cache[: n + 1, : n + 1]
-
-
-def _log_factorial(n: int) -> np.ndarray:
-    """Table of log(i!) for i = 0..n."""
-    global _log_factorial_cache
-    if _log_factorial_cache.size < n + 1:
-        _log_factorial_cache = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1.0, n + 1))))
-        )
-    return _log_factorial_cache[: n + 1]
-
-
-def _log_matvec_numpy(p: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """u[a] = -log(a!) + logsumexp_{b >= a} (p[b] - log((b-a)!))."""
-    m = p.size
-    b = np.arange(m)
-    d = b[None, :] - b[:, None]  # rows a, cols b
-    terms = np.where(d >= 0, p[None, :] - G[np.maximum(d, 0)], -np.inf)
-    return logsumexp(terms, axis=1) - G[:m]
-
-
-try:  # the jitted kernel avoids the m x m temporaries of the numpy route
-    from numba import njit, prange
-
-    @njit(cache=True, parallel=True)
-    def _log_matvec_numba(p: np.ndarray, G: np.ndarray) -> np.ndarray:  # pragma: no cover
-        m = p.size
-        u = np.empty(m)
-        for a in prange(m):
-            mx = -np.inf
-            for b in range(a, m):
-                t = p[b] - G[b - a]
-                if t > mx:
-                    mx = t
-            if mx == -np.inf:
-                u[a] = -np.inf
-                continue
-            s = 0.0
-            for b in range(a, m):
-                s += np.exp(p[b] - G[b - a] - mx)
-            u[a] = mx + np.log(s) - G[a]
-        return u
-
-    _log_matvec = _log_matvec_numba
-except ImportError:  # pragma: no cover
-    _log_matvec = _log_matvec_numpy
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Triangular coefficient array with per-row power-of-two rescaling.
-
-    Row m holds mantissas of c_0^(m) .. c_m^(m); the true value of entry
-    (m, j) is rows[m][j] * 2**pow2[m].  ``final_log`` carries the last row in
-    log form, immune to mantissa underflow.
-    """
-
-    rows: tuple[np.ndarray, ...]
-    pow2: np.ndarray
-    final_log: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def log_scale(self) -> np.ndarray:
-        """Accumulated log rescaling factor per row."""
-        return self.pow2 * _LN2
-
-    def value(self, m: int, j: int) -> float:
-        """Unscaled coefficient c_j^(m); may overflow to inf for huge rows."""
-        return math.ldexp(float(self.rows[m][j]), int(self.pow2[m]))
-
-    def log_value(self, m: int, j: int) -> float:
-        mant = self.rows[m][j]
-        return -math.inf if mant == 0.0 else math.log(mant) + self.pow2[m] * _LN2
 
 
 @dataclass(frozen=True)
@@ -149,122 +44,87 @@ class MarginalResult:
     exponent_term: float
 
 
-def _normalize(row: np.ndarray, pow2: int) -> tuple[np.ndarray, int]:
-    """Rescale by a power of two so the max mantissa sits in [1, 2)."""
-    vmax = float(row.max(initial=0.0))
-    if vmax <= 0.0 or not math.isfinite(vmax):
-        return row, pow2
-    exp = math.frexp(vmax)[1]  # vmax in [2^(exp-1), 2^exp)
-    if exp != 1:
-        row = row * math.ldexp(1.0, 1 - exp)
-        pow2 += exp - 1
-    return row, pow2
+class MarginalLikelihood:
+    """The marginal likelihood of one path as a function of gamma's coefficients.
 
-
-def _float_row(mant: np.ndarray, A_m: float, m: int) -> np.ndarray:
-    """Row update in mantissa units via a reversed matvec against Pascal.
-
-    With C(m-1-i, j-1-i) = C(m-1-i, m-j), the inner sums over i become one
-    product of the reversed row with the lower-triangular Pascal matrix.
+    beta0, w and the polynomial degree are fixed at construction, which
+    computes everything that does not depend on the coefficients.
+    ``loglik`` does not check that gamma is nonnegative on [0, T]; callers
+    do (``ModelParams.validate``, ``PolyIntensity.is_nonneg``).  It raises
+    ``ValidationError`` when a dip between the checked points still makes a
+    kernel mass or the lambda integral negative.
     """
-    P = _pascal(m - 1)
-    u = mant[::-1] @ P
-    new = np.empty(m + 1)
-    new[0] = mant[0]
-    new[1:] = A_m * u[::-1]
-    new[1:m] += mant[1:]
-    return new
 
-
-def _log_row(log_row: np.ndarray, A_m: float, m: int) -> np.ndarray:
-    """Same update on log values; handles rows whose range exceeds doubles.
-
-    Folding the factorials into the reversed row turns the binomial sums into
-    one kernel pass: with p_b = log c_(m-1-b) + log b!, the inner sums become
-    logsumexp_{b >= a} (p_b - log (b-a)!) - log a!.
-    """
-    G = _log_factorial(m)
-    logA = math.log(A_m) if A_m > 0.0 else -math.inf
-    p = log_row[::-1] + G[:m]
-    u = _log_matvec(p, G)
-    new = np.empty(m + 1)
-    new[0] = 0.0
-    grown = logA + u[::-1]
-    new[1:m] = np.logaddexp(grown[: m - 1], log_row[1:])
-    new[m] = grown[m - 1]
-    return new
-
-
-def compute_coefficients(x: CountPath, params: ModelParams) -> CoefficientTable:
-    """Run the triangular recursion over the events of x.
-
-    The kernel mass A_m is computed once per event from the closed-form
-    integral.  Rows run on the float kernel while binomials fit in doubles
-    (and the row stays finite), then switch permanently to the log kernel.
-    """
-    params.validate(x.T)
-    T = x.T
-    ts_desc = x.jumps[::-1]  # stored ascending; the recursion wants descending
-    M = x.count
-    A = np.array([alpha_integral(params.gamma, params.w, T, 0.0, float(t)) for t in ts_desc])
-
-    rows: list[np.ndarray] = [np.array([1.0])]
-    pow2 = np.zeros(M + 1, dtype=np.int64)
-
-    mant = np.array([1.0])
-    k = 0
-    log_row: np.ndarray | None = None
-    for m in range(1, M + 1):
-        if log_row is None and m <= _FLOAT_ROW_LIMIT:
-            new = _float_row(mant, A[m - 1], m)
-            if np.all(np.isfinite(new)):
-                mant, k = _normalize(new, k)
-                # Row head must stay exactly 2^-k so the unscaled c_0 is 1.
-                assert mant[0] == 0.0 or mant[0] == math.ldexp(1.0, -k)
-                rows.append(mant)
-                pow2[m] = k
-                continue
-        if log_row is None:
-            with np.errstate(divide="ignore"):
-                log_row = np.log(mant) + k * _LN2
-        log_row = _log_row(log_row, A[m - 1], m)
-        k = int(math.floor(float(np.max(log_row)) / _LN2))
-        mant = np.exp(log_row - k * _LN2)
-        mant[0] = math.ldexp(1.0, -k)  # keep the unscaled c_0 = 1 exact
-        rows.append(mant)
-        pow2[m] = k
-
-    if log_row is None:
+    def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
+        beta0, w = float(beta0), float(w)
+        if not (math.isfinite(beta0) and beta0 >= 0.0):
+            raise ValidationError("baseline rate beta0 must be finite and >= 0")
+        if not (math.isfinite(w) and w > 0.0):
+            raise ValidationError("jump weight w must be finite and positive")
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValidationError(f"polynomial degree must lie in 0..{MAX_DEGREE}")
+        self.x = x
+        self.beta0 = beta0
+        self.w = w
+        self.degree = degree
+        starts = np.concatenate(([0.0], x.jumps))[:-1]
+        self._B = np.cumsum(discounted_moments(w, x.T, starts, x.jumps, degree), axis=0)
+        self._L = lambda_moments(w, x.T, degree)
         with np.errstate(divide="ignore"):
-            final_log = np.log(mant) + k * _LN2
-    else:
-        final_log = log_row
-    return CoefficientTable(rows=tuple(rows), pow2=pow2, final_log=final_log)
+            self._log_stay = np.log(beta0 + w * np.arange(x.count + 1))
+        self._log_w = math.log(w)
+
+    def loglik(self, coeffs) -> MarginalResult:
+        """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
+
+        A kernel mass that underflows to 0 contributes log 0 = -inf; a path
+        no latent configuration can produce yields the -inf sentinel.
+        """
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (self.degree + 1,):
+            raise ValidationError(f"expected {self.degree + 1} coefficients, got {c.size}")
+        A = self._B @ c
+        lam = float(self._L @ c)
+        if not (np.all(np.isfinite(A)) and A.min(initial=0.0) >= 0.0 and 0.0 <= lam < math.inf):
+            raise ValidationError(
+                "kernel masses must be finite and >= 0: gamma dips below zero on "
+                "[0, T] or has non-finite coefficients"
+            )
+        with np.errstate(divide="ignore"):
+            log_new = self._log_w + np.log(A)
+        log_stay = self._log_stay
+        M = A.size
+        f = np.full(M + 1, -math.inf)  # f[: m + 1] holds row m
+        f[0] = 0.0
+        grown = np.empty(M)
+        add, logaddexp = np.add, np.logaddexp
+        # In-place ufuncs on views: the per-row cost is three ufunc calls.
+        for m, ln in enumerate(log_new.tolist()):
+            row, g = f[: m + 1], grown[: m + 1]
+            add(row, ln, out=g)
+            add(row, log_stay[: m + 1], out=row)
+            shifted = f[1 : m + 2]
+            logaddexp(shifted, g, out=shifted)
+        top = float(f.max())
+        poly_log = top + math.log(float(np.sum(np.exp(f - top)))) if top > -math.inf else top
+        exponent = -self.beta0 * self.x.T - lam
+        return MarginalResult(
+            loglik=poly_log + exponent,
+            polynomial_term_log=poly_log,
+            exponent_term=exponent,
+        )
 
 
 def marginal_loglik(x: CountPath, params: ModelParams) -> MarginalResult:
-    """Log marginal likelihood of x under params.
+    """Log marginal likelihood of x under params: one ``MarginalLikelihood`` evaluation.
 
-    The polynomial factor is evaluated in log space from the final
-    coefficient row.  At beta0 = 0 only the j = M term survives (0^0 := 1);
-    a polynomial factor of exactly zero yields the -inf sentinel.
+    At beta0 = 0 every event must be explained by latent points; when none
+    can be (a polynomial factor of exactly zero) the result is the -inf
+    sentinel.
     """
-    table = compute_coefficients(x, params)
-    M = table.M
-    exponent = -params.beta0 * x.T - lambda_integral(params.gamma, params.w, x.T)
-
-    logs = table.final_log
-    j = np.arange(M + 1)
-    if params.beta0 == 0.0:
-        poly_log = logs[M] + M * math.log(params.w) if M > 0 else logs[0]
-    else:
-        weights = j * math.log(params.w) + (M - j) * math.log(params.beta0)
-        poly_log = float(logsumexp(logs + weights))
-    return MarginalResult(
-        loglik=float(poly_log + exponent),
-        polynomial_term_log=float(poly_log),
-        exponent_term=float(exponent),
-    )
+    params.validate(x.T)
+    gamma = params.gamma
+    return MarginalLikelihood(x, params.beta0, params.w, gamma.degree).loglik(gamma.coeffs)
 
 
 def batch_loglik(paths: list[CountPath], params: ModelParams) -> list[MarginalResult]:

@@ -167,17 +167,20 @@ def tune_w(x_star: CountPath) -> float:
 
 
 def read_events_csv(source: str | Path | TextIO) -> list[float]:
-    """One event time per line; optional 'time' header; '#' lines are comments."""
+    """One event time per line; '#' lines are comments; the first other line may be a 'time' header."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return read_events_csv(fh)
     times: list[float] = []
+    first = True
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if lineno <= 2 and line.lower() == "time":
-            continue
+        if first:
+            first = False
+            if line.lower() == "time":
+                continue
         try:
             times.append(float(line))
         except ValueError as exc:
@@ -197,4 +200,4 @@ def write_events_csv(
         dest.write(f"# {c}\n")
     dest.write("time\n")
     for t in times:
-        dest.write(f"{t!r}\n")
+        dest.write(f"{float(t)!r}\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
 from marcox.intensity import PolyIntensity, alpha_integral, lambda_integral
@@ -139,6 +141,70 @@ class TestLambdaIntegral:
             w = rng.uniform(0.2, 3.0)
             lam = lambda_integral(gamma, w, T)
             assert -1e-12 <= lam <= gamma.cum(T) * (1.0 + 1e-12) + 1e-12
+
+
+def discounted(gamma, w, T):
+    return lambda t: math.exp(-w * (T - t)) * gamma.eval(t)
+
+
+def undiscounted(gamma, w, T):
+    return lambda t: -math.expm1(-w * (T - t)) * gamma.eval(t)
+
+
+def abs_poly(gamma):
+    """|c_0| + |c_1| t + ...: bounds the rounding of any monomial-basis evaluation."""
+    return PolyIntensity(tuple(abs(c) for c in gamma.coeffs))
+
+
+class TestLargeAndSmallDecay:
+    @pytest.mark.parametrize("w, T", [(5.0, 200.0), (10.0, 100.0)])
+    def test_large_w_T_matches_quadrature(self, w, T):
+        """w T = 1000 once overflowed e^{w (b - a)} into NaN."""
+        gamma = PolyIntensity((1.0, 0.25))
+        for a, b in [(0.0, T), (0.0, 0.5 * T), (0.9 * T, T)]:
+            got = alpha_integral(gamma, w, T, a, b)
+            assert math.isfinite(got)
+            assert got == pytest.approx(adaptive_simpson(discounted(gamma, w, T), a, b), rel=1e-12)
+        lam = lambda_integral(gamma, w, T)
+        assert math.isfinite(lam)
+        assert lam == pytest.approx(adaptive_simpson(undiscounted(gamma, w, T), 0.0, T), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_wT=st.floats(-6.0, 4.0),
+        T=st.floats(0.5, 50.0),
+        root=st.floats(0.0, 1.0),
+        offset=st.floats(0.0, 1.0),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_matches_quadrature_over_w_T(self, log_wT, T, root, offset, ends):
+        """Mixed-sign coefficients of a nonnegative gamma = (t - r)^2 + offset
+        (for instance (t - 5)^2 on [0, 10]) across w T in [1e-6, 1e4].
+
+        The error allowance scales with the integral of |c_0| + |c_1| t + ...,
+        the condition of the monomial basis that gamma.eval shares.
+        """
+        w = 10.0**log_wT / T
+        r = root * T
+        gamma = PolyIntensity((r * r + offset, -2.0 * r, 1.0))
+        a, b = sorted(e * T for e in ends)
+        got = alpha_integral(gamma, w, T, a, b)
+        scale = adaptive_simpson(discounted(abs_poly(gamma), w, T), a, b)
+        want = adaptive_simpson(discounted(gamma, w, T), a, b)
+        assert abs(got - want) <= 1e-10 * scale + 1e-12
+        lam = lambda_integral(gamma, w, T)
+        scale = adaptive_simpson(undiscounted(abs_poly(gamma), w, T), 0.0, T)
+        want = adaptive_simpson(undiscounted(gamma, w, T), 0.0, T)
+        assert abs(lam - want) <= 1e-10 * scale + 1e-12
+
+    def test_square_with_root_inside(self):
+        """gamma = (t - 5)^2 on [0, 10]: alternating coefficients, nonnegative values."""
+        gamma = PolyIntensity((25.0, -10.0, 1.0))
+        for w in (1e-7, 0.3, 40.0):
+            want = adaptive_simpson(discounted(gamma, w, 10.0), 0.0, 10.0)
+            assert alpha_integral(gamma, w, 10.0, 0.0, 10.0) == pytest.approx(want, rel=1e-11)
+            want = adaptive_simpson(undiscounted(gamma, w, 10.0), 0.0, 10.0)
+            assert lambda_integral(gamma, w, 10.0) == pytest.approx(want, rel=1e-11)
 
 
 class TestValidation:

@@ -1,22 +1,25 @@
-"""Unit tests for the coefficient recursion and marginal likelihood."""
+"""Unit tests for the marginal likelihood and its open-block recursion."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-import marcox.marginal as marginal_mod
 from marcox.errors import ValidationError
-from marcox.intensity import PolyIntensity, alpha_integral
-from marcox.marginal import batch_loglik, compute_coefficients, marginal_loglik
-from marcox.paths import CountPath, ModelParams, load_path
+from marcox.intensity import PolyIntensity
+from marcox.marginal import MarginalLikelihood, batch_loglik, marginal_loglik
+from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
+
+from _oracles import adaptive_simpson
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
 
 
 def brute_coefficients(masses):
-    """Plain-Python reference for the triangular recursion."""
+    """Plain-Python coefficient recursion over kernel masses in descending event order."""
     c = [1.0]
     for m, A in enumerate(masses, start=1):
         new = [1.0]
@@ -28,72 +31,130 @@ def brute_coefficients(masses):
 
 
 class TestComputeCoefficients:
+    """The coefficient polynomial sum_j c_j w^j beta0^(M-j) of the closed form,
+    read back as exp(polynomial_term_log) from marginal_loglik."""
+
     def test_single_event_closed_form(self):
-        """c_1^(1) is the kernel mass up to the event: e^{-0.5} - e^{-1}."""
-        table = compute_coefficients(load_path([0.5], 1.0), UNIT)
-        assert table.value(1, 0) == 1.0
-        assert table.value(1, 1) == pytest.approx(
-            math.exp(-0.5) - math.exp(-1.0), rel=1e-14
-        )
+        """p = A_1 e^{-e^{-1}} with A_1 = e^{-0.5} - e^{-1}, the kernel mass up to the event."""
+        res = marginal_loglik(load_path([0.5], 1.0), UNIT)
+        A1 = math.exp(-0.5) - math.exp(-1.0)
+        assert res.polynomial_term_log == pytest.approx(math.log(A1), rel=1e-14)
+        assert res.exponent_term == pytest.approx(-math.exp(-1.0), rel=1e-14)
 
     def test_two_event_closed_forms(self):
-        """c_1^(2) = A_2 + A_1 and c_2^(2) = (A_1 + 1) A_2 (descending order)."""
-        table = compute_coefficients(load_path([0.25, 0.75], 1.0), UNIT)
+        """c_1 = A_2 + A_1 and c_2 = (A_1 + 1) A_2, with events in descending order."""
+        x = load_path([0.25, 0.75], 1.0)
         A1 = math.exp(-0.25) - math.exp(-1.0)
         A2 = math.exp(-0.75) - math.exp(-1.0)
-        assert table.value(2, 1) == pytest.approx(A1 + A2, rel=1e-13)
-        assert table.value(2, 2) == pytest.approx((A1 + 1.0) * A2, rel=1e-13)
+        for beta0 in (0.0, 0.5):
+            params = ModelParams(beta0=beta0, w=1.0, gamma=PolyIntensity((1.0,)))
+            poly = beta0**2 + beta0 * (A1 + A2) + (A1 + 1.0) * A2
+            res = marginal_loglik(x, params)
+            assert res.polynomial_term_log == pytest.approx(math.log(poly), rel=1e-13)
 
     def test_zero_intensity_collapses(self):
-        params = ModelParams(beta0=1.0, w=1.0, gamma=PolyIntensity((0.0,)))
-        table = compute_coefficients(load_path([0.2, 0.5, 0.8], 1.0), params)
-        for m in range(4):
-            assert table.value(m, 0) == 1.0
-            for j in range(1, m + 1):
-                assert table.value(m, j) == 0.0
-
-    def test_row_head_always_one(self):
-        params = ModelParams(beta0=0.5, w=1.5, gamma=PolyIntensity((2.0, 1.0)))
-        sim = simulate(params, 4.0, seed=13)
-        table = compute_coefficients(sim.x, params)
-        for m in range(table.M + 1):
-            assert table.value(m, 0) == 1.0
-
-    def test_monotone_row_growth(self):
-        """c_j^(m) >= c_j^(m-1): every update only adds nonnegative mass."""
-        params = ModelParams(beta0=0.5, w=1.0, gamma=PolyIntensity((1.5,)))
-        sim = simulate(params, 5.0, seed=17)
-        table = compute_coefficients(sim.x, params)
-        for m in range(2, table.M + 1):
-            for j in range(1, m):
-                assert table.log_value(m, j) >= table.log_value(m - 1, j) - 1e-12
+        """gamma = 0 leaves only c_0 = 1: the polynomial is beta0^M."""
+        params = ModelParams(beta0=1.5, w=1.0, gamma=PolyIntensity((0.0,)))
+        res = marginal_loglik(load_path([0.2, 0.5, 0.8], 1.0), params)
+        assert res.polynomial_term_log == pytest.approx(3.0 * math.log(1.5), rel=1e-14)
+        assert res.exponent_term == -1.5
 
     def test_matches_brute_force_recursion(self):
         rng = np.random.default_rng(3)
         gamma = PolyIntensity((1.2, 0.4))
         params = ModelParams(beta0=0.7, w=1.3, gamma=gamma)
         times = np.sort(rng.uniform(0.01, 1.99, size=9))
-        x = load_path(times, 2.0)
-        table = compute_coefficients(x, params)
         masses = [
-            alpha_integral(gamma, params.w, 2.0, 0.0, t) for t in sorted(times, reverse=True)
+            adaptive_simpson(lambda s: math.exp(-params.w * (2.0 - s)) * gamma.eval(s), 0.0, t)
+            for t in sorted(times, reverse=True)
         ]
-        ref = brute_coefficients(masses)
-        got = [table.value(table.M, j) for j in range(table.M + 1)]
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
+        c = brute_coefficients(masses)
+        M = len(c) - 1
+        poly = sum(c[j] * params.w**j * params.beta0 ** (M - j) for j in range(M + 1))
+        res = marginal_loglik(load_path(times, 2.0), params)
+        assert math.exp(res.polynomial_term_log) == pytest.approx(poly, rel=1e-12)
 
-    def test_log_kernel_matches_float_kernel(self):
-        params = ModelParams(beta0=0.8, w=0.6, gamma=PolyIntensity((1.0, 0.7)))
-        sim = simulate(params, 10.0, seed=23)
-        assert sim.x.count > 50
-        res_float = marginal_loglik(sim.x, params)
-        limit = marginal_mod._FLOAT_ROW_LIMIT
-        marginal_mod._FLOAT_ROW_LIMIT = 2
-        try:
-            res_log = marginal_loglik(sim.x, params)
-        finally:
-            marginal_mod._FLOAT_ROW_LIMIT = limit
-        assert res_log.loglik == pytest.approx(res_float.loglik, rel=1e-12)
+
+def mp_loglik(times, beta0, w, coeffs, T, dps=50):
+    """log p(x) by the open-block recursion in dps-digit arithmetic.
+
+    Kernel masses come from mpmath quadrature over the gaps between events,
+    not from the library's closed forms.
+    """
+    with mpmath.workdps(dps):
+        beta0, w, T = mpmath.mpf(beta0), mpmath.mpf(w), mpmath.mpf(T)
+        coeffs = [mpmath.mpf(c) for c in coeffs]
+
+        def gamma(s):
+            return mpmath.fsum(c * s**p for p, c in enumerate(coeffs))
+
+        def kernel(s):
+            return mpmath.exp(-w * (T - s)) * gamma(s)
+
+        stay = [beta0 + w * k for k in range(len(times) + 1)]
+        f = [mpmath.mpf(1)]
+        A = mpmath.mpf(0)
+        prev = mpmath.mpf(0)
+        for t in times:
+            t = mpmath.mpf(float(t))
+            A += mpmath.quad(kernel, [prev, t], method="gauss-legendre")
+            prev = t
+            wA = w * A
+            f = (
+                [stay[0] * f[0]]
+                + [stay[k] * f[k] + wA * f[k - 1] for k in range(1, len(f))]
+                + [wA * f[-1]]
+            )
+        lam = mpmath.quad(lambda s: (1 - mpmath.exp(-w * (T - s))) * gamma(s), [0, T])
+        return float(mpmath.log(mpmath.fsum(f)) - beta0 * T - lam)
+
+
+class TestLongPaths:
+    def test_500_events_match_high_precision(self):
+        """beta0 > w at M = 500: terms far below the largest coefficient still carry
+        the weight beta0^(M-j) w^j, so none may be dropped."""
+        params = ModelParams(beta0=1.0, w=0.5, gamma=PolyIntensity((2.0, 0.5)))
+        times = simulate(params, 30.0, seed=4).x.jumps[:500]
+        got = marginal_loglik(load_path(times, 30.0), params).loglik
+        ref = mp_loglik(times, 1.0, 0.5, (2.0, 0.5), 30.0)
+        assert got == pytest.approx(ref, abs=1e-9)
+
+
+class TestMarginalLikelihood:
+    def test_reuse_matches_marginal_loglik(self):
+        params = ModelParams(beta0=0.4, w=0.8, gamma=PolyIntensity((1.0, 0.3)))
+        x = simulate(params, 6.0, seed=5).x
+        lik = MarginalLikelihood(x, 0.4, 0.8, degree=1)
+        for coeffs in [(1.0, 0.3), (0.2, 1.5), (3.0, 0.0)]:
+            direct = marginal_loglik(x, ModelParams(0.4, 0.8, PolyIntensity(coeffs)))
+            assert lik.loglik(coeffs) == direct
+
+    @pytest.mark.parametrize("coeffs", [(-1.0,), (math.nan,), (math.inf,)])
+    def test_negative_or_nonfinite_mass_raises(self, coeffs):
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=0)
+        with pytest.raises(ValidationError):
+            lik.loglik(coeffs)
+
+    def test_wrong_coefficient_count_rejected(self):
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
+        with pytest.raises(ValidationError):
+            lik.loglik((1.0,))
+
+    def test_underflowing_mass_gives_minus_inf_silently(self):
+        """The only event sits where e^{-w (T - t)} underflows: with beta0 = 0 the
+        path is impossible in double precision, reported as -inf, not NaN."""
+        params = ModelParams(beta0=0.0, w=10.0, gamma=PolyIntensity((1.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = marginal_loglik(load_path([1.0], 100.0), params)
+        assert res.loglik == -math.inf
+
+    def test_large_w_times_T_is_finite(self):
+        """w T = 1000 once made the closed-form integrals NaN."""
+        params = ModelParams(beta0=0.5, w=10.0, gamma=PolyIntensity((1.0, 0.25)))
+        times = [95.0, 99.0, 99.5]
+        got = marginal_loglik(load_path(times, 100.0), params).loglik
+        assert got == pytest.approx(mp_loglik(times, 0.5, 10.0, (1.0, 0.25), 100.0), abs=1e-10)
 
 
 class TestMarginalLoglik:
@@ -144,14 +205,11 @@ class TestMarginalLoglik:
             marginal_loglik(load_path([0.5], 1.0), params)
 
     def test_moderate_scale_stays_finite(self):
-        """A few hundred events exercise the row rescaling without overflow."""
         params = ModelParams(beta0=1.0, w=1.0, gamma=PolyIntensity((2.0,)))
         sim = simulate(params, 14.0, seed=31)
         assert sim.x.count > 150
         res = marginal_loglik(sim.x, params)
         assert math.isfinite(res.loglik)
-        table = compute_coefficients(sim.x, params)
-        assert int(table.pow2[-1]) > 0  # rescaling actually engaged
 
 
 class TestBatchLoglik:

@@ -180,8 +180,9 @@ class TestTuneW:
 
 class TestEventCsv:
     def test_roundtrip(self):
+        """numpy floats, and comment lines ahead of the header, as simulate writes them."""
         buf = io.StringIO()
-        write_events_csv(buf, [0.25, 0.5], comments=["seed=7"])
+        write_events_csv(buf, np.array([0.25, 0.5]), comments=["seed=7", "T=1.0"])
         buf.seek(0)
         assert read_events_csv(buf) == [0.25, 0.5]
 
