@@ -127,7 +127,7 @@ def _load_model_config(path: str) -> tuple[float, ModelParams]:
         params.validate(T)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
-    except (TypeError, ValidationError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
     return T, params
 
@@ -216,12 +216,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, dict]:
+def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, int]:
+    """Path, fixed (beta0, w), sampler config and the fit-mle evaluation budget."""
     cfg = _load_json(args.config)
     try:
         T = float(cfg["T"])
         beta0 = float(cfg.get("beta0", 0.0))
         w = float(cfg["w"])
+        budget = int(cfg.get("budget", 2000))
+        if budget < 1:
+            raise ValidationError("budget must be at least 1")
         known = {
             "degree",
             "prior_mean",
@@ -240,10 +244,10 @@ def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, dict]:
         fit = FitConfig(**fit_kwargs)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
-    except (TypeError, ValidationError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}") from exc
     x = _load_events(args.events, T)
-    return x, (beta0, w), fit, cfg
+    return x, (beta0, w), fit, budget
 
 
 def _cmd_fit_mcmc(args) -> int:
@@ -272,14 +276,8 @@ def _cmd_fit_mcmc(args) -> int:
 
 
 def _cmd_fit_mle(args) -> int:
-    x, fixed, fit, cfg = _fit_inputs(args)
-    res = mle_fit(
-        x,
-        fixed,
-        degree=fit.degree,
-        start=cfg.get("start"),
-        budget=int(cfg.get("budget", 2000)),
-    )
+    x, fixed, fit, budget = _fit_inputs(args)
+    res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, budget=budget)
     print(
         json.dumps(
             {

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ValidationError
 from .intensity import PolyIntensity
@@ -236,8 +235,14 @@ def mle_fit(
 
     Coefficient vectors outside the nonnegativity support score -inf, which
     acts as a barrier keeping the simplex feasible.  Deterministic given the
-    starting point.
+    starting point.  ``budget`` caps the likelihood evaluations and must be at
+    least 1.  The first call in a process imports ``scipy.optimize``; the
+    import is deferred to here so that importing the package loads no scipy.
     """
+    if budget < 1:
+        raise ValidationError("budget must be at least 1")
+    from scipy.optimize import minimize
+
     beta0, w = params_fixed
     T = x.T
     d = degree + 1
@@ -349,9 +354,17 @@ def read_chain_csv(source: str | Path | TextIO) -> Chain:
     for row in reader:
         if not row:
             continue
-        draws.append([float(v) for v in row[1 : 1 + d]])
-        lls.append(float(row[-2]))
-        acc.append(bool(int(row[-1])))
+        where = f"chain CSV line {reader.line_num}"
+        if len(row) != d + 3:
+            raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
+        if row[-1] not in ("0", "1"):
+            raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
+        try:
+            draws.append([float(v) for v in row[1 : 1 + d]])
+            lls.append(float(row[-2]))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        acc.append(row[-1] == "1")
     if not draws:
         raise ValidationError("chain CSV has no draws")
     acc_arr = np.asarray(acc, dtype=bool)

@@ -8,6 +8,9 @@ Three routes to the same number:
                          lattice (structurally distinct algebra whose
                          difference from the forward filter is O(h));
 * ``mc_marginal``        plain Monte Carlo over latent draws.
+
+The latent-state truncation level (``default_y_max``) sums the Poisson tail
+with the standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,24 +20,37 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from .errors import ValidationError
 from .intensity import _cum_inverse_batch
 from .paths import CountPath, ModelParams
 
 _TAIL_MASS = 1e-12
+# The tail sum starts at the first term below this; for means up to 1e8 the
+# terms past it add less than 1e-15 of _TAIL_MASS.
+_TAIL_TERM_MIN = 1e-30
 _GRID_EPS = 1e-9  # tolerance when snapping event times up to lattice points
 
 
 def default_y_max(mean_count: float) -> int:
-    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12."""
+    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12.
+
+    The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
+    term by term from far past the mean downward, never formed as 1 - cdf,
+    which would lose the digits that decide the comparison with 1e-12.
+    """
     if mean_count <= 0.0:
         return 1
     k = max(1, int(mean_count))
-    while poisson.sf(k, mean_count) >= _TAIL_MASS:
-        k += 1
-    return k
+    log_mean = math.log(mean_count)
+    pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean
+    while not pmf or pmf[-1] >= _TAIL_TERM_MIN:
+        j = k + 1 + len(pmf)
+        pmf.append(math.exp(j * log_mean - mean_count - math.lgamma(j + 1)))
+    tail = 0.0  # P(N > k + len(pmf))
+    while pmf and tail + pmf[-1] < _TAIL_MASS:
+        tail += pmf.pop()
+    return k + len(pmf)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import json
 import math
 import sys
 
+import pytest
+
 from marcox import cli
 from marcox.intensity import PolyIntensity
 from marcox.marginal import marginal_loglik
@@ -43,3 +45,43 @@ def test_validate_beyond_double_range_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation-error:") and "oracles cannot represent" in err
     assert marginal_loglik(load_path(times, 30.0), params).loglik > math.log(sys.float_info.max)
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "validate"])
+def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
+    config = tmp_path / "model.json"
+    cfg = {"T": "abc", "beta0": 0.5, "w": 0.7, "gamma": {"type": "poly", "coeffs": [1.0]}}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0, 2.0])
+    if command == "simulate":
+        files = ["--out", str(tmp_path / "out.csv")]
+    else:
+        files = ["--events", str(events)]
+    rc = cli.main([command, "--config", str(config)] + files)
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config-error:")
+
+
+@pytest.mark.parametrize("budget", ["lots", 0])
+def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0, 2.0, 4.5])
+    config = tmp_path / "fit.json"
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 0, "budget": budget}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = cli.main(["fit-mle", "--events", str(events), "--config", str(config)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config-error:")
+    assert captured.out == ""
+
+
+def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n1,abc,-3.0,0\n", encoding="utf-8")
+    out = str(tmp_path / "summary.csv")
+    rc = cli.main(["summarize", "--chain", str(chain), "--grid", "0:1:3", "--out", out])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation-error:") and "line 3" in err

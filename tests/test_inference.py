@@ -1,9 +1,12 @@
-"""Tests for the Metropolis and maximum-likelihood fitters."""
+"""Tests for the Metropolis and maximum-likelihood fitters and the chain CSV."""
+
+import io
 
 import numpy as np
 import pytest
 
-from marcox.inference import FitConfig, mh_fit, mle_fit
+from marcox.errors import ValidationError
+from marcox.inference import Chain, FitConfig, mh_fit, mle_fit, read_chain_csv, write_chain_csv
 from marcox.intensity import PolyIntensity
 from marcox.marginal import marginal_loglik
 from marcox.paths import ModelParams
@@ -68,3 +71,48 @@ class TestMleFit:
         assert res.n_evals <= budget
         best = marginal_loglik(path, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs))))
         assert best.loglik == res.loglik
+
+    def test_budget_below_one_rejected(self, path):
+        with pytest.raises(ValidationError, match="budget"):
+            mle_fit(path, (BETA0, W), degree=1, start=TRUTH, budget=0)
+
+
+class TestChainCsv:
+    def test_roundtrip_is_exact(self):
+        rng = np.random.default_rng(2)
+        draws = rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-12, 12, size=(6, 2))
+        logliks = np.array([-1.0 / 3.0, -np.inf, 1e-300, -745.5, 0.1 + 0.2, -np.inf])
+        accepted = np.array([True, False, False, True, True, False])
+        chain = Chain(
+            draws=draws,
+            logliks=logliks,
+            accepted=accepted,
+            accept_rate=0.5,
+            seed=4,
+            n_evals=6,
+            n_support_rejected=0,
+            proposal_sd=np.ones(2),
+        )
+        buf = io.StringIO()
+        write_chain_csv(buf, chain)
+        buf.seek(0)
+        back = read_chain_csv(buf)
+        assert back.draws.tobytes() == draws.tobytes()
+        assert back.logliks.tobytes() == logliks.tobytes()
+        np.testing.assert_array_equal(back.accepted, accepted)
+        assert back.accept_rate == 0.5
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,abc,0.5,-3.0,1", "line 3"),
+            ("1,0.5,0.5,-3.0,2", "accepted must be 0 or 1"),
+            ("1,0.5,0.5,1", "expected 5 fields, got 4"),
+            ("1,0.5,0.5,-3.0,1,7", "expected 5 fields, got 6"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, row, message):
+        text = "iter,c0,c1,loglik,accepted\n0,1.0,0.1,-3.0,1\n" + row + "\n"
+        with pytest.raises(ValidationError, match=message) as info:
+            read_chain_csv(io.StringIO(text))
+        assert "line 3" in str(info.value)
