@@ -3,9 +3,10 @@ adapt / summarize.
 
 Every subcommand is a thin adapter over the library: it parses files and
 flags, calls one library entry point, and writes results.  Event and chain
-data travel as CSV, configs and reports as JSON.  File outputs are written
-atomically (temp file + rename) and accompanied by a ``<out>.manifest.json``
-recording command, config hash, seed, version, and timestamps.
+data travel as CSV, configs and reports as strict JSON (a -inf
+log-likelihood is written as null).  File outputs are written atomically
+(temp file + rename) and accompanied by a ``<out>.manifest.json`` recording
+command, config hash, seed, version, and timestamps.
 
 Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
 """
@@ -97,7 +98,22 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    _atomic_write(Path(str(out) + ".manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(Path(str(out) + ".manifest.json"), _json(manifest, indent=2) + "\n")
+
+
+def _json(obj, indent: int | None = None) -> str:
+    """Strict JSON: a non-finite float (the -inf log-likelihood sentinel) becomes null."""
+
+    def clean(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [clean(x) for x in v]
+        return v
+
+    return json.dumps(clean(obj), indent=indent, allow_nan=False)
 
 
 def _sha256(path: Path) -> str:
@@ -164,7 +180,7 @@ def _cmd_loglik(args) -> int:
     x = _load_events(args.events, T)
     res = marginal_loglik(x, params)
     print(
-        json.dumps(
+        _json(
             {
                 "loglik": res.loglik,
                 "M": x.count,
@@ -212,7 +228,7 @@ def _cmd_validate(args) -> int:
         "mc": {"n": args.mc_n, "estimate": est, "se": se, "z": z, "pass": bool(mc_ok)},
         "overall_pass": bool(grid_ok and mc_ok),
     }
-    print(json.dumps(report))
+    print(_json(report))
     return EXIT_OK
 
 
@@ -279,11 +295,12 @@ def _cmd_fit_mle(args) -> int:
     x, fixed, fit, budget = _fit_inputs(args)
     res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, budget=budget)
     print(
-        json.dumps(
+        _json(
             {
                 "coeffs": [float(c) for c in res.coeffs],
                 "loglik": res.loglik,
                 "converged": res.converged,
+                "n_evals": res.n_evals,
             }
         )
     )

@@ -8,12 +8,14 @@ to three integrals, all available in closed form:
     alpha_integral(w, T, a, b)  int_a^b exp(-w (T - t)) gamma(t) dt
     lambda_integral(w, T)       int_0^T (1 - exp(-w (T - t))) gamma(t) dt
 
-The last two are linear in the coefficients of gamma.  ``discounted_moments``
-and ``lambda_moments`` give their values on the monomials t^p, so a caller
-that keeps w and the intervals fixed (the likelihood of one path) computes
-them once and then needs one dot product per gamma.  Both are built from
-moments of the bounded kernel e^{-z (1 - u)} on [0, 1], never quadrature,
-and stay finite for any w T.
+The last two are linear in the coefficients of gamma.  ``gap_moments`` and
+``lambda_moments`` give their values on the monomials t^p, so a caller that
+keeps w and the intervals fixed (the likelihood of one path) computes them
+once and then needs one dot product per gamma.  ``gap_moments`` discounts
+each interval to its own right end rather than to T, so its rows never
+underflow; the factor e^{-w (T - b)} is left to the caller.  Both are built
+from moments of the bounded kernel e^{-z (1 - u)} on [0, 1], never
+quadrature, and stay finite for any w T.
 """
 
 from __future__ import annotations
@@ -114,9 +116,8 @@ class PolyIntensity:
         raise ConvergenceError("cumulative-mass inversion did not converge")
 
     def is_nonneg(self, T: float) -> bool:
-        """Dense-sampling nonnegativity check for gamma on [0, T]."""
-        ts = np.linspace(0.0, T, _NONNEG_SAMPLES + 1)
-        vals = self.eval_many(ts)
+        """Dense-sampling nonnegativity check for gamma on [0, T] (``nonneg_grid``)."""
+        vals = self.eval_many(nonneg_grid(T))
         tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
         return bool(np.all(vals >= -tol))
 
@@ -134,6 +135,11 @@ class PolyIntensity:
         if not isinstance(cfg, dict) or cfg.get("type") != "poly":
             raise ValidationError('intensity config must be {"type": "poly", "coeffs": [...]}')
         return cls(tuple(cfg["coeffs"]))
+
+
+def nonneg_grid(T: float) -> np.ndarray:
+    """The times in [0, T] at which ``PolyIntensity.is_nonneg`` samples gamma."""
+    return np.linspace(0.0, T, _NONNEG_SAMPLES + 1)
 
 
 def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:
@@ -196,11 +202,12 @@ def _decay_moments(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
-def discounted_moments(w: float, T: float, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """int_(a_i)^(b_i) e^{-w (T - s)} s^p ds for p = 0..degree, one row per interval.
+def gap_moments(w: float, T: float, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """int_(a_i)^(b_i) e^{-w (b_i - s)} s^p ds for p = 0..degree, one row per interval.
 
-    With h = b - a, z = w h and s = a + h u the integrand becomes
-    e^{-w (T - b)} e^{-z (1 - u)} T^p (a/T + (h/T) u)^p.  The binomial
+    Each interval is discounted to its own right end, so no row underflows
+    however far b_i lies from T.  With h = b - a, z = w h and s = a + h u the
+    integrand becomes e^{-z (1 - u)} T^p (a/T + (h/T) u)^p.  The binomial
     expansion of the last factor has only nonnegative terms, each a decay
     moment mu_j(z) (``_decay_moments``) times factors at most 1, so the rows
     are positive, cancellation-free and overflow only through T^p.  Requires
@@ -217,7 +224,7 @@ def discounted_moments(w: float, T: float, a: np.ndarray, b: np.ndarray, degree:
     for q in range(degree + 1):
         binom = np.array([math.comb(q, i) for i in range(q + 1)], dtype=float)
         out[:, q] = (binom * a_pow[:, q::-1] * h_mu[:, : q + 1]).sum(axis=1)
-    return out * (np.exp(-w * (T - b)) * h)[:, None] * float(T) ** p
+    return out * h[:, None] * float(T) ** p
 
 
 def lambda_moments(w: float, T: float, degree: int) -> np.ndarray:
@@ -227,7 +234,7 @@ def lambda_moments(w: float, T: float, degree: int) -> np.ndarray:
 
 
 def alpha_integral(gamma: PolyIntensity, w: float, T: float, a: float, b: float) -> float:
-    """int_a^b exp(-w (T - t)) gamma(t) dt in closed form (``discounted_moments``).
+    """int_a^b exp(-w (T - t)) gamma(t) dt in closed form (``gap_moments``).
 
     Requires 0 <= a <= b <= T and w > 0.
     """
@@ -237,8 +244,8 @@ def alpha_integral(gamma: PolyIntensity, w: float, T: float, a: float, b: float)
         raise ValidationError("integral bounds must satisfy 0 <= a <= b <= T")
     if a == b:
         return 0.0
-    row = discounted_moments(w, T, np.array([a]), np.array([b]), gamma.degree)[0]
-    return float(row @ np.asarray(gamma.coeffs))
+    row = gap_moments(w, T, np.array([a]), np.array([b]), gamma.degree)[0]
+    return float(row @ np.asarray(gamma.coeffs)) * math.exp(-w * (T - b))
 
 
 def lambda_integral(gamma: PolyIntensity, w: float, T: float) -> float:

@@ -9,7 +9,7 @@ import pytest
 from marcox import cli
 from marcox.intensity import PolyIntensity
 from marcox.marginal import marginal_loglik
-from marcox.paths import ModelParams, load_path, write_events_csv
+from marcox.paths import ModelParams, load_path, read_events_csv, write_events_csv
 from marcox.simulator import simulate
 
 
@@ -85,3 +85,50 @@ def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation-error:") and "line 3" in err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_loglik_underflowing_kernel_factor(tmp_path, capsys):
+    """e^{-w (T - t)} = e^{-990} at the only event; the log-likelihood is still exact."""
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0])
+    config = write_config(tmp_path / "model.json", 100.0, 0.0, 10.0, (1.0,))
+    assert cli.main(["loglik", "--events", str(events), "--config", config]) == 0
+    report = strict_json(capsys.readouterr().out)
+    want = -990.0 + math.log1p(-math.exp(-10.0)) - 99.9
+    assert report["loglik"] == pytest.approx(want, abs=1e-9)
+
+
+def test_impossible_path_prints_null(tmp_path, capsys):
+    """beta0 = 0 and gamma = 0 cannot produce an event: log p = -inf is printed as null."""
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0])
+    config = write_config(tmp_path / "model.json", 4.0, 0.0, 1.0, (0.0,))
+    assert cli.main(["loglik", "--events", str(events), "--config", config]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["loglik"] is None and report["poly_log"] is None
+    assert report["exponent"] == 0.0
+
+
+def test_fit_mle_reports_its_likelihood_passes(tmp_path, capsys):
+    params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))
+    events = tmp_path / "events.csv"
+    write_events_csv(events, simulate(params, 10.0, seed=11).x.jumps)
+    config = tmp_path / "fit.json"
+    cfg = {"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 1, "start": [1.0, 0.1], "budget": 50}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["fit-mle", "--events", str(events), "--config", str(config)]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["converged"] is True
+    assert 1 <= report["n_evals"] <= 50
+    fitted = ModelParams(1.0, 0.5, PolyIntensity(tuple(report["coeffs"])))
+    x = load_path(read_events_csv(events), 10.0)
+    assert report["loglik"] == marginal_loglik(x, fitted).loglik

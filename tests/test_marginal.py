@@ -75,38 +75,67 @@ class TestComputeCoefficients:
         assert math.exp(res.polynomial_term_log) == pytest.approx(poly, rel=1e-12)
 
 
+def mp_moments(times, w, T, degree):
+    """B_(m,p) = int_0^(t_m) e^{-w (T - s)} s^p ds and L_p = int_0^T (1 - e^{-w (T - s)}) s^p ds
+    by mpmath quadrature over the gaps between events, not from the library's
+    closed forms.  Call inside ``mpmath.workdps``."""
+    w, T = mpmath.mpf(w), mpmath.mpf(T)
+    powers = range(degree + 1)
+
+    def pieces(a, b):
+        # Both integrands vary on the scale 1/w next to b: refine there.
+        return [a] + [b - k / w for k in (64, 16, 4, 1) if b - k / w > a] + [b]
+
+    B, acc, prev = [], [mpmath.mpf(0)] * (degree + 1), mpmath.mpf(0)
+    for t in times:
+        t = mpmath.mpf(float(t))
+        # Integrate e^{-w (t - s)} s^p, of order one, and scale it afterwards:
+        # quad's absolute error test passes anything of order e^{-w T}.
+        acc = [
+            a
+            + mpmath.exp(-w * (T - t))
+            * mpmath.quad(lambda s: mpmath.exp(-w * (t - s)) * s**p, pieces(prev, t), method="gauss-legendre")
+            for a, p in zip(acc, powers)
+        ]
+        B.append(acc)
+        prev = t
+    L = [mpmath.quad(lambda s: (1 - mpmath.exp(-w * (T - s))) * s**p, pieces(0, T)) for p in powers]
+    return B, L
+
+
+def mp_logp(moments, beta0, w, T, coeffs):
+    """log p(x) by the open-block recursion at the current mpmath precision."""
+    B, L = moments
+    beta0, w, T = mpmath.mpf(beta0), mpmath.mpf(w), mpmath.mpf(T)
+    stay = [beta0 + w * k for k in range(len(B) + 1)]
+    f = [mpmath.mpf(1)]
+    for row in B:
+        wA = w * mpmath.fsum(c * b for c, b in zip(coeffs, row))
+        f = (
+            [stay[0] * f[0]]
+            + [stay[k] * f[k] + wA * f[k - 1] for k in range(1, len(f))]
+            + [wA * f[-1]]
+        )
+    return mpmath.log(mpmath.fsum(f)) - beta0 * T - mpmath.fsum(c * l for c, l in zip(coeffs, L))
+
+
 def mp_loglik(times, beta0, w, coeffs, T, dps=50):
-    """log p(x) by the open-block recursion in dps-digit arithmetic.
-
-    Kernel masses come from mpmath quadrature over the gaps between events,
-    not from the library's closed forms.
-    """
+    """log p(x) in dps-digit arithmetic (``mp_moments``, ``mp_logp``)."""
     with mpmath.workdps(dps):
-        beta0, w, T = mpmath.mpf(beta0), mpmath.mpf(w), mpmath.mpf(T)
-        coeffs = [mpmath.mpf(c) for c in coeffs]
+        moments = mp_moments(times, w, T, len(coeffs) - 1)
+        return float(mp_logp(moments, beta0, w, T, [mpmath.mpf(c) for c in coeffs]))
 
-        def gamma(s):
-            return mpmath.fsum(c * s**p for p, c in enumerate(coeffs))
 
-        def kernel(s):
-            return mpmath.exp(-w * (T - s)) * gamma(s)
+def mp_gradient(times, beta0, w, coeffs, T, dps=50):
+    """d log p / d coeffs by mpmath numerical differentiation of ``mp_logp``."""
+    with mpmath.workdps(dps):
+        moments = mp_moments(times, w, T, len(coeffs) - 1)
+        base = [mpmath.mpf(c) for c in coeffs]
 
-        stay = [beta0 + w * k for k in range(len(times) + 1)]
-        f = [mpmath.mpf(1)]
-        A = mpmath.mpf(0)
-        prev = mpmath.mpf(0)
-        for t in times:
-            t = mpmath.mpf(float(t))
-            A += mpmath.quad(kernel, [prev, t], method="gauss-legendre")
-            prev = t
-            wA = w * A
-            f = (
-                [stay[0] * f[0]]
-                + [stay[k] * f[k] + wA * f[k - 1] for k in range(1, len(f))]
-                + [wA * f[-1]]
-            )
-        lam = mpmath.quad(lambda s: (1 - mpmath.exp(-w * (T - s))) * gamma(s), [0, T])
-        return float(mpmath.log(mpmath.fsum(f)) - beta0 * T - lam)
+        def along(p):
+            return lambda v: mp_logp(moments, beta0, w, T, base[:p] + [v] + base[p + 1 :])
+
+        return np.array([float(mpmath.diff(along(p), base[p])) for p in range(len(base))])
 
 
 class TestLongPaths:
@@ -135,19 +164,31 @@ class TestMarginalLikelihood:
         with pytest.raises(ValidationError):
             lik.loglik(coeffs)
 
+    @pytest.mark.parametrize("coeffs", [(-1.0,), (math.nan,), (math.inf,), (0.0,), (0.5,)])
+    def test_in_support_is_where_loglik_does_not_raise(self, coeffs):
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=0)
+        try:
+            lik.loglik(coeffs)
+            raised = False
+        except ValidationError:
+            raised = True
+        assert lik.in_support(coeffs) is not raised
+
     def test_wrong_coefficient_count_rejected(self):
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
         with pytest.raises(ValidationError):
             lik.loglik((1.0,))
 
-    def test_underflowing_mass_gives_minus_inf_silently(self):
-        """The only event sits where e^{-w (T - t)} underflows: with beta0 = 0 the
-        path is impossible in double precision, reported as -inf, not NaN."""
+    def test_underflowing_kernel_factor_is_exact(self):
+        """The only event sits where e^{-w (T - t)} = e^{-990} underflows a double.
+        The factor is carried as a log offset, so beta0 = 0 still gives the exact
+        -990 + log1p(-e^{-10}) - 99.9 instead of -inf."""
         params = ModelParams(beta0=0.0, w=10.0, gamma=PolyIntensity((1.0,)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = marginal_loglik(load_path([1.0], 100.0), params)
-        assert res.loglik == -math.inf
+        assert res.loglik == pytest.approx(mp_loglik([1.0], 0.0, 10.0, (1.0,), 100.0), abs=1e-9)
+        assert res.loglik == pytest.approx(-990.0 + math.log1p(-math.exp(-10.0)) - 99.9, abs=1e-9)
 
     def test_large_w_times_T_is_finite(self):
         """w T = 1000 once made the closed-form integrals NaN."""
@@ -155,6 +196,62 @@ class TestMarginalLikelihood:
         times = [95.0, 99.0, 99.5]
         got = marginal_loglik(load_path(times, 100.0), params).loglik
         assert got == pytest.approx(mp_loglik(times, 0.5, 10.0, (1.0, 0.25), 100.0), abs=1e-10)
+
+
+def _grad_case(name):
+    """(path, beta0, w, coeffs) with 30 <= M <= 60 events."""
+    if name == "degree 1":
+        x = simulate(ModelParams(0.7, 1.3, PolyIntensity((1.2, 0.4))), 5.0, seed=1).x
+        return x, 0.7, 1.3, (1.2, 0.4)
+    if name == "beta0 = 0, w T = 1000":
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 40))
+        return load_path(times, 100.0), 0.0, 10.0, (0.5, 0.01)
+    x = simulate(ModelParams(0.5, 0.8, PolyIntensity((0.5, 0.2, 0.05))), 7.0, seed=1).x
+    return x, 0.5, 0.8, (0.5, 0.2, 0.05)
+
+
+GRAD_CASES = ["degree 1", "beta0 = 0, w T = 1000", "degree 2"]
+
+
+class TestLoglikGrad:
+    @pytest.fixture(params=GRAD_CASES, scope="class")
+    def case(self, request):
+        x, beta0, w, coeffs = _grad_case(request.param)
+        assert 30 <= x.count <= 60
+        lik = MarginalLikelihood(x, beta0, w, len(coeffs) - 1)
+        return lik, coeffs, lik.loglik_grad(coeffs)
+
+    def test_value_is_loglik_exactly(self, case):
+        lik, coeffs, (res, _) = case
+        assert res == lik.loglik(coeffs)
+
+    def test_matches_mpmath_derivative(self, case):
+        lik, coeffs, (_, grad) = case
+        ref = mp_gradient(lik.x.jumps, lik.beta0, lik.w, coeffs, lik.x.T)
+        np.testing.assert_allclose(grad, ref, rtol=1e-8, atol=0.0)
+
+    def test_matches_central_differences(self, case):
+        lik, coeffs, (_, grad) = case
+        for p in range(len(coeffs)):
+            h = 1e-6 * max(abs(coeffs[p]), 1e-2)
+            up, down = list(coeffs), list(coeffs)
+            up[p] += h
+            down[p] -= h
+            diff = (lik.loglik(up).loglik - lik.loglik(down).loglik) / (2.0 * h)
+            assert grad[p] == pytest.approx(diff, rel=1e-5)
+
+    def test_no_events_leaves_minus_lambda_moments(self):
+        lik = MarginalLikelihood(load_path([], 4.0), 0.5, 0.7, degree=2)
+        res, grad = lik.loglik_grad((1.0, 0.5, 0.1))
+        assert res.polynomial_term_log == 0.0
+        np.testing.assert_array_equal(grad, -lik._L)
+
+    def test_impossible_path_points_up(self):
+        """beta0 = 0 and gamma = 0: log p = -inf, and raising c_0 makes the path possible."""
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.0, 1.0, degree=0)
+        res, grad = lik.loglik_grad((0.0,))
+        assert res.loglik == -math.inf
+        assert grad[0] == math.inf
 
 
 class TestMarginalLoglik:
