@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .errors import ValidationError
 from .inference import (
     Chain,
     FitConfig,
+    check_count,
     mh_fit,
     mle_fit,
     read_chain_csv,
@@ -59,6 +61,13 @@ EXIT_IO = 74
 
 class ConfigError(ValueError):
     """Configuration file is malformed or violates parameter invariants."""
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,23 +248,10 @@ def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, int]:
         T = float(cfg["T"])
         beta0 = float(cfg.get("beta0", 0.0))
         w = float(cfg["w"])
-        budget = int(cfg.get("budget", 2000))
-        if budget < 1:
-            raise ValidationError("budget must be at least 1")
-        known = {
-            "degree",
-            "prior_mean",
-            "prior_sd",
-            "proposal_sd",
-            "iters",
-            "burnin",
-            "thin",
-            "seed",
-            "adapt_proposals",
-            "pilot_iters",
-            "start",
-            "per_coordinate",
-        }
+        budget = cfg.get("budget", 2000)
+        check_count(budget, "budget", 1)
+        # Every sampler control but use_likelihood, which the CLI does not expose.
+        known = {f.name for f in fields(FitConfig)} - {"use_likelihood"}
         fit_kwargs = {k: v for k, v in cfg.items() if k in known}
         fit = FitConfig(**fit_kwargs)
     except KeyError as exc:
@@ -368,7 +364,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="draw one observed path and write its event CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-latent", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_simulate)
@@ -383,7 +379,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--grid-n", type=int, default=16384)
     p.add_argument("--mc-n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 

@@ -5,13 +5,16 @@ The baseline rate and jump weight stay fixed; only the coefficients move.
 Proposals are block Gaussian updates.  Coefficient vectors whose polynomial
 dips below zero anywhere on [0, T] are outside the posterior support and are
 rejected without evaluating the likelihood.  Each fit binds one
-``MarginalLikelihood`` to its path, so an evaluated proposal costs one
-nonnegativity check and one likelihood evaluation.
+``MarginalLikelihood`` to its path, and its ``in_support`` is the only
+support check: the start, every proposal and every SLSQP trial point go
+through it.  It reads gamma at the check times through the matrix V the
+likelihood built once (``intensity.nonneg_matrix``), so a proposal costs one
+(1025 x (degree + 1)) matrix-vector product before the likelihood pass.
 
 ``mle_fit`` maximizes the same likelihood with SLSQP (Kraft, 1988).  Each
 step takes the exact gradient from ``MarginalLikelihood.loglik_grad``, one
-forward pass over the events, and nonnegativity enters as linear
-constraints at the points ``PolyIntensity.is_nonneg`` samples.  On paths
+forward pass over the events, and nonnegativity enters as the linear
+constraints V c >= 0 with the same V.  On paths
 of M = 80 events with two coefficients it converges in 5 to 13 likelihood
 passes, where a Nelder-Mead simplex needs 130 to 270.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,11 +32,17 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import PolyIntensity, nonneg_grid
+from .intensity import PolyIntensity
 from .marginal import MarginalLikelihood
 from .paths import CountPath
 
 _TARGET_ACCEPT = 0.25
+
+
+def check_count(value, name: str, low: int) -> None:
+    """Raise ``ValidationError`` unless value is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
@@ -68,12 +78,12 @@ class FitConfig:
     per_coordinate: bool = False
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValidationError("polynomial degree must be >= 0")
-        if not (self.iters > self.burnin >= 0):
-            raise ValidationError("need iters > burnin >= 0")
-        if self.thin < 1:
-            raise ValidationError("thin must be >= 1")
+        for name, low in (("degree", 0), ("burnin", 0), ("thin", 1), ("seed", 0), ("pilot_iters", 0)):
+            check_count(getattr(self, name), name, low)
+        check_count(self.iters, "iters", self.burnin + 1)
+        for name in ("adapt_proposals", "use_likelihood", "per_coordinate"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         d = self.degree + 1
         object.__setattr__(self, "prior_mean", _as_vector(self.prior_mean, d, "prior_mean"))
         object.__setattr__(self, "prior_sd", _as_vector(self.prior_sd, d, "prior_sd"))
@@ -111,7 +121,6 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     Deterministic given (data, config, seed).
     """
     beta0, w = params_fixed
-    T = x.T
     rng = np.random.default_rng(cfg.seed)
     d = cfg.degree + 1
 
@@ -131,15 +140,14 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         return float(-0.5 * np.dot(z, z))
 
     def in_support(coeffs: np.ndarray) -> bool:
-        if not cfg.use_likelihood:
-            return True  # support restriction belongs to the likelihood term
-        return PolyIntensity(tuple(coeffs)).is_nonneg(T)
+        # The support restriction belongs to the likelihood term.
+        return lik is None or lik.in_support(coeffs)
 
     if cfg.start is not None:
         current = np.array(cfg.start, dtype=float)
     elif cfg.use_likelihood:
         current = np.zeros(d)
-        current[0] = max(x.count, 1) / T  # crude rate-matching start, feasible
+        current[0] = max(x.count, 1) / x.T  # crude rate-matching start, feasible
     else:
         current = np.array(cfg.prior_mean, dtype=float)
     if not in_support(current):
@@ -246,44 +254,45 @@ def mle_fit(
 
     Each likelihood pass is one ``MarginalLikelihood.loglik_grad``, which
     returns the value and its gradient together.  Nonnegativity is imposed
-    as the linear constraints V c >= 0, where V holds the monomials at the
-    times ``PolyIntensity.is_nonneg`` samples, so the optimizer and the
-    support check agree on the support.  A trial point SLSQP places outside
-    the support (it may violate its constraints by rounding) scores +inf
-    without a likelihood pass.
+    as the linear constraints V c >= 0, where V is the likelihood's own
+    ``MarginalLikelihood.V`` (the monomials at the times
+    ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support
+    check and ``is_nonneg`` see the same values of gamma.  A trial point
+    outside ``MarginalLikelihood.in_support`` (SLSQP may violate its
+    constraints by rounding) scores +inf without a likelihood pass.
 
     ``budget`` caps the likelihood passes and must be at least 1; a fit
     that reaches it stops there with ``converged=False``.  The reported
-    point is the best one evaluated, so it is feasible and never scores
-    below the start; ``n_evals`` counts the passes.  Deterministic given
+    point is the best one evaluated, with c_0 raised, where needed, until
+    V c >= 0 holds with no tolerance; after such a move the log-likelihood
+    is recomputed at the moved point (one ``loglik`` call outside the
+    count), so it equals ``marginal_loglik`` there.  It is never below the
+    start's but by the effect of that rounding-size move; ``n_evals`` counts
+    the passes the optimizer asked for.  Deterministic given
     the starting point.  The first call in a process imports
     ``scipy.optimize``; the import is deferred to here so that importing
     the package loads no scipy.
     """
-    if budget < 1:
-        raise ValidationError("budget must be at least 1")
+    check_count(budget, "budget", 1)
     from scipy.optimize import minimize
 
     beta0, w = params_fixed
-    T = x.T
     d = degree + 1
     if start is None:
         x0 = np.zeros(d)
-        x0[0] = max(x.count, 1) / T
+        x0[0] = max(x.count, 1) / x.T
     else:
         x0 = _as_vector(start, d, "start")
-    if not PolyIntensity(tuple(x0)).is_nonneg(T):
-        raise ValidationError("starting coefficients give a negative intensity")
     lik = MarginalLikelihood(x, beta0, w, degree)
-    V = np.vander(nonneg_grid(T), d, increasing=True)
+    if not lik.in_support(x0):
+        raise ValidationError("starting coefficients give a negative intensity")
+    V = lik.V
     evals = 0
     best_ll, best_c = -math.inf, x0
 
     def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals, best_ll, best_c
-        # in_support also catches a kernel mass that rounds below zero at the
-        # edge of the support, and runs first because it accepts non-finite values.
-        if not (lik.in_support(coeffs) and PolyIntensity(tuple(coeffs)).is_nonneg(T)):
+        if not lik.in_support(coeffs):
             return math.inf, np.zeros(d)
         if evals == budget:
             raise _BudgetSpent
@@ -306,7 +315,14 @@ def mle_fit(
         )
     except _BudgetSpent:
         converged = False
-    return MleResult(coeffs=np.array(best_c, dtype=float), loglik=best_ll, converged=converged, n_evals=evals)
+    # SLSQP may end a rounding error outside V c >= 0; raise c_0 until the
+    # reported rate is nonnegative at every check time, with no tolerance.
+    coeffs = np.array(best_c, dtype=float)
+    while (dip := (V @ coeffs).min()) < 0.0:
+        coeffs[0] = max(coeffs[0] - dip, np.nextafter(coeffs[0], math.inf))
+    if not np.array_equal(coeffs, best_c):
+        best_ll = lik.loglik(coeffs).loglik
+    return MleResult(coeffs=coeffs, loglik=best_ll, converged=converged, n_evals=evals)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ each interval to its own right end rather than to T, so its rows never
 underflow; the factor e^{-w (T - b)} is left to the caller.  Both are built
 from moments of the bounded kernel e^{-z (1 - u)} on [0, 1], never
 quadrature, and stay finite for any w T.
+
+Nonnegativity on [0, T] is decided at 1025 evenly spaced times, always from
+the values V c of ``nonneg_matrix`` and with the tolerance of
+``grid_nonneg``, so every caller draws the same line.
 """
 
 from __future__ import annotations
@@ -116,10 +120,9 @@ class PolyIntensity:
         raise ConvergenceError("cumulative-mass inversion did not converge")
 
     def is_nonneg(self, T: float) -> bool:
-        """Dense-sampling nonnegativity check for gamma on [0, T] (``nonneg_grid``)."""
-        vals = self.eval_many(nonneg_grid(T))
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-        return bool(np.all(vals >= -tol))
+        """Dense-sampling nonnegativity check for gamma on [0, T]: ``grid_nonneg``
+        of the values ``nonneg_matrix`` gives."""
+        return grid_nonneg(nonneg_matrix(T, self.degree) @ np.asarray(self.coeffs))
 
     def validate_nonneg(self, T: float) -> None:
         if not (math.isfinite(T) and T > 0):
@@ -137,9 +140,23 @@ class PolyIntensity:
         return cls(tuple(cfg["coeffs"]))
 
 
-def nonneg_grid(T: float) -> np.ndarray:
-    """The times in [0, T] at which ``PolyIntensity.is_nonneg`` samples gamma."""
-    return np.linspace(0.0, T, _NONNEG_SAMPLES + 1)
+def nonneg_matrix(T: float, degree: int) -> np.ndarray:
+    """V with V @ c = gamma(t_i) for gamma(t) = sum_p c_p t^p, at the check times
+    t_i = i T / 1024, i = 0..1024.
+
+    Row i holds the monomials t_i^p, p = 0..degree.  Every nonnegativity
+    decision evaluates gamma as this product, so ``PolyIntensity.is_nonneg``,
+    ``MarginalLikelihood.in_support`` and the constraints of ``mle_fit`` see
+    the same values, rounding included.
+    """
+    return np.vander(np.linspace(0.0, T, _NONNEG_SAMPLES + 1), degree + 1, increasing=True)
+
+
+def grid_nonneg(vals: np.ndarray) -> bool:
+    """Whether gamma's values at the check times count as nonnegative: none lies
+    below -1e-12 times the larger of 1 and their largest magnitude."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    return bool(np.all(vals >= -tol))
 
 
 def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:

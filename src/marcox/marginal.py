@@ -21,10 +21,12 @@ A_m and int lambda are linear in the coefficients c of gamma: A = B c and
 int lambda = L c, with moment tables B (M x (degree + 1)) and L that depend
 only on the path, w and the degree.  ``MarginalLikelihood`` builds them once,
 so one evaluation costs two small matrix-vector products and the DP.  B is
-stored as B~_m = e^{w (T - t_m)} B_m, built by the discounted running sum
-B~_m = e^{-w (t_m - t_(m-1))} B~_(m-1) + int_(t_(m-1))^(t_m) e^{-w (t_m - s)} s^p ds,
-and -w (T - t_m) is added to log A_m as a log offset, so a mass whose
-factor e^{-w (T - t_m)} is below the double range is still exact.
+stored as B~_m = e^{w (T - t_m)} B_m = int_0^(t_m) e^{-w (t_m - s)} s^p ds,
+which is ``gap_moments`` over the intervals [0, t_m]: with a left end of 0
+its binomial expansion collapses to t_m^(p+1) mu_p(w t_m), one decay moment
+with no sum and so no cancellation.  -w (T - t_m) is added to log A_m as a
+log offset, so a mass whose factor e^{-w (T - t_m)} is below the double
+range is still exact.
 
 The gradient comes from the same pass.  The sensitivity rows
 D_p f_m(k) = d f_m(k) / d c_p follow the recurrence of f plus a source term,
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import MAX_DEGREE, gap_moments, lambda_moments
+from .intensity import MAX_DEGREE, gap_moments, grid_nonneg, lambda_moments, nonneg_matrix
 from .paths import CountPath, ModelParams
 
 
@@ -64,46 +66,18 @@ def _logsumexp(v: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(v - top)))) if top > -math.inf else top
 
 
-# Span, in units of 1/w, of one block of ``_discounted_sums``: weights up to
-# e^500 stay far from overflow.
-_BLOCK_SPAN = 500.0
-
-
-def _discounted_sums(w: float, T: float, times: np.ndarray, degree: int) -> np.ndarray:
-    """B~_m = int_0^(t_m) e^{-w (t_m - s)} s^p ds for ascending event times.
-
-    This is the running sum B~_m = e^{-w (t_m - t_(m-1))} B~_(m-1) + G_m over
-    the gap moments G_m (``gap_moments``).  Within a block of events that
-    starts at t_i and spans at most _BLOCK_SPAN / w it equals
-    e^{-w (t_m - t_i)} (e^{-w (t_i - t_(i-1))} B~_(i-1) + sum_(j=i..m) e^{w (t_j - t_i)} G_j),
-    a sum of positive terms, so one numpy pass per block replaces a Python
-    loop per event.
-    """
-    starts = np.concatenate(([0.0], times))[:-1]
-    gaps = gap_moments(w, T, starts, times, degree)
-    out = np.empty_like(gaps)
-    carry = np.zeros(degree + 1)
-    i = 0
-    while i < times.size:
-        j = int(np.searchsorted(times, times[i] + _BLOCK_SPAN / w, side="right"))
-        lag = w * (times[i:j] - times[i])
-        block = np.cumsum(np.exp(lag)[:, None] * gaps[i:j], axis=0)
-        block += carry * math.exp(-w * (times[i] - starts[i]))
-        out[i:j] = block * np.exp(-lag)[:, None]
-        carry = out[j - 1]
-        i = j
-    return out
-
-
 class MarginalLikelihood:
     """The marginal likelihood of one path as a function of gamma's coefficients.
 
     beta0, w and the polynomial degree are fixed at construction, which
-    computes everything that does not depend on the coefficients.
-    ``loglik`` and ``loglik_grad`` do not check that gamma is nonnegative on
-    [0, T]; callers do (``ModelParams.validate``, ``PolyIntensity.is_nonneg``).
-    They raise ``ValidationError`` when a dip between the checked points
-    still makes a kernel mass or the lambda integral negative.
+    computes everything that does not depend on the coefficients: the
+    moment tables and ``V`` (``nonneg_matrix``), whose product with the
+    coefficients gives gamma at the times nonnegativity is checked.
+    ``in_support`` is the support check of the fitters; where it holds,
+    ``loglik`` and ``loglik_grad`` do not raise.  They do not check the
+    grid themselves and raise ``ValidationError`` only when a kernel mass or
+    the lambda integral is negative or not finite, so a gamma that dips
+    below zero without making either negative still gets a value.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
@@ -119,8 +93,9 @@ class MarginalLikelihood:
         self.w = w
         self.degree = degree
         times = x.jumps
-        self._B = _discounted_sums(w, x.T, times, degree)
+        self._B = gap_moments(w, x.T, np.zeros_like(times), times, degree)
         self._L = lambda_moments(w, x.T, degree)
+        self.V = nonneg_matrix(x.T, degree)
         with np.errstate(divide="ignore"):
             self._log_stay = np.log(beta0 + w * np.arange(x.count + 1))
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
@@ -148,9 +123,11 @@ class MarginalLikelihood:
         return self._run(coeffs, grad=True)
 
     def in_support(self, coeffs) -> bool:
-        """Whether every kernel mass and the lambda integral at coeffs are
-        finite and >= 0: exactly the points where ``loglik`` does not raise."""
-        return self._masses(coeffs)[2]
+        """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: every
+        kernel mass and the lambda integral are finite and >= 0, and gamma
+        passes ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
+        holds, ``loglik`` does not raise."""
+        return self._masses(coeffs)[2] and grid_nonneg(self.V @ np.asarray(coeffs, dtype=float))
 
     def _masses(self, coeffs) -> tuple[np.ndarray, float, bool]:
         """(A_m e^{w (T - t_m)} for all m, int lambda, whether both are admissible)."""

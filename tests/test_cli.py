@@ -63,7 +63,7 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
-@pytest.mark.parametrize("budget", ["lots", 0])
+@pytest.mark.parametrize("budget", ["lots", 0, 2.5])
 def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
     events = tmp_path / "events.csv"
     write_events_csv(events, [1.0, 2.0, 4.5])
@@ -75,6 +75,53 @@ def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
     captured = capsys.readouterr()
     assert captured.err.startswith("config-error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fit-mcmc", "fit-mle"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", -1),
+        ("thin", 1.5),
+        ("burnin", 0.5),
+        ("pilot_iters", 2.5),
+        ("adapt_proposals", "no"),
+        ("burnin", False),
+    ],
+)
+def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value):
+    """Counts must be integers, the seed a nonnegative integer, flags booleans."""
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0, 2.0, 4.5])
+    config = tmp_path / "fit.json"
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 0, "iters": 30, "burnin": 5, "pilot_iters": 5}
+    config.write_text(json.dumps(dict(cfg, **{key: value})), encoding="utf-8")
+    files = ["--events", str(events), "--config", str(config)]
+    if command == "fit-mcmc":
+        files += ["--out", str(tmp_path / "chain.csv")]
+    rc = cli.main([command] + files)
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config-error:") and key in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
+    config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0,))
+    events = tmp_path / "events.csv"
+    write_events_csv(events, [1.0, 2.0])
+    if command == "simulate":
+        files = ["--out", str(tmp_path / "out.csv")]
+    else:
+        files = ["--events", str(events), "--grid-n", "64", "--mc-n", "10"]
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", config, "--seed", seed] + files)
+    assert info.value.code == cli.EXIT_USAGE
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from marcox.errors import ValidationError
 from marcox.inference import Chain, FitConfig, mh_fit, mle_fit, read_chain_csv, write_chain_csv
-from marcox.intensity import PolyIntensity
+from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams
 from marcox.simulator import simulate
@@ -48,20 +48,22 @@ class TestMhFit:
             assert marginal_loglik(path, params).loglik == ll
 
     def test_one_support_check_per_proposal(self, path, monkeypatch):
-        """The likelihood does not repeat the nonnegativity check the sampler made."""
-        calls = []
-        original = PolyIntensity.is_nonneg
+        """The likelihood's in_support is the sampler's only support check."""
+        calls, nonneg_calls = [], []
+        original = MarginalLikelihood.in_support
 
-        def counting(self, T):
-            calls.append(T)
-            return original(self, T)
+        def counting(self, coeffs):
+            calls.append(np.array(coeffs))
+            return original(self, coeffs)
 
-        monkeypatch.setattr(PolyIntensity, "is_nonneg", counting)
+        monkeypatch.setattr(MarginalLikelihood, "in_support", counting)
+        monkeypatch.setattr(PolyIntensity, "is_nonneg", lambda self, T: nonneg_calls.append(T))
         # Wide proposals so that some leave the support.
         cfg = config(3, proposal_sd=0.4, adapt_proposals=False)
         chain = mh_fit(path, (BETA0, W), cfg)
         assert chain.n_support_rejected > 0
         assert len(calls) == cfg.iters + 1  # the start, then one per proposal
+        assert nonneg_calls == []
 
 
 # The fitting regime (beta0 = 1, w = 0.5, gamma = 1 + 0.1 t, T = 15): seeds
@@ -100,6 +102,7 @@ class TestMleFit:
         assert res.loglik >= nelder_mead_best(x, TRUTH) - 1e-6
         gamma = PolyIntensity(tuple(res.coeffs))
         assert gamma.is_nonneg(x.T)
+        assert (nonneg_matrix(x.T, 1) @ res.coeffs).min() >= 0.0
         if seed in BOUNDARY_SEEDS:
             assert abs(res.coeffs[0]) < 1e-9
 

@@ -6,9 +6,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
-from marcox.intensity import PolyIntensity
+from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg
 from marcox.marginal import MarginalLikelihood, batch_loglik, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
@@ -166,6 +168,8 @@ class TestMarginalLikelihood:
 
     @pytest.mark.parametrize("coeffs", [(-1.0,), (math.nan,), (math.inf,), (0.0,), (0.5,)])
     def test_in_support_is_where_loglik_does_not_raise(self, coeffs):
+        """For a constant rate the support check and loglik agree both ways:
+        gamma has no dip between check times."""
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=0)
         try:
             lik.loglik(coeffs)
@@ -173,6 +177,33 @@ class TestMarginalLikelihood:
         except ValidationError:
             raised = True
         assert lik.in_support(coeffs) is not raised
+
+    def test_in_support_implies_loglik_does_not_raise(self):
+        """The contract is one-way: gamma = 1 - 1.5 t is negative on (2/3, 1], so
+        it is outside the support, yet its kernel mass and lambda integral are
+        positive and loglik returns a value."""
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
+        assert not lik.in_support((1.0, -1.5))
+        assert lik.loglik((1.0, -1.5)).loglik == pytest.approx(-1.1133, abs=1e-4)
+        assert lik.in_support((1.0, -1.0)) and math.isfinite(lik.loglik((1.0, -1.0)).loglik)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=MAX_DEGREE + 1),
+        T=st.floats(0.1, 50.0),
+        nudge=st.sampled_from([-1e-9, -1.01e-12, -1e-12, -0.99e-12, -1e-15, 0.0, 1e-15]),
+    )
+    def test_is_nonneg_agrees_with_in_support_grid(self, coeffs, T, nudge):
+        """Coefficients pushed onto the edge of the tolerance: ``is_nonneg`` and
+        the grid part of ``in_support`` evaluate gamma as the same V c, so they
+        decide alike (a Horner evaluation differs in the last bits)."""
+        lik = MarginalLikelihood(load_path([0.5 * T], T), 0.5, 1.0, degree=len(coeffs) - 1)
+        c = np.array(coeffs)
+        vals = lik.V @ c
+        c[0] += nudge * max(1.0, float(np.abs(vals).max())) - vals.min()
+        on_grid = grid_nonneg(lik.V @ c)
+        assert PolyIntensity(tuple(c)).is_nonneg(T) == on_grid
+        assert on_grid or not lik.in_support(c)
 
     def test_wrong_coefficient_count_rejected(self):
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
