@@ -266,9 +266,9 @@ def mle_fit(
     point is the best one evaluated, with c_0 raised, where needed, until
     V c >= 0 holds with no tolerance; after such a move the log-likelihood
     is recomputed at the moved point (one ``loglik`` call outside the
-    count), so it equals ``marginal_loglik`` there.  It is never below the
-    start's but by the effect of that rounding-size move; ``n_evals`` counts
-    the passes the optimizer asked for.  Deterministic given
+    count), so it equals ``marginal_loglik`` there.  It falls below the
+    start's only by the effect of that rounding-size move; ``n_evals``
+    counts the passes the optimizer asked for.  Deterministic given
     the starting point.  The first call in a process imports
     ``scipy.optimize``; the import is deferred to here so that importing
     the package loads no scipy.
