@@ -212,6 +212,11 @@ def _cmd_validate(args) -> int:
             f"loglik {res.loglik:.6g} puts p(x) beyond the double range; "
             "the linear-space oracles cannot represent this path"
         ) from None
+    if exact < sys.float_info.min:
+        raise ValidationError(
+            f"loglik {res.loglik:.6g} puts p(x) below the smallest normal double; "
+            "the linear-space oracles cannot check this path"
+        )
 
     n = args.grid_n
     grid_fine = grid_marginal(x, params, GridSpec(n=n))

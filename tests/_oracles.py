@@ -3,12 +3,18 @@
 These deliberately avoid the library's closed forms: adaptive Simpson
 quadrature for integrals and a brute-force Riemann integrator for step/
 piecewise-linear paths.  Tests compare library results against these.
+``per_step_run`` is the exception: it is the likelihood's own step loop in
+its plain form, kept as the reference for the blocked loop.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+import numpy as np
+
+from marcox.marginal import _logsumexp
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-13) -> float:
@@ -60,3 +66,51 @@ def piecewise_linear_integral(f: Callable[[float], float], kinks, a: float, b: f
     return math.fsum(
         0.5 * (f(lo) + f(hi)) * (hi - lo) for lo, hi in zip(pts, pts[1:])
     )
+
+
+def per_step_run(lik, coeffs, grad=False):
+    """``MarginalLikelihood._run`` with every step's views cut at that step.
+
+    Runs on the tables of the given ``MarginalLikelihood`` and returns
+    ((loglik, polynomial_term_log, exponent_term), gradient or None).  Step
+    m works on rows[: m + 2] only, the entries f_m can fill, so the result
+    does not rely on the -inf entries past them.
+    """
+    scaled, lam, ok = lik._masses(coeffs)
+    assert ok
+    with np.errstate(divide="ignore"):
+        log_new = lik._log_kernel + np.log(scaled)
+    M = scaled.size
+    if grad:
+        width = lik.degree + 2
+        rows = np.full((M + 1, width), -math.inf)
+        f = rows[:, 0]
+        log_stay = np.repeat(lik._log_stay[:, None], width, axis=1)
+        source = np.empty((M, width))
+    else:
+        rows = f = np.full(M + 1, -math.inf)
+        log_stay = lik._log_stay
+    f[0] = 0.0
+    grown = np.empty_like(rows[1:])
+    for m, ln in enumerate(log_new.tolist()):
+        row, g = rows[: m + 1], grown[: m + 1]
+        np.add(row, ln, out=g)
+        if grad:
+            s = source[: m + 1]
+            np.add(row[:, :1], lik._log_source[m], out=s)
+            np.logaddexp(g, s, out=g)
+        np.add(row, log_stay[: m + 1], out=row)
+        shifted = rows[1 : m + 2]
+        np.logaddexp(shifted, g, out=shifted)
+    poly_log = _logsumexp(f)
+    exponent = -lik.beta0 * lik.x.T - lam
+    value = (poly_log + exponent, poly_log, exponent)
+    if not grad:
+        return value, None
+    sens = np.array([_logsumexp(rows[:, p]) for p in range(1, lik.degree + 2)])
+    if poly_log == -math.inf:
+        ratio = np.where(sens > -math.inf, math.inf, 0.0)
+    else:
+        with np.errstate(over="ignore"):
+            ratio = np.exp(sens - poly_log)
+    return value, ratio - lik._L

@@ -65,6 +65,64 @@ class TestMhFit:
         assert len(calls) == cfg.iters + 1  # the start, then one per proposal
         assert nonneg_calls == []
 
+    def test_masses_computed_once_per_proposal(self, path, monkeypatch):
+        """A proposal's likelihood pass reuses the masses of its support check."""
+        calls = []
+        original = MarginalLikelihood._masses
+
+        def counting(self, coeffs):
+            calls.append(np.array(coeffs))
+            return original(self, coeffs)
+
+        monkeypatch.setattr(MarginalLikelihood, "_masses", counting)
+        cfg = config(3, proposal_sd=0.4, adapt_proposals=False)
+        chain = mh_fit(path, (BETA0, W), cfg)
+        assert chain.n_evals > 0
+        assert len(calls) == cfg.iters + 1  # one per support check, none per pass
+
+    def test_prior_only_chain_matches_the_prior(self, path):
+        """Without the likelihood the chain samples the normal prior.  Each
+        comparison allows 4 standard errors, from the chain's own ESS."""
+        mean, sd = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        cfg = FitConfig(
+            degree=1,
+            prior_mean=mean,
+            prior_sd=sd,
+            proposal_sd=sd,
+            iters=20000,
+            burnin=1000,
+            seed=9,
+            use_likelihood=False,
+        )
+        chain = mh_fit(path, (BETA0, W), cfg)
+        assert chain.n_evals == 0 and chain.n_support_rejected == 0
+        for p in range(2):
+            draws = chain.draws[:, p]
+            got_mean = draws.mean()
+            se_mean = draws.std(ddof=1) / math.sqrt(ess(draws))
+            assert abs(got_mean - mean[p]) <= 4.0 * se_mean
+            sq = (draws - got_mean) ** 2
+            got_sd = math.sqrt(sq.mean())
+            # Delta method: se(sd) = se(variance) / (2 sd).
+            se_sd = sq.std(ddof=1) / math.sqrt(ess(sq)) / (2.0 * got_sd)
+            assert abs(got_sd - sd[p]) <= 4.0 * se_sd
+
+
+def ess(draws):
+    """Effective sample size by Geyer's initial positive sequence."""
+    x = np.asarray(draws, dtype=float) - np.mean(draws)
+    n = x.size
+    spec = np.fft.rfft(x, 2 * n)
+    acov = np.fft.irfft(spec * np.conj(spec))[:n]
+    rho = acov / acov[0]
+    tau = -1.0
+    for k in range(0, n - 1, 2):
+        pair = rho[k] + rho[k + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+    return n / tau
+
 
 # The fitting regime (beta0 = 1, w = 0.5, gamma = 1 + 0.1 t, T = 15): seeds
 # whose simulated path has exactly M = 80 events.  The optimum of 386, 463,

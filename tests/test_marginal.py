@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
 from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg
-from marcox.marginal import MarginalLikelihood, batch_loglik, marginal_loglik
+from marcox.marginal import _BLOCK, MarginalLikelihood, batch_loglik, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
-from _oracles import adaptive_simpson
+from _oracles import adaptive_simpson, per_step_run
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
 
@@ -283,6 +283,47 @@ class TestLoglikGrad:
         res, grad = lik.loglik_grad((0.0,))
         assert res.loglik == -math.inf
         assert grad[0] == math.inf
+
+
+def assert_matches_per_step(lik, coeffs):
+    """loglik and loglik_grad equal the per-step loop bit for bit."""
+
+    def bits(res):
+        return np.array([res.loglik, res.polynomial_term_log, res.exponent_term]).tobytes()
+
+    value, _ = per_step_run(lik, coeffs)
+    assert bits(lik.loglik(coeffs)) == np.array(value).tobytes()
+    value, want_grad = per_step_run(lik, coeffs, grad=True)
+    res, grad = lik.loglik_grad(coeffs)
+    assert bits(res) == np.array(value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestBlockedLoop:
+    """The step loop cuts its views once per block of _BLOCK steps; every value
+    and gradient equals the loop that cuts them at each step."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("beta0", [0.0, 0.7])
+    @pytest.mark.parametrize("M", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_block_boundaries(self, M, beta0, degree):
+        times = np.sort(np.random.default_rng(M).uniform(0.0, 10.0, M))
+        lik = MarginalLikelihood(load_path(times, 10.0), beta0, 0.8, degree)
+        assert_matches_per_step(lik, (1.0, 0.3, 0.05)[: degree + 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        M=st.integers(0, 3 * _BLOCK + 5),
+        beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        w=st.floats(1e-3, 20.0),
+        T=st.floats(1.0, 100.0),
+        coeffs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_loop(self, M, beta0, w, T, coeffs, seed):
+        times = np.sort(np.random.default_rng(seed).uniform(0.0, T, M))
+        lik = MarginalLikelihood(load_path(times, T), beta0, w, len(coeffs) - 1)
+        assert_matches_per_step(lik, coeffs)
 
 
 class TestMarginalLoglik:
