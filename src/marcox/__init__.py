@@ -15,7 +15,7 @@ from .errors import ConvergenceError, ValidationError
 from .inference import Chain, ChainSummary, FitConfig, MleResult, mh_fit, mle_fit, summarize
 from .intensity import PolyIntensity, alpha_integral, lambda_integral
 from .marginal import MarginalLikelihood, MarginalResult, batch_loglik, marginal_loglik
-from .oracles import GridSpec, McSpec, grid_coeff_marginal, grid_marginal, mc_marginal
+from .oracles import GridSpec, McSpec, grid_check, grid_marginal, mc_check, mc_marginal
 from .paths import CountPath, ModelParams, adapt_path, load_path, tune_w
 from .simulator import LatentPath, SimResult, conditional_loglik, simulate, simulate_latent
 
@@ -39,11 +39,12 @@ __all__ = [
     "alpha_integral",
     "batch_loglik",
     "conditional_loglik",
-    "grid_coeff_marginal",
+    "grid_check",
     "grid_marginal",
     "lambda_integral",
     "load_path",
     "marginal_loglik",
+    "mc_check",
     "mc_marginal",
     "mh_fit",
     "mle_fit",

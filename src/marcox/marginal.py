@@ -154,7 +154,7 @@ class MarginalLikelihood:
         """(A_m e^{w (T - t_m)} for all m, int lambda, whether both are admissible)."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.degree + 1,):
-            raise ValidationError(f"expected {self.degree + 1} coefficients, got {c.size}")
+            raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
         scaled = self._B @ c
         lam = float(self._L @ c)
         ok = bool(np.all(np.isfinite(scaled)) and scaled.min(initial=0.0) >= 0.0 and 0.0 <= lam < math.inf)

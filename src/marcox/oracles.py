@@ -1,16 +1,27 @@
-"""Independent estimators of the marginal likelihood, used for validation.
+"""Independent estimators of the log marginal likelihood, used for validation.
 
-Three routes to the same number:
+Two routes to log p(x), both in log space like the likelihood they check,
+so they work at any number of events:
 
-* ``grid_marginal``      forward dynamic program over a lattice-discretized
-                         latent state with exact per-step factors;
-* ``grid_coeff_marginal`` the discrete coefficient recursion on the same
-                         lattice (structurally distinct algebra whose
-                         difference from the forward filter is O(h));
-* ``mc_marginal``        plain Monte Carlo over latent draws.
+* ``grid_marginal``  forward filter over the truncated latent count on a
+                     lattice of n uniform nodes plus every event time (the
+                     steps are uneven, so no event is moved); the row is
+                     renormalised whenever its maximum leaves [1e-200, 1e200].
+                     The truncation level starts at the Poisson(Gamma(T))
+                     tail level and doubles until the value is stable, since
+                     the data can tilt the latent count far above its prior.
+* ``mc_marginal``    plain Monte Carlo over latent draws: the log of the mean
+                     weight, with the delta-method standard error of that log.
 
-The latent-state truncation level (``default_y_max``) sums the Poisson tail
-with the standard library, so importing this module loads no scipy.
+The lattice error is first order in 1/n.  ``grid_check`` removes it with one
+Richardson step over the lattices n/4, n/2 and n and takes the change of
+that step as its error estimate; ``mc_check`` compares within three standard
+errors.  An oracle that cannot decide says so with ``"pass": None``: the
+grid when its error estimate exceeds 0.1 nats, Monte Carlo when the weights'
+effective sample size (sum w)^2 / sum w^2 is below 100.
+
+The truncation level (``default_y_max``) sums the Poisson tail with the
+standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +40,10 @@ _TAIL_MASS = 1e-12
 # The tail sum starts at the first term below this; for means up to 1e8 the
 # terms past it add less than 1e-15 of _TAIL_MASS.
 _TAIL_TERM_MIN = 1e-30
-_GRID_EPS = 1e-9  # tolerance when snapping event times up to lattice points
+# Above this error estimate (nats) the grid check cannot decide.
+_GRID_UNDECIDED_NATS = 0.1
+# Below this effective sample size the Monte Carlo check cannot decide.
+_MC_MIN_ESS = 100.0
 
 
 def default_y_max(mean_count: float) -> int:
@@ -55,16 +69,13 @@ def default_y_max(mean_count: float) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice resolution and latent-state truncation for the grid oracles."""
+    """Number of uniform lattice steps of the grid oracle."""
 
     n: int
-    y_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValidationError("grid resolution n must be at least 2")
-        if self.y_max is not None and self.y_max < 1:
-            raise ValidationError("truncation level y_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -77,100 +88,85 @@ class McSpec:
             raise ValidationError("replica count N must be at least 1")
 
 
-def _grid_indices(x: CountPath, n: int) -> np.ndarray:
-    """Lattice index k in 1..n for each event: smallest k h >= t_i."""
-    h = x.T / n
-    ks = np.ceil(x.jumps / h - _GRID_EPS).astype(int)
-    ks = np.clip(ks, 1, n)
-    if np.unique(ks).size != ks.size:
-        raise ValidationError("grid too coarse: two events land on one lattice point")
-    return ks
+def _grid_filter(x: CountPath, params: ModelParams, n: int, y_max: int) -> tuple[np.ndarray, float]:
+    """Final row of the forward filter over the states 0..y_max, and its log scale.
 
-
-def grid_marginal(x: CountPath, params: ModelParams, spec: GridSpec) -> float:
-    """Forward filter over the truncated latent state on the n-lattice.
-
-    Step k covers [k h, (k+1) h): state y contributes exp(-beta h), or
-    beta exp(-beta h) when the discretized path jumps at (k+1) h, and then
-    moves up with probability gamma(k h) h.  Truncation keeps states up to
-    the Poisson(Gamma(T)) tail level.
+    The lattice is the n + 1 uniform nodes on [0, T] plus the event times.
+    In the step from node s to node s + h the state first moves up with
+    probability gamma(s) h (mass moving past y_max is dropped); then state y
+    is multiplied by e^{-(beta0 + w y) h}, and by beta0 + w y when an event
+    sits at s + h.  A latent point born in the step is thus always in place
+    before the event that ends it, and the lattice error stays a smooth
+    first-order term that does not depend on where the events fall between
+    the uniform nodes.  log p at level k <= y_max is
+    log_scale + log(sum(row[: k + 1])): the state only moves up, so the
+    states above k never feed those below.
     """
-    params.validate(x.T)
-    n = spec.n
-    T = x.T
-    h = T / n
-    gamma, beta0, w = params.gamma, params.beta0, params.w
-
-    grid_times = np.arange(n) * h
-    gam = gamma.eval_many(grid_times)
-    if np.any(gam * h >= 1.0):
+    nodes = np.union1d(np.linspace(0.0, x.T, n + 1), x.jumps)
+    steps = np.diff(nodes)
+    p_up = params.gamma.eval_many(nodes[:-1]) * steps
+    if np.any(p_up >= 1.0):
         raise ValidationError("step size too large: gamma(t) h must stay below 1")
+    is_event = np.isin(nodes[1:], x.jumps)
 
-    y_max = spec.y_max if spec.y_max is not None else default_y_max(gamma.cum(T))
-    ys = np.arange(y_max + 1)
-    beta = beta0 + w * ys
-    survive = np.exp(-beta * h)
-    jump_fac = beta * survive
-
-    jump_steps = set((_grid_indices(x, n) - 1).tolist())
-
+    beta = params.beta0 + params.w * np.arange(y_max + 1)
     f = np.zeros(y_max + 1)
     f[0] = 1.0
     log_scale = 0.0
-    for k in range(n):
-        f = f * (jump_fac if k in jump_steps else survive)
-        p_up = gam[k] * h
-        f = f * (1.0 - p_up) + np.concatenate(([0.0], f[:-1])) * p_up
-        m = f.max()
-        if 0.0 < m < 1e-280:  # keep mantissas healthy on long lattices
-            f /= m
-            log_scale += math.log(m)
-    total = float(f.sum())
-    return math.exp(log_scale) * total if total > 0.0 else 0.0
+    for h, p, event in zip(steps.tolist(), p_up.tolist(), is_event.tolist()):
+        up = f[:-1] * p
+        f *= 1.0 - p
+        f[1:] += up
+        f *= np.exp(beta * -h)
+        if event:
+            f *= beta
+        top = f.max()
+        if not 1e-200 <= top <= 1e200:
+            if top == 0.0:
+                return f, -math.inf
+            f /= top
+            log_scale += math.log(top)
+    return f, log_scale
 
 
-def grid_coeff_marginal(x: CountPath, params: ModelParams, n: int) -> float:
-    """Discrete coefficient recursion on the n-lattice.
+def grid_marginal(x: CountPath, params: ModelParams, spec: GridSpec) -> float:
+    """log p(x) from the forward filter on the lattice of ``spec.n`` uniform
+    steps plus the event times (``_grid_filter``).
 
-    Works with lattice kernels alpha_i = e^{-(n-i-1) w h} gamma(i h) and
-    lambda_i = (1 - e^{-(n-i-1) w h}) gamma(i h); each event contributes the
-    kernel mass h * sum_{i<=r_m} alpha_i, where the event sits at lattice
-    point (r_m + 2) h.  Deliberately kept as plain Python over exact
-    integer binomials, independent of the closed-form implementation.
+    The truncation level starts at ``default_y_max(Gamma(T))`` and doubles
+    until the log value moves by at most 1e-12 max(1, |value|); the
+    truncated value only grows with the level.  Each filter run at level 2k
+    also gives the value at level k, so a stable level costs one run.
     """
     params.validate(x.T)
-    T = x.T
-    h = T / n
-    gamma, beta0, w = params.gamma, params.beta0, params.w
+    k = default_y_max(params.gamma.cum(x.T))
+    while True:
+        f, log_scale = _grid_filter(x, params, spec.n, 2 * k)
+        total, part = float(f.sum()), float(f[: k + 1].sum())
+        if total == 0.0:
+            return -math.inf
+        value = log_scale + math.log(total)
+        if part > 0.0 and math.log(total / part) <= 1e-12 * max(1.0, abs(value)):
+            return value
+        k *= 2
 
-    i_arr = np.arange(n)
-    gam = gamma.eval_many(i_arr * h)
-    decay = np.exp(-(n - i_arr - 1) * w * h)
-    alpha = decay * gam
-    lam = (1.0 - decay) * gam
-    if np.any(gam * h >= 1.0) or np.any(lam * h >= 1.0):
-        raise ValidationError("step size too large: gamma(t) h must stay below 1")
 
-    alpha_prefix = np.concatenate(([0.0], np.cumsum(alpha * h)))
+def grid_check(x: CountPath, params: ModelParams, n: int, loglik: float) -> dict:
+    """The grid oracle's verdict on ``loglik``, the likelihood's value of log p(x).
 
-    ks = sorted(_grid_indices(x, n).tolist(), reverse=True)
-    masses = [float(alpha_prefix[max(k - 2, 0) + 1]) if k >= 2 else 0.0 for k in ks]
-
-    c = [1.0]
-    for m, A in enumerate(masses, start=1):
-        new = [1.0]
-        for j in range(1, m + 1):
-            s = sum(c[i] * math.comb(m - i - 1, j - i - 1) for i in range(j))
-            new.append(s * A + (c[j] if j < m else 0.0))
-        c = new
-
-    M = len(masses)
-    if beta0 == 0.0:
-        poly = c[M] * w**M if M > 0 else 1.0
-    else:
-        poly = sum(c[j] * w**j * beta0 ** (M - j) for j in range(M + 1))
-    log_tail = float(np.sum(np.log1p(-lam[: n - 1] * h)))
-    return poly * math.exp(-n * beta0 * h + log_tail)
+    With g_k the grid value on k uniform steps, log_value = 2 g_n - g_(n/2)
+    cancels the first-order lattice error, and err_nats is its distance
+    from the same step one level down, 2 g_(n/2) - g_(n/4).  The check
+    passes when |log_value - loglik| <= max(err_nats, 1e-9 max(1, |loglik|)),
+    and cannot decide (pass None) when err_nats exceeds 0.1 nats or is not
+    a number.
+    """
+    g_quarter, g_half, g = (grid_marginal(x, params, GridSpec(n=k)) for k in (n // 4, n // 2, n))
+    star = 2.0 * g - g_half
+    err = abs(star - (2.0 * g_half - g_quarter))
+    ok = abs(star - loglik) <= max(err, 1e-9 * max(1.0, abs(loglik)))
+    verdict = ok if err <= _GRID_UNDECIDED_NATS else None
+    return {"n": n, "log_value": star, "err_nats": err, "pass": verdict}
 
 
 def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSequence):
@@ -200,10 +196,14 @@ def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSeq
     integral = beta0 * T + w * (counts * T - sum_times)
     if x.count == 0:
         return -integral
-    # y(t-) at each event: latent times strictly earlier than the event
-    before = np.zeros((n, x.count))
-    np.add.at(before, rows, times[:, None] < x.jumps[None, :])
-    rates = beta0 + w * before
+    # y(t_i-) counts the latent points strictly before event i.  A point with
+    # k events at or before it counts for events k, k + 1, ...: mark it at k,
+    # then sum along the events.
+    k = np.searchsorted(x.jumps, times, side="right")
+    inside = k < x.count
+    before = np.zeros((n, x.count), dtype=np.int64)
+    np.add.at(before, (rows[inside], k[inside]), 1)
+    rates = beta0 + w * np.cumsum(before, axis=1, out=before)
     ok = np.all(rates > 0.0, axis=1)
     with np.errstate(divide="ignore"):
         log_rates = np.sum(np.log(np.where(rates > 0.0, rates, 1.0)), axis=1)
@@ -213,11 +213,13 @@ def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSeq
 def mc_marginal(
     x: CountPath, params: ModelParams, spec: McSpec, jobs: int = 1
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the marginal likelihood with its standard error.
+    """Monte Carlo estimate of log p(x) and its standard error.
 
-    Averages exp(conditional_loglik(x, Y_r)) over independent latent draws,
-    accumulated around the max log weight for stability.  Deterministic given
-    the seed regardless of the job count.
+    The estimate is the log of the mean of the weights exp(conditional
+    loglik(x, Y_r)) over independent latent draws, taken around the largest
+    log weight; the error is the delta-method sd(w) / (mean(w) sqrt(N)).
+    When no draw can produce x the result is (-inf, inf).  Deterministic
+    given the seed regardless of the job count.
     """
     params.validate(x.T)
     # Chunking is fixed so the replica stream does not depend on the job count.
@@ -235,11 +237,26 @@ def mc_marginal(
 
     top = float(np.max(logs))
     if top == -math.inf:
-        return 0.0, 0.0
+        return -math.inf, math.inf
     weights = np.exp(logs - top)
     mean = float(np.mean(weights))
-    if spec.N == 1:
-        return math.exp(top) * mean, math.nan
-    sd = float(np.std(weights, ddof=1))
-    scale = math.exp(top)
-    return scale * mean, scale * sd / math.sqrt(spec.N)
+    sd = float(np.std(weights, ddof=1)) if spec.N > 1 else math.nan
+    return top + math.log(mean), sd / (mean * math.sqrt(spec.N))
+
+
+def mc_check(x: CountPath, params: ModelParams, spec: McSpec, loglik: float, jobs: int = 1) -> dict:
+    """The Monte Carlo oracle's verdict on ``loglik``.
+
+    Passes when the estimate lies within three standard errors of loglik
+    (or within 1e-9 max(1, |loglik|), for weights that do not vary), and
+    cannot decide (pass None) when the effective sample size is below 100.
+    The effective sample size (sum w)^2 / sum w^2 equals
+    N / (1 + (N - 1) se^2) for the delta-method se of ``mc_marginal``.
+    """
+    est, se = mc_marginal(x, params, spec, jobs=jobs)
+    ess = spec.N / (1.0 + (spec.N - 1) * se**2)
+    diff = est - loglik
+    ok = abs(diff) <= max(3.0 * se, 1e-9 * max(1.0, abs(loglik)))
+    z = diff / se if se > 0 else 0.0
+    verdict = ok if ess >= _MC_MIN_ESS else None
+    return {"n": spec.N, "log_estimate": est, "se_log": se, "ess": ess, "z": z, "pass": verdict}

@@ -1,6 +1,7 @@
 """Unit tests for the marginal likelihood and its open-block recursion."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -209,6 +210,15 @@ class TestMarginalLikelihood:
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
         with pytest.raises(ValidationError):
             lik.loglik((1.0,))
+
+    @pytest.mark.parametrize("coeffs", [np.array([[1.0], [0.1]]), np.array([[1.0, 0.1]]), (1.0, 0.1, 0.0)])
+    def test_wrong_coefficient_shape_is_named(self, coeffs):
+        """Two coefficients in a (2, 1) column are rejected with their shape,
+        not with a count that matches the expected one."""
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
+        shape = np.shape(coeffs)
+        with pytest.raises(ValidationError, match=re.escape(f"expected coefficients of shape (2,), got shape {shape}")):
+            lik.loglik(coeffs)
 
     def test_underflowing_kernel_factor_is_exact(self):
         """The only event sits where e^{-w (T - t)} = e^{-990} underflows a double.

@@ -11,16 +11,24 @@ from marcox.marginal import marginal_loglik
 from marcox.oracles import (
     GridSpec,
     McSpec,
+    _grid_filter,
+    _mc_chunk,
     default_y_max,
-    grid_coeff_marginal,
+    grid_check,
     grid_marginal,
+    mc_check,
     mc_marginal,
 )
 from marcox.paths import ModelParams, load_path
+from marcox.simulator import simulate
+
+from _oracles import dense_mc_chunk, grid_coeff_marginal
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
 P_EMPTY = 0.6922006275553464  # exp(-e^{-1})
 P_ONE = 0.1651945232410606  # event at 0.5 under the unit parameters
+# Regime of the ROADMAP repro A: 200 events on [0, 100], p(x) ~ 1e-70.
+REPRO_A = ModelParams(beta0=0.01, w=0.01, gamma=PolyIntensity((1.0,)))
 
 
 class TestGridMarginal:
@@ -30,38 +38,55 @@ class TestGridMarginal:
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
         x = load_path([0.1, 0.5, 0.9], 1.0)
         val = grid_marginal(x, params, GridSpec(n=2**14))
-        assert val == pytest.approx(8.0 * math.exp(-2.0), rel=1e-10)
+        assert val == pytest.approx(math.log(8.0) - 2.0, rel=1e-10)
 
     def test_no_event_convergence_rate(self):
         """Error against the closed form shrinks like 1/n."""
         x = load_path([], 1.0)
         errs = []
         for n in (2**8, 2**10, 2**12, 2**14):
-            errs.append(abs(grid_marginal(x, UNIT, GridSpec(n=n)) - P_EMPTY))
+            errs.append(abs(grid_marginal(x, UNIT, GridSpec(n=n)) - math.log(P_EMPTY)))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine < coarse / 2.5  # quartering expected for 4x n
-        assert errs[-1] < 2e-5
+        assert errs[-1] < 2e-5 / P_EMPTY  # 2e-5 in p, in nats
 
     def test_single_event_value(self):
         x = load_path([0.5], 1.0)
         val = grid_marginal(x, UNIT, GridSpec(n=2**14))
-        assert val == pytest.approx(P_ONE, abs=2e-4)
+        assert val == pytest.approx(math.log(P_ONE), abs=2e-4)
 
     def test_truncation_level_invariance(self):
+        """The single-level filter at the prior's tail level and at twice it
+        agree with grid_marginal, and the value does not fall with the level."""
         x = load_path([0.5], 1.0)
         base_y = default_y_max(UNIT.gamma.cum(1.0))
-        a = grid_marginal(x, UNIT, GridSpec(n=2**10, y_max=base_y))
-        b = grid_marginal(x, UNIT, GridSpec(n=2**10, y_max=2 * base_y))
-        assert b == pytest.approx(a, rel=1e-12)
+        a, b = (
+            scale + math.log(row.sum())
+            for row, scale in (_grid_filter(x, UNIT, 2**10, y) for y in (base_y, 2 * base_y))
+        )
+        assert b == pytest.approx(a, rel=1e-12) and b >= a
+        assert grid_marginal(x, UNIT, GridSpec(n=2**10)) == pytest.approx(b, rel=1e-12)
+
+    def test_truncation_level_follows_the_data(self):
+        """1000 events where the prior expects 100 latent points: the prior's
+        tail level holds almost none of p(x), and the doubling finds it."""
+        x = load_path(np.linspace(0.05, 99.95, 1000), 100.0)
+        row, scale = _grid_filter(x, REPRO_A, 2048, default_y_max(REPRO_A.gamma.cum(100.0)))
+        assert grid_marginal(x, REPRO_A, GridSpec(n=2048)) > scale + math.log(row.sum()) + 100.0
 
     def test_step_size_guard(self):
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((300.0,)))
         with pytest.raises(ValidationError, match="step size"):
             grid_marginal(load_path([0.5], 1.0), params, GridSpec(n=128))
 
-    def test_event_collision_guard(self):
-        with pytest.raises(ValidationError, match="grid too coarse"):
-            grid_marginal(load_path([0.5001, 0.5002], 1.0), UNIT, GridSpec(n=128))
+    def test_close_events_stay_on_the_lattice(self):
+        """Two events 1e-4 apart inside one lattice step of 1/128 are both
+        lattice nodes: the value is finite and within first order of the DP."""
+        x = load_path([0.5001, 0.5002], 1.0)
+        exact = marginal_loglik(x, UNIT).loglik
+        errs = [grid_marginal(x, UNIT, GridSpec(n=n)) - exact for n in (128, 256)]
+        assert all(math.isfinite(e) and abs(e) < 1.0 / 128 for e in errs)
+        assert 0.4 < errs[1] / errs[0] < 0.6
 
 
 class TestGridCoeffMarginal:
@@ -88,7 +113,7 @@ class TestGridCoeffMarginal:
         x = load_path([0.3, 0.7], 1.0)
         gaps = []
         for n in (2**9, 2**10, 2**11):
-            a = grid_marginal(x, params, GridSpec(n=n))
+            a = math.exp(grid_marginal(x, params, GridSpec(n=n)))
             b = grid_coeff_marginal(x, params, n)
             gaps.append(abs(a - b))
         assert gaps[2] < 0.6 * gaps[1] or gaps[2] < 1e-12
@@ -97,7 +122,7 @@ class TestGridCoeffMarginal:
     def test_agreement_with_forward_filter_moderate_n(self):
         params = ModelParams(beta0=1.0, w=2.0, gamma=PolyIntensity((0.5, 1.0)))
         x = load_path([0.2, 0.9, 1.4], 1.5)
-        a = grid_marginal(x, params, GridSpec(n=2**10))
+        a = math.exp(grid_marginal(x, params, GridSpec(n=2**10)))
         b = grid_coeff_marginal(x, params, 2**10)
         assert b == pytest.approx(a, rel=5e-3)
 
@@ -108,16 +133,16 @@ class TestMcMarginal:
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
         x = load_path([0.1, 0.5, 0.9], 1.0)
         est, se = mc_marginal(x, params, McSpec(N=500, seed=1))
-        assert est == pytest.approx(8.0 * math.exp(-2.0), rel=1e-12)
+        assert est == pytest.approx(math.log(8.0) - 2.0, rel=1e-12)
         assert se == 0.0
 
     def test_no_event_case(self):
         est, se = mc_marginal(load_path([], 1.0), UNIT, McSpec(N=100_000, seed=2))
-        assert abs(est - P_EMPTY) <= 3.0 * se
+        assert abs(est - math.log(P_EMPTY)) <= 3.0 * se
 
     def test_single_event_case(self):
         est, se = mc_marginal(load_path([0.5], 1.0), UNIT, McSpec(N=100_000, seed=3))
-        assert abs(est - P_ONE) <= 3.0 * se
+        assert abs(est - math.log(P_ONE)) <= 3.0 * se
 
     def test_seeded_determinism_and_jobs_invariance(self):
         x = load_path([0.5], 1.0)
@@ -132,21 +157,70 @@ class TestMcMarginal:
         hits = 0
         for seed in range(20):
             est, se = mc_marginal(x, UNIT, McSpec(N=4000, seed=seed))
-            hits += abs(est - P_ONE) <= 3.0 * se
+            hits += abs(est - math.log(P_ONE)) <= 3.0 * se
         assert hits >= 19
 
     def test_impossible_path_gives_zero(self):
+        """No draw can produce the event: the estimate of p is 0, log -inf."""
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.0,)))
         est, se = mc_marginal(load_path([0.5], 1.0), params, McSpec(N=200, seed=5))
-        assert est == 0.0
+        assert est == -math.inf and se == math.inf
+
+    @pytest.mark.parametrize(
+        "params, jumps, T, seed",
+        [
+            (UNIT, [0.2, 0.5, 0.9], 1.0, 0),
+            (ModelParams(0.0, 0.5, PolyIntensity((1.0, 0.2))), [0.3, 1.0, 2.5, 4.0, 9.9], 10.0, 1),
+            (ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.2))), list(np.linspace(0.25, 9.75, 40)), 10.0, 2),
+            (REPRO_A, list(np.linspace(0.5, 99.5, 200)), 100.0, 3),
+        ],
+    )
+    def test_log_weights_match_the_dense_count_table(self, params, jumps, T, seed):
+        """Counting the latent points before each event by searchsorted gives
+        the log weights of the dense comparison table, bit for bit."""
+        x = load_path(jumps, T)
+        sq = np.random.SeedSequence(seed)
+        np.testing.assert_array_equal(_mc_chunk(x, params, 300, sq), dense_mc_chunk(x, params, 300, sq))
+
+
+class TestChecks:
+    def test_grid_check_passes_the_likelihood_and_fails_a_shift(self):
+        """On a seeded path of about 45 events a 1e-3-nat error fails the check."""
+        params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.2)))
+        x = simulate(params, 10.0, seed=2).x
+        assert 40 <= x.count <= 55
+        exact = marginal_loglik(x, params).loglik
+        good = grid_check(x, params, 16384, exact)
+        assert good["pass"] is True and abs(good["log_value"] - exact) <= good["err_nats"] < 1e-3
+        assert grid_check(x, params, 16384, exact + 1e-3)["pass"] is False
+        assert grid_check(x, params, 16384, exact - 1e-3)["pass"] is False
+
+    def test_homogeneous_case_passes_both(self):
+        """gamma = 0: every lattice gives the same value and every weight is
+        equal, so both checks pass on the relative floor alone."""
+        params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
+        x = load_path([0.1, 0.5, 0.9], 1.0)
+        exact = marginal_loglik(x, params).loglik
+        grid = grid_check(x, params, 64, exact)
+        assert grid["err_nats"] < 1e-12 and grid["pass"] is True
+        mc = mc_check(x, params, McSpec(N=200, seed=1), exact)
+        assert mc["se_log"] == 0.0 and mc["ess"] == 200 and mc["pass"] is True
+
+    def test_mc_ess_is_the_weights_ess(self):
+        """N / (1 + (N - 1) se^2) equals (sum w)^2 / sum w^2 of the weights."""
+        x = load_path([0.2, 0.5, 0.9], 1.0)
+        exact = marginal_loglik(x, UNIT).loglik
+        logs = _mc_chunk(x, UNIT, 3000, np.random.SeedSequence(4).spawn(1)[0])
+        weights = np.exp(logs - logs.max())
+        check = mc_check(x, UNIT, McSpec(N=3000, seed=4), exact)
+        assert check["ess"] == pytest.approx(weights.sum() ** 2 / np.sum(weights**2), rel=1e-9)
+        assert check["pass"] is True
 
 
 class TestSpecs:
     def test_grid_spec_validation(self):
         with pytest.raises(ValidationError):
             GridSpec(n=1)
-        with pytest.raises(ValidationError):
-            GridSpec(n=16, y_max=0)
 
     def test_mc_spec_validation(self):
         with pytest.raises(ValidationError):
