@@ -11,7 +11,11 @@ so they work at any number of events:
                      tail level and doubles until the value is stable, since
                      the data can tilt the latent count far above its prior.
 * ``mc_marginal``    plain Monte Carlo over latent draws: the log of the mean
-                     weight, with the delta-method standard error of that log.
+                     weight p(x | Y), with the delta-method standard error of
+                     that log.  The draws and the weights are the simulator's
+                     own (``simulator._latent_points`` and
+                     ``simulator._conditional_logliks``), so the weights are
+                     the density the simulator's tests check.
 
 The lattice error is first order in 1/n.  ``grid_check`` removes it with one
 Richardson step over the lattices n/4, n/2 and n and takes the change of
@@ -20,8 +24,8 @@ errors.  An oracle that cannot decide says so with ``"pass": None``: the
 grid when its error estimate exceeds 0.1 nats, Monte Carlo when the weights'
 effective sample size (sum w)^2 / sum w^2 is below 100.
 
-The truncation level (``default_y_max``) sums the Poisson tail with the
-standard library, so importing this module loads no scipy.
+The truncation level ``default_y_max`` lives with the sampler in
+``simulator`` and is imported from there.
 """
 
 from __future__ import annotations
@@ -33,38 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import _cum_inverse_batch
 from .paths import CountPath, ModelParams
+from .simulator import _conditional_logliks, _latent_points, default_y_max
 
-_TAIL_MASS = 1e-12
-# The tail sum starts at the first term below this; for means up to 1e8 the
-# terms past it add less than 1e-15 of _TAIL_MASS.
-_TAIL_TERM_MIN = 1e-30
 # Above this error estimate (nats) the grid check cannot decide.
 _GRID_UNDECIDED_NATS = 0.1
 # Below this effective sample size the Monte Carlo check cannot decide.
 _MC_MIN_ESS = 100.0
-
-
-def default_y_max(mean_count: float) -> int:
-    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12.
-
-    The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
-    term by term from far past the mean downward, never formed as 1 - cdf,
-    which would lose the digits that decide the comparison with 1e-12.
-    """
-    if mean_count <= 0.0:
-        return 1
-    k = max(1, int(mean_count))
-    log_mean = math.log(mean_count)
-    pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean
-    while not pmf or pmf[-1] >= _TAIL_TERM_MIN:
-        j = k + 1 + len(pmf)
-        pmf.append(math.exp(j * log_mean - mean_count - math.lgamma(j + 1)))
-    tail = 0.0  # P(N > k + len(pmf))
-    while pmf and tail + pmf[-1] < _TAIL_MASS:
-        tail += pmf.pop()
-    return k + len(pmf)
 
 
 @dataclass(frozen=True)
@@ -170,44 +149,9 @@ def grid_check(x: CountPath, params: ModelParams, n: int, loglik: float) -> dict
 
 
 def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSequence):
-    """Conditional log-densities of x under n independent latent draws.
-
-    Batched version of the time-change construction: unit exponential
-    arrival masses per replica, inverted through the cumulative intensity in
-    one vectorized pass, then the conditional density evaluated row-wise.
-    """
-    rng = np.random.default_rng(seed)
-    T = x.T
-    gamma, beta0, w = params.gamma, params.beta0, params.w
-    total = gamma.cum(T)
-
-    width = default_y_max(total) + 16
-    cums = np.cumsum(rng.exponential(size=(n, width)), axis=1)
-    while np.any(cums[:, -1] <= total):  # astronomically rare overflow of width
-        extra = np.cumsum(rng.exponential(size=(n, 16)), axis=1)
-        cums = np.hstack([cums, cums[:, -1:] + extra])
-    mask = cums <= total
-    counts = mask.sum(axis=1)
-    rows = np.repeat(np.arange(n), counts)
-    flat = cums[mask]  # row-major, ascending within each replica
-    times = _cum_inverse_batch(gamma, flat, T) if flat.size else flat
-
-    sum_times = np.bincount(rows, weights=times, minlength=n)
-    integral = beta0 * T + w * (counts * T - sum_times)
-    if x.count == 0:
-        return -integral
-    # y(t_i-) counts the latent points strictly before event i.  A point with
-    # k events at or before it counts for events k, k + 1, ...: mark it at k,
-    # then sum along the events.
-    k = np.searchsorted(x.jumps, times, side="right")
-    inside = k < x.count
-    before = np.zeros((n, x.count), dtype=np.int64)
-    np.add.at(before, (rows[inside], k[inside]), 1)
-    rates = beta0 + w * np.cumsum(before, axis=1, out=before)
-    ok = np.all(rates > 0.0, axis=1)
-    with np.errstate(divide="ignore"):
-        log_rates = np.sum(np.log(np.where(rates > 0.0, rates, 1.0)), axis=1)
-    return np.where(ok, log_rates - integral, -np.inf)
+    """Conditional log-densities of x under n independent latent draws."""
+    rows, times = _latent_points(params.gamma, x.T, n, np.random.default_rng(seed))
+    return _conditional_logliks(x, params, n, rows, times)
 
 
 def mc_marginal(

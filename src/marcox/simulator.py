@@ -5,6 +5,18 @@ arrivals pushed through the inverse cumulative intensity.  The observed
 process X runs at the constant rate beta0 + w y between Y jumps; whenever Y
 jumps, the X waiting time is redrawn at the incremented rate (exact because
 the rate is piecewise constant and exponentials are memoryless).
+
+Two batched functions hold the model's rules for many latent paths at once:
+``_latent_points`` draws the latent points of n independent paths by time
+change, and ``_conditional_logliks`` evaluates log p(x | y) for each of them.
+``simulate_latent`` is one path of the first, ``conditional_loglik`` one
+replica of the second, and the Monte Carlo oracle (``oracles.mc_marginal``)
+is their composition, the mean of p(x | Y) over draws of Y.  Only
+``simulate``'s event loop draws latent arrivals on its own, one at a time,
+interleaved with the observed process.
+
+The truncation level ``default_y_max`` sums the Poisson tail with the
+standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +32,10 @@ from .paths import CountPath, ModelParams
 # A latent path is structurally a count path; the alias keeps signatures honest.
 LatentPath = CountPath
 
-_CHUNK = 64
+_TAIL_MASS = 1e-12
+# The tail sum starts at the first term below this; for means up to 1e8 the
+# terms past it add less than 1e-15 of _TAIL_MASS.
+_TAIL_TERM_MIN = 1e-30
 
 
 @dataclass(frozen=True)
@@ -40,26 +55,86 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def simulate_latent(gamma: PolyIntensity, T: float, seed=None) -> LatentPath:
-    """Latent jump times: unit Poisson arrivals through the inverse of Gamma."""
-    gamma.validate_nonneg(T)
-    rng = _as_generator(seed)
+def default_y_max(mean_count: float) -> int:
+    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12.
+
+    The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
+    term by term from far past the mean downward, never formed as 1 - cdf,
+    which would lose the digits that decide the comparison with 1e-12.
+    """
+    if mean_count <= 0.0:
+        return 1
+    k = max(1, int(mean_count))
+    log_mean = math.log(mean_count)
+    pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean
+    while not pmf or pmf[-1] >= _TAIL_TERM_MIN:
+        j = k + 1 + len(pmf)
+        pmf.append(math.exp(j * log_mean - mean_count - math.lgamma(j + 1)))
+    tail = 0.0  # P(N > k + len(pmf))
+    while pmf and tail + pmf[-1] < _TAIL_MASS:
+        tail += pmf.pop()
+    return k + len(pmf)
+
+
+def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Latent points of n independent paths on [0, T], by time change.
+
+    Each path's unit exponential arrival masses are drawn as one row of an
+    (n, default_y_max(Gamma(T)) + 16) block, extended while any row has not
+    passed Gamma(T), and the masses up to Gamma(T) are inverted through the
+    cumulative intensity in one vectorized pass.  Returns (rows, times): the
+    path index of each point and its time, row-major and ascending within
+    each path.
+    """
     total = gamma.cum(T)
-    arrivals: list[float] = []
-    acc = 0.0
-    while True:
-        chunk = acc + np.cumsum(rng.exponential(size=_CHUNK))
-        inside = chunk[chunk <= total]
-        arrivals.extend(inside.tolist())
-        if inside.size < _CHUNK:
-            break
-        acc = chunk[-1]
-    if not arrivals:
-        return CountPath(T=T, jumps=np.empty(0))
-    jumps = _cum_inverse_batch(gamma, np.asarray(arrivals), T)
+    width = default_y_max(total) + 16
+    cums = np.cumsum(rng.exponential(size=(n, width)), axis=1)
+    while np.any(cums[:, -1] <= total):  # astronomically rare overflow of width
+        extra = np.cumsum(rng.exponential(size=(n, 16)), axis=1)
+        cums = np.hstack([cums, cums[:, -1:] + extra])
+    mask = cums <= total
+    rows = np.repeat(np.arange(n), mask.sum(axis=1))
+    flat = cums[mask]
+    times = _cum_inverse_batch(gamma, flat, T) if flat.size else flat
+    return rows, times
+
+
+def _conditional_logliks(x: CountPath, params: ModelParams, n: int, rows, times) -> np.ndarray:
+    """log p(x | y_r) for the n latent paths given as (rows, times) by
+    ``_latent_points``: the sum of the log pre-jump rates minus the rate's
+    integral beta0 T + w sum_j (T - s_j), -inf where an event sees rate 0.
+
+    The rate at an x-event uses the left limit y(t-), so a latent point at
+    the identical time does not count.
+    """
+    T, beta0, w = x.T, params.beta0, params.w
+    counts = np.bincount(rows, minlength=n)
+    sum_times = np.bincount(rows, weights=times, minlength=n)
+    integral = beta0 * T + w * (counts * T - sum_times)
+    if x.count == 0:
+        return -integral
+    # y(t_i-) counts the latent points strictly before event i.  A point with
+    # k events at or before it counts for events k, k + 1, ...: mark it at k,
+    # then sum along the events.
+    k = np.searchsorted(x.jumps, times, side="right")
+    inside = k < x.count
+    before = np.zeros((n, x.count), dtype=np.int64)
+    np.add.at(before, (rows[inside], k[inside]), 1)
+    rates = beta0 + w * np.cumsum(before, axis=1, out=before)
+    ok = np.all(rates > 0.0, axis=1)
+    with np.errstate(divide="ignore"):
+        log_rates = np.sum(np.log(np.where(rates > 0.0, rates, 1.0)), axis=1)
+    return np.where(ok, log_rates - integral, -np.inf)
+
+
+def simulate_latent(gamma: PolyIntensity, T: float, seed=None) -> LatentPath:
+    """Latent jump times: unit Poisson arrivals through the inverse of Gamma
+    (one path of ``_latent_points``)."""
+    gamma.validate_nonneg(T)
+    _, times = _latent_points(gamma, T, 1, _as_generator(seed))
     # Distinct masses can collapse to the same time only on flat stretches of
     # Gamma, a probability-zero event; drop numerical ties defensively.
-    jumps = np.unique(jumps[(jumps > 0.0) & (jumps <= T)])
+    jumps = np.unique(times[(times > 0.0) & (times <= T)])
     return CountPath(T=T, jumps=jumps)
 
 
@@ -100,7 +175,8 @@ def simulate(params: ModelParams, T: float, seed=None) -> SimResult:
 
 
 def conditional_loglik(x: CountPath, y: LatentPath, params: ModelParams) -> float:
-    """log p(x | y): sum of log pre-jump rates minus the integrated rate.
+    """log p(x | y): sum of log pre-jump rates minus the integrated rate
+    (one replica of ``_conditional_logliks``).
 
     The rate at an x-event uses the left limit y(t-), so a latent jump at the
     identical time does not count.  Returns -inf when any event sees rate 0.
@@ -108,12 +184,4 @@ def conditional_loglik(x: CountPath, y: LatentPath, params: ModelParams) -> floa
     """
     if x.T != y.T:
         raise ValueError("paths must share the horizon")
-    T = x.T
-    integral = params.beta0 * T + params.w * float(np.sum(T - y.jumps))
-    if x.count == 0:
-        return -integral
-    counts = np.searchsorted(y.jumps, x.jumps, side="left")
-    rates = params.beta0 + params.w * counts
-    if np.any(rates <= 0.0):
-        return -math.inf
-    return float(np.sum(np.log(rates)) - integral)
+    return float(_conditional_logliks(x, params, 1, np.zeros(y.count, dtype=np.intp), y.jumps)[0])

@@ -19,9 +19,8 @@ from typing import Callable
 import numpy as np
 
 from marcox.errors import ValidationError
-from marcox.intensity import _cum_inverse_batch
 from marcox.marginal import _logsumexp
-from marcox.oracles import default_y_max
+from marcox.simulator import _latent_points
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-13) -> float:
@@ -176,22 +175,12 @@ def grid_coeff_marginal(x, params, n: int) -> float:
 
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:
-    """``marcox.oracles._mc_chunk`` with y(t_i-) counted from the dense table
+    """``marcox.oracles._mc_chunk`` on the same latent draws
+    (``simulator._latent_points``), with y(t_i-) counted from the dense table
     ``times[:, None] < x.jumps[None, :]`` (latent points x events)."""
-    rng = np.random.default_rng(seed)
-    T = x.T
-    gamma, beta0, w = params.gamma, params.beta0, params.w
-    total = gamma.cum(T)
-    width = default_y_max(total) + 16
-    cums = np.cumsum(rng.exponential(size=(n, width)), axis=1)
-    while np.any(cums[:, -1] <= total):
-        extra = np.cumsum(rng.exponential(size=(n, 16)), axis=1)
-        cums = np.hstack([cums, cums[:, -1:] + extra])
-    mask = cums <= total
-    counts = mask.sum(axis=1)
-    rows = np.repeat(np.arange(n), counts)
-    flat = cums[mask]
-    times = _cum_inverse_batch(gamma, flat, T) if flat.size else flat
+    rows, times = _latent_points(params.gamma, x.T, n, np.random.default_rng(seed))
+    T, beta0, w = x.T, params.beta0, params.w
+    counts = np.bincount(rows, minlength=n)
     sum_times = np.bincount(rows, weights=times, minlength=n)
     integral = beta0 * T + w * (counts * T - sum_times)
     if x.count == 0:

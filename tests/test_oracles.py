@@ -20,7 +20,7 @@ from marcox.oracles import (
     mc_marginal,
 )
 from marcox.paths import ModelParams, load_path
-from marcox.simulator import simulate
+from marcox.simulator import conditional_loglik, simulate, simulate_latent
 
 from _oracles import dense_mc_chunk, grid_coeff_marginal
 
@@ -181,6 +181,17 @@ class TestMcMarginal:
         x = load_path(jumps, T)
         sq = np.random.SeedSequence(seed)
         np.testing.assert_array_equal(_mc_chunk(x, params, 300, sq), dense_mc_chunk(x, params, 300, sq))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_is_the_simulators_density_on_the_simulators_path(self, seed):
+        """A one-replica chunk is conditional_loglik on the simulate_latent path
+        drawn from the same seed, bit for bit: p(x | Y) over the simulator's code."""
+        params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.2)))
+        x = load_path(np.linspace(0.25, 9.75, 40), 10.0)
+        sq = np.random.SeedSequence(seed)
+        y = simulate_latent(params.gamma, 10.0, np.random.default_rng(sq))
+        assert y.count > 0
+        assert _mc_chunk(x, params, 1, sq)[0] == conditional_loglik(x, y, params)
 
 
 class TestChecks:
