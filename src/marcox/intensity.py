@@ -160,17 +160,38 @@ def grid_nonneg(vals: np.ndarray) -> bool:
 
 
 def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:
-    """Vectorized cum_inverse for sorted masses us, all <= Gamma(T)."""
+    """Vectorized cum_inverse for masses 0 <= us <= Gamma(T): safeguarded Newton.
+
+    Each element starts at min(u T / Gamma(T), T) inside the bracket [0, T]
+    and narrows the bracket with the sign of Gamma(t) - u at every iterate.
+    A Newton step is taken only where it stays inside the bracket and moves
+    by at most half the bracket's width; everywhere else the bracket is
+    bisected, so flat stretches of Gamma (gamma = 0 at a point) cannot throw
+    an iterate out.  An element is done when its accepted step or its
+    bracket is at most 1e-12 T.
+    """
     us = np.asarray(us, dtype=float)
-    lo = np.zeros_like(us)
-    hi = np.full_like(us, float(T))
-    # Bisection alone: 60 halvings push the bracket width below 1e-12 * T.
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = gamma.cum_many(mid) >= us
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return hi
+    out = np.empty_like(us)
+    total, tol = gamma.cum(T), _INVERSE_TOL * T
+    idx, u = np.arange(us.size), us
+    lo, hi = np.zeros_like(u), np.full_like(u, float(T))
+    t = np.minimum(u * (T / total), T) if total > 0.0 else lo
+    for _ in range(_INVERSE_MAX_ITER):
+        f = gamma.cum_many(t) - u
+        above = f >= 0.0
+        hi, lo = np.where(above, t, hi), np.where(above, lo, t)
+        slope = gamma.eval_many(t)
+        newton = t - f / np.where(slope > 0.0, slope, 1.0)
+        step, half = np.abs(newton - t), 0.5 * (hi - lo)
+        ok = (slope > 0.0) & (lo <= newton) & (newton <= hi) & (step <= half)
+        done = (ok & (step <= tol)) | (hi - lo <= tol)
+        out[idx[done]] = np.where(ok, newton, hi)[done]
+        t = np.where(ok, newton, lo + half)
+        keep = ~done
+        idx, u, lo, hi, t = idx[keep], u[keep], lo[keep], hi[keep], t[keep]
+        if not idx.size:
+            return out
+    raise ConvergenceError("cumulative-mass inversion did not converge")
 
 
 def _decay_moments(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:

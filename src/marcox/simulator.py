@@ -94,9 +94,7 @@ def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndar
         cums = np.hstack([cums, cums[:, -1:] + extra])
     mask = cums <= total
     rows = np.repeat(np.arange(n), mask.sum(axis=1))
-    flat = cums[mask]
-    times = _cum_inverse_batch(gamma, flat, T) if flat.size else flat
-    return rows, times
+    return rows, _cum_inverse_batch(gamma, cums[mask], T)
 
 
 def _conditional_logliks(x: CountPath, params: ModelParams, n: int, rows, times) -> np.ndarray:

@@ -4,11 +4,15 @@ These deliberately avoid the library's closed forms: adaptive Simpson
 quadrature for integrals and a brute-force Riemann integrator for step/
 piecewise-linear paths.  Tests compare library results against these.
 ``grid_coeff_marginal`` is a second lattice route to p(x), checked against
-the library's grid filter.  ``per_step_run`` and ``dense_mc_chunk`` are the
-exceptions: the likelihood's own step loop in its plain form, kept as the
-reference for the blocked loop, and the Monte Carlo oracle's log weights
-from a dense (latent points x events) comparison table, kept as the
-reference for the counting that replaced it.
+the library's grid filter.  ``per_step_run``, ``dense_mc_chunk``,
+``bisect_cum_inverse`` and ``loop_adapt_path`` are the exceptions: plain
+forms of library code kept as references for the faster forms that replaced
+them.  They are the likelihood's own step loop, cut per step (for the
+blocked loop); the Monte Carlo oracle's log weights from a dense (latent
+points x events) comparison table (for the counting that replaced it); the
+cumulative-mass inverse by plain bisection (for the safeguarded Newton
+iteration); and the per-level loops of the adaptation transform (for its
+vectorized form).
 """
 
 from __future__ import annotations
@@ -192,3 +196,19 @@ def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_rates = np.sum(np.log(np.where(rates > 0.0, rates, 1.0)), axis=1)
     return np.where(ok, log_rates - integral, -np.inf)
+
+
+def bisect_cum_inverse(gamma, us, T: float) -> np.ndarray:
+    """The smallest t in [0, T] with Gamma(t) >= u for each mass u <= Gamma(T):
+    60 bisection halvings of [0, T], which push the bracket width below
+    1e-12 T.  The reference for the safeguarded Newton iteration of
+    ``marcox.intensity._cum_inverse_batch``."""
+    us = np.asarray(us, dtype=float)
+    lo = np.zeros_like(us)
+    hi = np.full_like(us, float(T))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = gamma.cum_many(mid) >= us
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return hi

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marcox.errors import ValidationError
-from marcox.intensity import PolyIntensity, alpha_integral, lambda_integral
+from marcox import intensity
+from marcox.errors import ConvergenceError, ValidationError
+from marcox.intensity import PolyIntensity, _cum_inverse_batch, alpha_integral, lambda_integral
 
-from _oracles import adaptive_simpson
+from _oracles import adaptive_simpson, bisect_cum_inverse
 
 
 def random_nonneg_poly(rng, max_degree=4, T=1.0):
@@ -76,6 +77,68 @@ class TestCumInverse:
             if gamma.cum(1.0) < u or gamma.eval(t) < 1e-6:
                 continue
             assert gamma.cum_inverse(u, 1.0) == pytest.approx(t, abs=1e-10)
+
+
+def square_times_power(T, root, k, offset):
+    """gamma = (t - r)^2 t^k + offset with r = root T: a flat point at r inside [0, T]."""
+    r = root * T
+    coeffs = np.zeros(k + 3)
+    coeffs[k:] = (r * r, -2.0 * r, 1.0)
+    coeffs[0] += offset
+    return PolyIntensity(tuple(coeffs)), r
+
+
+def assert_inverse_matches_bisection(gamma, us, T):
+    """Every t lies in [0, T], Gamma(t) - u is at rounding size, and where
+    gamma is not nearly flat t is the bisection reference within 1e-9 T."""
+    got = _cum_inverse_batch(gamma, us, T)
+    assert np.all((got >= 0.0) & (got <= T))
+    top = float(gamma.eval_many(np.linspace(0.0, T, 1025)).max())
+    # Rounding of Gamma(t) scales with its terms' magnitudes sum_p |c_p| t^(p+1) / (p+1).
+    terms = np.abs(gamma.coeffs) / np.arange(1, gamma.degree + 2)
+    scale = np.polynomial.polynomial.polyval(got, terms) * got
+    assert np.all(np.abs(gamma.cum_many(got) - us) <= 2e-12 * T * top + 1e-13 * scale)
+    ref = bisect_cum_inverse(gamma, us, T)
+    steep = gamma.eval_many(ref) >= 1e-3 * top
+    assert np.all(np.abs(got - ref)[steep] <= 1e-9 * T)
+
+
+class TestCumInverseBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        T=st.floats(0.1, 50.0),
+        root=st.floats(0.0, 1.0),
+        k=st.integers(0, 6),
+        offset=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bisection(self, T, root, k, offset, seed):
+        """Degree up to 8, gamma(0) = 0 included; the masses include Gamma(T),
+        the flat point Gamma(r) and 1e-15 Gamma(T)."""
+        gamma, r = square_times_power(T, root, k, offset)
+        total = gamma.cum(T)
+        edges = [0.0, 1e-15 * total, min(gamma.cum(r), total), total]
+        us = np.sort(np.concatenate([np.random.default_rng(seed).uniform(0.0, total, 200), edges]))
+        assert_inverse_matches_bisection(gamma, us, T)
+
+    @pytest.mark.parametrize(
+        "T, root, k, offset",
+        [(10.0, 0.7, 3, 0.01), (10.0, 0.95, 5, 0.16), (25.0, 0.5, 2, 0.01), (25.0, 0.35, 3, 0.16)],
+    )
+    def test_newton_cycle_at_the_flat_point(self, T, root, k, offset):
+        """Cases where unguarded Newton steps cycle around Gamma(r) and never
+        converge: only steps of at most half the bracket are taken."""
+        gamma, r = square_times_power(T, root, k, offset)
+        assert_inverse_matches_bisection(gamma, np.array([gamma.cum(r)]), T)
+
+    def test_empty_and_zero_rate(self):
+        assert _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.empty(0), 3.0).size == 0
+        np.testing.assert_array_equal(_cum_inverse_batch(PolyIntensity((0.0,)), np.zeros(3), 2.0), 0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(intensity, "_INVERSE_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError):
+            _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.array([0.3, 5.0]), 3.0)
 
 
 class TestAlphaIntegral:
