@@ -124,32 +124,20 @@ def adapt_path(x_star: CountPath, w: float) -> CountPath:
     seg_areas = 0.5 * (xt_nodes[:-1] + xt_nodes[1:]) * np.diff(nodes)
     prefix = np.concatenate(([0.0], np.cumsum(seg_areas)))
 
-    def xt_integral(t: float) -> float:
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
-        k = min(max(k, 0), nodes.size - 2)
-        dt = t - nodes[k]
-        v = xt_nodes[k] + w * levels[k] * dt
-        return float(prefix[k] + 0.5 * (xt_nodes[k] + v) * dt)
+    # Crossing time of each integer level: invert the linear piece containing
+    # it.  xt is flat only before the first event, where it is 0, so every
+    # level is crossed on a piece k >= 1 of slope w k > 0.
+    i = np.arange(1, M + 1)
+    k = np.searchsorted(xt_nodes, i, side="left") - 1
+    crossings = nodes[k] + (i - xt_nodes[k]) / (w * levels[k])
 
-    # Crossing time of each integer level: invert the linear piece containing it.
-    crossings = np.empty(M)
-    for i in range(1, M + 1):
-        k = int(np.searchsorted(xt_nodes, i, side="left")) - 1
-        k = max(k, 0)
-        slope = w * levels[k]
-        if slope <= 0:  # xt flat below the level; crossing is at the next node
-            crossings[i - 1] = nodes[k + 1]
-        else:
-            crossings[i - 1] = nodes[k] + (i - xt_nodes[k]) / slope
-
-    jumps = np.empty(M)
-    prev = 0.0
-    prev_area = 0.0
-    for i in range(1, M + 1):
-        t_i = crossings[i - 1]
-        area_i = xt_integral(t_i)
-        jumps[i - 1] = i * t_i - (i - 1) * prev - (area_i - prev_area)
-        prev, prev_area = t_i, area_i
+    # Area under xt up to each crossing, from the piece that holds it.
+    k = np.clip(np.searchsorted(nodes, crossings, side="right") - 1, 0, nodes.size - 2)
+    dt = crossings - nodes[k]
+    v = xt_nodes[k] + w * levels[k] * dt
+    areas = prefix[k] + 0.5 * (xt_nodes[k] + v) * dt
+    prev = np.concatenate(([0.0], crossings[:-1]))
+    jumps = i * crossings - (i - 1) * prev - np.diff(areas, prepend=0.0)
     return CountPath(T=T, jumps=jumps)
 
 
@@ -158,11 +146,14 @@ def tune_w(x_star: CountPath) -> float:
 
     w = M* / int_0^T x*(s) ds nudged up by 1e-9 relative, so the scaled
     integral ends strictly above M* instead of on the integer boundary where
-    floating-point could tip the floor either way.
+    floating-point could tip the floor either way.  A path whose events all
+    sit at T has integral 0 and no scale; it raises ``ValidationError``.
     """
     if x_star.count == 0:
         raise ValidationError("tuning needs a nonempty path")
     area = x_star.integral(x_star.T)
+    if area <= 0.0:
+        raise ValidationError("tuning needs an event before T: the path's integral is 0")
     return x_star.count / area * (1.0 + 1e-9)
 
 

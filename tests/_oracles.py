@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from marcox.errors import ValidationError
+from marcox.paths import CountPath
 from marcox.marginal import _logsumexp
 from marcox.simulator import _latent_points
 
@@ -212,3 +213,57 @@ def bisect_cum_inverse(gamma, us, T: float) -> np.ndarray:
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return hi
+
+
+def loop_adapt_path(x_star: CountPath, w: float) -> CountPath:
+    """``marcox.paths.adapt_path`` with a loop over the levels for the
+    crossings and another, through a closure for the area under xt, for the
+    jumps: the reference its vectorized form matches bit for bit."""
+    if not w > 0:
+        raise ValidationError("adaptation scale w must be positive")
+    if x_star.count == 0:
+        raise ValidationError("adaptation needs a nonempty path")
+    T = x_star.T
+    # Piecewise description of xt: nodes at 0, jump times, T; between nodes
+    # the slope is w * (number of events so far).
+    nodes = np.concatenate(([0.0], x_star.jumps, [T] if x_star.jumps[-1] < T else []))
+    levels = np.arange(nodes.size)  # x*(t) on [nodes[k], nodes[k+1]) is levels[k]
+    xt_nodes = np.concatenate(([0.0], np.cumsum(w * levels[:-1] * np.diff(nodes))))
+
+    total = xt_nodes[-1]
+    M = int(math.floor(total))
+    if M == 0:
+        raise ValidationError("adaptation scale too small: no events after transform")
+
+    # Prefix areas under xt at the nodes; xt is linear between them, so each
+    # segment contributes a trapezoid and partial segments are exact too.
+    seg_areas = 0.5 * (xt_nodes[:-1] + xt_nodes[1:]) * np.diff(nodes)
+    prefix = np.concatenate(([0.0], np.cumsum(seg_areas)))
+
+    def xt_integral(t: float) -> float:
+        k = int(np.searchsorted(nodes, t, side="right")) - 1
+        k = min(max(k, 0), nodes.size - 2)
+        dt = t - nodes[k]
+        v = xt_nodes[k] + w * levels[k] * dt
+        return float(prefix[k] + 0.5 * (xt_nodes[k] + v) * dt)
+
+    # Crossing time of each integer level: invert the linear piece containing it.
+    crossings = np.empty(M)
+    for i in range(1, M + 1):
+        k = int(np.searchsorted(xt_nodes, i, side="left")) - 1
+        k = max(k, 0)
+        slope = w * levels[k]
+        if slope <= 0:  # xt flat below the level; crossing is at the next node
+            crossings[i - 1] = nodes[k + 1]
+        else:
+            crossings[i - 1] = nodes[k] + (i - xt_nodes[k]) / slope
+
+    jumps = np.empty(M)
+    prev = 0.0
+    prev_area = 0.0
+    for i in range(1, M + 1):
+        t_i = crossings[i - 1]
+        area_i = xt_integral(t_i)
+        jumps[i - 1] = i * t_i - (i - 1) * prev - (area_i - prev_area)
+        prev, prev_area = t_i, area_i
+    return CountPath(T=T, jumps=jumps)

@@ -13,7 +13,7 @@ from marcox import __version__, cli
 from marcox.inference import FitConfig, mh_fit, read_chain_csv
 from marcox.intensity import PolyIntensity
 from marcox.marginal import MarginalResult, marginal_loglik
-from marcox.paths import ModelParams, load_path, read_events_csv, write_events_csv
+from marcox.paths import ModelParams, adapt_path, load_path, read_events_csv, tune_w, write_events_csv
 from marcox.simulator import simulate
 
 
@@ -35,6 +35,35 @@ def test_simulate_output_reads_back_into_loglik(tmp_path, capsys):
     assert x.count > 0
     assert report["M"] == x.count
     assert report["loglik"] == marginal_loglik(x, params).loglik
+
+
+def test_adapt_output_reads_back_into_loglik(tmp_path, capsys):
+    """adapt writes adapt_path(x*, tune_w(x*)) with its manifest, and loglik
+    reads the adapted CSV."""
+    raw = tmp_path / "raw.csv"
+    write_events_csv(raw, [0.5, 1.25, 4.0, 4.5, 7.0, 9.5])
+    adapted = tmp_path / "adapted.csv"
+    assert cli.main(["adapt", "--events", str(raw), "--T", "10", "--out", str(adapted)]) == cli.EXIT_OK
+    x_star = load_path(read_events_csv(raw), 10.0)
+    want = adapt_path(x_star, tune_w(x_star))
+    assert read_events_csv(adapted) == want.jumps.tolist()
+    manifest = strict_json((tmp_path / "adapted.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["raw_events"] == manifest["adapted_events"] == 6
+    capsys.readouterr()
+    config = write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
+    assert cli.main(["loglik", "--events", str(adapted), "--config", config]) == cli.EXIT_OK
+    report = strict_json(capsys.readouterr().out)
+    assert report["loglik"] == marginal_loglik(want, ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))).loglik
+
+
+def test_adapt_on_a_lone_event_at_the_horizon_is_a_validation_error(tmp_path, capsys):
+    """Every event at T: the path's integral is 0, so tune_w has no scale."""
+    events = tmp_path / "events.csv"
+    events.write_text("time\n10.0\n", encoding="utf-8")
+    out = tmp_path / "adapted.csv"
+    assert cli.main(["adapt", "--events", str(events), "--T", "10", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "integral is 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_beyond_double_range_exits_cleanly(tmp_path, capsys):

@@ -18,7 +18,7 @@ from marcox.paths import (
 )
 from marcox.intensity import PolyIntensity
 
-from _oracles import piecewise_linear_integral, step_path_integral
+from _oracles import loop_adapt_path, piecewise_linear_integral, step_path_integral
 
 
 def scaled_integral_path(x_star, w):
@@ -150,6 +150,30 @@ class TestAdaptPath:
             resc = adapt_path(scaled, w / s)
             np.testing.assert_allclose(resc.jumps, base.jumps * s, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_level_loop_bit_for_bit(self, seed):
+        """Vectorized over the levels, the transform gives the per-level loop's
+        jumps exactly: on random paths and on rounded event grids with flat
+        stretches (events at T included), at the tuned scale and above it."""
+        rng = np.random.default_rng(seed)
+        for case in range(100):
+            if case % 2:
+                x_star = random_path(rng, max_events=40)
+            else:
+                T = float(rng.integers(5, 50))
+                grid = np.round(rng.uniform(0.0, T, int(rng.integers(1, 60))), 1)
+                x_star = CountPath(T=T, jumps=np.unique(grid[grid > 0]))
+            w = tune_w(x_star) * (1.0 if case % 3 == 0 else rng.uniform(1.0, 20.0))
+            np.testing.assert_array_equal(adapt_path(x_star, w).jumps, loop_adapt_path(x_star, w).jumps)
+
+    def test_ten_thousand_levels(self):
+        """A path with M* = 100 and a scale giving 10^4 levels stays exact."""
+        x_star = load_path(np.linspace(0.05, 5.0, 100), 5.0)
+        w = 100.0 * tune_w(x_star)
+        adapted = adapt_path(x_star, w)
+        assert adapted.count == 10_000
+        np.testing.assert_array_equal(adapted.jumps, loop_adapt_path(x_star, w).jumps)
+
 
 class TestTuneW:
     def test_single_jump_formula(self):
@@ -169,6 +193,11 @@ class TestTuneW:
         w = tune_w(x_star)
         assert w == pytest.approx(2.0, rel=1e-8)
         assert adapt_path(x_star, w).count == 2
+
+    def test_events_only_at_the_horizon_rejected(self):
+        """A lone event at T leaves int_0^T x*(s) ds = 0: no scale exists."""
+        with pytest.raises(ValidationError, match="integral is 0"):
+            tune_w(load_path([10.0], 10.0))
 
     def test_event_count_preserved_on_random_paths(self):
         rng = np.random.default_rng(77)
