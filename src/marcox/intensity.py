@@ -37,6 +37,7 @@ MAX_DEGREE = 8
 _NONNEG_SAMPLES = 1024
 _INVERSE_TOL = 1e-12
 _INVERSE_MAX_ITER = 200
+_INVERSE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,14 @@ def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.nda
     by at most half the bracket's width; everywhere else the bracket is
     bisected, so flat stretches of Gamma (gamma = 0 at a point) cannot throw
     an iterate out.  An element is done when its accepted step or its
-    bracket is at most 1e-12 T.
+    bracket is at most 1e-12 T.  Every element iterates on its own, so the
+    masses are taken in blocks of 2^14, which bounds the working arrays and
+    changes no bit.
     """
     us = np.asarray(us, dtype=float)
+    if us.size > _INVERSE_BLOCK:
+        blocks = range(0, us.size, _INVERSE_BLOCK)
+        return np.concatenate([_cum_inverse_batch(gamma, us[s : s + _INVERSE_BLOCK], T) for s in blocks])
     out = np.empty_like(us)
     total, tol = gamma.cum(T), _INVERSE_TOL * T
     idx, u = np.arange(us.size), us

@@ -135,6 +135,15 @@ class TestCumInverseBatch:
         assert _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.empty(0), 3.0).size == 0
         np.testing.assert_array_equal(_cum_inverse_batch(PolyIntensity((0.0,)), np.zeros(3), 2.0), 0.0)
 
+    def test_blocks_give_the_one_pass_result(self, monkeypatch):
+        """Every element iterates on its own, so cutting the masses into blocks
+        changes no bit."""
+        gamma = PolyIntensity((1.0, -0.5, 0.1))
+        us = np.sort(np.random.default_rng(3).uniform(0.0, gamma.cum(4.0), 1000))
+        whole = _cum_inverse_batch(gamma, us, 4.0)
+        monkeypatch.setattr(intensity, "_INVERSE_BLOCK", 7)
+        np.testing.assert_array_equal(_cum_inverse_batch(gamma, us, 4.0), whole)
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(intensity, "_INVERSE_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
