@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from marcox.errors import ValidationError
-from marcox.paths import CountPath
 from marcox.marginal import _logsumexp
+from marcox.paths import CountPath
 from marcox.simulator import _latent_points
 
 

@@ -123,7 +123,7 @@ class TestCumInverseBatch:
 
     @pytest.mark.parametrize(
         "T, root, k, offset",
-        [(10.0, 0.7, 3, 0.01), (10.0, 0.95, 5, 0.16), (25.0, 0.5, 2, 0.01), (25.0, 0.35, 3, 0.16)],
+        [(10.0, 0.7, 3, 0.01), (10.0, 0.95, 5, 0.16), (25.0, 0.8, 0, 0.01), (25.0, 0.35, 3, 0.16)],
     )
     def test_newton_cycle_at_the_flat_point(self, T, root, k, offset):
         """Cases where unguarded Newton steps cycle around Gamma(r) and never
