@@ -6,17 +6,20 @@ Proposals are block Gaussian updates.  Coefficient vectors whose polynomial
 dips below zero anywhere on [0, T] are outside the posterior support and are
 rejected without evaluating the likelihood.  Each fit binds one
 ``MarginalLikelihood`` to its path, and its ``in_support`` is the only
-support check: the start, every proposal and every SLSQP trial point go
-through it.  It reads gamma at the check times through the matrix V the
-likelihood built once (``intensity.nonneg_matrix``), so a proposal costs one
-(1025 x (degree + 1)) matrix-vector product before the likelihood pass.
+support check: the start, every proposal and every trial point of the
+maximum-likelihood line search go through it.  It reads gamma at the check
+times through the matrix V the likelihood built once
+(``intensity.nonneg_matrix``), so a proposal costs one (1025 x (degree + 1))
+matrix-vector product before the likelihood pass.
 
-``mle_fit`` maximizes the same likelihood with SLSQP (Kraft, 1988).  Each
-step takes the exact gradient from ``MarginalLikelihood.loglik_grad``, one
-forward pass over the events, and nonnegativity enters as the linear
-constraints V c >= 0 with the same V.  On paths
-of M = 80 events with two coefficients it converges in 5 to 13 likelihood
-passes, where a Nelder-Mead simplex needs 130 to 270.
+``mle_fit`` maximizes the same likelihood by sequential quadratic
+programming in numpy.  Each step takes the exact gradient from
+``MarginalLikelihood.loglik_grad``, one forward pass over the events, and
+solves a quadratic model under the linear constraints V c >= 0, the 1025
+rows of the same V, with a dual active-set method (``_qp_step``); a damped
+BFGS update keeps the model's Hessian.  On paths of M = 80 events with two
+coefficients it converges in 7 to 13 likelihood passes (10.1 on average over
+128 paths), where a Nelder-Mead simplex needs 130 to 270.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         sd = sd * math.exp(log_width)
         evals = 0  # pilot is discarded; the counter tracks the main run only
 
-    n_kept = (cfg.iters - cfg.burnin) // cfg.thin
+    n_kept = len(range(cfg.burnin, cfg.iters, cfg.thin))
     draws = np.empty((n_kept, d))
     lls = np.empty(n_kept)
     acc_flags = np.zeros(n_kept, dtype=bool)
@@ -207,7 +210,7 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         accepted, support_rejected = step(sd)
         n_accept += int(accepted)
         n_support += int(support_rejected)
-        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0 and kept < n_kept:
+        if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             draws[kept] = current
             lls[kept] = cur_ll
             acc_flags[kept] = accepted
@@ -243,6 +246,113 @@ class _BudgetSpent(Exception):
     """The objective was asked for a likelihood pass beyond ``budget``."""
 
 
+_ARMIJO = 1e-4     # sufficient-decrease fraction of the first-order change
+_MIN_STEP = 1e-10  # smallest fraction of the QP step the line search tries
+_FTOL = 1e-10      # relative change in -loglik that ends the fit
+_QP_ITERS = 100    # working-set changes after which a QP returns its last iterate
+
+
+def _qp_step(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Minimize g.p + p.H.p / 2 subject to A p >= b, H symmetric positive definite.
+
+    Dual active-set method (Goldfarb & Idnani, *Math. Programming* 27, 1983):
+    start at the unconstrained minimizer -H^-1 g with an empty working set
+    and add the most violated row (by distance, slack / |row|) until no row
+    is violated by more than 1e-13 of the largest of 1, |A p| and |b|.
+    Adding row j moves p along z and the working multipliers along -r,
+    where H z + W^T r = A_j and W z = 0 for the working rows W; the step
+    stops where row j is met or where a working multiplier reaches zero,
+    and that row then leaves the working set.  Every iterate is stationary
+    on its working set with nonnegative multipliers, so the first feasible
+    one is optimal.  The rows are samples of one polynomial at nearby
+    times: a primal method, kept feasible, walks from row to neighbouring
+    row as the touching point of gamma moves, while this one goes to the
+    deepest dip at once.  Returns p, the working rows and their multipliers.
+    """
+    d = g.size
+    row_norm = np.linalg.norm(A, axis=1)
+    p = np.linalg.solve(H, -g)
+    work: list[int] = []
+    lam = np.zeros(0)
+    j, u = -1, 0.0  # the row being added and its multiplier so far
+    for _ in range(_QP_ITERS):
+        if j < 0:
+            Ap = A @ p
+            slack = Ap - b
+            slack[work] = 0.0
+            violated = np.flatnonzero(slack < -1e-13 * max(1.0, np.abs(Ap).max(), np.abs(b).max()))
+            if violated.size == 0:
+                break
+            j, u = int(violated[np.argmin(slack[violated] / row_norm[violated])]), 0.0
+        k = len(work)
+        kkt = np.zeros((d + k, d + k))
+        kkt[:d, :d] = H
+        kkt[:d, d:] = A[work].T
+        kkt[d:, :d] = A[work]
+        sol = np.linalg.solve(kkt, np.concatenate((A[j], np.zeros(k))))
+        z, r = sol[:d], sol[d:]
+        curv = float(A[j] @ z)  # z.H.z; zero when row j lies in the span of the working rows
+        full = -float(A[j] @ p - b[j]) / curv if curv > 1e-14 * row_norm[j] * np.abs(z).max() else math.inf
+        shrinking = np.flatnonzero(r > 0.0)
+        limits = lam[shrinking] / r[shrinking]
+        partial = limits.min(initial=math.inf)
+        step = min(full, partial)
+        if step == math.inf:  # row j cannot be met; b <= 0 rules this out but for rounding
+            break
+        p = p + step * z
+        lam = lam - step * r
+        u += step
+        if full <= partial:
+            work.append(j)
+            lam = np.append(lam, u)
+            j = -1
+        else:
+            leave = int(shrinking[np.argmin(limits)])
+            del work[leave]
+            lam = np.delete(lam, leave)
+    return p, work, lam
+
+
+def _sqp(objective, in_support, V: np.ndarray, c: np.ndarray) -> bool:
+    """Minimize objective (value, gradient) over V c >= 0 from c; whether it converged.
+
+    ``mle_fit`` documents the iteration and its stopping rules; the caller
+    keeps the best point, and ``objective`` raises ``_BudgetSpent`` to stop.
+    """
+    f, g = objective(c)
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        return False
+    H = np.eye(c.size) * (np.abs(g).max() or 1.0)
+    while True:
+        p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0))[0]
+        slope = float(g @ p)
+        if not slope < 0.0:
+            return True
+        step = 1.0
+        while True:
+            if step < _MIN_STEP:
+                return False
+            trial = c + step * p
+            if not in_support(trial):
+                step *= 0.5
+                continue
+            f_new, g_new = objective(trial)
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            # Minimizer of the quadratic through f, slope and f_new, kept
+            # within [0.1, 0.5] of the step (Nocedal & Wright, Sec. 3.5).
+            step *= min(max(-slope * step / (2.0 * (f_new - f - slope * step)), 0.1), 0.5)
+        if abs(f - f_new) <= _FTOL * max(abs(f), 1.0):
+            return True
+        s, y = trial - c, g_new - g
+        Hs = H @ s
+        sHs, sy = float(s @ Hs), float(s @ y)
+        theta = 1.0 if sy >= 0.2 * sHs else 0.8 * sHs / (sHs - sy)
+        r = theta * y + (1.0 - theta) * Hs
+        H = H - np.outer(Hs, Hs) / sHs + np.outer(r, r) / float(s @ r)
+        c, f, g = trial, f_new, g_new
+
+
 def mle_fit(
     x: CountPath,
     params_fixed: tuple[float, float],
@@ -250,32 +360,36 @@ def mle_fit(
     start: Sequence[float] | None = None,
     budget: int = 2000,
 ) -> MleResult:
-    """Maximum-likelihood coefficients by SLSQP with exact gradients.
+    """Maximum-likelihood coefficients by SQP with exact gradients.
 
     Each likelihood pass is one ``MarginalLikelihood.loglik_grad``, which
     returns the value and its gradient together.  Nonnegativity is imposed
     as the linear constraints V c >= 0, where V is the likelihood's own
     ``MarginalLikelihood.V`` (the monomials at the times
     ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support
-    check and ``is_nonneg`` see the same values of gamma.  A trial point
-    outside ``MarginalLikelihood.in_support`` (SLSQP may violate its
-    constraints by rounding) scores +inf without a likelihood pass.
+    check and ``is_nonneg`` see the same values of gamma.  Each iteration
+    solves the quadratic model of -loglik under those constraints
+    (``_qp_step``; a check time where gamma already dips below zero by
+    rounding may not dip further), with a Powell-damped BFGS Hessian
+    started at I max|gradient|, and backtracks along the step until the
+    Armijo condition holds: to the minimizer of the quadratic through the
+    two values and the slope, kept within [0.1, 0.5] of the last trial.
+    A trial point outside ``MarginalLikelihood.in_support`` halves the step
+    without a likelihood pass.
 
-    ``budget`` caps the likelihood passes and must be at least 1; a fit
-    that reaches it stops there with ``converged=False``.  The reported
-    point is the best one evaluated, with c_0 raised, where needed, until
-    V c >= 0 holds with no tolerance; after such a move the log-likelihood
-    is recomputed at the moved point (one ``loglik`` call outside the
-    count), so it equals ``marginal_loglik`` there.  It falls below the
-    start's only by the effect of that rounding-size move; ``n_evals``
-    counts the passes the optimizer asked for.  Deterministic given
-    the starting point.  The first call in a process imports
-    ``scipy.optimize``; the import is deferred to here so that importing
-    the package loads no scipy.
+    ``budget`` caps the likelihood passes and must be at least 1.  The fit
+    has ``converged=True`` when the QP step vanishes (no descent left) or
+    -loglik changes by at most 1e-10 relative to max(|-loglik|, 1); it has
+    ``converged=False`` when the budget is spent or the step falls below
+    1e-10 of the QP step.  The reported point is the best one evaluated,
+    with c_0 raised, where needed, until V c >= 0 holds with no tolerance;
+    after such a move the log-likelihood is recomputed at the moved point
+    (one ``loglik`` call outside the count), so it equals
+    ``marginal_loglik`` there.  It falls below the start's only by the
+    effect of that rounding-size move; ``n_evals`` counts the passes of the
+    fit.  Deterministic given the starting point.
     """
     check_count(budget, "budget", 1)
-    from scipy.optimize import minimize
-
     beta0, w = params_fixed
     d = degree + 1
     if start is None:
@@ -291,32 +405,22 @@ def mle_fit(
     best_ll, best_c = -math.inf, x0
 
     def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
+        """-loglik and its gradient at a point in the support; one pass."""
         nonlocal evals, best_ll, best_c
-        if not lik.in_support(coeffs):
-            return math.inf, np.zeros(d)
         if evals == budget:
             raise _BudgetSpent
         evals += 1
         res, grad = lik.loglik_grad(coeffs)
         if res.loglik > best_ll:
-            best_ll, best_c = res.loglik, coeffs.copy()
+            best_ll, best_c = res.loglik, coeffs
         return -res.loglik, -grad
 
     try:
-        converged = bool(
-            minimize(
-                objective,
-                x0,
-                jac=True,
-                method="SLSQP",
-                constraints={"type": "ineq", "fun": lambda c: V @ c, "jac": lambda c: V},
-                options={"maxiter": budget, "ftol": 1e-10},
-            ).success
-        )
+        converged = _sqp(objective, lik.in_support, V, x0)
     except _BudgetSpent:
         converged = False
-    # SLSQP may end a rounding error outside V c >= 0; raise c_0 until the
-    # reported rate is nonnegative at every check time, with no tolerance.
+    # The QP holds V c >= 0 only to rounding; raise c_0 until the reported
+    # rate is nonnegative at every check time, with no tolerance.
     coeffs = np.array(best_c, dtype=float)
     while (dip := (V @ coeffs).min()) < 0.0:
         coeffs[0] = max(coeffs[0] - dip, np.nextafter(coeffs[0], math.inf))

@@ -256,6 +256,23 @@ def test_bad_validate_flag_is_a_usage_error(tmp_path, capsys, flag, value, messa
     assert message in captured.err and captured.out == ""
 
 
+def test_chain_thinned_past_its_length_still_summarizes(tmp_path, capsys):
+    """thin > iters - burnin keeps the draw at iteration burnin, so the chain
+    fit-mcmc writes is one that summarize reads."""
+    events = tmp_path / "events.csv"
+    write_events_csv(events, simulate(ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1))), 10.0, seed=11).x.jumps)
+    fit = {"degree": 1, "start": [1.0, 0.1], "iters": 30, "burnin": 10, "thin": 50, "pilot_iters": 10, "seed": 2}
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(dict(fit, T=10.0, beta0=1.0, w=0.5)), encoding="utf-8")
+    chain = tmp_path / "chain.csv"
+    argv = ["fit-mcmc", "--events", str(events), "--config", str(config), "--out", str(chain)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert read_chain_csv(chain).draws.shape == (1, 2)
+    out = tmp_path / "bands.csv"
+    assert cli.main(["summarize", "--chain", str(chain), "--grid", "0:10:11", "--out", str(out)]) == cli.EXIT_OK
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 12
+
+
 def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
     chain = tmp_path / "chain.csv"
     chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n1,abc,-3.0,0\n", encoding="utf-8")

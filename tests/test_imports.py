@@ -12,40 +12,81 @@ import pytest
 import marcox
 
 # Import the CLI, record which scipy modules are loaded, then run one
-# maximum-likelihood fit, which imports scipy.optimize on first use.
+# maximum-likelihood fit and record them again.
 _SCRIPT = """
 import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 import marcox.cli
-after_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_import = scipy_modules()
 from marcox.inference import mle_fit
 from marcox.paths import load_path
 res = mle_fit(load_path([0.5, 1.2, 2.0, 3.1], 4.0), (0.5, 0.7), degree=1, budget=40)
 print(json.dumps({
     "after_import": after_import,
-    "optimize_loaded": "scipy.optimize" in sys.modules,
+    "after_fit": scipy_modules(),
     "loglik": res.loglik,
     "n_evals": res.n_evals,
 }))
 """
 
 
-@pytest.fixture(scope="module")
-def fresh_run():
+# With scipy made unimportable, run the fitting and checking commands through
+# cli.main in the directory given as the first argument and print their exit
+# codes.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, pathlib, sys
+sys.modules["scipy"] = None
+from marcox import cli
+d = pathlib.Path(sys.argv[1])
+model = {"T": 10.0, "beta0": 1.0, "w": 0.5}
+(d / "model.json").write_text(json.dumps(dict(model, gamma={"type": "poly", "coeffs": [1.0, 0.1]})))
+(d / "fit.json").write_text(json.dumps(dict(model, degree=1, start=[1.0, 0.1], budget=50)))
+(d / "mcmc.json").write_text(json.dumps(dict(model, degree=1, iters=60, burnin=10, pilot_iters=20, seed=1)))
+events = str(d / "events.csv")
+argvs = [
+    ["simulate", "--config", str(d / "model.json"), "--seed", "1", "--out", events],
+    ["fit-mle", "--events", events, "--config", str(d / "fit.json")],
+    ["fit-mcmc", "--events", events, "--config", str(d / "mcmc.json"), "--out", str(d / "chain.csv")],
+    ["validate", "--events", events, "--config", str(d / "model.json"), "--grid-n", "1024", "--mc-n", "2000"],
+]
+codes = {}
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = cli.main(argv)
+print(json.dumps(codes))
+"""
+
+
+def run_fresh(script: str, *args: str) -> dict:
+    """The JSON that script, run with args in a fresh interpreter, prints as its last line."""
     src = str(Path(marcox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def fresh_run():
+    return run_fresh(_SCRIPT)
 
 
 def test_cli_import_loads_no_scipy(fresh_run):
     assert fresh_run["after_import"] == []
 
 
-def test_mle_fit_runs_after_deferred_import(fresh_run):
-    assert fresh_run["optimize_loaded"]
+def test_mle_fit_loads_no_scipy(fresh_run):
+    assert fresh_run["after_fit"] == []
     assert math.isfinite(fresh_run["loglik"])
     assert 1 <= fresh_run["n_evals"] <= 40
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    codes = run_fresh(_NO_SCIPY_SCRIPT, str(tmp_path))
+    assert codes == {"simulate": 0, "fit-mle": 0, "fit-mcmc": 0, "validate": 0}

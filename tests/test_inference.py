@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from marcox.errors import ValidationError
-from marcox.inference import Chain, FitConfig, mh_fit, mle_fit, read_chain_csv, write_chain_csv
+from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, write_chain_csv
 from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams
@@ -79,6 +79,19 @@ class TestMhFit:
         chain = mh_fit(path, (BETA0, W), cfg)
         assert chain.n_evals > 0
         assert len(calls) == cfg.iters + 1  # one per support check, none per pass
+
+    @pytest.mark.parametrize(
+        ("iters", "burnin", "thin", "kept"),
+        [(300, 100, 3, 67), (300, 100, 500, 1), (120, 20, 1, 100)],
+    )
+    def test_keeps_every_thin_th_draw_after_burnin(self, path, iters, burnin, thin, kept):
+        """Draws at iterations burnin, burnin + thin, ...: the last one when
+        thin does not divide iters - burnin, and the first when thin exceeds it."""
+        cfg = config(2, iters=iters, burnin=burnin, thin=thin, use_likelihood=False)
+        chain = mh_fit(path, (BETA0, W), cfg)
+        full = mh_fit(path, (BETA0, W), config(2, iters=iters, burnin=0, thin=1, use_likelihood=False))
+        assert chain.draws.shape == (kept, 2)
+        np.testing.assert_array_equal(chain.draws, full.draws[burnin:iters:thin])
 
     def test_prior_only_chain_matches_the_prior(self, path):
         """Without the likelihood the chain samples the normal prior.  Each
@@ -176,13 +189,16 @@ class TestMleFit:
         assert marginal_loglik(x, params).loglik == res.loglik
 
     def test_points_outside_the_support_cost_no_pass(self, monkeypatch):
-        """SLSQP may step a rounding error past c_0 = 0; such points score +inf
-        without a likelihood pass and do not count toward the budget."""
-        rejected, passes = [], []
+        """A trial point outside the support halves the step without a
+        likelihood pass and does not count toward the budget.  The support
+        check here refuses the first line-search trial (its second call,
+        after the start's)."""
+        rejected, passes, calls = [], [], []
         in_support, loglik_grad = MarginalLikelihood.in_support, MarginalLikelihood.loglik_grad
 
         def checking(self, coeffs):
-            ok = in_support(self, coeffs)
+            calls.append(None)
+            ok = in_support(self, coeffs) and len(calls) != 2
             if not ok:
                 rejected.append(np.array(coeffs))
             return ok
@@ -216,6 +232,47 @@ class TestMleFit:
     def test_budget_below_one_rejected(self, path):
         with pytest.raises(ValidationError, match="budget"):
             mle_fit(path, (BETA0, W), degree=1, start=TRUTH, budget=0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_qp_step_solves_the_qp(seed):
+    """_qp_step against nonneg_matrix rows: feasible, stationary on its working
+    set with nonnegative multipliers, and within 1e-10 of SLSQP.  The problem
+    is drawn for the scaled step y_k = T^k p_k, where SLSQP is well
+    conditioned, and _qp_step solves it for p; every third start touches
+    zero at a check time."""
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    T = rng.uniform(0.5, 30.0)
+    V = nonneg_matrix(T, d - 1)
+    D = T ** np.arange(d)
+    M = rng.standard_normal((d, d))
+    # The positive bias in the gradient pushes gamma down, into the constraints.
+    Hy, gy, y0 = M @ M.T + 0.1 * np.eye(d), 3.0 * rng.standard_normal(d) + 2.0, rng.standard_normal(d)
+    y0[0] += -(V / D @ y0).min() + (0.0 if seed % 3 == 0 else rng.uniform(0.0, 0.5))
+    c, H, g = y0 / D, D[:, None] * Hy * D, D * gy
+    b = -np.maximum(V @ c, 0.0)
+
+    p, work, lam = _qp_step(H, g, V, b)
+    values = V @ (c + p)
+    assert values.min() >= -1e-12 * max(1.0, np.abs(values).max())
+    assert len(set(work)) == len(work) == lam.size <= d
+    np.testing.assert_allclose(H @ p + g, V[work].T @ lam, rtol=0, atol=1e-10 * np.abs(g).max())
+    assert (lam >= 0.0).all()
+    ref = minimize(
+        lambda y: gy @ y + 0.5 * y @ Hy @ y,
+        np.zeros(d),
+        jac=lambda y: gy + Hy @ y,
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda y: V / D @ y - b, "jac": lambda y: V / D},
+        options={"ftol": 1e-15, "maxiter": 500},
+    )
+    # SLSQP may end a rounding error outside the constraints, and lower there.
+    if (V / D @ ref.x - b).min() >= 0.0:
+        value = g @ p + 0.5 * p @ H @ p
+        assert value <= ref.fun + 1e-10
+        if ref.success:
+            assert value == pytest.approx(ref.fun, rel=0, abs=1e-10)
 
 
 class TestChainCsv:
