@@ -2,20 +2,24 @@
 
 A counting process whose conditional rate is beta0 + w Y(t), with Y itself a
 non-homogeneous Poisson process, admits a closed-form marginal likelihood
-once Y is integrated out.  This package provides exact simulation of the
-pair (X, Y), the closed-form likelihood via an O(M^2) log-space recursion
-over the events (``MarginalLikelihood``, bound to one path), independent
-validation oracles, and posterior / maximum-likelihood fitting of the latent
-polynomial rate.
+once Y is integrated out.  The likelihood needs gamma only through the
+kernel masses A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt at the events and
+int_0^T (1 - e^{-w (T - t)}) gamma(t) dt, both linear in gamma's
+coefficients and in closed form (``intensity.kernel_moments`` and
+``intensity.lambda_moments``).  This package provides exact simulation of
+the pair (X, Y), the closed-form likelihood via an O(M^2) log-space
+recursion over the events (``MarginalLikelihood``, bound to one path),
+independent validation oracles, and posterior / maximum-likelihood fitting
+of the latent polynomial rate.
 """
 
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, ValidationError
 from .inference import Chain, ChainSummary, FitConfig, MleResult, mh_fit, mle_fit, summarize
-from .intensity import PolyIntensity, alpha_integral, lambda_integral
-from .marginal import MarginalLikelihood, MarginalResult, batch_loglik, marginal_loglik
-from .oracles import GridSpec, McSpec, grid_check, grid_marginal, mc_check, mc_marginal
+from .intensity import PolyIntensity
+from .marginal import MarginalLikelihood, MarginalResult, marginal_loglik
+from .oracles import McSpec, grid_check, grid_marginal, mc_check, mc_marginal
 from .paths import CountPath, ModelParams, adapt_path, load_path, tune_w
 from .simulator import LatentPath, SimResult, conditional_loglik, simulate, simulate_latent
 
@@ -25,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "CountPath",
     "FitConfig",
-    "GridSpec",
     "LatentPath",
     "MarginalLikelihood",
     "MarginalResult",
@@ -36,12 +39,9 @@ __all__ = [
     "SimResult",
     "ValidationError",
     "adapt_path",
-    "alpha_integral",
-    "batch_loglik",
     "conditional_loglik",
     "grid_check",
     "grid_marginal",
-    "lambda_integral",
     "load_path",
     "marginal_loglik",
     "mc_check",

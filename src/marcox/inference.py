@@ -35,7 +35,6 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import PolyIntensity
 from .marginal import MarginalLikelihood
 from .paths import CountPath
 
@@ -461,12 +460,10 @@ def summarize(chain: Chain, t_grid: Sequence[float] | None = None) -> ChainSumma
     }
     if t_grid is not None:
         ts = np.asarray(t_grid, dtype=float)
-        vals = np.empty((draws.shape[0], ts.size))
-        cums = np.empty_like(vals)
-        for i, coeffs in enumerate(draws):
-            gamma = PolyIntensity(tuple(coeffs))
-            vals[i] = gamma.eval_many(ts)
-            cums[i] = gamma.cum_many(ts)
+        powers = np.vander(ts, draws.shape[1], increasing=True)
+        vals = draws @ powers.T
+        # Gamma(t) = sum_p c_p t^(p+1) / (p + 1).
+        cums = (draws / np.arange(1, draws.shape[1] + 1)) @ (powers * ts[:, None]).T
         out.update(
             grid=ts,
             gamma_mean=vals.mean(axis=0),
@@ -515,10 +512,13 @@ def read_chain_csv(source: str | Path | TextIO) -> Chain:
         if row[-1] not in ("0", "1"):
             raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
         try:
-            draws.append([float(v) for v in row[1 : 1 + d]])
+            coeffs = [float(v) for v in row[1 : 1 + d]]
             lls.append(float(row[-2]))
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc}") from None
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValidationError(f"{where}: coefficients must be finite")
+        draws.append(coeffs)
         acc.append(row[-1] == "1")
     if not draws:
         raise ValidationError("chain CSV has no draws")

@@ -1,21 +1,22 @@
-"""Polynomial intensity functions and the exponential-kernel integrals.
+"""Polynomial intensity functions and the exponential-kernel moments.
 
 The latent jump rate gamma(t) is a polynomial with nonnegative values on the
-working interval [0, T].  Everything the likelihood needs from gamma reduces
-to three integrals, all available in closed form:
+working interval [0, T].  Everything the simulator and the likelihood need
+from gamma reduces to three integrals, all available in closed form:
 
-    cum(t)                      Gamma(t) = int_0^t gamma(s) ds
-    alpha_integral(w, T, a, b)  int_a^b exp(-w (T - t)) gamma(t) dt
-    lambda_integral(w, T)       int_0^T (1 - exp(-w (T - t))) gamma(t) dt
+    Gamma(t)    int_0^t gamma(s) ds                  (``cum``)
+    A(t)        int_0^t e^{-w (T - s)} gamma(s) ds   (the kernel mass)
+    int lambda  int_0^T (1 - e^{-w (T - s)}) gamma(s) ds
 
-The last two are linear in the coefficients of gamma.  ``gap_moments`` and
-``lambda_moments`` give their values on the monomials t^p, so a caller that
-keeps w and the intervals fixed (the likelihood of one path) computes them
-once and then needs one dot product per gamma.  ``gap_moments`` discounts
-each interval to its own right end rather than to T, so its rows never
-underflow; the factor e^{-w (T - b)} is left to the caller.  Both are built
-from moments of the bounded kernel e^{-z (1 - u)} on [0, 1], never
-quadrature, and stay finite for any w T.
+The last two are linear in the coefficients c of gamma.  ``kernel_moments``
+and ``lambda_moments`` give their values on the monomials s^p, so a caller
+that keeps w and the times fixed (the likelihood of one path) computes them
+once and then needs one dot product per gamma.  ``kernel_moments`` discounts
+each row to its own time t rather than to T, so its rows never underflow:
+A(t) = e^{-w (T - t)} (kernel_moments(w, t, degree) @ c), and the factor
+e^{-w (T - t)} is left to the caller.  Both are built from moments of the
+bounded kernel e^{-z (1 - u)} on [0, 1], never quadrature, and stay finite
+for any w T.
 
 Nonnegativity on [0, T] is decided at 1025 evenly spaced times, always from
 the values V c of ``nonneg_matrix`` and with the tolerance of
@@ -93,7 +94,11 @@ class PolyIntensity:
         """Smallest t in [0, T] with Gamma(t) = u, or inf when u > Gamma(T).
 
         Gamma is monotone on [0, T] once nonnegativity holds, so bisection is
-        safe; Newton steps accelerate it.  Absolute tolerance 1e-12 in t.
+        safe; Newton steps accelerate it.  A Newton step is taken only where
+        it stays inside the bracket and is at most half the previous step,
+        else the bracket is bisected, so a flat point of Gamma (where Newton
+        converges only linearly) costs at most two steps per halving.  Stops
+        when the bracket or an accepted Newton step is at most 1e-12 wide.
         """
         if u < 0:
             raise ValidationError("cumulative mass is nonnegative")
@@ -103,21 +108,24 @@ class PolyIntensity:
         if u > total:
             return math.inf
         lo, hi = 0.0, float(T)
-        t = 0.5 * (lo + hi)
+        t, last = 0.5 * hi, hi
         for _ in range(_INVERSE_MAX_ITER):
             f = self.cum(t) - u
             if f >= 0.0:
                 hi = t
             else:
                 lo = t
-            if hi - lo <= _INVERSE_TOL:
-                return hi
             slope = self.eval(t)
-            if slope > 0.0:
-                step = t - f / slope
-                t = step if lo < step < hi else 0.5 * (lo + hi)
+            step = f / slope if slope > 0.0 else math.inf
+            if lo <= t - step <= hi and abs(step) <= 0.5 * last:
+                t, last = t - step, abs(step)
+                if last <= _INVERSE_TOL:
+                    return t
+            elif hi - lo <= _INVERSE_TOL:
+                return hi
             else:
-                t = 0.5 * (lo + hi)
+                last = 0.5 * (hi - lo)
+                t = lo + last
         raise ConvergenceError("cumulative-mass inversion did not converge")
 
     def is_nonneg(self, T: float) -> bool:
@@ -165,13 +173,15 @@ def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.nda
 
     Each element starts at min(u T / Gamma(T), T) inside the bracket [0, T]
     and narrows the bracket with the sign of Gamma(t) - u at every iterate.
-    A Newton step is taken only where it stays inside the bracket and moves
-    by at most half the bracket's width; everywhere else the bracket is
-    bisected, so flat stretches of Gamma (gamma = 0 at a point) cannot throw
-    an iterate out.  An element is done when its accepted step or its
-    bracket is at most 1e-12 T.  Every element iterates on its own, so the
-    masses are taken in blocks of 2^14, which bounds the working arrays and
-    changes no bit.
+    A Newton step is taken only where it stays inside the bracket and is at
+    most half the element's previous step (the rule of Numerical Recipes'
+    rtsafe; a bisection counts as a step of half the bracket); everywhere
+    else the bracket is bisected.  So flat stretches of Gamma cannot throw
+    an iterate out, and at a flat point, where Newton converges only
+    linearly, the bracket still halves at least every second iteration.  An
+    element is done when its accepted step or its bracket is at most
+    1e-12 T.  Every element iterates on its own, so the masses are taken in
+    blocks of 2^14, which bounds the working arrays and changes no bit.
     """
     us = np.asarray(us, dtype=float)
     if us.size > _INVERSE_BLOCK:
@@ -182,6 +192,7 @@ def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.nda
     idx, u = np.arange(us.size), us
     lo, hi = np.zeros_like(u), np.full_like(u, float(T))
     t = np.minimum(u * (T / total), T) if total > 0.0 else lo
+    last = hi
     for _ in range(_INVERSE_MAX_ITER):
         f = gamma.cum_many(t) - u
         above = f >= 0.0
@@ -189,12 +200,12 @@ def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.nda
         slope = gamma.eval_many(t)
         newton = t - f / np.where(slope > 0.0, slope, 1.0)
         step, half = np.abs(newton - t), 0.5 * (hi - lo)
-        ok = (slope > 0.0) & (lo <= newton) & (newton <= hi) & (step <= half)
+        ok = (slope > 0.0) & (lo <= newton) & (newton <= hi) & (step <= 0.5 * last)
         done = (ok & (step <= tol)) | (hi - lo <= tol)
         out[idx[done]] = np.where(ok, newton, hi)[done]
-        t = np.where(ok, newton, lo + half)
+        t, last = np.where(ok, newton, lo + half), np.where(ok, step, half)
         keep = ~done
-        idx, u, lo, hi, t = idx[keep], u[keep], lo[keep], hi[keep], t[keep]
+        idx, u, lo, hi, t, last = idx[keep], u[keep], lo[keep], hi[keep], t[keep], last[keep]
         if not idx.size:
             return out
     raise ConvergenceError("cumulative-mass inversion did not converge")
@@ -246,56 +257,22 @@ def _decay_moments(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
-def gap_moments(w: float, T: float, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """int_(a_i)^(b_i) e^{-w (b_i - s)} s^p ds for p = 0..degree, one row per interval.
+def kernel_moments(w: float, t: np.ndarray, degree: int) -> np.ndarray:
+    """int_0^(t_i) e^{-w (t_i - s)} s^p ds = t_i^(p+1) mu_p(w t_i) for p = 0..degree,
+    one row per time.
 
-    Each interval is discounted to its own right end, so no row underflows
-    however far b_i lies from T.  With h = b - a, z = w h and s = a + h u the
-    integrand becomes e^{-z (1 - u)} T^p (a/T + (h/T) u)^p.  The binomial
-    expansion of the last factor has only nonnegative terms, each a decay
-    moment mu_j(z) (``_decay_moments``) times factors at most 1, so the rows
-    are positive, cancellation-free and overflow only through T^p.  Requires
-    w > 0, T > 0 and 0 <= a <= b <= T elementwise.
+    Each row is discounted to its own time t_i, not to T, so no row
+    underflows however far t_i lies from T.  A row is one decay moment
+    (``_decay_moments``) times a power of t_i, so it is nonnegative,
+    cancellation-free, and overflows only through t_i^(p+1).  Requires
+    w > 0 and t_i >= 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    h = b - a
-    mu, _ = _decay_moments(w * h, degree)
-    p = np.arange(degree + 1)
-    a_pow = (a / T)[:, None] ** p
-    h_mu = mu * (h / T)[:, None] ** p
-    out = np.empty_like(mu)
-    for q in range(degree + 1):
-        binom = np.array([math.comb(q, i) for i in range(q + 1)], dtype=float)
-        out[:, q] = (binom * a_pow[:, q::-1] * h_mu[:, : q + 1]).sum(axis=1)
-    return out * h[:, None] * float(T) ** p
+    t = np.asarray(t, dtype=float)
+    mu, _ = _decay_moments(w * t, degree)
+    return mu * t[:, None] ** np.arange(1, degree + 2)
 
 
 def lambda_moments(w: float, T: float, degree: int) -> np.ndarray:
     """int_0^T (1 - e^{-w (T - s)}) s^p ds = T^(p+1) nu_p(w T) for p = 0..degree."""
     _, nu = _decay_moments(np.array([w * T]), degree)
     return nu[0] * float(T) ** np.arange(1, degree + 2)
-
-
-def alpha_integral(gamma: PolyIntensity, w: float, T: float, a: float, b: float) -> float:
-    """int_a^b exp(-w (T - t)) gamma(t) dt in closed form (``gap_moments``).
-
-    Requires 0 <= a <= b <= T and w > 0.
-    """
-    if not w > 0:
-        raise ValidationError("jump weight w must be positive")
-    if not (0.0 <= a <= b <= T):
-        raise ValidationError("integral bounds must satisfy 0 <= a <= b <= T")
-    if a == b:
-        return 0.0
-    row = gap_moments(w, T, np.array([a]), np.array([b]), gamma.degree)[0]
-    return float(row @ np.asarray(gamma.coeffs)) * math.exp(-w * (T - b))
-
-
-def lambda_integral(gamma: PolyIntensity, w: float, T: float) -> float:
-    """int_0^T (1 - exp(-w (T - t))) gamma(t) dt (``lambda_moments``); nonnegative when gamma is."""
-    if not w > 0:
-        raise ValidationError("jump weight w must be positive")
-    if not T >= 0.0:
-        raise ValidationError("horizon T must be nonnegative")
-    return float(lambda_moments(w, T, gamma.degree) @ np.asarray(gamma.coeffs))

@@ -21,12 +21,11 @@ A_m and int lambda are linear in the coefficients c of gamma: A = B c and
 int lambda = L c, with moment tables B (M x (degree + 1)) and L that depend
 only on the path, w and the degree.  ``MarginalLikelihood`` builds them once,
 so one evaluation costs two small matrix-vector products and the DP.  B is
-stored as B~_m = e^{w (T - t_m)} B_m = int_0^(t_m) e^{-w (t_m - s)} s^p ds,
-which is ``gap_moments`` over the intervals [0, t_m]: with a left end of 0
-its binomial expansion collapses to t_m^(p+1) mu_p(w t_m), one decay moment
-with no sum and so no cancellation.  -w (T - t_m) is added to log A_m as a
-log offset, so a mass whose factor e^{-w (T - t_m)} is below the double
-range is still exact.
+stored as B~_m = e^{w (T - t_m)} B_m = int_0^(t_m) e^{-w (t_m - s)} s^p ds
+= t_m^(p+1) mu_p(w t_m) (``kernel_moments``), one decay moment with no sum
+and so no cancellation.  -w (T - t_m) is added to log A_m as a log offset,
+so a mass whose factor e^{-w (T - t_m)} is below the double range is still
+exact.
 
 The gradient comes from the same pass.  The sensitivity rows
 D_p f_m(k) = d f_m(k) / d c_p follow the recurrence of f plus a source term,
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import MAX_DEGREE, gap_moments, grid_nonneg, lambda_moments, nonneg_matrix
+from .intensity import MAX_DEGREE, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
 from .paths import CountPath, ModelParams
 
 # Steps of the DP per block of shared views (see ``MarginalLikelihood._run``).
@@ -106,7 +105,7 @@ class MarginalLikelihood:
         self.w = w
         self.degree = degree
         times = x.jumps
-        self._B = gap_moments(w, x.T, np.zeros_like(times), times, degree)
+        self._B = kernel_moments(w, times, degree)
         self._L = lambda_moments(w, x.T, degree)
         self.V = nonneg_matrix(x.T, degree)
         with np.errstate(divide="ignore"):
@@ -237,14 +236,3 @@ def marginal_loglik(x: CountPath, params: ModelParams) -> MarginalResult:
     params.validate(x.T)
     gamma = params.gamma
     return MarginalLikelihood(x, params.beta0, params.w, gamma.degree).loglik(gamma.coeffs)
-
-
-def batch_loglik(paths: list[CountPath], params: ModelParams) -> list[MarginalResult]:
-    """Element-wise marginal_loglik; the first failing element is reported."""
-    out: list[MarginalResult] = []
-    for i, path in enumerate(paths):
-        try:
-            out.append(marginal_loglik(path, params))
-        except (ValidationError, ValueError) as exc:
-            raise ValidationError(f"path {i}: {exc}") from exc
-    return out

@@ -47,17 +47,6 @@ _MC_MIN_ESS = 100.0
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Number of uniform lattice steps of the grid oracle."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError("grid resolution n must be at least 2")
-
-
-@dataclass(frozen=True)
 class McSpec:
     N: int
     seed: int = 0
@@ -108,19 +97,21 @@ def _grid_filter(x: CountPath, params: ModelParams, n: int, y_max: int) -> tuple
     return f, log_scale
 
 
-def grid_marginal(x: CountPath, params: ModelParams, spec: GridSpec) -> float:
-    """log p(x) from the forward filter on the lattice of ``spec.n`` uniform
-    steps plus the event times (``_grid_filter``).
+def grid_marginal(x: CountPath, params: ModelParams, n: int) -> float:
+    """log p(x) from the forward filter on the lattice of n >= 2 uniform steps
+    plus the event times (``_grid_filter``).
 
     The truncation level starts at ``default_y_max(Gamma(T))`` and doubles
     until the log value moves by at most 1e-12 max(1, |value|); the
     truncated value only grows with the level.  Each filter run at level 2k
     also gives the value at level k, so a stable level costs one run.
     """
+    if n < 2:
+        raise ValidationError("grid resolution n must be at least 2")
     params.validate(x.T)
     k = default_y_max(params.gamma.cum(x.T))
     while True:
-        f, log_scale = _grid_filter(x, params, spec.n, 2 * k)
+        f, log_scale = _grid_filter(x, params, n, 2 * k)
         total, part = float(f.sum()), float(f[: k + 1].sum())
         if total == 0.0:
             return -math.inf
@@ -140,7 +131,7 @@ def grid_check(x: CountPath, params: ModelParams, n: int, loglik: float) -> dict
     and cannot decide (pass None) when err_nats exceeds 0.1 nats or is not
     a number.
     """
-    g_quarter, g_half, g = (grid_marginal(x, params, GridSpec(n=k)) for k in (n // 4, n // 2, n))
+    g_quarter, g_half, g = (grid_marginal(x, params, k) for k in (n // 4, n // 2, n))
     star = 2.0 * g - g_half
     err = abs(star - (2.0 * g_half - g_quarter))
     ok = abs(star - loglik) <= max(err, 1e-9 * max(1.0, abs(loglik)))

@@ -283,6 +283,17 @@ def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
     assert err.startswith("validation-error:") and "line 3" in err
 
 
+def test_non_finite_chain_coefficient_is_a_validation_error(tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,c0,c1,loglik,accepted\n0,1.5,0.1,-3.0,1\n1,nan,0.1,-3.0,0\n", encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    rc = cli.main(["summarize", "--chain", str(chain), "--grid", "0:1:3", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation-error:") and "line 3" in err and "finite" in err
+    assert not out.exists()
+
+
 def strict_json(text):
     """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
 

@@ -90,3 +90,9 @@ def test_mle_fit_loads_no_scipy(fresh_run):
 def test_cli_runs_without_scipy(tmp_path):
     codes = run_fresh(_NO_SCIPY_SCRIPT, str(tmp_path))
     assert codes == {"simulate": 0, "fit-mle": 0, "fit-mcmc": 0, "validate": 0}
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from marcox import *", namespace)
+    assert set(marcox.__all__) <= set(namespace)

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from marcox.errors import ValidationError
-from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, write_chain_csv
+from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, summarize, write_chain_csv
 from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams
@@ -307,6 +307,8 @@ class TestChainCsv:
             ("1,0.5,0.5,-3.0,2", "accepted must be 0 or 1"),
             ("1,0.5,0.5,1", "expected 5 fields, got 4"),
             ("1,0.5,0.5,-3.0,1,7", "expected 5 fields, got 6"),
+            ("1,nan,0.5,-3.0,1", "coefficients must be finite"),
+            ("1,0.5,-inf,-3.0,1", "coefficients must be finite"),
         ],
     )
     def test_malformed_row_names_its_line(self, row, message):
@@ -314,3 +316,38 @@ class TestChainCsv:
         with pytest.raises(ValidationError, match=message) as info:
             read_chain_csv(io.StringIO(text))
         assert "line 3" in str(info.value)
+
+
+class TestSummarize:
+    def test_bands_are_the_per_draw_quantiles(self):
+        """The bands over the grid are the quantiles and means of each draw's
+        gamma (eval_many) and Gamma (cum_many)."""
+        rng = np.random.default_rng(8)
+        draws = np.column_stack([rng.uniform(0.5, 2.0, 301), rng.normal(0.0, 0.1, 301), rng.normal(0.0, 0.01, 301)])
+        chain = Chain(
+            draws=draws,
+            logliks=np.zeros(301),
+            accepted=np.ones(301, dtype=bool),
+            accept_rate=1.0,
+            seed=0,
+            n_evals=301,
+            n_support_rejected=0,
+            proposal_sd=np.ones(3),
+        )
+        ts = np.linspace(0.0, 7.0, 15)
+        got = summarize(chain, t_grid=ts)
+        gammas = [PolyIntensity(tuple(c)) for c in draws]
+        vals = np.array([g.eval_many(ts) for g in gammas])
+        cums = np.array([g.cum_many(ts) for g in gammas])
+        np.testing.assert_array_equal(got.grid, ts)
+        for band, want in (
+            (got.gamma_mean, vals.mean(axis=0)),
+            (got.gamma_lo, np.quantile(vals, 0.025, axis=0)),
+            (got.gamma_hi, np.quantile(vals, 0.975, axis=0)),
+            (got.cum_mean, cums.mean(axis=0)),
+            (got.cum_lo, np.quantile(cums, 0.025, axis=0)),
+            (got.cum_hi, np.quantile(cums, 0.975, axis=0)),
+        ):
+            np.testing.assert_allclose(band, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(got.coeff_mean, draws.mean(axis=0))
+        np.testing.assert_array_equal(got.coeff_quantiles, np.quantile(draws, [0.025, 0.5, 0.975], axis=0))

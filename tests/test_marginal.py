@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
 from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg
-from marcox.marginal import _BLOCK, MarginalLikelihood, batch_loglik, marginal_loglik
+from marcox.marginal import _BLOCK, MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
@@ -389,24 +389,3 @@ class TestMarginalLoglik:
         assert sim.x.count > 150
         res = marginal_loglik(sim.x, params)
         assert math.isfinite(res.loglik)
-
-
-class TestBatchLoglik:
-    def test_empty(self):
-        assert batch_loglik([], UNIT) == []
-
-    def test_singleton_matches_direct(self):
-        x = load_path([0.5], 1.0)
-        assert batch_loglik([x], UNIT)[0].loglik == marginal_loglik(x, UNIT).loglik
-
-    def test_order_preserved_bitwise(self):
-        xs = [load_path([0.2], 1.0), load_path([], 1.0), load_path([0.4, 0.7], 1.0)]
-        got = batch_loglik(xs, UNIT)
-        for x, r in zip(xs, got):
-            assert r.loglik == marginal_loglik(x, UNIT).loglik
-
-    def test_failure_reports_index(self):
-        bad = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.1, -1.0)))
-        xs = [load_path([0.5], 1.0)]
-        with pytest.raises(ValidationError, match="path 0"):
-            batch_loglik(xs, bad)

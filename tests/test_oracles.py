@@ -9,7 +9,6 @@ from marcox.errors import ValidationError
 from marcox.intensity import PolyIntensity
 from marcox.marginal import marginal_loglik
 from marcox.oracles import (
-    GridSpec,
     McSpec,
     _grid_filter,
     _mc_chunk,
@@ -37,7 +36,7 @@ class TestGridMarginal:
         plain Poisson density at any resolution."""
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
         x = load_path([0.1, 0.5, 0.9], 1.0)
-        val = grid_marginal(x, params, GridSpec(n=2**14))
+        val = grid_marginal(x, params, 2**14)
         assert val == pytest.approx(math.log(8.0) - 2.0, rel=1e-10)
 
     def test_no_event_convergence_rate(self):
@@ -45,14 +44,14 @@ class TestGridMarginal:
         x = load_path([], 1.0)
         errs = []
         for n in (2**8, 2**10, 2**12, 2**14):
-            errs.append(abs(grid_marginal(x, UNIT, GridSpec(n=n)) - math.log(P_EMPTY)))
+            errs.append(abs(grid_marginal(x, UNIT, n) - math.log(P_EMPTY)))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine < coarse / 2.5  # quartering expected for 4x n
         assert errs[-1] < 2e-5 / P_EMPTY  # 2e-5 in p, in nats
 
     def test_single_event_value(self):
         x = load_path([0.5], 1.0)
-        val = grid_marginal(x, UNIT, GridSpec(n=2**14))
+        val = grid_marginal(x, UNIT, 2**14)
         assert val == pytest.approx(math.log(P_ONE), abs=2e-4)
 
     def test_truncation_level_invariance(self):
@@ -65,26 +64,26 @@ class TestGridMarginal:
             for row, scale in (_grid_filter(x, UNIT, 2**10, y) for y in (base_y, 2 * base_y))
         )
         assert b == pytest.approx(a, rel=1e-12) and b >= a
-        assert grid_marginal(x, UNIT, GridSpec(n=2**10)) == pytest.approx(b, rel=1e-12)
+        assert grid_marginal(x, UNIT, 2**10) == pytest.approx(b, rel=1e-12)
 
     def test_truncation_level_follows_the_data(self):
         """1000 events where the prior expects 100 latent points: the prior's
         tail level holds almost none of p(x), and the doubling finds it."""
         x = load_path(np.linspace(0.05, 99.95, 1000), 100.0)
         row, scale = _grid_filter(x, REPRO_A, 2048, default_y_max(REPRO_A.gamma.cum(100.0)))
-        assert grid_marginal(x, REPRO_A, GridSpec(n=2048)) > scale + math.log(row.sum()) + 100.0
+        assert grid_marginal(x, REPRO_A, 2048) > scale + math.log(row.sum()) + 100.0
 
     def test_step_size_guard(self):
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((300.0,)))
         with pytest.raises(ValidationError, match="step size"):
-            grid_marginal(load_path([0.5], 1.0), params, GridSpec(n=128))
+            grid_marginal(load_path([0.5], 1.0), params, 128)
 
     def test_close_events_stay_on_the_lattice(self):
         """Two events 1e-4 apart inside one lattice step of 1/128 are both
         lattice nodes: the value is finite and within first order of the DP."""
         x = load_path([0.5001, 0.5002], 1.0)
         exact = marginal_loglik(x, UNIT).loglik
-        errs = [grid_marginal(x, UNIT, GridSpec(n=n)) - exact for n in (128, 256)]
+        errs = [grid_marginal(x, UNIT, n) - exact for n in (128, 256)]
         assert all(math.isfinite(e) and abs(e) < 1.0 / 128 for e in errs)
         assert 0.4 < errs[1] / errs[0] < 0.6
 
@@ -113,7 +112,7 @@ class TestGridCoeffMarginal:
         x = load_path([0.3, 0.7], 1.0)
         gaps = []
         for n in (2**9, 2**10, 2**11):
-            a = math.exp(grid_marginal(x, params, GridSpec(n=n)))
+            a = math.exp(grid_marginal(x, params, n))
             b = grid_coeff_marginal(x, params, n)
             gaps.append(abs(a - b))
         assert gaps[2] < 0.6 * gaps[1] or gaps[2] < 1e-12
@@ -122,7 +121,7 @@ class TestGridCoeffMarginal:
     def test_agreement_with_forward_filter_moderate_n(self):
         params = ModelParams(beta0=1.0, w=2.0, gamma=PolyIntensity((0.5, 1.0)))
         x = load_path([0.2, 0.9, 1.4], 1.5)
-        a = math.exp(grid_marginal(x, params, GridSpec(n=2**10)))
+        a = math.exp(grid_marginal(x, params, 2**10))
         b = grid_coeff_marginal(x, params, 2**10)
         assert b == pytest.approx(a, rel=5e-3)
 
@@ -230,8 +229,8 @@ class TestChecks:
 
 class TestSpecs:
     def test_grid_spec_validation(self):
-        with pytest.raises(ValidationError):
-            GridSpec(n=1)
+        with pytest.raises(ValidationError, match="at least 2"):
+            grid_marginal(load_path([0.5], 1.0), UNIT, 1)
 
     def test_mc_spec_validation(self):
         with pytest.raises(ValidationError):
