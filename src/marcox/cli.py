@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -344,6 +345,7 @@ _VALIDATE_HELP = (
 )
 
 
+@functools.cache  # built at the first main call, then reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marcox", description=__doc__)
     parser.add_argument("--version", action="version", version=f"marcox {__version__}")

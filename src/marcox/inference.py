@@ -17,9 +17,11 @@ programming in numpy.  Each step takes the exact gradient from
 ``MarginalLikelihood.loglik_grad``, one forward pass over the events, and
 solves a quadratic model under the linear constraints V c >= 0, the 1025
 rows of the same V, with a dual active-set method (``_qp_step``); a damped
-BFGS update keeps the model's Hessian.  On paths of M = 80 events with two
-coefficients it converges in 7 to 13 likelihood passes (10.1 on average over
-128 paths), where a Nelder-Mead simplex needs 130 to 270.
+BFGS update keeps the model's Hessian, started at the information of a
+Poisson process with X's marginal mean rate.  On paths of M = 80 events with
+two coefficients it converges in 4 to 9 likelihood passes (7.2 on average
+over 832 paths), where a Nelder-Mead simplex needs 130 to 270; with three to
+five coefficients it takes 7 to 10.
 """
 
 from __future__ import annotations
@@ -312,20 +314,26 @@ def _qp_step(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray) -> tupl
     return p, work, lam
 
 
-def _sqp(objective, in_support, V: np.ndarray, c: np.ndarray) -> bool:
+def _sqp(objective, in_support, start_hessian, V: np.ndarray, c: np.ndarray) -> bool:
     """Minimize objective (value, gradient) over V c >= 0 from c; whether it converged.
 
-    ``mle_fit`` documents the iteration and its stopping rules; the caller
-    keeps the best point, and ``objective`` raises ``_BudgetSpent`` to stop.
+    ``start_hessian(c)`` gives the first Hessian once the start's value is
+    finite, or None for I max|gradient|.  ``mle_fit`` documents the
+    iteration and its stopping rules; the caller keeps the best point, and
+    ``objective`` raises ``_BudgetSpent`` to stop.
     """
     f, g = objective(c)
     if not (math.isfinite(f) and np.isfinite(g).all()):
         return False
-    H = np.eye(c.size) * (np.abs(g).max() or 1.0)
+    H = start_hessian(c)
+    if H is None:
+        H = np.eye(c.size) * (np.abs(g).max() or 1.0)
     while True:
         p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0))[0]
         slope = float(g @ p)
-        if not slope < 0.0:
+        # No descent left, or the model promises less than the realized
+        # decrease that would end the fit one pass later.
+        if not slope < 0.0 or -(slope + 0.5 * float(p @ H @ p)) <= _FTOL * max(abs(f), 1.0):
             return True
         step = 1.0
         while True:
@@ -369,18 +377,30 @@ def mle_fit(
     check and ``is_nonneg`` see the same values of gamma.  Each iteration
     solves the quadratic model of -loglik under those constraints
     (``_qp_step``; a check time where gamma already dips below zero by
-    rounding may not dip further), with a Powell-damped BFGS Hessian
-    started at I max|gradient|, and backtracks along the step until the
-    Armijo condition holds: to the minimizer of the quadratic through the
-    two values and the slope, kept within [0.1, 0.5] of the last trial.
-    A trial point outside ``MarginalLikelihood.in_support`` halves the step
-    without a likelihood pass.
+    rounding may not dip further), with a Powell-damped BFGS Hessian, and
+    backtracks along the step until the Armijo condition holds: to the
+    minimizer of the quadratic through the two values and the slope, kept
+    within [0.1, 0.5] of the last trial.  A trial point outside
+    ``MarginalLikelihood.in_support`` halves the step without a likelihood
+    pass.
+
+    The first Hessian is J^T J with J_m = w dGamma(t_m) / (beta0 +
+    w Gamma(t_m)) at the start, where dGamma(t) = (t^(p+1) / (p+1))_p: the
+    observed information of a Poisson process with X's marginal mean rate
+    beta0 + w Gamma(t), which carries the scale of each monomial.  It is
+    built only once the start's log-likelihood is finite, which makes every
+    denominator positive; with fewer events than coefficients, or where
+    rounding leaves J^T J not positive definite, the fit starts from
+    I max|gradient| instead.
 
     ``budget`` caps the likelihood passes and must be at least 1.  The fit
-    has ``converged=True`` when the QP step vanishes (no descent left) or
-    -loglik changes by at most 1e-10 relative to max(|-loglik|, 1); it has
-    ``converged=False`` when the budget is spent or the step falls below
-    1e-10 of the QP step.  The reported point is the best one evaluated,
+    has ``converged=True`` when the QP step gives no descent, when the
+    decrease of -loglik the QP model predicts for its step is at most 1e-10
+    relative to max(|-loglik|, 1) (the fit then ends without evaluating the
+    step), or when the realized decrease of an accepted step is that small;
+    it has ``converged=False`` when the start's log-likelihood is not
+    finite, the budget is spent or the step falls below 1e-10 of the QP
+    step.  The reported point is the best one evaluated,
     with c_0 raised, where needed, until V c >= 0 holds with no tolerance;
     after such a move the log-likelihood is recomputed at the moved point
     (one ``loglik`` call outside the count), so it equals
@@ -414,8 +434,21 @@ def mle_fit(
             best_ll, best_c = res.loglik, coeffs
         return -res.loglik, -grad
 
+    def start_hessian(coeffs: np.ndarray) -> np.ndarray | None:
+        """J^T J, J_m = w dGamma(t_m) / (beta0 + w Gamma(t_m)); None unless positive definite."""
+        if x.count < d:  # rank at most M; Cholesky can still pass on rounding
+            return None
+        grad_cum = x.jumps[:, None] ** np.arange(1, d + 1) / np.arange(1, d + 1)
+        J = w * grad_cum / (beta0 + w * (grad_cum @ coeffs))[:, None]
+        H = J.T @ J
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            return None
+        return H
+
     try:
-        converged = _sqp(objective, lik.in_support, V, x0)
+        converged = _sqp(objective, lik.in_support, start_hessian, V, x0)
     except _BudgetSpent:
         converged = False
     # The QP holds V c >= 0 only to rounding; raise c_0 until the reported

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,3 +392,50 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
         "events.csv",
         "fit.json",
     ]
+
+
+def test_successive_calls_match_separate_processes(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process; a run of calls in one process,
+    a usage error among them, prints and exits as each call does alone."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))
+    events = tmp_path / "events.csv"
+    write_events_csv(events, simulate(params, 10.0, seed=11).x.jumps)
+    model = write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 2}), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"T": 10.0, "w": 0.5, "degree": 1, "seed": -1}), encoding="utf-8")
+    loglik = ["loglik", "--events", str(events), "--config", model]
+    argvs = [
+        loglik,
+        ["simulate", "--config", model, "--seed", "x", "--out", str(tmp_path / "never.csv")],
+        loglik,
+        ["fit-mle", "--events", str(events), "--config", str(fit)],
+        ["fit-mle", "--events", str(events), "--config", str(bad)],
+        loglik,
+    ]
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    together = [in_process(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = "import sys\nfrom marcox import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    alone = []
+    for argv in argvs:
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        alone.append((run.returncode, run.stdout, run.stderr))
+    assert [code for code, _, _ in together] == [0, cli.EXIT_USAGE, 0, 0, cli.EXIT_CONFIG, 0]
+    assert together == alone
+    assert strict_json(together[3][1])["converged"] is True

@@ -2,16 +2,18 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from marcox import inference
 from marcox.errors import ValidationError
 from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, summarize, write_chain_csv
 from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, marginal_loglik
-from marcox.paths import ModelParams
+from marcox.paths import CountPath, ModelParams
 from marcox.simulator import simulate
 
 BETA0, W = 1.0, 0.5
@@ -163,13 +165,25 @@ def nelder_mead_best(x, start, maxfev=2000):
     return -minimize(objective, np.asarray(start, float), method="Nelder-Mead", options=opts).fun
 
 
+def qp_hessians(monkeypatch):
+    """The Hessians of the QP models solved by _qp_step, recorded as they come."""
+    seen = []
+
+    def recording(H, g, A, b):
+        seen.append(H.copy())
+        return _qp_step(H, g, A, b)
+
+    monkeypatch.setattr(inference, "_qp_step", recording)
+    return seen
+
+
 class TestMleFit:
     @pytest.mark.parametrize("seed", FIT_SEEDS)
     def test_reaches_long_nelder_mead_optimum(self, seed):
         x = fit_path(seed)
         res = mle_fit(x, (BETA0, W), degree=1, start=TRUTH, budget=100)
         assert res.converged
-        assert res.n_evals <= 20
+        assert res.n_evals <= 10
         assert res.loglik >= nelder_mead_best(x, TRUTH) - 1e-6
         gamma = PolyIntensity(tuple(res.coeffs))
         assert gamma.is_nonneg(x.T)
@@ -183,10 +197,62 @@ class TestMleFit:
         assert 30 <= x.count <= 120
         res = mle_fit(x, (BETA0, W), degree=2, start=truth, budget=200)
         assert res.converged and res.coeffs.shape == (3,)
+        assert res.n_evals <= 12
         assert PolyIntensity(tuple(res.coeffs)).is_nonneg(x.T)
         assert res.loglik >= nelder_mead_best(x, truth) - 1e-6
         params = ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs)))
         assert marginal_loglik(x, params).loglik == res.loglik
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    @pytest.mark.parametrize("seed", [40, 386, 463])
+    def test_high_degree(self, seed, degree):
+        x = fit_path(seed)
+        start = TRUTH + (0.0,) * (degree - 1)
+        res = mle_fit(x, (BETA0, W), degree=degree, start=start, budget=200)
+        assert res.converged and res.n_evals <= 15
+        assert res.loglik >= nelder_mead_best(x, start) - 1e-6
+
+    @pytest.mark.parametrize("seed", FIT_SEEDS)
+    def test_restart_at_the_optimum_takes_one_pass(self, seed):
+        """The QP step's predicted decrease ends a fit started at its own
+        optimum before any trial point is evaluated."""
+        x = fit_path(seed)
+        first = mle_fit(x, (BETA0, W), degree=1, start=TRUTH)
+        again = mle_fit(x, (BETA0, W), degree=1, start=first.coeffs)
+        assert again.converged and again.n_evals == 1
+        assert again.loglik == first.loglik
+
+    def test_starts_from_the_poisson_information(self, monkeypatch):
+        """The first QP model's Hessian is J^T J with J_m = w dGamma(t_m) /
+        (beta0 + w Gamma(t_m)), the information of a Poisson process with
+        the marginal mean rate of X."""
+        hessians = qp_hessians(monkeypatch)
+        x = fit_path(40)
+        mle_fit(x, (BETA0, W), degree=1, start=TRUTH)
+        t = x.jumps
+        J = W * np.column_stack([t, t**2 / 2]) / (BETA0 + W * (TRUTH[0] * t + TRUTH[1] * t**2 / 2))[:, None]
+        np.testing.assert_allclose(hessians[0], J.T @ J, rtol=1e-12)
+
+    @pytest.mark.parametrize("jumps", [[], [3.7]], ids=["M=0", "M=1"])
+    def test_too_few_events_start_from_a_scaled_identity(self, monkeypatch, jumps):
+        """With fewer events than coefficients J^T J is singular; the fit
+        starts from I max|gradient| instead and still converges."""
+        hessians = qp_hessians(monkeypatch)
+        res = mle_fit(CountPath(10.0, np.array(jumps)), (BETA0, W), degree=2)
+        assert res.converged
+        H = hessians[0]
+        assert H[0, 0] > 0.0 and np.array_equal(H, H[0, 0] * np.eye(3))
+
+    def test_impossible_start_stops_after_one_pass(self):
+        """beta0 = 0 and gamma = 0 cannot produce an event: the start's
+        log-likelihood is -inf, and the fit stops there without a warning."""
+        x = CountPath(10.0, np.array([1.0, 2.5, 7.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = mle_fit(x, (0.0, W), degree=1, start=(0.0, 0.0))
+        assert not res.converged and res.n_evals == 1
+        assert res.loglik == -math.inf
+        np.testing.assert_array_equal(res.coeffs, [0.0, 0.0])
 
     def test_points_outside_the_support_cost_no_pass(self, monkeypatch):
         """A trial point outside the support halves the step without a
