@@ -262,6 +262,8 @@ def _cmd_fit_mcmc(args) -> int:
         extra={
             "accept_rate": chain.accept_rate,
             "n_evals": chain.n_evals,
+            "n_bound_rejected": chain.n_bound_rejected,
+            "n_support_rejected": chain.n_support_rejected,
             "diagnostics": list(chain.diagnostics),
         },
     )

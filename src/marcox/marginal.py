@@ -38,6 +38,23 @@ next to f (memory O(M (degree + 2)), no O(M^2) table).  Then
 d log p / d c_p = sum_k D_p f_M(k) / sum_k f_M(k) - L_p.  The value-only
 pass runs the same loop on f alone.
 
+The last row also gives pi(k) = f_M(k) / sum_j f_M(j), the posterior of
+the number of latent points the events attach to (``MarginalResult.log_k``),
+and with it a bound on the likelihood at other coefficients without a pass.
+Unrolled, f_M(k) = sum_{|S| = k} h(S) prod_{m in S} A_m over the sets S of
+events that attach to a new latent point, with weights h(S) >= 0 that do not
+depend on A.  If new coefficients scale the masses by r_m = A'_m / A_m
+(= B~_m c' / B~_m c), every product over S grows by at most the product of
+the |S| largest ratios, r_(1) r_(2) ... r_(|S|) with r_(1) >= r_(2) >= ...,
+so
+
+    log sum_k f'_M(k) <= log sum_k f_M(k) + log sum_k pi(k) prod_(j<=k) r_(j),
+
+with equality when all r_m are equal.  The exponent -beta0 T - L c' is
+computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
+ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
+its pass when even the bound fails the Metropolis test.
+
 A step is three in-place ufunc calls on whole rows (five with the
 gradient), so at M in the hundreds a pass costs interpreter overhead per
 call, not arithmetic.  The views those calls take are cut once per block of
@@ -51,7 +68,7 @@ gradient is the same, bit for bit, as with views cut per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,11 +83,17 @@ _BLOCK = 16
 
 @dataclass(frozen=True)
 class MarginalResult:
-    """loglik = polynomial_term_log + exponent_term."""
+    """loglik = polynomial_term_log + exponent_term.
+
+    ``log_k`` is log pi(k), the posterior of the number of latent points the
+    events attach to, for k = 0..M (the DP's last row less
+    polynomial_term_log); None at the -inf sentinel and when not computed.
+    """
 
     loglik: float
     polynomial_term_log: float
     exponent_term: float
+    log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -119,6 +142,10 @@ class MarginalLikelihood:
             )
         # (shape and bytes of the coefficients, their _masses) of the last in_support.
         self._checked: tuple = (None, None)
+        # (shape and bytes, log masses) of the last pass, and of loglik_bound's
+        # ref_coeffs (None there when a mass is 0).
+        self._passed: tuple = (None, None)
+        self._ref: tuple = (None, None)
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
@@ -149,6 +176,43 @@ class MarginalLikelihood:
         self._checked = ((c.shape, c.tobytes()), masses)
         return masses[2] and grid_nonneg(self.V @ c)
 
+    def loglik_bound(self, coeffs, ref_coeffs, ref: MarginalResult) -> float:
+        """An upper bound on ``loglik(coeffs).loglik`` from ``ref``, the result
+        of a pass at ref_coeffs, in O(M log M) and without a pass.
+
+        log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k) prod_(j<=k)
+        r_(j) - beta0 T - L coeffs, where r_(1) >= r_(2) >= ... are the mass
+        ratios A'_m / A_m in decreasing order and pi = exp(ref.log_k) (module
+        docstring).  Equality holds when every ratio is the same.  The
+        masses at coeffs come from the ``in_support`` cache when the bytes
+        match.  Those at ref_coeffs are kept from the last pass when it ran
+        at ref_coeffs, as it did when a sampler has just accepted them, and
+        reused while ref_coeffs stay the same.  The bound is +inf, so it
+        rejects nothing, when ref's loglik is not finite or a mass at
+        ref_coeffs is 0.
+        """
+        if ref.log_k is None or not math.isfinite(ref.loglik):
+            return math.inf
+        _, scaled, lam = self._admissible_masses(coeffs)
+        r = np.asarray(ref_coeffs, dtype=float)
+        key = (r.shape, r.tobytes())
+        if self._ref[0] != key:
+            passed, log_ref = self._passed
+            if passed != key:
+                ref_scaled = self._admissible_masses(r)[1]
+                with np.errstate(divide="ignore"):
+                    log_ref = np.log(ref_scaled)
+            self._ref = (key, log_ref if log_ref.min(initial=0.0) > -math.inf else None)
+        log_ref = self._ref[1]
+        if log_ref is None:
+            return math.inf
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(scaled) - log_ref
+        # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0) sorts last.
+        gain = np.sort(log_ratio)[::-1].cumsum()
+        log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
+        return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - lam)
+
     def _masses(self, coeffs) -> tuple[np.ndarray, float, bool]:
         """(A_m e^{w (T - t_m)} for all m, int lambda, whether both are admissible)."""
         c = np.asarray(coeffs, dtype=float)
@@ -159,17 +223,26 @@ class MarginalLikelihood:
         ok = bool(np.all(np.isfinite(scaled)) and scaled.min(initial=0.0) >= 0.0 and 0.0 <= lam < math.inf)
         return scaled, lam, ok
 
-    def _run(self, coeffs, grad: bool):
+    def _admissible_masses(self, coeffs) -> tuple[tuple, np.ndarray, float]:
+        """(cache key, ``_masses``) from the ``in_support`` cache when the bytes
+        match; raises ``ValidationError`` unless admissible."""
         c = np.asarray(coeffs, dtype=float)
-        key, masses = self._checked
-        scaled, lam, ok = masses if key == (c.shape, c.tobytes()) else self._masses(c)
+        key = (c.shape, c.tobytes())
+        checked, masses = self._checked
+        scaled, lam, ok = masses if checked == key else self._masses(c)
         if not ok:
             raise ValidationError(
                 "kernel masses must be finite and >= 0: gamma dips below zero on "
                 "[0, T] or has non-finite coefficients"
             )
+        return key, scaled, lam
+
+    def _run(self, coeffs, grad: bool):
+        key, scaled, lam = self._admissible_masses(coeffs)
         with np.errstate(divide="ignore"):
-            log_new = self._log_kernel + np.log(scaled)
+            log_scaled = np.log(scaled)
+        self._passed = (key, log_scaled)
+        log_new = self._log_kernel + log_scaled
         M = scaled.size
         # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
         # log f_m(k) in column 0 followed by the sensitivities log D_p f_m(k).
@@ -214,6 +287,7 @@ class MarginalLikelihood:
             loglik=poly_log + exponent,
             polynomial_term_log=poly_log,
             exponent_term=exponent,
+            log_k=f - poly_log if poly_log > -math.inf else None,
         )
         if not grad:
             return result

@@ -375,6 +375,8 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
         "finished_utc",
         "accept_rate",
         "n_evals",
+        "n_bound_rejected",
+        "n_support_rejected",
         "diagnostics",
     }
     assert manifest["command"] == "fit-mcmc"
@@ -385,6 +387,9 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
     assert started <= datetime.fromisoformat(manifest["finished_utc"])
     assert manifest["accept_rate"] == want.accept_rate
     assert manifest["n_evals"] == want.n_evals
+    assert manifest["n_bound_rejected"] == want.n_bound_rejected
+    assert manifest["n_support_rejected"] == want.n_support_rejected
+    assert want.n_evals + want.n_bound_rejected + want.n_support_rejected == fit["iters"]
     assert manifest["diagnostics"] == list(want.diagnostics)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "chain.csv",

@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
@@ -389,3 +389,87 @@ class TestMarginalLoglik:
         assert sim.x.count > 150
         res = marginal_loglik(sim.x, params)
         assert math.isfinite(res.loglik)
+
+
+def bound_case(M, beta0, w, T, degree, seed):
+    """A MarginalLikelihood on M uniform event times in [0, T] and a pass at
+    nonnegative coefficients drawn from seed."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, T, M))
+    lik = MarginalLikelihood(load_path(times, T), beta0, w, degree)
+    ref_coeffs = rng.uniform(0.0, 2.0, degree + 1) / T ** np.arange(degree + 1)
+    return lik, ref_coeffs, lik.loglik(ref_coeffs)
+
+
+class TestLoglikBound:
+    """loglik_bound bounds loglik from above through the posterior of k."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        M=st.integers(0, 150),
+        beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        w=st.floats(1e-2, 5.0),
+        T=st.floats(1.0, 50.0),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.one_of(
+            st.just(None),
+            st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        ),
+    )
+    def test_bounds_loglik(self, M, beta0, w, T, degree, seed, step):
+        """At a proposal in the support; step None is gamma = 0, which sets
+        every mass to 0."""
+        lik, ref_coeffs, ref = bound_case(M, beta0, w, T, degree, seed)
+        if step is None:
+            coeffs = np.zeros(degree + 1)
+        else:
+            coeffs = ref_coeffs * (1.0 + np.array(step[: degree + 1]))
+        assume(lik.in_support(coeffs))
+        bound = lik.loglik_bound(coeffs, ref_coeffs, ref)
+        assert bound < math.inf  # every reference mass is positive
+        got = lik.loglik(coeffs)
+        slack = 1e-12 * (1.0 + abs(ref.polynomial_term_log) + abs(got.exponent_term))
+        assert got.loglik <= bound + slack
+
+    @pytest.mark.parametrize("beta0", [0.0, 0.7])
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 1.0, 3.0])
+    def test_exact_for_a_common_ratio(self, beta0, scale):
+        """c' = s c scales every mass by s, where the bound is the likelihood."""
+        lik, ref_coeffs, ref = bound_case(120, beta0, 0.8, 20.0, 2, 5)
+        coeffs = scale * ref_coeffs
+        assert lik.in_support(coeffs)
+        assert lik.loglik_bound(coeffs, ref_coeffs, ref) == pytest.approx(lik.loglik(coeffs).loglik, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta0", [0.0, 0.7])
+    def test_posterior_of_k_sums_to_one(self, beta0):
+        lik, _, ref = bound_case(150, beta0, 0.8, 20.0, 1, 6)
+        assert ref.log_k.shape == (151,)
+        assert float(np.sum(np.exp(ref.log_k))) == pytest.approx(1.0, rel=1e-13)
+        assert lik.loglik_grad(np.array([1.0, 0.1]))[0].log_k.shape == (151,)
+
+    def test_single_event_posterior(self):
+        """f_1 = (beta0, w A_1): P(K = 1) = w A_1 / (beta0 + w A_1)."""
+        params = ModelParams(beta0=0.7, w=1.0, gamma=PolyIntensity((1.0,)))
+        res = marginal_loglik(load_path([0.5], 1.0), params)
+        A1 = math.exp(-0.5) - math.exp(-1.0)
+        assert math.exp(res.log_k[1]) == pytest.approx(A1 / (0.7 + A1), rel=1e-14)
+
+    def test_sentinel_has_no_posterior_and_no_bound(self):
+        """At the -inf sentinel log_k is unset, without a RuntimeWarning, and
+        a bound from it rejects nothing."""
+        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.0, 1.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = lik.loglik((0.0,))
+        assert ref.loglik == -math.inf and ref.log_k is None
+        assert lik.in_support((1.0,))
+        assert lik.loglik_bound((1.0,), (0.0,), ref) == math.inf
+
+    def test_zero_reference_mass_bounds_nothing(self):
+        """A reference pass with a mass of 0 gives +inf, not a ratio over 0."""
+        lik = MarginalLikelihood(load_path([0.5, 0.8], 1.0), 0.7, 1.0, 0)
+        ref = lik.loglik((0.0,))
+        assert math.isfinite(ref.loglik)
+        assert lik.in_support((1.0,))
+        assert lik.loglik_bound((1.0,), (0.0,), ref) == math.inf
