@@ -182,30 +182,34 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     if not in_support(current):
         raise ValidationError("starting coefficients give a negative intensity")
 
+    def bound_margin(res: MarginalResult) -> float:
+        """The early rejection's slack at a state with pass ``res``: far above
+        the rounding of the bound and of the exact test."""
+        return _BOUND_MARGIN * (1.0 + abs(res.polynomial_term_log) + abs(res.exponent_term))
+
     sd = np.array(cfg.proposal_sd, dtype=float)
     cur_res = loglik(current)
     cur_post = cur_res.loglik + log_prior(current)
+    cur_margin = bound_margin(cur_res)
 
     def try_move(prop: np.ndarray) -> tuple[bool, bool]:
         """Accept/reject one proposal; returns (accepted, support_rejected)."""
-        nonlocal current, cur_res, cur_post, bound_rejected
+        nonlocal current, cur_res, cur_post, cur_margin, bound_rejected
         if not in_support(prop):
             rng.random()  # burn the decision draw to keep the stream aligned
             return False, True
         log_u = math.log(rng.random())
         prior = log_prior(prop)
         if lik is not None:
-            # The exact test fails wherever the bound's does, up to a margin
-            # far above the rounding of either side.
+            # The exact test fails wherever the bound's does, up to the margin.
             bound = lik.loglik_bound(prop, current, cur_res)
-            margin = _BOUND_MARGIN * (1.0 + abs(cur_res.polynomial_term_log) + abs(cur_res.exponent_term))
-            if log_u >= bound + prior - cur_post + margin:
+            if log_u >= bound + prior - cur_post + cur_margin:
                 bound_rejected += 1
                 return False, False
         res = loglik(prop)
         post = res.loglik + prior
         if log_u < post - cur_post:
-            current, cur_res, cur_post = prop, res, post
+            current, cur_res, cur_post, cur_margin = prop, res, post, bound_margin(res)
             return True, False
         return False, False
 
@@ -289,7 +293,9 @@ _FTOL = 1e-10      # relative change in -loglik that ends the fit
 _QP_ITERS = 100    # working-set changes after which a QP returns its last iterate
 
 
-def _qp_step(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _qp_step(
+    H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray, row_norm: np.ndarray
+) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Minimize g.p + p.H.p / 2 subject to A p >= b, H symmetric positive definite.
 
     Dual active-set method (Goldfarb & Idnani, *Math. Programming* 27, 1983):
@@ -304,10 +310,11 @@ def _qp_step(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray) -> tupl
     one is optimal.  The rows are samples of one polynomial at nearby
     times: a primal method, kept feasible, walks from row to neighbouring
     row as the touching point of gamma moves, while this one goes to the
-    deepest dip at once.  Returns p, the working rows and their multipliers.
+    deepest dip at once.  ``row_norm`` holds the rows' Euclidean norms,
+    which the caller computes once for all the QPs on one A.  Returns p,
+    the working rows and their multipliers.
     """
     d = g.size
-    row_norm = np.linalg.norm(A, axis=1)
     p = np.linalg.solve(H, -g)
     work: list[int] = []
     lam = np.zeros(0)
@@ -364,8 +371,9 @@ def _sqp(objective, in_support, start_hessian, V: np.ndarray, c: np.ndarray) -> 
     H = start_hessian(c)
     if H is None:
         H = np.eye(c.size) * (np.abs(g).max() or 1.0)
+    row_norm = np.linalg.norm(V, axis=1)
     while True:
-        p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0))[0]
+        p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0), row_norm)[0]
         slope = float(g @ p)
         # No descent left, or the model promises less than the realized
         # decrease that would end the fit one pass later.
@@ -551,14 +559,14 @@ def write_chain_csv(dest: str | Path | TextIO, chain: Chain) -> None:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_chain_csv(fh, chain)
         return
+    # The text csv.writer gives these rows: CRLF line ends, and no field
+    # that needs quoting.
     d = chain.draws.shape[1]
-    writer = csv.writer(dest)
-    writer.writerow(["iter"] + [f"c{i}" for i in range(d)] + ["loglik", "accepted"])
-    for i in range(chain.draws.shape[0]):
-        row = [i]
-        row += [repr(float(v)) for v in chain.draws[i]]
-        row += [repr(float(chain.logliks[i])), int(chain.accepted[i])]
-        writer.writerow(row)
+    draws, logliks = np.asarray(chain.draws, dtype=float), np.asarray(chain.logliks, dtype=float)
+    rows = zip(draws.tolist(), logliks.tolist(), chain.accepted.tolist())
+    lines = [",".join(["iter", *(f"c{i}" for i in range(d)), "loglik", "accepted"])]
+    lines += [",".join([str(i), *map(repr, draw), repr(ll), str(int(acc))]) for i, (draw, ll, acc) in enumerate(rows)]
+    dest.write("\r\n".join(lines) + "\r\n")
 
 
 def read_chain_csv(source: str | Path | TextIO) -> Chain:

@@ -163,9 +163,14 @@ def nonneg_matrix(T: float, degree: int) -> np.ndarray:
 
 def grid_nonneg(vals: np.ndarray) -> bool:
     """Whether gamma's values at the check times count as nonnegative: none lies
-    below -1e-12 times the larger of 1 and their largest magnitude."""
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    return bool(np.all(vals >= -tol))
+    below -1e-12 times the larger of 1 and their largest magnitude, and none
+    is NaN.
+
+    Only the smallest value lo and, when lo < 0, the largest hi are read:
+    the largest magnitude is then max(-lo, hi).  A NaN makes lo NaN, which
+    fails both comparisons."""
+    lo = float(vals.min())
+    return lo >= 0.0 or lo >= -1e-12 * max(1.0, -lo, float(vals.max()))
 
 
 def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:

@@ -55,6 +55,18 @@ computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
 ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
 its pass when even the bound fails the Metropolis test.
 
+What one coefficient vector gives is kept in one cache record (``_Masses``),
+keyed by the vector's shape and bytes: the masses B~ c, int lambda, whether
+both are admissible, and their logs, which the first of ``loglik_bound`` and
+the pass to need them computes.  A ``MarginalLikelihood`` keeps three: the
+record of the last proposal (the coefficients of ``in_support`` or of
+``loglik_bound``), of the last pass and of ``loglik_bound``'s last
+reference.  So a sampler's proposal takes its masses and their logs once
+for its support check, bound and pass, and the current state's record,
+made by its pass, serves every bound until the next acceptance.  A record
+saves work only: every value is the one a fresh ``MarginalLikelihood``
+gives, bit for bit.
+
 A step is three in-place ufunc calls on whole rows (five with the
 gradient), so at M in the hundreds a pass costs interpreter overhead per
 call, not arithmetic.  The views those calls take are cut once per block of
@@ -98,7 +110,18 @@ class MarginalResult:
 
 def _logsumexp(v: np.ndarray) -> float:
     top = float(v.max())
-    return top + math.log(float(np.sum(np.exp(v - top)))) if top > -math.inf else top
+    return top + math.log(float(np.exp(v - top).sum())) if top > -math.inf else top
+
+
+@dataclass(eq=False, slots=True)
+class _Masses:
+    """The cache record of one coefficient vector (module docstring)."""
+
+    key: tuple  # the coefficients' shape and bytes
+    scaled: np.ndarray  # A_m e^{w (T - t_m)}, m = 1..M
+    lam: float  # int lambda
+    ok: bool  # whether both are finite and >= 0
+    log: np.ndarray | None = None  # log scaled, set by the first loglik_bound or pass that needs it
 
 
 class MarginalLikelihood:
@@ -140,12 +163,14 @@ class MarginalLikelihood:
             self._log_source = np.concatenate(
                 (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
             )
-        # (shape and bytes of the coefficients, their _masses) of the last in_support.
-        self._checked: tuple = (None, None)
-        # (shape and bytes, log masses) of the last pass, and of loglik_bound's
-        # ref_coeffs (None there when a mass is 0).
-        self._passed: tuple = (None, None)
-        self._ref: tuple = (None, None)
+        # Below this sum of |coefficients| the products with B and L can
+        # neither overflow nor meet an inf (see _masses).
+        self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max())
+        # The _Masses of the last proposal (in_support or loglik_bound), of
+        # the last pass and of loglik_bound's last reference.
+        self._checked: _Masses | None = None
+        self._passed: _Masses | None = None
+        self._ref: _Masses | None = None
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
@@ -167,14 +192,13 @@ class MarginalLikelihood:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: every
         kernel mass and the lambda integral are finite and >= 0, and gamma
         passes ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
-        holds, ``loglik`` does not raise.  The next ``loglik`` or
-        ``loglik_grad`` at the same coefficients (the same bytes) takes the
-        masses and the lambda integral from this check instead of computing
-        them again."""
+        holds, ``loglik`` does not raise.  The masses and the lambda integral
+        go into the coefficients' cache record (module docstring), so the
+        next ``loglik_bound``, ``loglik`` or ``loglik_grad`` at the same
+        coefficients (the same bytes) does not compute them again."""
         c = np.asarray(coeffs, dtype=float)
-        masses = self._masses(c)
-        self._checked = ((c.shape, c.tobytes()), masses)
-        return masses[2] and grid_nonneg(self.V @ c)
+        rec = self._checked = self._record(c)
+        return rec.ok and grid_nonneg(self.V @ c)
 
     def loglik_bound(self, coeffs, ref_coeffs, ref: MarginalResult) -> float:
         """An upper bound on ``loglik(coeffs).loglik`` from ``ref``, the result
@@ -184,66 +208,75 @@ class MarginalLikelihood:
         r_(j) - beta0 T - L coeffs, where r_(1) >= r_(2) >= ... are the mass
         ratios A'_m / A_m in decreasing order and pi = exp(ref.log_k) (module
         docstring).  Equality holds when every ratio is the same.  The
-        masses at coeffs come from the ``in_support`` cache when the bytes
-        match.  Those at ref_coeffs are kept from the last pass when it ran
-        at ref_coeffs, as it did when a sampler has just accepted them, and
-        reused while ref_coeffs stay the same.  The bound is +inf, so it
+        masses at both coefficient vectors come from their cache records:
+        coeffs' from ``in_support``, ref_coeffs' from the pass that gave
+        ref, as when a sampler has just accepted them, or from the last
+        call's reference.  The log masses this takes go into the records
+        too, where the pass at coeffs finds them.  The bound is +inf, so it
         rejects nothing, when ref's loglik is not finite or a mass at
         ref_coeffs is 0.
         """
         if ref.log_k is None or not math.isfinite(ref.loglik):
             return math.inf
-        _, scaled, lam = self._admissible_masses(coeffs)
-        r = np.asarray(ref_coeffs, dtype=float)
-        key = (r.shape, r.tobytes())
-        if self._ref[0] != key:
-            passed, log_ref = self._passed
-            if passed != key:
-                ref_scaled = self._admissible_masses(r)[1]
-                with np.errstate(divide="ignore"):
-                    log_ref = np.log(ref_scaled)
-            self._ref = (key, log_ref if log_ref.min(initial=0.0) > -math.inf else None)
-        log_ref = self._ref[1]
-        if log_ref is None:
+        rec = self._checked = self._admissible(coeffs)
+        ref_rec = self._ref = self._admissible(ref_coeffs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if rec.log is None:
+                rec.log = np.log(rec.scaled)
+            if ref_rec.log is None:
+                ref_rec.log = np.log(ref_rec.scaled)
+            log_ratio = rec.log - ref_rec.log
+            log_ratio.sort()
+        # A mass of 0 at ref_coeffs gives a ratio of +inf, or NaN where the
+        # mass at coeffs is 0 too, and either sorts last.
+        if log_ratio.size and not log_ratio[-1] < math.inf:
             return math.inf
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log(scaled) - log_ref
-        # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0) sorts last.
-        gain = np.sort(log_ratio)[::-1].cumsum()
+        # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0 at coeffs) comes last.
+        gain = log_ratio[::-1].cumsum()
         log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
-        return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - lam)
+        return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - rec.lam)
 
     def _masses(self, coeffs) -> tuple[np.ndarray, float, bool]:
         """(A_m e^{w (T - t_m)} for all m, int lambda, whether both are admissible)."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.degree + 1,):
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
-        scaled = self._B @ c
-        lam = float(self._L @ c)
-        ok = bool(np.all(np.isfinite(scaled)) and scaled.min(initial=0.0) >= 0.0 and 0.0 <= lam < math.inf)
-        return scaled, lam, ok
+        if sum(map(abs, c.tolist())) < self._quiet_coeff_sum:
+            scaled, lam = self._B @ c, float(self._L @ c)
+        else:
+            # Huge, infinite or NaN coefficients can overflow or form inf - inf
+            # in the products; the test below refuses whatever they give.
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled, lam = self._B @ c, float(self._L @ c)
+        ok = 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf
+        return scaled, lam, bool(ok)
 
-    def _admissible_masses(self, coeffs) -> tuple[tuple, np.ndarray, float]:
-        """(cache key, ``_masses``) from the ``in_support`` cache when the bytes
-        match; raises ``ValidationError`` unless admissible."""
-        c = np.asarray(coeffs, dtype=float)
+    def _record(self, c: np.ndarray) -> _Masses:
+        """The cache record of the coefficient array c: a kept one when the
+        bytes match, else a new one, which the caller keeps."""
         key = (c.shape, c.tobytes())
-        checked, masses = self._checked
-        scaled, lam, ok = masses if checked == key else self._masses(c)
-        if not ok:
+        for rec in (self._checked, self._ref, self._passed):
+            if rec is not None and rec.key == key:
+                return rec
+        return _Masses(key, *self._masses(c))
+
+    def _admissible(self, coeffs) -> _Masses:
+        """``_record``, raising ``ValidationError`` unless admissible."""
+        rec = self._record(np.asarray(coeffs, dtype=float))
+        if not rec.ok:
             raise ValidationError(
                 "kernel masses must be finite and >= 0: gamma dips below zero on "
                 "[0, T] or has non-finite coefficients"
             )
-        return key, scaled, lam
+        return rec
 
     def _run(self, coeffs, grad: bool):
-        key, scaled, lam = self._admissible_masses(coeffs)
-        with np.errstate(divide="ignore"):
-            log_scaled = np.log(scaled)
-        self._passed = (key, log_scaled)
-        log_new = self._log_kernel + log_scaled
-        M = scaled.size
+        rec = self._passed = self._admissible(coeffs)
+        if rec.log is None:
+            with np.errstate(divide="ignore"):
+                rec.log = np.log(rec.scaled)
+        log_new = self._log_kernel + rec.log
+        M = rec.scaled.size
         # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
         # log f_m(k) in column 0 followed by the sensitivities log D_p f_m(k).
         if grad:
@@ -282,7 +315,7 @@ class MarginalLikelihood:
                     add(row, stay, row)
                     logaddexp(shifted, g, shifted)
         poly_log = _logsumexp(f)
-        exponent = -self.beta0 * self.x.T - lam
+        exponent = -self.beta0 * self.x.T - rec.lam
         result = MarginalResult(
             loglik=poly_log + exponent,
             polynomial_term_log=poly_log,

@@ -1,5 +1,6 @@
 """Tests for the Metropolis and maximum-likelihood fitters and the chain CSV."""
 
+import csv
 import io
 import math
 import warnings
@@ -106,6 +107,37 @@ class TestMhFit:
         assert slow.n_bound_rejected == 0 < fast.n_bound_rejected
         assert fast.n_evals < slow.n_evals
         assert fast.n_evals + fast.n_bound_rejected == slow.n_evals
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"adapt_proposals": False, "proposal_sd": 0.2},
+            {"degree": 2, "start": TRUTH + (0.0,), "per_coordinate": True, "proposal_sd": 0.05},
+        ],
+        ids=["block-pilot", "block", "per-coordinate-degree-2"],
+    )
+    def test_cached_log_masses_leave_the_chain_unchanged(self, path, monkeypatch, kw):
+        """The log masses a cache record keeps between the bound and the pass
+        give the chain of a run where every lookup finds them unset, bit for bit."""
+        cfg = config(9, iters=300, burnin=50, pilot_iters=100, **kw)
+        cached = mh_fit(path, (BETA0, W), cfg)
+        original = MarginalLikelihood._record
+        hits = []
+
+        def forgetting(self, c):
+            rec = original(self, c)
+            hits.append(rec.log is not None)
+            rec.log = None
+            return rec
+
+        monkeypatch.setattr(MarginalLikelihood, "_record", forgetting)
+        fresh = mh_fit(path, (BETA0, W), cfg)
+        assert any(hits)  # the cache would have served some lookups
+        for name in ("draws", "logliks", "accepted", "proposal_sd"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+        for name in ("accept_rate", "n_evals", "n_bound_rejected", "n_support_rejected"):
+            assert getattr(cached, name) == getattr(fresh, name)
 
     @pytest.mark.parametrize("adapt", [True, False])
     def test_block_counts_add_up_to_iters(self, path, adapt):
@@ -243,9 +275,9 @@ def qp_hessians(monkeypatch):
     """The Hessians of the QP models solved by _qp_step, recorded as they come."""
     seen = []
 
-    def recording(H, g, A, b):
+    def recording(H, g, A, b, row_norm):
         seen.append(H.copy())
-        return _qp_step(H, g, A, b)
+        return _qp_step(H, g, A, b, row_norm)
 
     monkeypatch.setattr(inference, "_qp_step", recording)
     return seen
@@ -393,7 +425,7 @@ def test_qp_step_solves_the_qp(seed):
     c, H, g = y0 / D, D[:, None] * Hy * D, D * gy
     b = -np.maximum(V @ c, 0.0)
 
-    p, work, lam = _qp_step(H, g, V, b)
+    p, work, lam = _qp_step(H, g, V, b, np.linalg.norm(V, axis=1))
     values = V @ (c + p)
     assert values.min() >= -1e-12 * max(1.0, np.abs(values).max())
     assert len(set(work)) == len(work) == lam.size <= d
@@ -440,6 +472,38 @@ class TestChainCsv:
         np.testing.assert_array_equal(back.accepted, accepted)
         assert back.accept_rate == 0.5
         assert back.n_evals == back.n_bound_rejected == back.n_support_rejected == 0
+
+    def test_text_is_the_csv_writer_rendering(self, tmp_path):
+        """Subnormal, huge, signed-zero and whole-number values are written as
+        csv.writer writes the same rows, and read back bit for bit."""
+        draws = np.array([[5e-324, -2.5e-310], [1e308, -1e308], [-0.0, 0.0], [3.0, -2.0], [1.0 / 3.0, 1e-5]])
+        logliks = np.array([-0.0, -np.inf, -1e308, -12.0, 4e-320])
+        accepted = np.array([True, False, True, False, True])
+        chain = Chain(
+            draws=draws,
+            logliks=logliks,
+            accepted=accepted,
+            accept_rate=0.6,
+            seed=4,
+            n_evals=5,
+            n_support_rejected=0,
+            proposal_sd=np.ones(2),
+        )
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["iter", "c0", "c1", "loglik", "accepted"])
+        for i in range(draws.shape[0]):
+            writer.writerow([i, *(repr(float(v)) for v in draws[i]), repr(float(logliks[i])), int(accepted[i])])
+        buf = io.StringIO()
+        write_chain_csv(buf, chain)
+        assert buf.getvalue() == want.getvalue()
+        out = tmp_path / "chain.csv"
+        write_chain_csv(out, chain)
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+        back = read_chain_csv(out)
+        assert back.draws.tobytes() == draws.tobytes()
+        assert back.logliks.tobytes() == logliks.tobytes()
+        np.testing.assert_array_equal(back.accepted, accepted)
 
     @pytest.mark.parametrize(
         "row, message",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from marcox import intensity
 from marcox.errors import ConvergenceError, ValidationError
-from marcox.intensity import PolyIntensity, _cum_inverse_batch, kernel_moments, lambda_moments
+from marcox.intensity import PolyIntensity, _cum_inverse_batch, grid_nonneg, kernel_moments, lambda_moments
 
 from _oracles import adaptive_simpson, bisect_cum_inverse
 
@@ -334,3 +334,43 @@ class TestValidation:
     def test_config_roundtrip(self):
         gamma = PolyIntensity((1.0, 0.25))
         assert PolyIntensity.from_config(gamma.to_config()) == gamma
+
+
+def documented_nonneg(vals):
+    """``grid_nonneg``'s rule as its docstring states it, value by value: no
+    NaN, and none below -1e-12 times the larger of 1 and the largest magnitude."""
+    if any(math.isnan(v) for v in vals):
+        return False
+    tol = 1e-12 * max([1.0] + [abs(v) for v in vals])
+    return all(v >= -tol for v in vals)
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1e-12, 1e-12, 1e308, -1e308, 5e-324, -5e-324]
+
+
+class TestGridNonneg:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        vals=st.lists(
+            st.one_of(st.floats(), st.floats(-1e3, 1e3), st.sampled_from(EDGE_VALUES)), min_size=1, max_size=40
+        ),
+        edge=st.sampled_from([None, "below", "at", "above"]),
+        pos=st.integers(0, 40),
+    )
+    @example(vals=[1.0, -1e-12], edge=None, pos=0)
+    @example(vals=[-0.0, 0.0, -0.0], edge=None, pos=0)
+    @example(vals=[1e308, -1e296], edge=None, pos=0)
+    @example(vals=[math.inf, -1e300], edge=None, pos=0)
+    @example(vals=[-math.inf, 2.0], edge=None, pos=0)
+    @example(vals=[math.inf, math.nan], edge=None, pos=0)
+    @example(vals=[-math.nan], edge=None, pos=0)
+    @example(vals=[250.0, 0.5], edge="at", pos=1)
+    @example(vals=[250.0, 0.5], edge="below", pos=1)
+    def test_is_the_documented_rule(self, vals, edge, pos):
+        """Optionally with one more entry at -1e-12 max(1, max |v|), or the
+        float just below or above it; the entry does not change the maximum."""
+        if edge is not None:
+            scale = max([1.0] + [abs(v) for v in vals if not math.isnan(v)])
+            at = -1e-12 * scale
+            vals.insert(pos % (len(vals) + 1), {"below": np.nextafter(at, -math.inf), "at": at, "above": np.nextafter(at, 0.0)}[edge])
+        assert grid_nonneg(np.array(vals)) is documented_nonneg(vals)

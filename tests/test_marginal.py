@@ -179,6 +179,35 @@ class TestMarginalLikelihood:
             raised = True
         assert lik.in_support(coeffs) is not raised
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (math.nan, 0.1),
+            (1.0, math.inf),
+            (-math.inf, 0.1),
+            (math.inf, -math.inf),
+            (1.0, 0.0, math.nan),
+            (1e308, 1e308),
+            (-1e308, -1e308),
+            (0.0, 1.7e308),
+            (0.0, 0.0, 1e308),
+        ],
+    )
+    def test_nonfinite_or_overflowing_coefficients_are_refused_quietly(self, coeffs):
+        """Non-finite coefficients, and finite ones whose masses overflow, are
+        outside the support, and a pass refuses them, without a RuntimeWarning
+        from the products that give the masses."""
+        lik = MarginalLikelihood(load_path([0.5, 2.0, 3.5], 4.0), 0.5, 1.0, degree=len(coeffs) - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if all(math.isfinite(c) for c in coeffs):
+                assert not np.isfinite(lik._masses(coeffs)[0]).all()
+            assert lik.in_support(coeffs) is False
+            with pytest.raises(ValidationError, match="finite"):
+                lik.loglik(coeffs)
+            with pytest.raises(ValidationError, match="finite"):
+                lik.loglik_grad(coeffs)
+
     def test_in_support_implies_loglik_does_not_raise(self):
         """The contract is one-way: gamma = 1 - 1.5 t is negative on (2/3, 1], so
         it is outside the support, yet its kernel mass and lambda integral are
@@ -466,10 +495,33 @@ class TestLoglikBound:
         assert lik.in_support((1.0,))
         assert lik.loglik_bound((1.0,), (0.0,), ref) == math.inf
 
+    @pytest.mark.parametrize("checked", [True, False], ids=["after-in_support", "bound-only"])
+    @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
+    def test_pass_after_the_bound_is_a_fresh_pass(self, checked, grad):
+        """The pass right after loglik_bound at the same bytes reuses the log
+        masses the bound took, and gives what a fresh MarginalLikelihood
+        gives, log_k and gradient included; so does a pass at the reference."""
+        lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 7)
+        coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
+        if checked:
+            assert lik.in_support(coeffs)
+        assert lik.loglik_bound(coeffs, ref_coeffs, ref) < math.inf
+        fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
+        run = "loglik_grad" if grad else "loglik"
+        for c in (coeffs, ref_coeffs):
+            got, want = getattr(lik, run)(c), getattr(fresh, run)(c)
+            if grad:
+                (got, got_grad), (want, want_grad) = got, want
+                assert got_grad.tobytes() == want_grad.tobytes()
+            assert got == want
+            assert got.log_k.tobytes() == want.log_k.tobytes()
+
     def test_zero_reference_mass_bounds_nothing(self):
-        """A reference pass with a mass of 0 gives +inf, not a ratio over 0."""
+        """A reference pass with a mass of 0 gives +inf, not a ratio over 0,
+        also where the proposal's mass is 0 too."""
         lik = MarginalLikelihood(load_path([0.5, 0.8], 1.0), 0.7, 1.0, 0)
         ref = lik.loglik((0.0,))
         assert math.isfinite(ref.loglik)
         assert lik.in_support((1.0,))
         assert lik.loglik_bound((1.0,), (0.0,), ref) == math.inf
+        assert lik.loglik_bound((0.0,), (0.0,), ref) == math.inf
