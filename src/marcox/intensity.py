@@ -67,13 +67,6 @@ class PolyIntensity:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, t: float) -> float:
-        """Rate at time t (Horner evaluation)."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(ts, np.asarray(self.coeffs))
 
@@ -89,44 +82,6 @@ class PolyIntensity:
     def cum_many(self, ts: np.ndarray) -> np.ndarray:
         anti = np.asarray(self.coeffs) / np.arange(1, len(self.coeffs) + 1)
         return np.polynomial.polynomial.polyval(ts, anti) * ts
-
-    def cum_inverse(self, u: float, T: float) -> float:
-        """Smallest t in [0, T] with Gamma(t) = u, or inf when u > Gamma(T).
-
-        Gamma is monotone on [0, T] once nonnegativity holds, so bisection is
-        safe; Newton steps accelerate it.  A Newton step is taken only where
-        it stays inside the bracket and is at most half the previous step,
-        else the bracket is bisected, so a flat point of Gamma (where Newton
-        converges only linearly) costs at most two steps per halving.  Stops
-        when the bracket or an accepted Newton step is at most 1e-12 wide.
-        """
-        if u < 0:
-            raise ValidationError("cumulative mass is nonnegative")
-        if u == 0.0:
-            return 0.0
-        total = self.cum(T)
-        if u > total:
-            return math.inf
-        lo, hi = 0.0, float(T)
-        t, last = 0.5 * hi, hi
-        for _ in range(_INVERSE_MAX_ITER):
-            f = self.cum(t) - u
-            if f >= 0.0:
-                hi = t
-            else:
-                lo = t
-            slope = self.eval(t)
-            step = f / slope if slope > 0.0 else math.inf
-            if lo <= t - step <= hi and abs(step) <= 0.5 * last:
-                t, last = t - step, abs(step)
-                if last <= _INVERSE_TOL:
-                    return t
-            elif hi - lo <= _INVERSE_TOL:
-                return hi
-            else:
-                last = 0.5 * (hi - lo)
-                t = lo + last
-        raise ConvergenceError("cumulative-mass inversion did not converge")
 
     def is_nonneg(self, T: float) -> bool:
         """Dense-sampling nonnegativity check for gamma on [0, T]: ``grid_nonneg``
@@ -174,19 +129,21 @@ def grid_nonneg(vals: np.ndarray) -> bool:
 
 
 def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:
-    """Vectorized cum_inverse for masses 0 <= us <= Gamma(T): safeguarded Newton.
+    """The time t in [0, T] with Gamma(t) = u for each mass 0 <= u <= Gamma(T),
+    by safeguarded Newton iteration.
 
-    Each element starts at min(u T / Gamma(T), T) inside the bracket [0, T]
-    and narrows the bracket with the sign of Gamma(t) - u at every iterate.
-    A Newton step is taken only where it stays inside the bracket and is at
-    most half the element's previous step (the rule of Numerical Recipes'
-    rtsafe; a bisection counts as a step of half the bracket); everywhere
-    else the bracket is bisected.  So flat stretches of Gamma cannot throw
-    an iterate out, and at a flat point, where Newton converges only
-    linearly, the bracket still halves at least every second iteration.  An
-    element is done when its accepted step or its bracket is at most
-    1e-12 T.  Every element iterates on its own, so the masses are taken in
-    blocks of 2^14, which bounds the working arrays and changes no bit.
+    Gamma is nondecreasing on [0, T] where gamma >= 0, so [0, T] brackets
+    every root.  Each element starts at min(u T / Gamma(T), T) and narrows its
+    bracket with the sign of Gamma(t) - u at every iterate.  A Newton step is
+    taken only where it stays inside the bracket and is at most half the
+    element's previous step (the rule of Numerical Recipes' rtsafe; a
+    bisection counts as a step of half the bracket); everywhere else the
+    bracket is bisected.  So flat stretches of Gamma cannot throw an iterate
+    out, and at a flat point, where Newton converges only linearly, the
+    bracket still halves at least every second iteration.  An element is done
+    when its accepted step or its bracket is at most 1e-12 T.  Every element
+    iterates on its own, so the masses are taken in blocks of 2^14, which
+    bounds the working arrays and changes no bit.
     """
     us = np.asarray(us, dtype=float)
     if us.size > _INVERSE_BLOCK:

@@ -1,19 +1,20 @@
 """Exact simulation of the latent and observed processes.
 
 The latent process Y is simulated by time change: unit-rate exponential
-arrivals pushed through the inverse cumulative intensity.  The observed
-process X runs at the constant rate beta0 + w y between Y jumps; whenever Y
-jumps, the X waiting time is redrawn at the incremented rate (exact because
-the rate is piecewise constant and exponentials are memoryless).
+arrivals pushed through the inverse cumulative intensity.  Given Y, the
+observed process X is Poisson with the rate beta0 + w Y(t-), constant
+between Y's jumps, so its compensator is piecewise linear with knots at
+those jumps; ``simulate`` draws Y and then X on that compensator, with no
+race between the two.
 
 Two batched functions hold the model's rules for many latent paths at once:
 ``_latent_points`` draws the latent points of n independent paths by time
 change, and ``_conditional_logliks`` evaluates log p(x | y) for each of them.
 ``simulate_latent`` is one path of the first, ``conditional_loglik`` one
 replica of the second, and the Monte Carlo oracle (``oracles.mc_marginal``)
-is their composition, the mean of p(x | Y) over draws of Y.  Only
-``simulate``'s event loop draws latent arrivals on its own, one at a time,
-interleaved with the observed process.
+is their composition, the mean of p(x | Y) over draws of Y.  ``simulate``
+takes its Y from ``simulate_latent`` too, so every latent draw goes through
+``_latent_points``.
 
 The truncation level ``default_y_max`` sums the Poisson tail with the
 standard library, so importing this module loads no scipy.
@@ -137,37 +138,29 @@ def simulate_latent(gamma: PolyIntensity, T: float, seed=None) -> LatentPath:
 
 
 def simulate(params: ModelParams, T: float, seed=None) -> SimResult:
-    """Draw one (X, Y) pair on [0, T]; deterministic given the seed."""
-    params.validate(T)
-    rng = _as_generator(seed)
-    gamma, beta0, w = params.gamma, params.beta0, params.w
-    total = gamma.cum(T)
+    """Draw one (X, Y) pair on [0, T]; deterministic given the seed.
 
-    u = rng.exponential()
-    t_y = gamma.cum_inverse(u, T) if u <= total else math.inf
-    t_x = 0.0
-    y = 0
-    x_jumps: list[float] = []
-    y_jumps: list[float] = []
-    while t_x < T:
-        rate = beta0 + w * y
-        r = rng.exponential() / rate if rate > 0.0 else math.inf
-        if t_x + r < min(t_y, T):
-            t_x = t_x + r
-            x_jumps.append(t_x)
-        elif t_y < T:
-            # Y jumps: restart the X clock at the jump time with the new rate.
-            t_x = t_y
-            y += 1
-            y_jumps.append(t_y)
-            u += rng.exponential()
-            t_y = gamma.cum_inverse(u, T) if u <= total else math.inf
-        else:
-            t_x = T
+    Y is ``simulate_latent``'s path.  Given Y, X is Poisson with the rate
+    beta0 + w k on the k-th segment (s_k, s_(k+1)] of the knots 0, s_1, ...,
+    T, so its compensator is piecewise linear: a Poisson(Lambda(T)) number of
+    uniform masses on (0, Lambda(T)] is mapped back through it, each mass
+    onto the time inside its own segment.
+    """
+    rng = _as_generator(seed)
+    y = simulate_latent(params.gamma, T, rng)  # validates gamma >= 0 on [0, T]
+    knots = np.concatenate(([0.0], y.jumps, [T]))
+    rates = params.beta0 + params.w * np.arange(knots.size - 1)
+    comp = np.concatenate(([0.0], np.cumsum(rates * np.diff(knots))))
+    masses = comp[-1] * (1.0 - rng.random(rng.poisson(comp[-1])))
+    k = np.searchsorted(comp, masses) - 1  # comp[k] < mass <= comp[k + 1]
+    # The clip keeps rounding from moving a time out of its segment, so with
+    # beta0 = 0 no event falls at or before s_1.  np.unique sorts the times
+    # and merges two masses that round to one time, a probability-zero event.
+    times = np.clip(knots[k] + (masses - comp[k]) / rates[k], np.nextafter(knots[k], np.inf), knots[k + 1])
     seed_out = seed if isinstance(seed, (int, np.integer)) else None
     return SimResult(
-        x=CountPath(T=T, jumps=np.asarray(x_jumps)),
-        y=CountPath(T=T, jumps=np.asarray(y_jumps)),
+        x=CountPath(T=T, jumps=np.unique(times)),
+        y=y,
         seed=None if seed_out is None else int(seed_out),
     )
 

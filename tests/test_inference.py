@@ -17,6 +17,8 @@ from marcox.marginal import MarginalLikelihood, marginal_loglik
 from marcox.paths import CountPath, ModelParams
 from marcox.simulator import simulate
 
+from _pinned import pinned_path
+
 BETA0, W = 1.0, 0.5
 TRUTH = (1.0, 0.1)
 
@@ -217,15 +219,15 @@ def ess(draws):
     return n / tau
 
 
-# The fitting regime (beta0 = 1, w = 0.5, gamma = 1 + 0.1 t, T = 15): seeds
-# whose simulated path has exactly M = 80 events.  The optimum of 386, 463,
-# 631 and 695 lies on the boundary of the support, at c_0 = 0.
+# The fitting regime (beta0 = 1, w = 0.5, gamma = 1 + 0.1 t, T = 15): pinned
+# paths with exactly M = 80 events.  The optimum of 386, 463, 631 and 695
+# lies on the boundary of the support, at c_0 = 0.
 FIT_SEEDS = (40, 141, 176, 386, 392, 449, 463, 501, 631, 695)
 BOUNDARY_SEEDS = (386, 463, 631, 695)
 
 
 def fit_path(seed):
-    x = simulate(ModelParams(BETA0, W, PolyIntensity(TRUTH)), 15.0, seed=seed).x
+    x = pinned_path(ModelParams(BETA0, W, PolyIntensity(TRUTH)), 15.0, seed)
     assert x.count == 80
     return x
 

@@ -25,18 +25,19 @@ def random_nonneg_poly(rng, max_degree=4, T=1.0):
 
 class TestEval:
     def test_constant(self):
-        assert PolyIntensity((2.0,)).eval(0.7) == 2.0
+        assert PolyIntensity((2.0,)).eval_many(0.7) == 2.0
 
     def test_linear(self):
-        assert PolyIntensity((0.0, 2.0)).eval(0.5) == 1.0
+        assert PolyIntensity((0.0, 2.0)).eval_many(0.5) == 1.0
 
     def test_quadratic(self):
-        assert PolyIntensity((1.0, -1.0, 1.0)).eval(2.0) == 3.0
+        assert PolyIntensity((1.0, -1.0, 1.0)).eval_many(2.0) == 3.0
 
-    def test_matches_vector_form(self):
+    def test_matches_horner(self):
         gamma = PolyIntensity((0.3, -0.2, 0.1, 0.05))
         ts = np.linspace(0.0, 2.0, 17)
-        np.testing.assert_allclose(gamma.eval_many(ts), [gamma.eval(t) for t in ts])
+        horner = [0.3 + t * (-0.2 + t * (0.1 + t * 0.05)) for t in ts]
+        np.testing.assert_allclose(gamma.eval_many(ts), horner)
 
 
 class TestCum:
@@ -53,39 +54,6 @@ class TestCum:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             PolyIntensity((1.0,)).cum(-0.1)
-
-
-class TestCumInverse:
-    def test_sqrt_case(self):
-        # Gamma(t) = t^2, so the inverse is sqrt(u)
-        gamma = PolyIntensity((0.0, 2.0))
-        assert gamma.cum_inverse(0.25, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_constant_rate(self):
-        assert PolyIntensity((2.0,)).cum_inverse(6.0, 10.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_beyond_horizon_sentinel(self):
-        t = PolyIntensity((2.0,)).cum_inverse(30.0, 10.0)
-        assert t > 10.0 and t == math.inf
-
-    def test_flat_point_of_ninth_order(self):
-        """gamma = (t - r)^2 t^6 with r = 1e-12: at Gamma(r) = 4e-111 Newton
-        converges only linearly, by a factor 8/9 per step; the halving rule
-        keeps the inversion within the iteration cap."""
-        gamma, r = square_times_power(1.0, 1e-12, 6, 0.0)
-        t = gamma.cum_inverse(gamma.cum(r), 1.0)
-        assert 0.0 <= t <= 1.0
-        assert abs(gamma.cum(t) - gamma.cum(r)) <= 1e-24
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            gamma = random_nonneg_poly(rng)
-            t = rng.uniform(0.05, 0.95)
-            u = gamma.cum(t)
-            if gamma.cum(1.0) < u or gamma.eval(t) < 1e-6:
-                continue
-            assert gamma.cum_inverse(u, 1.0) == pytest.approx(t, abs=1e-10)
 
 
 def square_times_power(T, root, k, offset):
@@ -112,8 +80,30 @@ def assert_inverse_matches_bisection(gamma, us, T):
     assert np.all(np.abs(got - ref)[steep] <= 1e-9 * T)
 
 
+def random_round_trips():
+    """25 random polynomials nonnegative on [0, 1], each at one time in
+    [0.05, 0.95] where gamma >= 1e-6."""
+    rng = np.random.default_rng(42)
+    for _ in range(25):
+        gamma, t = random_nonneg_poly(rng), rng.uniform(0.05, 0.95)
+        if gamma.eval_many(t) >= 1e-6:
+            yield gamma, 1.0, np.array([t])
+
+
+# (gamma, T, times) to invert at Gamma(times): Gamma(t) = t^2, whose inverse
+# is sqrt(u); a constant rate 2, whose inverse is u / 2; random polynomials.
+ROUND_TRIPS = {
+    "sqrt": [(PolyIntensity((0.0, 2.0)), 1.0, np.array([0.5]))],
+    "constant": [(PolyIntensity((2.0,)), 10.0, np.array([3.0]))],
+    "random": list(random_round_trips()),
+}
+
+
 class TestCumInverseBatch:
     @settings(max_examples=150, deadline=None)
+    # gamma = (t - r)^2 t^6 with r = 1e-12: at Gamma(r) = 4e-111 Newton
+    # converges only linearly, by a factor 8/9 per step; the halving rule
+    # keeps the inversion within the iteration cap.
     @example(T=1.0, root=1e-12, k=6, offset=0.0, seed=0)
     @given(
         T=st.floats(0.1, 50.0),
@@ -140,6 +130,14 @@ class TestCumInverseBatch:
         converge: only steps of at most half the previous step are taken."""
         gamma, r = square_times_power(T, root, k, offset)
         assert_inverse_matches_bisection(gamma, np.array([gamma.cum(r)]), T)
+
+    @pytest.mark.parametrize("cases", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_round_trip(self, cases):
+        """Inverting Gamma(t) gives t back within 1e-10 and matches bisection."""
+        for gamma, T, times in cases:
+            us = gamma.cum_many(times)
+            np.testing.assert_allclose(_cum_inverse_batch(gamma, us, T), times, rtol=0.0, atol=1e-10)
+            assert_inverse_matches_bisection(gamma, us, T)
 
     def test_empty_and_zero_rate(self):
         assert _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.empty(0), 3.0).size == 0
@@ -196,7 +194,7 @@ class TestAlphaIntegral:
             w = rng.uniform(0.5, 2.0)
             b = rng.uniform(0.0, T)
             exact = alpha(gamma, w, T, b)
-            quad = adaptive_simpson(lambda t: math.exp(-w * (T - t)) * gamma.eval(t), 0.0, b)
+            quad = adaptive_simpson(lambda t: math.exp(-w * (T - t)) * gamma.eval_many(t), 0.0, b)
             assert exact == pytest.approx(quad, rel=1e-10, abs=1e-13)
 
 
@@ -224,11 +222,11 @@ class TestLambdaIntegral:
 
 
 def discounted(gamma, w, T):
-    return lambda t: math.exp(-w * (T - t)) * gamma.eval(t)
+    return lambda t: math.exp(-w * (T - t)) * gamma.eval_many(t)
 
 
 def undiscounted(gamma, w, T):
-    return lambda t: -math.expm1(-w * (T - t)) * gamma.eval(t)
+    return lambda t: -math.expm1(-w * (T - t)) * gamma.eval_many(t)
 
 
 def decay_quadrature(f, w, b):
@@ -282,7 +280,7 @@ class TestLargeAndSmallDecay:
         (for instance (t - 5)^2 on [0, 10]) across w T in [1e-6, 1e4].
 
         The error allowance scales with the integral of |c_0| + |c_1| t + ...,
-        the condition of the monomial basis that gamma.eval shares.
+        the condition of the monomial basis that gamma.eval_many shares.
         """
         w = 10.0**log_wT / T
         r = root * T

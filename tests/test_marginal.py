@@ -17,6 +17,7 @@ from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
 from _oracles import adaptive_simpson, per_step_run
+from _pinned import pinned_path
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
 
@@ -68,7 +69,7 @@ class TestComputeCoefficients:
         params = ModelParams(beta0=0.7, w=1.3, gamma=gamma)
         times = np.sort(rng.uniform(0.01, 1.99, size=9))
         masses = [
-            adaptive_simpson(lambda s: math.exp(-params.w * (2.0 - s)) * gamma.eval(s), 0.0, t)
+            adaptive_simpson(lambda s: math.exp(-params.w * (2.0 - s)) * gamma.eval_many(s), 0.0, t)
             for t in sorted(times, reverse=True)
         ]
         c = brute_coefficients(masses)
@@ -271,12 +272,12 @@ class TestMarginalLikelihood:
 def _grad_case(name):
     """(path, beta0, w, coeffs) with 30 <= M <= 60 events."""
     if name == "degree 1":
-        x = simulate(ModelParams(0.7, 1.3, PolyIntensity((1.2, 0.4))), 5.0, seed=1).x
+        x = pinned_path(ModelParams(0.7, 1.3, PolyIntensity((1.2, 0.4))), 5.0, 1)
         return x, 0.7, 1.3, (1.2, 0.4)
     if name == "beta0 = 0, w T = 1000":
         times = np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 40))
         return load_path(times, 100.0), 0.0, 10.0, (0.5, 0.01)
-    x = simulate(ModelParams(0.5, 0.8, PolyIntensity((0.5, 0.2, 0.05))), 7.0, seed=1).x
+    x = pinned_path(ModelParams(0.5, 0.8, PolyIntensity((0.5, 0.2, 0.05))), 7.0, 1)
     return x, 0.5, 0.8, (0.5, 0.2, 0.05)
 
 

@@ -19,9 +19,10 @@ from marcox.oracles import (
     mc_marginal,
 )
 from marcox.paths import ModelParams, load_path
-from marcox.simulator import conditional_loglik, simulate, simulate_latent
+from marcox.simulator import conditional_loglik, simulate_latent
 
 from _oracles import dense_mc_chunk, grid_coeff_marginal
+from _pinned import pinned_path
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
 P_EMPTY = 0.6922006275553464  # exp(-e^{-1})
@@ -195,9 +196,9 @@ class TestMcMarginal:
 
 class TestChecks:
     def test_grid_check_passes_the_likelihood_and_fails_a_shift(self):
-        """On a seeded path of about 45 events a 1e-3-nat error fails the check."""
+        """On a pinned path of about 45 events a 1e-3-nat error fails the check."""
         params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.2)))
-        x = simulate(params, 10.0, seed=2).x
+        x = pinned_path(params, 10.0, 2)
         assert 40 <= x.count <= 55
         exact = marginal_loglik(x, params).loglik
         good = grid_check(x, params, 16384, exact)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from marcox.intensity import PolyIntensity
 from marcox.paths import CountPath, ModelParams, load_path
@@ -84,6 +85,60 @@ class TestSimulate:
         assert sim.x.T == sim.y.T == 2.0
         if sim.x.count > 1:
             assert np.all(np.diff(sim.x.jumps) > 0)
+
+    def test_latent_driven_over_dispersion(self):
+        """Mean and variance of X(T) against Campbell's formula:
+        E N = beta0 T + w int (T - s) gamma(s) ds and
+        Var N = E N + w^2 int (T - s)^2 gamma(s) ds, each within four of the
+        sample's own standard errors."""
+        params, T = ModelParams(beta0=1.0, w=0.5, gamma=PolyIntensity((1.0, 0.2))), 10.0
+        gamma = np.polynomial.Polynomial(params.gamma.coeffs)
+        lag = np.polynomial.Polynomial((T, -1.0))
+        mean = params.beta0 * T + params.w * (lag * gamma).integ()(T)
+        var = mean + params.w**2 * (lag**2 * gamma).integ()(T)
+        assert (mean, var) == pytest.approx((155.0 / 3.0, 530.0 / 3.0), rel=1e-12)
+        rng = np.random.default_rng(205)
+        counts = np.array([simulate(params, T, rng).x.count for _ in range(20000)], dtype=float)
+        dev = counts - counts.mean()
+        sample_var = dev @ dev / (counts.size - 1)
+        se_mean = math.sqrt(sample_var / counts.size)
+        se_var = math.sqrt((np.mean(dev**4) - sample_var**2) / counts.size)
+        assert abs(counts.mean() - mean) <= 4.0 * se_mean
+        assert abs(sample_var - var) <= 4.0 * se_var
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(beta0=1.0, w=0.5, gamma=PolyIntensity((1.0, 0.2))),
+            ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.5,))),
+            ModelParams(beta0=0.5, w=2.0, gamma=PolyIntensity((0.2, 0.0, 0.05))),
+        ],
+        ids=["linear", "beta0=0", "quadratic"],
+    )
+    def test_time_rescaling_given_the_latent_path(self, params):
+        """Given Y, X is Poisson with the compensator
+        Lambda_Y(t) = beta0 t + w sum_j (t - s_j)_+.  So given Y and the count
+        n, the rescaled times Lambda_Y(t_i) / Lambda_Y(T) are the order
+        statistics of n iid uniforms, and n is Poisson(Lambda_Y(T)).
+
+        The pooled gaps Lambda_Y(t_i) - Lambda_Y(t_(i-1)) are not tested
+        against Exp(1): on a finite window they are not iid Exp(1), since a
+        short window cuts off the long gaps.  On the beta0 = 0 windows, gaps
+        of a plain unit-rate Poisson process fail that test at p < 0.05 in
+        most seeds."""
+        rng = np.random.default_rng(206)
+        scaled, excess, total = [], 0.0, 0.0
+        for _ in range(200):
+            sim = simulate(params, 10.0, rng)
+            t = np.append(sim.x.jumps, 10.0)
+            comp = params.beta0 * t + params.w * np.maximum(t[:, None] - sim.y.jumps, 0.0).sum(axis=1)
+            scaled.append(comp[:-1] / comp[-1])
+            excess += sim.x.count - comp[-1]
+            total += comp[-1]
+        scaled = np.concatenate(scaled)
+        assert scaled.size > 4000
+        assert stats.kstest(scaled, "uniform").pvalue > 0.01
+        assert abs(excess) <= 4.0 * math.sqrt(total)
 
     def test_no_events_before_first_latent_jump_when_baseline_zero(self):
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.5,)))
