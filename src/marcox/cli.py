@@ -342,7 +342,8 @@ def _cmd_summarize(args) -> int:
 
 _VALIDATE_HELP = (
     "check the log-likelihood against two log-space oracles: a grid filter extrapolated "
-    "from GRID_N/4, GRID_N/2 and GRID_N lattice steps, and Monte Carlo over MC_N latent "
+    "from GRID_N/4, GRID_N/2 and GRID_N lattice steps, with GRID_N/8 showing whether the "
+    "lattice is fine enough for its error estimate, and Monte Carlo over MC_N latent "
     "draws; an oracle that cannot decide reports pass null, and overall_pass needs both"
 )
 

@@ -1,14 +1,14 @@
 """Polynomial intensity functions and the exponential-kernel moments.
 
 The latent jump rate gamma(t) is a polynomial with nonnegative values on the
-working interval [0, T].  Everything the simulator and the likelihood need
-from gamma reduces to three integrals, all available in closed form:
+working interval [0, T].  The simulator needs only gamma's values and the
+bound ``PolyIntensity.upper_bound`` on them, under which it thins.  What the
+likelihood needs from gamma reduces to two integrals in closed form:
 
-    Gamma(t)    int_0^t gamma(s) ds                  (``cum``)
     A(t)        int_0^t e^{-w (T - s)} gamma(s) ds   (the kernel mass)
     int lambda  int_0^T (1 - e^{-w (T - s)}) gamma(s) ds
 
-The last two are linear in the coefficients c of gamma.  ``kernel_moments``
+Both are linear in the coefficients c of gamma.  ``kernel_moments``
 and ``lambda_moments`` give their values on the monomials s^p, so a caller
 that keeps w and the times fixed (the likelihood of one path) computes them
 once and then needs one dot product per gamma.  ``kernel_moments`` discounts
@@ -30,15 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 
 MAX_DEGREE = 8
 
 # Nonnegativity is checked by dense sampling rather than root isolation.
 _NONNEG_SAMPLES = 1024
-_INVERSE_TOL = 1e-12
-_INVERSE_MAX_ITER = 200
-_INVERSE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,6 +91,21 @@ class PolyIntensity:
         if not self.is_nonneg(T):
             raise ValidationError(f"intensity is negative somewhere on [0, {T}]")
 
+    def upper_bound(self, T: float) -> float:
+        """A bound max_k b_k >= gamma on [0, T], clamped at >= 0, from gamma's
+        Bernstein coefficients b_k = sum_(j<=k) C(k, j) / C(d, j) c_j T^j.
+
+        gamma is the Bernstein combination of the b_k, whose weights are
+        nonnegative and sum to 1 on [0, T], so no value exceeds the largest
+        b_k.  The bound is attained for constants, monotone linear gamma,
+        c t^d and any (t - a)^d nonnegative on [0, T]: there the largest b_k
+        is gamma(0) or gamma(T).
+        """
+        d = self.degree
+        scaled = [c * T**j / math.comb(d, j) for j, c in enumerate(self.coeffs)]
+        top = max(math.fsum(math.comb(k, j) * scaled[j] for j in range(k + 1)) for k in range(d + 1))
+        return max(top, 0.0)
+
     def to_config(self) -> dict:
         return {"type": "poly", "coeffs": list(self.coeffs)}
 
@@ -126,51 +138,6 @@ def grid_nonneg(vals: np.ndarray) -> bool:
     fails both comparisons."""
     lo = float(vals.min())
     return lo >= 0.0 or lo >= -1e-12 * max(1.0, -lo, float(vals.max()))
-
-
-def _cum_inverse_batch(gamma: PolyIntensity, us: np.ndarray, T: float) -> np.ndarray:
-    """The time t in [0, T] with Gamma(t) = u for each mass 0 <= u <= Gamma(T),
-    by safeguarded Newton iteration.
-
-    Gamma is nondecreasing on [0, T] where gamma >= 0, so [0, T] brackets
-    every root.  Each element starts at min(u T / Gamma(T), T) and narrows its
-    bracket with the sign of Gamma(t) - u at every iterate.  A Newton step is
-    taken only where it stays inside the bracket and is at most half the
-    element's previous step (the rule of Numerical Recipes' rtsafe; a
-    bisection counts as a step of half the bracket); everywhere else the
-    bracket is bisected.  So flat stretches of Gamma cannot throw an iterate
-    out, and at a flat point, where Newton converges only linearly, the
-    bracket still halves at least every second iteration.  An element is done
-    when its accepted step or its bracket is at most 1e-12 T.  Every element
-    iterates on its own, so the masses are taken in blocks of 2^14, which
-    bounds the working arrays and changes no bit.
-    """
-    us = np.asarray(us, dtype=float)
-    if us.size > _INVERSE_BLOCK:
-        blocks = range(0, us.size, _INVERSE_BLOCK)
-        return np.concatenate([_cum_inverse_batch(gamma, us[s : s + _INVERSE_BLOCK], T) for s in blocks])
-    out = np.empty_like(us)
-    total, tol = gamma.cum(T), _INVERSE_TOL * T
-    idx, u = np.arange(us.size), us
-    lo, hi = np.zeros_like(u), np.full_like(u, float(T))
-    t = np.minimum(u * (T / total), T) if total > 0.0 else lo
-    last = hi
-    for _ in range(_INVERSE_MAX_ITER):
-        f = gamma.cum_many(t) - u
-        above = f >= 0.0
-        hi, lo = np.where(above, t, hi), np.where(above, lo, t)
-        slope = gamma.eval_many(t)
-        newton = t - f / np.where(slope > 0.0, slope, 1.0)
-        step, half = np.abs(newton - t), 0.5 * (hi - lo)
-        ok = (slope > 0.0) & (lo <= newton) & (newton <= hi) & (step <= 0.5 * last)
-        done = (ok & (step <= tol)) | (hi - lo <= tol)
-        out[idx[done]] = np.where(ok, newton, hi)[done]
-        t, last = np.where(ok, newton, lo + half), np.where(ok, step, half)
-        keep = ~done
-        idx, u, lo, hi, t, last = idx[keep], u[keep], lo[keep], hi[keep], t[keep], last[keep]
-        if not idx.size:
-            return out
-    raise ConvergenceError("cumulative-mass inversion did not converge")
 
 
 def _decay_moments(z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:

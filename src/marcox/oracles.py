@@ -19,13 +19,16 @@ so they work at any number of events:
 
 The lattice error is first order in 1/n.  ``grid_check`` removes it with one
 Richardson step over the lattices n/4, n/2 and n and takes the change of
-that step as its error estimate; ``mc_check`` compares within three standard
-errors.  An oracle that cannot decide says so with ``"pass": None``: the
-grid when its error estimate exceeds 0.1 nats, Monte Carlo when the weights'
-effective sample size (sum w)^2 / sum w^2 is below 100.
+that step as its error estimate; the lattice n/8 gives one more change,
+which shows whether the lattice is in its asymptotic range, where that
+estimate holds.  ``mc_check`` compares within three standard errors.  An
+oracle that cannot decide says so with ``"pass": None``: the grid when its
+error estimate exceeds 0.1 nats or the lattice is not in its asymptotic
+range, Monte Carlo when the weights' effective sample size
+(sum w)^2 / sum w^2 is below 100.
 
-The truncation level ``default_y_max`` lives with the sampler in
-``simulator`` and is imported from there.
+The grid's first truncation level ``default_y_max`` sums the Poisson tail
+with the standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -38,12 +41,17 @@ import numpy as np
 
 from .errors import ValidationError
 from .paths import CountPath, ModelParams
-from .simulator import _conditional_logliks, _latent_points, default_y_max
+from .simulator import _conditional_logliks, _latent_points
 
 # Above this error estimate (nats) the grid check cannot decide.
 _GRID_UNDECIDED_NATS = 0.1
 # Below this effective sample size the Monte Carlo check cannot decide.
 _MC_MIN_ESS = 100.0
+
+_TAIL_MASS = 1e-12
+# The tail sum starts at the first term below this; for means up to 1e8 the
+# terms past it add less than 1e-15 of _TAIL_MASS.
+_TAIL_TERM_MIN = 1e-30
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,27 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValidationError("replica count N must be at least 1")
+
+
+def default_y_max(mean_count: float) -> int:
+    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12.
+
+    The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
+    term by term from far past the mean downward, never formed as 1 - cdf,
+    which would lose the digits that decide the comparison with 1e-12.
+    """
+    if mean_count <= 0.0:
+        return 1
+    k = max(1, int(mean_count))
+    log_mean = math.log(mean_count)
+    pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean
+    while not pmf or pmf[-1] >= _TAIL_TERM_MIN:
+        j = k + 1 + len(pmf)
+        pmf.append(math.exp(j * log_mean - mean_count - math.lgamma(j + 1)))
+    tail = 0.0  # P(N > k + len(pmf))
+    while pmf and tail + pmf[-1] < _TAIL_MASS:
+        tail += pmf.pop()
+    return k + len(pmf)
 
 
 def _grid_filter(x: CountPath, params: ModelParams, n: int, y_max: int) -> tuple[np.ndarray, float]:
@@ -124,18 +153,29 @@ def grid_marginal(x: CountPath, params: ModelParams, n: int) -> float:
 def grid_check(x: CountPath, params: ModelParams, n: int, loglik: float) -> dict:
     """The grid oracle's verdict on ``loglik``, the likelihood's value of log p(x).
 
-    With g_k the grid value on k uniform steps, log_value = 2 g_n - g_(n/2)
-    cancels the first-order lattice error, and err_nats is its distance
-    from the same step one level down, 2 g_(n/2) - g_(n/4).  The check
-    passes when |log_value - loglik| <= max(err_nats, 1e-9 max(1, |loglik|)),
-    and cannot decide (pass None) when err_nats exceeds 0.1 nats or is not
-    a number.
+    With g_k the grid value on k uniform steps, R_k = 2 g_k - g_(k/2)
+    cancels the first-order lattice error.  log_value is R_n, and err_nats
+    is the first Richardson difference |d1|, d1 = R_n - R_(n/2).  The check
+    passes when |log_value - loglik| <= max(err_nats, floor), with the floor
+    1e-9 max(1, |loglik|).
+
+    |d1| bounds the error of R_n only once the lattice is in its asymptotic
+    range.  If the lattice error is a/k + b/k^2 + c/k^3, the second
+    difference d2 = R_(n/2) - R_(n/4) is 4 d1 where b dominates and 8 d1
+    where c does, and |d1| undershoots the error of R_n only when
+    d2 / d1 > 32 or < -10.  So the check cannot decide (pass None) when
+    |d2| > 10 |d1|, unless |d2| is below the floor.  Nor can it decide when
+    err_nats exceeds 0.1 nats or is not a number, or when n < 16 leaves no
+    lattice n/8.
     """
+    g_eighth = grid_marginal(x, params, n // 8) if n >= 16 else math.nan
     g_quarter, g_half, g = (grid_marginal(x, params, k) for k in (n // 4, n // 2, n))
-    star = 2.0 * g - g_half
-    err = abs(star - (2.0 * g_half - g_quarter))
-    ok = abs(star - loglik) <= max(err, 1e-9 * max(1.0, abs(loglik)))
-    verdict = ok if err <= _GRID_UNDECIDED_NATS else None
+    star, star_half, star_quarter = 2.0 * g - g_half, 2.0 * g_half - g_quarter, 2.0 * g_quarter - g_eighth
+    err, d2 = abs(star - star_half), abs(star_half - star_quarter)
+    floor = 1e-9 * max(1.0, abs(loglik))
+    ok = abs(star - loglik) <= max(err, floor)
+    asymptotic = d2 <= max(10.0 * err, floor)
+    verdict = ok if err <= _GRID_UNDECIDED_NATS and asymptotic else None
     return {"n": n, "log_value": star, "err_nats": err, "pass": verdict}
 
 

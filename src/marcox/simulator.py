@@ -1,42 +1,39 @@
 """Exact simulation of the latent and observed processes.
 
-The latent process Y is simulated by time change: unit-rate exponential
-arrivals pushed through the inverse cumulative intensity.  Given Y, the
+The latent process Y is simulated by thinning (Lewis and Shedler, 1979): a
+homogeneous process at the rate ``PolyIntensity.upper_bound`` of gamma on
+[0, T], each point kept with probability gamma(t) / bound.  Given Y, the
 observed process X is Poisson with the rate beta0 + w Y(t-), constant
 between Y's jumps, so its compensator is piecewise linear with knots at
 those jumps; ``simulate`` draws Y and then X on that compensator, with no
 race between the two.
 
 Two batched functions hold the model's rules for many latent paths at once:
-``_latent_points`` draws the latent points of n independent paths by time
-change, and ``_conditional_logliks`` evaluates log p(x | y) for each of them.
+``_latent_points`` draws the latent points of n independent paths, thinned
+from one superposed process and labelled by path, and
+``_conditional_logliks`` evaluates log p(x | y) for each of them.
 ``simulate_latent`` is one path of the first, ``conditional_loglik`` one
 replica of the second, and the Monte Carlo oracle (``oracles.mc_marginal``)
 is their composition, the mean of p(x | Y) over draws of Y.  ``simulate``
 takes its Y from ``simulate_latent`` too, so every latent draw goes through
 ``_latent_points``.
-
-The truncation level ``default_y_max`` sums the Poisson tail with the
-standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intensity import PolyIntensity, _cum_inverse_batch
+from .intensity import PolyIntensity
 from .paths import CountPath, ModelParams
 
 # A latent path is structurally a count path; the alias keeps signatures honest.
 LatentPath = CountPath
 
-_TAIL_MASS = 1e-12
-# The tail sum starts at the first term below this; for means up to 1e8 the
-# terms past it add less than 1e-15 of _TAIL_MASS.
-_TAIL_TERM_MIN = 1e-30
+# Candidate points are drawn and thinned this many at a time, which bounds
+# the working arrays however many points the n paths hold together.
+_THIN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,46 +53,27 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def default_y_max(mean_count: float) -> int:
-    """Smallest truncation level with Poisson(mean) upper-tail mass < 1e-12.
-
-    The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
-    term by term from far past the mean downward, never formed as 1 - cdf,
-    which would lose the digits that decide the comparison with 1e-12.
-    """
-    if mean_count <= 0.0:
-        return 1
-    k = max(1, int(mean_count))
-    log_mean = math.log(mean_count)
-    pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean
-    while not pmf or pmf[-1] >= _TAIL_TERM_MIN:
-        j = k + 1 + len(pmf)
-        pmf.append(math.exp(j * log_mean - mean_count - math.lgamma(j + 1)))
-    tail = 0.0  # P(N > k + len(pmf))
-    while pmf and tail + pmf[-1] < _TAIL_MASS:
-        tail += pmf.pop()
-    return k + len(pmf)
-
-
 def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Latent points of n independent paths on [0, T], by time change.
+    """Latent points of n independent paths on [0, T], by thinning.
 
-    Each path's unit exponential arrival masses are drawn as one row of an
-    (n, default_y_max(Gamma(T)) + 16) block, extended while any row has not
-    passed Gamma(T), and the masses up to Gamma(T) are inverted through the
-    cumulative intensity in one vectorized pass.  Returns (rows, times): the
-    path index of each point and its time, row-major and ascending within
-    each path.
+    One Poisson(n bound T) number of candidates uniform on (0, T] is the
+    superposition of n homogeneous paths at the rate bound =
+    ``gamma.upper_bound(T)``; a candidate at t is kept when bound u < gamma(t)
+    for a fresh uniform u.  The kept times are sorted once and each gets a
+    uniform path label in 0..n-1, so by the marking theorem the n labelled
+    processes are independent Poisson processes with rate gamma.  Returns
+    (rows, times): the path label of each point and its time, in ascending
+    time, so each path's own points come in ascending order too.
     """
-    total = gamma.cum(T)
-    width = default_y_max(total) + 16
-    cums = np.cumsum(rng.exponential(size=(n, width)), axis=1)
-    while np.any(cums[:, -1] <= total):  # astronomically rare overflow of width
-        extra = np.cumsum(rng.exponential(size=(n, 16)), axis=1)
-        cums = np.hstack([cums, cums[:, -1:] + extra])
-    mask = cums <= total
-    rows = np.repeat(np.arange(n), mask.sum(axis=1))
-    return rows, _cum_inverse_batch(gamma, cums[mask], T)
+    bound = gamma.upper_bound(T)
+    count = rng.poisson(n * bound * T)
+    kept = [np.empty(0)]
+    for start in range(0, count, _THIN_BLOCK):
+        size = min(_THIN_BLOCK, count - start)
+        cand = T * (1.0 - rng.random(size))
+        kept.append(cand[bound * rng.random(size) < gamma.eval_many(cand)])
+    times = np.sort(np.concatenate(kept))
+    return rng.integers(n, size=times.size), times
 
 
 def _conditional_logliks(x: CountPath, params: ModelParams, n: int, rows, times) -> np.ndarray:
@@ -127,14 +105,13 @@ def _conditional_logliks(x: CountPath, params: ModelParams, n: int, rows, times)
 
 
 def simulate_latent(gamma: PolyIntensity, T: float, seed=None) -> LatentPath:
-    """Latent jump times: unit Poisson arrivals through the inverse of Gamma
-    (one path of ``_latent_points``)."""
+    """Latent jump times on (0, T] with rate gamma: one path of
+    ``_latent_points``, whose times come sorted."""
     gamma.validate_nonneg(T)
     _, times = _latent_points(gamma, T, 1, _as_generator(seed))
-    # Distinct masses can collapse to the same time only on flat stretches of
-    # Gamma, a probability-zero event; drop numerical ties defensively.
-    jumps = np.unique(times[(times > 0.0) & (times <= T)])
-    return CountPath(T=T, jumps=jumps)
+    # Two candidates on one float time is a probability-zero event; np.unique
+    # drops such a tie, which CountPath would refuse.
+    return CountPath(T=T, jumps=np.unique(times))
 
 
 def simulate(params: ModelParams, T: float, seed=None) -> SimResult:

@@ -4,15 +4,13 @@ These deliberately avoid the library's closed forms: adaptive Simpson
 quadrature for integrals and a brute-force Riemann integrator for step/
 piecewise-linear paths.  Tests compare library results against these.
 ``grid_coeff_marginal`` is a second lattice route to p(x), checked against
-the library's grid filter.  ``per_step_run``, ``dense_mc_chunk``,
-``bisect_cum_inverse`` and ``loop_adapt_path`` are the exceptions: plain
-forms of library code kept as references for the faster forms that replaced
-them.  They are the likelihood's own step loop, cut per step (for the
-blocked loop); the Monte Carlo oracle's log weights from a dense (latent
-points x events) comparison table (for the counting that replaced it); the
-cumulative-mass inverse by plain bisection (for the safeguarded Newton
-iteration); and the per-level loops of the adaptation transform (for its
-vectorized form).
+the library's grid filter.  ``per_step_run``, ``dense_mc_chunk`` and
+``loop_adapt_path`` are the exceptions: plain forms of library code kept as
+references for the faster forms that replaced them.  They are the
+likelihood's own step loop, cut per step (for the blocked loop); the Monte
+Carlo oracle's log weights from a dense (latent points x events) comparison
+table (for the counting that replaced it); and the per-level loops of the
+adaptation transform (for its vectorized form).
 """
 
 from __future__ import annotations
@@ -181,8 +179,9 @@ def grid_coeff_marginal(x, params, n: int) -> float:
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:
     """``marcox.oracles._mc_chunk`` on the same latent draws
-    (``simulator._latent_points``), with y(t_i-) counted from the dense table
-    ``times[:, None] < x.jumps[None, :]`` (latent points x events)."""
+    (``simulator._latent_points``: path labels and ascending times), with
+    y(t_i-) counted from the dense table ``times[:, None] < x.jumps[None, :]``
+    (latent points x events)."""
     rows, times = _latent_points(params.gamma, x.T, n, np.random.default_rng(seed))
     T, beta0, w = x.T, params.beta0, params.w
     counts = np.bincount(rows, minlength=n)
@@ -197,22 +196,6 @@ def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_rates = np.sum(np.log(np.where(rates > 0.0, rates, 1.0)), axis=1)
     return np.where(ok, log_rates - integral, -np.inf)
-
-
-def bisect_cum_inverse(gamma, us, T: float) -> np.ndarray:
-    """The smallest t in [0, T] with Gamma(t) >= u for each mass u <= Gamma(T):
-    60 bisection halvings of [0, T], which push the bracket width below
-    1e-12 T.  The reference for the safeguarded Newton iteration of
-    ``marcox.intensity._cum_inverse_batch``."""
-    us = np.asarray(us, dtype=float)
-    lo = np.zeros_like(us)
-    hi = np.full_like(us, float(T))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = gamma.cum_many(mid) >= us
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return hi
 
 
 def loop_adapt_path(x_star: CountPath, w: float) -> CountPath:

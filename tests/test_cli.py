@@ -135,10 +135,11 @@ def test_validate_fails_a_likelihood_off_by_a_tenth_of_a_nat(tmp_path, capsys, m
     assert report["grid"]["pass"] is False and report["overall_pass"] is False
 
 
-def test_validate_passes_a_simulated_path(tmp_path, capsys):
-    """The console-script check of CI: a simulated path at --grid-n 1024
-    --mc-n 2000 passes both oracles."""
-    config = write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
+@pytest.mark.parametrize("coeffs", [(1.0, 0.1), (0.25, -0.1, 0.01)], ids=["linear", "zero at t = 5"])
+def test_validate_passes_a_simulated_path(tmp_path, capsys, coeffs):
+    """The console-script check of CI: a simulated path of each of its two
+    models at --grid-n 1024 --mc-n 2000 passes both oracles."""
+    config = write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, coeffs)
     events = str(tmp_path / "events.csv")
     assert cli.main(["simulate", "--config", config, "--seed", "1", "--out", events]) == 0
     argv = ["validate", "--events", events, "--config", config, "--grid-n", "1024", "--mc-n", "2000"]

@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from marcox import intensity
-from marcox.errors import ConvergenceError, ValidationError
-from marcox.intensity import PolyIntensity, _cum_inverse_batch, grid_nonneg, kernel_moments, lambda_moments
+from marcox.errors import ValidationError
+from marcox.intensity import PolyIntensity, grid_nonneg, kernel_moments, lambda_moments
 
-from _oracles import adaptive_simpson, bisect_cum_inverse
+from _oracles import adaptive_simpson
 
 
 def random_nonneg_poly(rng, max_degree=4, T=1.0):
@@ -56,106 +55,87 @@ class TestCum:
             PolyIntensity((1.0,)).cum(-0.1)
 
 
-def square_times_power(T, root, k, offset):
-    """gamma = (t - r)^2 t^k + offset with r = root T: a flat point at r inside [0, T]."""
-    r = root * T
-    coeffs = np.zeros(k + 3)
-    coeffs[k:] = (r * r, -2.0 * r, 1.0)
-    coeffs[0] += offset
-    return PolyIntensity(tuple(coeffs)), r
+@st.composite
+def nonneg_polys(draw):
+    """(gamma, T): a product of nonnegative factors on [0, T] (t, T - t,
+    (t - r)^2 + e, any root r) times a scale, plus an offset, of degree 0..8,
+    kept when it passes ``validate_nonneg``: rounding in the expanded
+    coefficients can push a value below its tolerance."""
+    T = draw(st.floats(0.1, 50.0))
+    degree = draw(st.integers(0, 8))
+    poly = np.array([draw(st.floats(1e-3, 1e3))])
+    while poly.size <= degree:
+        kind = draw(st.sampled_from(["t", "T - t", "square"] if poly.size < degree else ["t", "T - t"]))
+        if kind == "square":
+            r, e = draw(st.floats(-0.5, 1.5)) * T, draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) * T * T
+            factor = (r * r + e, -2.0 * r, 1.0)
+        else:
+            factor = (0.0, 1.0) if kind == "t" else (T, -1.0)
+        poly = np.polynomial.polynomial.polymul(poly, factor)
+    poly[0] += draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) * abs(poly).max()
+    gamma = PolyIntensity(tuple(poly))
+    assume(gamma.is_nonneg(T))
+    return gamma, T
 
 
-def assert_inverse_matches_bisection(gamma, us, T):
-    """Every t lies in [0, T], Gamma(t) - u is at rounding size, and where
-    gamma is not nearly flat t is the bisection reference within 1e-9 T."""
-    got = _cum_inverse_batch(gamma, us, T)
-    assert np.all((got >= 0.0) & (got <= T))
-    top = float(gamma.eval_many(np.linspace(0.0, T, 1025)).max())
-    # Rounding of Gamma(t) scales with its terms' magnitudes sum_p |c_p| t^(p+1) / (p+1).
-    terms = np.abs(gamma.coeffs) / np.arange(1, gamma.degree + 2)
-    scale = np.polynomial.polynomial.polyval(got, terms) * got
-    assert np.all(np.abs(gamma.cum_many(got) - us) <= 2e-12 * T * top + 1e-13 * scale)
-    ref = bisect_cum_inverse(gamma, us, T)
-    steep = gamma.eval_many(ref) >= 1e-3 * top
-    assert np.all(np.abs(got - ref)[steep] <= 1e-9 * T)
+def dense_values(gamma, T):
+    """gamma at 10^5 evenly spaced times on [0, T], and the rounding scale
+    |c_0| + |c_1| T + ... of any monomial-basis evaluation there."""
+    vals = gamma.eval_many(np.linspace(0.0, T, 100_000))
+    return vals, float(abs_poly(gamma).eval_many(T))
 
 
-def random_round_trips():
-    """25 random polynomials nonnegative on [0, 1], each at one time in
-    [0.05, 0.95] where gamma >= 1e-6."""
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        gamma, t = random_nonneg_poly(rng), rng.uniform(0.05, 0.95)
-        if gamma.eval_many(t) >= 1e-6:
-            yield gamma, 1.0, np.array([t])
+@st.composite
+def attained_bounds(draw):
+    """(gamma, T) from the families whose Bernstein bound is gamma's largest
+    value: constants, monotone linear gamma, c t^d and (t - a)^d with d even
+    or a <= 0, each of degree 0..8 and nonnegative on [0, T]."""
+    T = draw(st.floats(0.1, 50.0))
+    c = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(["constant", "linear", "monomial", "shifted power"]))
+    if kind == "constant":
+        coeffs = (c,)
+    elif kind == "linear":
+        coeffs = (c, draw(st.floats(-1.0, 1.0)) * c / T)
+    elif kind == "monomial":
+        coeffs = (0.0,) * draw(st.integers(1, 8)) + (c,)
+    else:
+        d = draw(st.integers(1, 8))
+        a = draw(st.floats(-1.0, 1.5 if d % 2 == 0 else 0.0)) * T
+        coeffs = tuple(c * np.polynomial.polynomial.polypow((-a, 1.0), d))
+    gamma = PolyIntensity(coeffs)
+    assume(gamma.is_nonneg(T))
+    return gamma, T
 
 
-# (gamma, T, times) to invert at Gamma(times): Gamma(t) = t^2, whose inverse
-# is sqrt(u); a constant rate 2, whose inverse is u / 2; random polynomials.
-ROUND_TRIPS = {
-    "sqrt": [(PolyIntensity((0.0, 2.0)), 1.0, np.array([0.5]))],
-    "constant": [(PolyIntensity((2.0,)), 10.0, np.array([3.0]))],
-    "random": list(random_round_trips()),
-}
+class TestUpperBound:
+    @settings(max_examples=200, deadline=None)
+    @given(case=nonneg_polys())
+    def test_bounds_gamma(self, case):
+        """The largest Bernstein coefficient bounds gamma at 10^5 dense times,
+        to 1e-12 of the rounding scale."""
+        gamma, T = case
+        vals, scale = dense_values(gamma, T)
+        bound = gamma.upper_bound(T)
+        assert bound >= 0.0
+        assert np.all(vals <= bound + 1e-12 * scale)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=attained_bounds())
+    @example(case=(PolyIntensity((2.5,)), 10.0))
+    @example(case=(PolyIntensity((0.0,) * 8 + (0.37,)), 10.0))
+    @example(case=(PolyIntensity(tuple(np.polynomial.polynomial.polypow((-7.0, 1.0), 8))), 10.0))
+    def test_is_attained(self, case):
+        """Where the bound is attained it equals gamma's largest value at the
+        dense times, gamma(0) or gamma(T), to 1e-12 of the rounding scale."""
+        gamma, T = case
+        vals, scale = dense_values(gamma, T)
+        assert abs(gamma.upper_bound(T) - vals.max()) <= 1e-12 * scale
+        assert vals.max() == max(vals[0], vals[-1])
 
-class TestCumInverseBatch:
-    @settings(max_examples=150, deadline=None)
-    # gamma = (t - r)^2 t^6 with r = 1e-12: at Gamma(r) = 4e-111 Newton
-    # converges only linearly, by a factor 8/9 per step; the halving rule
-    # keeps the inversion within the iteration cap.
-    @example(T=1.0, root=1e-12, k=6, offset=0.0, seed=0)
-    @given(
-        T=st.floats(0.1, 50.0),
-        root=st.floats(0.0, 1.0),
-        k=st.integers(0, 6),
-        offset=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_bisection(self, T, root, k, offset, seed):
-        """Degree up to 8, gamma(0) = 0 included; the masses include Gamma(T),
-        the flat point Gamma(r) and 1e-15 Gamma(T)."""
-        gamma, r = square_times_power(T, root, k, offset)
-        total = gamma.cum(T)
-        edges = [0.0, 1e-15 * total, min(gamma.cum(r), total), total]
-        us = np.sort(np.concatenate([np.random.default_rng(seed).uniform(0.0, total, 200), edges]))
-        assert_inverse_matches_bisection(gamma, us, T)
-
-    @pytest.mark.parametrize(
-        "T, root, k, offset",
-        [(10.0, 0.7, 3, 0.01), (10.0, 0.95, 5, 0.16), (25.0, 0.8, 0, 0.01), (25.0, 0.35, 3, 0.16)],
-    )
-    def test_newton_cycle_at_the_flat_point(self, T, root, k, offset):
-        """Cases where unguarded Newton steps cycle around Gamma(r) and never
-        converge: only steps of at most half the previous step are taken."""
-        gamma, r = square_times_power(T, root, k, offset)
-        assert_inverse_matches_bisection(gamma, np.array([gamma.cum(r)]), T)
-
-    @pytest.mark.parametrize("cases", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
-    def test_round_trip(self, cases):
-        """Inverting Gamma(t) gives t back within 1e-10 and matches bisection."""
-        for gamma, T, times in cases:
-            us = gamma.cum_many(times)
-            np.testing.assert_allclose(_cum_inverse_batch(gamma, us, T), times, rtol=0.0, atol=1e-10)
-            assert_inverse_matches_bisection(gamma, us, T)
-
-    def test_empty_and_zero_rate(self):
-        assert _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.empty(0), 3.0).size == 0
-        np.testing.assert_array_equal(_cum_inverse_batch(PolyIntensity((0.0,)), np.zeros(3), 2.0), 0.0)
-
-    def test_blocks_give_the_one_pass_result(self, monkeypatch):
-        """Every element iterates on its own, so cutting the masses into blocks
-        changes no bit."""
-        gamma = PolyIntensity((1.0, -0.5, 0.1))
-        us = np.sort(np.random.default_rng(3).uniform(0.0, gamma.cum(4.0), 1000))
-        whole = _cum_inverse_batch(gamma, us, 4.0)
-        monkeypatch.setattr(intensity, "_INVERSE_BLOCK", 7)
-        np.testing.assert_array_equal(_cum_inverse_batch(gamma, us, 4.0), whole)
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(intensity, "_INVERSE_MAX_ITER", 2)
-        with pytest.raises(ConvergenceError):
-            _cum_inverse_batch(PolyIntensity((1.0, 2.0)), np.array([0.3, 5.0]), 3.0)
+    def test_zero_and_negative_clamp(self):
+        assert PolyIntensity((0.0, 0.0)).upper_bound(3.0) == 0.0
+        assert PolyIntensity((-1.0,)).upper_bound(3.0) == 0.0
 
 
 def alpha(gamma, w, T, b):
@@ -194,7 +174,7 @@ class TestAlphaIntegral:
             w = rng.uniform(0.5, 2.0)
             b = rng.uniform(0.0, T)
             exact = alpha(gamma, w, T, b)
-            quad = adaptive_simpson(lambda t: math.exp(-w * (T - t)) * gamma.eval_many(t), 0.0, b)
+            quad = adaptive_simpson(discounted(gamma, w, T), 0.0, b)
             assert exact == pytest.approx(quad, rel=1e-10, abs=1e-13)
 
 
@@ -221,12 +201,21 @@ class TestLambdaIntegral:
             assert -1e-12 <= lam <= gamma.cum(T) * (1.0 + 1e-12) + 1e-12
 
 
+def gamma_at(gamma, t):
+    """gamma(t) at one scalar t by a Python Horner loop, the same operations as
+    ``eval_many`` without a numpy call per quadrature point."""
+    acc = 0.0
+    for c in reversed(gamma.coeffs):
+        acc = acc * t + c
+    return acc
+
+
 def discounted(gamma, w, T):
-    return lambda t: math.exp(-w * (T - t)) * gamma.eval_many(t)
+    return lambda t: math.exp(-w * (T - t)) * gamma_at(gamma, t)
 
 
 def undiscounted(gamma, w, T):
-    return lambda t: -math.expm1(-w * (T - t)) * gamma.eval_many(t)
+    return lambda t: -math.expm1(-w * (T - t)) * gamma_at(gamma, t)
 
 
 def decay_quadrature(f, w, b):

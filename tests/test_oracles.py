@@ -206,6 +206,32 @@ class TestChecks:
         assert grid_check(x, params, 16384, exact + 1e-3)["pass"] is False
         assert grid_check(x, params, 16384, exact - 1e-3)["pass"] is False
 
+    def test_grid_check_cannot_decide_outside_the_asymptotic_range(self):
+        """A 28-event path (a simulated one, rounded to 3 decimals) where at
+        n = 1024 the Richardson differences have not settled: the second is
+        19.6 times the first, which undershoots the error of log_value,
+        |log_value - loglik| = 1.2 err_nats.  The lattice n/8 shows it, so
+        the check cannot decide there.  At n = 16384 the ratio is 3.9, and
+        the check passes."""
+        params = ModelParams(2.0, 0.25, PolyIntensity((1.0,)))
+        x = load_path(
+            [0.551, 0.74, 1.164, 1.43, 1.513, 1.677, 1.779, 2.459, 3.177, 3.438, 4.063, 4.099, 4.146, 4.153,
+             4.849, 5.906, 6.339, 6.443, 6.71, 7.496, 7.655, 8.075, 8.326, 8.509, 9.224, 9.386, 9.419, 9.491],
+            10.0,
+        )
+        exact = marginal_loglik(x, params).loglik
+        coarse = grid_check(x, params, 1024, exact)
+        assert abs(coarse["log_value"] - exact) > coarse["err_nats"]
+        assert coarse["pass"] is None
+        assert grid_check(x, params, 16384, exact)["pass"] is True
+
+    def test_grid_check_below_16_steps_cannot_decide(self):
+        """n = 8 leaves no lattice n/8 to show the asymptotic range, even
+        where every lattice gives the same value."""
+        params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
+        x = load_path([0.1, 0.5, 0.9], 1.0)
+        assert grid_check(x, params, 8, marginal_loglik(x, params).loglik)["pass"] is None
+
     def test_homogeneous_case_passes_both(self):
         """gamma = 0: every lattice gives the same value and every weight is
         equal, so both checks pass on the relative floor alone."""
