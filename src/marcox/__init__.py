@@ -15,7 +15,7 @@ of the latent polynomial rate.
 
 __version__ = "0.1.0"
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .inference import Chain, ChainSummary, FitConfig, MleResult, mh_fit, mle_fit, summarize
 from .intensity import PolyIntensity
 from .marginal import MarginalLikelihood, MarginalResult, marginal_loglik
@@ -26,7 +26,6 @@ from .simulator import LatentPath, SimResult, conditional_loglik, simulate, simu
 __all__ = [
     "Chain",
     "ChainSummary",
-    "ConvergenceError",
     "CountPath",
     "FitConfig",
     "LatentPath",

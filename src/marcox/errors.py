@@ -3,7 +3,3 @@
 
 class ValidationError(ValueError):
     """Input violates a domain contract (event times, parameter ranges, grids)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap without converging."""

@@ -14,7 +14,9 @@ matrix-vector product before anything else.
 
 A Metropolis proposal inside the support draws its uniform u next and is
 tested against ``MarginalLikelihood.loglik_bound``, an upper bound on its
-log-likelihood from the current state's pass (O(M log M), no pass).  When
+log-likelihood (O(M log M), no pass) from what is already at hand: the
+current state's pass, whose result carries the log kernel masses it used,
+and the proposal's masses, which its support check computed.  When
 log u is at least the bound's log posterior ratio (plus a margin far above
 rounding), the exact test would reject too, so the proposal is rejected
 without a pass (early rejection: Solonen et al., *Bayesian Anal.* 7, 2012).
@@ -36,7 +38,6 @@ five coefficients it takes 7 to 10.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import warnings
@@ -138,9 +139,10 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     Target: marginal log-likelihood plus independent normal log-priors.
     Each proposal is checked in three steps: the support (``in_support``;
     outside it the proposal is rejected outright), then the likelihood
-    bound, from the masses the support check cached, against the uniform
-    drawn for the accept test (``loglik_bound``; rejected without a pass
-    when even the bound fails), then the likelihood pass and the exact
+    bound, from the current state's pass and the masses the support check
+    computed, against the uniform drawn for the accept test
+    (``loglik_bound``; rejected without a pass when even the bound fails),
+    then the likelihood pass, which reuses those masses, and the exact
     test.  The chain is the one a pass for every proposal would give.
     Over the main run, ``n_evals`` counts the passes, ``n_bound_rejected``
     the proposals the bound rejected and ``n_support_rejected`` those
@@ -202,7 +204,7 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         prior = log_prior(prop)
         if lik is not None:
             # The exact test fails wherever the bound's does, up to the margin.
-            bound = lik.loglik_bound(prop, current, cur_res)
+            bound = lik.loglik_bound(prop, cur_res)
             if log_u >= bound + prior - cur_post + cur_margin:
                 bound_rejected += 1
                 return False, False
@@ -574,6 +576,8 @@ def read_chain_csv(source: str | Path | TextIO) -> Chain:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_chain_csv(fh)
+    import csv  # imported on use, so that importing marcox does not load it
+
     reader = csv.reader(source)
     header = next(reader, None)
     if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:

@@ -55,17 +55,14 @@ computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
 ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
 its pass when even the bound fails the Metropolis test.
 
-What one coefficient vector gives is kept in one cache record (``_Masses``),
-keyed by the vector's shape and bytes: the masses B~ c, int lambda, whether
-both are admissible, and their logs, which the first of ``loglik_bound`` and
-the pass to need them computes.  A ``MarginalLikelihood`` keeps three: the
-record of the last proposal (the coefficients of ``in_support`` or of
-``loglik_bound``), of the last pass and of ``loglik_bound``'s last
-reference.  So a sampler's proposal takes its masses and their logs once
-for its support check, bound and pass, and the current state's record,
-made by its pass, serves every bound until the next acceptance.  A record
-saves work only: every value is the one a fresh ``MarginalLikelihood``
-gives, bit for bit.
+What one coefficient vector gives is one record (``_Masses``), keyed by its
+shape and bytes: int lambda and, when it and the masses B~ c are
+admissible, the masses' logs, read-only.  A ``MarginalLikelihood`` keeps
+the record of the last coefficients given, so a proposal takes its masses
+once for its support check, bound and pass; a pass's result carries the log
+masses it used (``MarginalResult.log_masses``), where ``loglik_bound``
+finds its reference's.  The record saves work only: every value is the one
+a fresh ``MarginalLikelihood`` gives, bit for bit.
 
 A step is three in-place ufunc calls on whole rows (five with the
 gradient), so at M in the hundreds a pass costs interpreter overhead per
@@ -100,12 +97,16 @@ class MarginalResult:
     ``log_k`` is log pi(k), the posterior of the number of latent points the
     events attach to, for k = 0..M (the DP's last row less
     polynomial_term_log); None at the -inf sentinel and when not computed.
+    ``log_masses`` is log (A_m e^{w (T - t_m)}), m = 1..M, the log kernel
+    masses the pass used (-inf for a mass of 0), read-only; None when not
+    computed.
     """
 
     loglik: float
     polynomial_term_log: float
     exponent_term: float
     log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
+    log_masses: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -115,13 +116,11 @@ def _logsumexp(v: np.ndarray) -> float:
 
 @dataclass(eq=False, slots=True)
 class _Masses:
-    """The cache record of one coefficient vector (module docstring)."""
+    """The record of one coefficient vector (module docstring)."""
 
     key: tuple  # the coefficients' shape and bytes
-    scaled: np.ndarray  # A_m e^{w (T - t_m)}, m = 1..M
     lam: float  # int lambda
-    ok: bool  # whether both are finite and >= 0
-    log: np.ndarray | None = None  # log scaled, set by the first loglik_bound or pass that needs it
+    log: np.ndarray | None  # log A_m e^{w (T - t_m)}, read-only; None unless admissible
 
 
 class MarginalLikelihood:
@@ -166,11 +165,8 @@ class MarginalLikelihood:
         # Below this sum of |coefficients| the products with B and L can
         # neither overflow nor meet an inf (see _masses).
         self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max())
-        # The _Masses of the last proposal (in_support or loglik_bound), of
-        # the last pass and of loglik_bound's last reference.
-        self._checked: _Masses | None = None
-        self._passed: _Masses | None = None
-        self._ref: _Masses | None = None
+        # The _Masses of the last coefficients given (module docstring).
+        self._kept: _Masses | None = None
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
@@ -192,43 +188,34 @@ class MarginalLikelihood:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: every
         kernel mass and the lambda integral are finite and >= 0, and gamma
         passes ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
-        holds, ``loglik`` does not raise.  The masses and the lambda integral
-        go into the coefficients' cache record (module docstring), so the
-        next ``loglik_bound``, ``loglik`` or ``loglik_grad`` at the same
-        coefficients (the same bytes) does not compute them again."""
+        holds, ``loglik`` does not raise.  The masses go into the kept record
+        (module docstring), so the next ``loglik_bound``, ``loglik`` or
+        ``loglik_grad`` at the same coefficients (the same bytes) does not
+        compute them again."""
         c = np.asarray(coeffs, dtype=float)
-        rec = self._checked = self._record(c)
-        return rec.ok and grid_nonneg(self.V @ c)
+        return self._record(c).log is not None and grid_nonneg(self.V @ c)
 
-    def loglik_bound(self, coeffs, ref_coeffs, ref: MarginalResult) -> float:
+    def loglik_bound(self, coeffs, ref: MarginalResult) -> float:
         """An upper bound on ``loglik(coeffs).loglik`` from ``ref``, the result
-        of a pass at ref_coeffs, in O(M log M) and without a pass.
+        of a pass of this likelihood, in O(M log M) and without a pass.
 
         log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k) prod_(j<=k)
         r_(j) - beta0 T - L coeffs, where r_(1) >= r_(2) >= ... are the mass
         ratios A'_m / A_m in decreasing order and pi = exp(ref.log_k) (module
         docstring).  Equality holds when every ratio is the same.  The
-        masses at both coefficient vectors come from their cache records:
-        coeffs' from ``in_support``, ref_coeffs' from the pass that gave
-        ref, as when a sampler has just accepted them, or from the last
-        call's reference.  The log masses this takes go into the records
-        too, where the pass at coeffs finds them.  The bound is +inf, so it
-        rejects nothing, when ref's loglik is not finite or a mass at
-        ref_coeffs is 0.
+        masses at coeffs come from the kept record, those of the reference
+        from ``ref.log_masses``.  The bound is +inf, so it rejects nothing,
+        when ref's loglik is not finite or a mass of the reference is 0.
         """
         if ref.log_k is None or not math.isfinite(ref.loglik):
             return math.inf
-        rec = self._checked = self._admissible(coeffs)
-        ref_rec = self._ref = self._admissible(ref_coeffs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if rec.log is None:
-                rec.log = np.log(rec.scaled)
-            if ref_rec.log is None:
-                ref_rec.log = np.log(ref_rec.scaled)
-            log_ratio = rec.log - ref_rec.log
-            log_ratio.sort()
-        # A mass of 0 at ref_coeffs gives a ratio of +inf, or NaN where the
-        # mass at coeffs is 0 too, and either sorts last.
+        rec = self._admissible(coeffs)
+        # Where both masses are 0 the log ratio is -inf - -inf, NaN.
+        with np.errstate(invalid="ignore"):
+            log_ratio = rec.log - ref.log_masses
+        log_ratio.sort()
+        # A mass of 0 in the reference gives a ratio of +inf, or NaN where
+        # the mass at coeffs is 0 too, and either sorts last.
         if log_ratio.size and not log_ratio[-1] < math.inf:
             return math.inf
         # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0 at coeffs) comes last.
@@ -236,8 +223,8 @@ class MarginalLikelihood:
         log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
         return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - rec.lam)
 
-    def _masses(self, coeffs) -> tuple[np.ndarray, float, bool]:
-        """(A_m e^{w (T - t_m)} for all m, int lambda, whether both are admissible)."""
+    def _masses(self, coeffs) -> _Masses:
+        """A new record of coeffs (module docstring), not kept."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.degree + 1,):
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
@@ -248,22 +235,25 @@ class MarginalLikelihood:
             # in the products; the test below refuses whatever they give.
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled, lam = self._B @ c, float(self._L @ c)
-        ok = 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf
-        return scaled, lam, bool(ok)
+        log = None
+        if 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf:
+            with np.errstate(divide="ignore"):
+                log = np.log(scaled)
+            # Results share it (MarginalResult.log_masses), so none may write to it.
+            log.flags.writeable = False
+        return _Masses((c.shape, c.tobytes()), lam, log)
 
-    def _record(self, c: np.ndarray) -> _Masses:
-        """The cache record of the coefficient array c: a kept one when the
-        bytes match, else a new one, which the caller keeps."""
-        key = (c.shape, c.tobytes())
-        for rec in (self._checked, self._ref, self._passed):
-            if rec is not None and rec.key == key:
-                return rec
-        return _Masses(key, *self._masses(c))
+    def _record(self, coeffs) -> _Masses:
+        """The kept record when its bytes are coeffs', else a new one, kept instead."""
+        c = np.asarray(coeffs, dtype=float)
+        if self._kept is None or self._kept.key != (c.shape, c.tobytes()):
+            self._kept = self._masses(c)
+        return self._kept
 
     def _admissible(self, coeffs) -> _Masses:
         """``_record``, raising ``ValidationError`` unless admissible."""
-        rec = self._record(np.asarray(coeffs, dtype=float))
-        if not rec.ok:
+        rec = self._record(coeffs)
+        if rec.log is None:
             raise ValidationError(
                 "kernel masses must be finite and >= 0: gamma dips below zero on "
                 "[0, T] or has non-finite coefficients"
@@ -271,12 +261,9 @@ class MarginalLikelihood:
         return rec
 
     def _run(self, coeffs, grad: bool):
-        rec = self._passed = self._admissible(coeffs)
-        if rec.log is None:
-            with np.errstate(divide="ignore"):
-                rec.log = np.log(rec.scaled)
+        rec = self._admissible(coeffs)
         log_new = self._log_kernel + rec.log
-        M = rec.scaled.size
+        M = rec.log.size
         # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
         # log f_m(k) in column 0 followed by the sensitivities log D_p f_m(k).
         if grad:
@@ -321,6 +308,7 @@ class MarginalLikelihood:
             polynomial_term_log=poly_log,
             exponent_term=exponent,
             log_k=f - poly_log if poly_log > -math.inf else None,
+            log_masses=rec.log,
         )
         if not grad:
             return result

@@ -34,7 +34,6 @@ with the standard library, so importing this module loads no scipy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +205,8 @@ def mc_marginal(
     if jobs <= 1 or len(sizes) == 1:
         parts = [_mc_chunk(x, params, s, sq) for s, sq in zip(sizes, seeds)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported on use: it loads logging and queue
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(lambda a: _mc_chunk(x, params, *a), zip(sizes, seeds)))
     logs = np.concatenate(parts)

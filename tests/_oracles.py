@@ -85,8 +85,9 @@ def per_step_run(lik, coeffs, grad=False):
     m works on rows[: m + 2] only, the entries f_m can fill, so the result
     does not rely on the -inf entries past them.
     """
-    scaled, lam, ok = lik._masses(coeffs)
-    assert ok
+    c = np.asarray(coeffs, dtype=float)
+    assert lik._masses(c).log is not None
+    scaled, lam = lik._B @ c, float(lik._L @ c)
     with np.errstate(divide="ignore"):
         log_new = lik._log_kernel + np.log(scaled)
     M = scaled.size

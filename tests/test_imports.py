@@ -12,7 +12,8 @@ import pytest
 import marcox
 
 # Import the CLI, record which scipy modules are loaded, then run one
-# maximum-likelihood fit and record them again.
+# maximum-likelihood fit and record them again, with the standard-library
+# modules that only one rarely used function imports.
 _SCRIPT = """
 import json, sys
 
@@ -27,6 +28,7 @@ res = mle_fit(load_path([0.5, 1.2, 2.0, 3.1], 4.0), (0.5, 0.7), degree=1, budget
 print(json.dumps({
     "after_import": after_import,
     "after_fit": scipy_modules(),
+    "deferred": sorted(m for m in ("concurrent.futures", "csv") if m in sys.modules),
     "loglik": res.loglik,
     "n_evals": res.n_evals,
 }))
@@ -85,6 +87,12 @@ def test_mle_fit_loads_no_scipy(fresh_run):
     assert fresh_run["after_fit"] == []
     assert math.isfinite(fresh_run["loglik"])
     assert 1 <= fresh_run["n_evals"] <= 40
+
+
+def test_cli_import_and_mle_fit_load_no_deferred_modules(fresh_run):
+    """mc_marginal's thread pool and read_chain_csv's csv are imported where
+    they are used."""
+    assert fresh_run["deferred"] == []
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -100,7 +100,7 @@ class TestMhFit:
         every proposal, bit for bit, with fewer likelihood passes."""
         cfg = config(8, iters=300, burnin=50, pilot_iters=100, **kw)
         fast = mh_fit(path, (BETA0, W), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref_c, ref: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref: math.inf)
         slow = mh_fit(path, (BETA0, W), cfg)
         for name in ("draws", "logliks", "accepted", "proposal_sd"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
@@ -119,27 +119,32 @@ class TestMhFit:
         ],
         ids=["block-pilot", "block", "per-coordinate-degree-2"],
     )
-    def test_cached_log_masses_leave_the_chain_unchanged(self, path, monkeypatch, kw):
-        """The log masses a cache record keeps between the bound and the pass
-        give the chain of a run where every lookup finds them unset, bit for bit."""
+    def test_kept_masses_leave_the_chain_unchanged(self, path, monkeypatch, kw):
+        """The record MarginalLikelihood keeps between a proposal's support
+        check, bound and pass gives the chain of a run that clears it before
+        every lookup, bit for bit."""
         cfg = config(9, iters=300, burnin=50, pilot_iters=100, **kw)
-        cached = mh_fit(path, (BETA0, W), cfg)
-        original = MarginalLikelihood._record
-        hits = []
+        record, masses = MarginalLikelihood._record, MarginalLikelihood._masses
+        built = []
 
-        def forgetting(self, c):
-            rec = original(self, c)
-            hits.append(rec.log is not None)
-            rec.log = None
-            return rec
+        def counting(self, coeffs):
+            built.append(1)
+            return masses(self, coeffs)
 
+        def forgetting(self, coeffs):
+            self._kept = None
+            return record(self, coeffs)
+
+        monkeypatch.setattr(MarginalLikelihood, "_masses", counting)
+        kept = mh_fit(path, (BETA0, W), cfg)
+        n_kept = len(built)
         monkeypatch.setattr(MarginalLikelihood, "_record", forgetting)
-        fresh = mh_fit(path, (BETA0, W), cfg)
-        assert any(hits)  # the cache would have served some lookups
+        cleared = mh_fit(path, (BETA0, W), cfg)
+        assert len(built) - n_kept > n_kept  # the kept record served some lookups
         for name in ("draws", "logliks", "accepted", "proposal_sd"):
-            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+            assert getattr(kept, name).tobytes() == getattr(cleared, name).tobytes()
         for name in ("accept_rate", "n_evals", "n_bound_rejected", "n_support_rejected"):
-            assert getattr(cached, name) == getattr(fresh, name)
+            assert getattr(kept, name) == getattr(cleared, name)
 
     @pytest.mark.parametrize("adapt", [True, False])
     def test_block_counts_add_up_to_iters(self, path, adapt):
@@ -156,7 +161,7 @@ class TestMhFit:
         x = CountPath(1.0, np.array([0.2, 0.6]))
         cfg = FitConfig(degree=0, start=(0.0,), iters=50, burnin=0, adapt_proposals=False, seed=1)
         chain = mh_fit(x, (0.0, 1.0), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref_c, ref: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref: math.inf)
         slow = mh_fit(x, (0.0, 1.0), cfg)
         assert chain.draws.tobytes() == slow.draws.tobytes()
         assert chain.logliks.tobytes() == slow.logliks.tobytes()
