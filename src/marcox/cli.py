@@ -231,10 +231,8 @@ def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, int]:
         w = float(cfg["w"])
         budget = cfg.get("budget", 2000)
         check_count(budget, "budget", 1)
-        # Every sampler control but use_likelihood, which the CLI does not expose.
-        known = {f.name for f in fields(FitConfig)} - {"use_likelihood"}
-        fit_kwargs = {k: v for k, v in cfg.items() if k in known}
-        fit = FitConfig(**fit_kwargs)
+        known = {f.name for f in fields(FitConfig)}
+        fit = FitConfig(**{k: v for k, v in cfg.items() if k in known})
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:

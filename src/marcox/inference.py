@@ -10,7 +10,9 @@ support check: the start, every proposal and every trial point of the
 maximum-likelihood line search go through it.  It reads gamma at the check
 times through the matrix V the likelihood built once
 (``intensity.nonneg_matrix``), so a proposal costs one (1025 x (degree + 1))
-matrix-vector product before anything else.
+matrix-vector product before anything else.  Both fitters start from one
+rule (``_start``): the given start, or by default the constant rate
+max(M, 1) / T, refused unless it lies in the support.
 
 A Metropolis proposal inside the support draws its uniform u next and is
 tested against ``MarginalLikelihood.loglik_bound``, an upper bound on its
@@ -48,14 +50,13 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ValidationError
+from .intensity import MAX_DEGREE
 from .marginal import MarginalLikelihood, MarginalResult
 from .paths import CountPath
 
 _TARGET_ACCEPT = 0.25
 # Relative slack of mh_fit's early rejection over the likelihood bound.
 _BOUND_MARGIN = 1e-9
-# The likelihood term of a prior-only chain (FitConfig.use_likelihood false).
-_NO_LIKELIHOOD = MarginalResult(0.0, 0.0, 0.0)
 
 
 def check_count(value, name: str, low: int) -> None:
@@ -73,13 +74,29 @@ def _as_vector(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _start(lik: MarginalLikelihood, x: CountPath, d: int, start) -> np.ndarray:
+    """A fit's first point: ``start``, or by default the constant rate
+    max(M, 1) / T; it must lie in the likelihood's support."""
+    if start is None:
+        c = np.zeros(d)
+        c[0] = max(x.count, 1) / x.T
+    else:
+        c = _as_vector(start, d, "start")
+    if not lik.in_support(c):
+        raise ValidationError("starting coefficients give a negative intensity")
+    return c
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Controls for the Metropolis sampler.
 
-    Scalars for prior/proposal settings broadcast over all coefficients.
-    ``adapt_proposals`` runs a discarded pilot phase that rescales the
-    proposal widths toward 25% acceptance before the recorded run.
+    ``degree`` lies in 0..``MAX_DEGREE``, checked before any vector is
+    built.  Scalars for prior/proposal settings broadcast over all
+    coefficients.  ``adapt_proposals`` runs a discarded pilot phase that
+    rescales the proposal widths toward 25% acceptance before the recorded
+    run.  ``start`` is the chain's first state, by default the constant rate
+    max(M, 1) / T as in ``mle_fit``.
     """
 
     degree: int
@@ -93,14 +110,15 @@ class FitConfig:
     adapt_proposals: bool = True
     pilot_iters: int = 1000
     start: Sequence[float] | None = None
-    use_likelihood: bool = True
     per_coordinate: bool = False
 
     def __post_init__(self) -> None:
         for name, low in (("degree", 0), ("burnin", 0), ("thin", 1), ("seed", 0), ("pilot_iters", 0)):
             check_count(getattr(self, name), name, low)
+        if self.degree > MAX_DEGREE:
+            raise ValidationError(f"degree must be at most {MAX_DEGREE}, got {self.degree!r}")
         check_count(self.iters, "iters", self.burnin + 1)
-        for name in ("adapt_proposals", "use_likelihood", "per_coordinate"):
+        for name in ("adapt_proposals", "per_coordinate"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         d = self.degree + 1
@@ -154,35 +172,13 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     rng = np.random.default_rng(cfg.seed)
     d = cfg.degree + 1
 
-    evals = 0
-    bound_rejected = 0
-    lik = MarginalLikelihood(x, beta0, w, cfg.degree) if cfg.use_likelihood else None
-
-    def loglik(coeffs: np.ndarray) -> MarginalResult:
-        """One likelihood pass (log-likelihood 0 without one); the caller has checked the support."""
-        nonlocal evals
-        if lik is None:
-            return _NO_LIKELIHOOD
-        evals += 1
-        return lik.loglik(coeffs)
+    evals = bound_rejected = 0
+    lik = MarginalLikelihood(x, beta0, w, cfg.degree)
+    current = _start(lik, x, d, cfg.start)
 
     def log_prior(coeffs: np.ndarray) -> float:
         z = (coeffs - cfg.prior_mean) / cfg.prior_sd
         return float(-0.5 * np.dot(z, z))
-
-    def in_support(coeffs: np.ndarray) -> bool:
-        # The support restriction belongs to the likelihood term.
-        return lik is None or lik.in_support(coeffs)
-
-    if cfg.start is not None:
-        current = np.array(cfg.start, dtype=float)
-    elif cfg.use_likelihood:
-        current = np.zeros(d)
-        current[0] = max(x.count, 1) / x.T  # crude rate-matching start, feasible
-    else:
-        current = np.array(cfg.prior_mean, dtype=float)
-    if not in_support(current):
-        raise ValidationError("starting coefficients give a negative intensity")
 
     def bound_margin(res: MarginalResult) -> float:
         """The early rejection's slack at a state with pass ``res``: far above
@@ -190,25 +186,24 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         return _BOUND_MARGIN * (1.0 + abs(res.polynomial_term_log) + abs(res.exponent_term))
 
     sd = np.array(cfg.proposal_sd, dtype=float)
-    cur_res = loglik(current)
+    cur_res = lik.loglik(current)
     cur_post = cur_res.loglik + log_prior(current)
     cur_margin = bound_margin(cur_res)
 
     def try_move(prop: np.ndarray) -> tuple[bool, bool]:
         """Accept/reject one proposal; returns (accepted, support_rejected)."""
-        nonlocal current, cur_res, cur_post, cur_margin, bound_rejected
-        if not in_support(prop):
+        nonlocal current, cur_res, cur_post, cur_margin, evals, bound_rejected
+        if not lik.in_support(prop):
             rng.random()  # burn the decision draw to keep the stream aligned
             return False, True
         log_u = math.log(rng.random())
         prior = log_prior(prop)
-        if lik is not None:
-            # The exact test fails wherever the bound's does, up to the margin.
-            bound = lik.loglik_bound(prop, cur_res)
-            if log_u >= bound + prior - cur_post + cur_margin:
-                bound_rejected += 1
-                return False, False
-        res = loglik(prop)
+        # The exact test fails wherever the bound's does, up to the margin.
+        if log_u >= lik.loglik_bound(prop, cur_res) + prior - cur_post + cur_margin:
+            bound_rejected += 1
+            return False, False
+        evals += 1
+        res = lik.loglik(prop)
         post = res.loglik + prior
         if log_u < post - cur_post:
             current, cur_res, cur_post, cur_margin = prop, res, post, bound_margin(res)
@@ -457,14 +452,8 @@ def mle_fit(
     check_count(budget, "budget", 1)
     beta0, w = params_fixed
     d = degree + 1
-    if start is None:
-        x0 = np.zeros(d)
-        x0[0] = max(x.count, 1) / x.T
-    else:
-        x0 = _as_vector(start, d, "start")
     lik = MarginalLikelihood(x, beta0, w, degree)
-    if not lik.in_support(x0):
-        raise ValidationError("starting coefficients give a negative intensity")
+    x0 = _start(lik, x, d, start)
     V = lik.V
     evals = 0
     best_ll, best_c = -math.inf, x0
@@ -512,47 +501,39 @@ class ChainSummary:
     coeff_mean: np.ndarray
     coeff_sd: np.ndarray
     coeff_quantiles: np.ndarray  # rows: 2.5%, 50%, 97.5%
-    grid: np.ndarray | None = None
-    gamma_mean: np.ndarray | None = None
-    gamma_lo: np.ndarray | None = None
-    gamma_hi: np.ndarray | None = None
-    cum_mean: np.ndarray | None = None
-    cum_lo: np.ndarray | None = None
-    cum_hi: np.ndarray | None = None
+    grid: np.ndarray
+    gamma_mean: np.ndarray
+    gamma_lo: np.ndarray
+    gamma_hi: np.ndarray
+    cum_mean: np.ndarray
+    cum_lo: np.ndarray
+    cum_hi: np.ndarray
 
 
-def summarize(chain: Chain, t_grid: Sequence[float] | None = None) -> ChainSummary:
-    """Per-coefficient posterior summaries and, given a time grid, pointwise
-    bands for the rate and its cumulative mass."""
+def summarize(chain: Chain, t_grid: Sequence[float]) -> ChainSummary:
+    """Per-coefficient posterior summaries and pointwise bands for the rate
+    and its cumulative mass at the times ``t_grid``."""
     draws = np.asarray(chain.draws, dtype=float)
     if draws.size == 0:
         raise ValidationError("cannot summarize an empty chain")
-    sd = (
-        np.std(draws, axis=0, ddof=1)
-        if draws.shape[0] > 1
-        else np.zeros(draws.shape[1])
+    sd = np.std(draws, axis=0, ddof=1) if draws.shape[0] > 1 else np.zeros(draws.shape[1])
+    ts = np.asarray(t_grid, dtype=float)
+    powers = np.vander(ts, draws.shape[1], increasing=True)
+    vals = draws @ powers.T
+    # Gamma(t) = sum_p c_p t^(p+1) / (p + 1).
+    cums = (draws / np.arange(1, draws.shape[1] + 1)) @ (powers * ts[:, None]).T
+    return ChainSummary(
+        coeff_mean=np.mean(draws, axis=0),
+        coeff_sd=sd,
+        coeff_quantiles=np.quantile(draws, [0.025, 0.5, 0.975], axis=0),
+        grid=ts,
+        gamma_mean=vals.mean(axis=0),
+        gamma_lo=np.quantile(vals, 0.025, axis=0),
+        gamma_hi=np.quantile(vals, 0.975, axis=0),
+        cum_mean=cums.mean(axis=0),
+        cum_lo=np.quantile(cums, 0.025, axis=0),
+        cum_hi=np.quantile(cums, 0.975, axis=0),
     )
-    out = {
-        "coeff_mean": np.mean(draws, axis=0),
-        "coeff_sd": sd,
-        "coeff_quantiles": np.quantile(draws, [0.025, 0.5, 0.975], axis=0),
-    }
-    if t_grid is not None:
-        ts = np.asarray(t_grid, dtype=float)
-        powers = np.vander(ts, draws.shape[1], increasing=True)
-        vals = draws @ powers.T
-        # Gamma(t) = sum_p c_p t^(p+1) / (p + 1).
-        cums = (draws / np.arange(1, draws.shape[1] + 1)) @ (powers * ts[:, None]).T
-        out.update(
-            grid=ts,
-            gamma_mean=vals.mean(axis=0),
-            gamma_lo=np.quantile(vals, 0.025, axis=0),
-            gamma_hi=np.quantile(vals, 0.975, axis=0),
-            cum_mean=cums.mean(axis=0),
-            cum_lo=np.quantile(cums, 0.025, axis=0),
-            cum_hi=np.quantile(cums, 0.975, axis=0),
-        )
-    return ChainSummary(**out)
 
 
 def write_chain_csv(dest: str | Path | TextIO, chain: Chain) -> None:

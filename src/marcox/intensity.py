@@ -76,10 +76,6 @@ class PolyIntensity:
             acc = acc * t + self.coeffs[k] / (k + 1)
         return acc * t
 
-    def cum_many(self, ts: np.ndarray) -> np.ndarray:
-        anti = np.asarray(self.coeffs) / np.arange(1, len(self.coeffs) + 1)
-        return np.polynomial.polynomial.polyval(ts, anti) * ts
-
     def is_nonneg(self, T: float) -> bool:
         """Dense-sampling nonnegativity check for gamma on [0, T]: ``grid_nonneg``
         of the values ``nonneg_matrix`` gives."""

@@ -200,10 +200,13 @@ def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
         ("pilot_iters", 2.5),
         ("adapt_proposals", "no"),
         ("burnin", False),
+        ("degree", 9),
+        ("degree", 3_000_000),
     ],
 )
 def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value):
-    """Counts must be integers, the seed a nonnegative integer, flags booleans."""
+    """Counts must be integers, the seed a nonnegative integer, flags booleans
+    and the degree at most MAX_DEGREE."""
     events = tmp_path / "events.csv"
     write_events_csv(events, [1.0, 2.0, 4.5])
     config = tmp_path / "fit.json"

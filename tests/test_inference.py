@@ -13,7 +13,7 @@ from marcox import inference
 from marcox.errors import ValidationError
 from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, summarize, write_chain_csv
 from marcox.intensity import PolyIntensity, nonneg_matrix
-from marcox.marginal import MarginalLikelihood, marginal_loglik
+from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import CountPath, ModelParams
 from marcox.simulator import simulate
 
@@ -174,15 +174,30 @@ class TestMhFit:
     def test_keeps_every_thin_th_draw_after_burnin(self, path, iters, burnin, thin, kept):
         """Draws at iterations burnin, burnin + thin, ...: the last one when
         thin does not divide iters - burnin, and the first when thin exceeds it."""
-        cfg = config(2, iters=iters, burnin=burnin, thin=thin, use_likelihood=False)
+        cfg = config(2, iters=iters, burnin=burnin, thin=thin)
         chain = mh_fit(path, (BETA0, W), cfg)
-        full = mh_fit(path, (BETA0, W), config(2, iters=iters, burnin=0, thin=1, use_likelihood=False))
+        full = mh_fit(path, (BETA0, W), config(2, iters=iters, burnin=0, thin=1))
         assert chain.draws.shape == (kept, 2)
         np.testing.assert_array_equal(chain.draws, full.draws[burnin:iters:thin])
 
-    def test_prior_only_chain_matches_the_prior(self, path):
-        """Without the likelihood the chain samples the normal prior.  Each
+    def test_prior_only_chain_matches_the_prior(self, path, monkeypatch):
+        """Under a flat likelihood the chain samples the normal prior.  Each
         comparison allows 4 standard errors, from the chain's own ESS."""
+
+        class FlatLikelihood:
+            def __init__(self, x, beta0, w, degree):
+                pass
+
+            def in_support(self, coeffs):
+                return True
+
+            def loglik(self, coeffs):
+                return MarginalResult(0.0, 0.0, 0.0)
+
+            def loglik_bound(self, coeffs, ref):
+                return 0.0
+
+        monkeypatch.setattr(inference, "MarginalLikelihood", FlatLikelihood)
         mean, sd = np.array([1.0, -2.0]), np.array([0.5, 3.0])
         cfg = FitConfig(
             degree=1,
@@ -192,10 +207,10 @@ class TestMhFit:
             iters=20000,
             burnin=1000,
             seed=9,
-            use_likelihood=False,
+            start=mean,
         )
         chain = mh_fit(path, (BETA0, W), cfg)
-        assert chain.n_evals == 0 and chain.n_support_rejected == 0
+        assert chain.n_support_rejected == 0
         for p in range(2):
             draws = chain.draws[:, p]
             got_mean = draws.mean()
@@ -454,6 +469,41 @@ def test_qp_step_solves_the_qp(seed):
             assert value == pytest.approx(ref.fun, rel=0, abs=1e-10)
 
 
+class TestStart:
+    """Both fitters take their first point from one rule."""
+
+    @staticmethod
+    def first_point(fitter, x, degree, monkeypatch, start=None):
+        """mle_fit's result after one pass; the point of mh_fit's first pass."""
+        if fitter is mle_fit:
+            return mle_fit(x, (BETA0, W), degree, start, budget=1).coeffs
+
+        class FirstPass(Exception):
+            pass
+
+        def stop(self, coeffs):
+            raise FirstPass(coeffs)
+
+        monkeypatch.setattr(MarginalLikelihood, "loglik", stop)
+        with pytest.raises(FirstPass) as info:
+            mh_fit(x, (BETA0, W), FitConfig(degree=degree, start=start))
+        return info.value.args[0]
+
+    @pytest.mark.parametrize("fitter", [mh_fit, mle_fit])
+    @pytest.mark.parametrize("jumps", [(), (1.0, 2.5, 4.0)])
+    def test_default_is_the_constant_rate(self, fitter, jumps, monkeypatch):
+        """By default the rate is max(M, 1) / T, with M = 0 included."""
+        x = CountPath(5.0, np.array(jumps))
+        got = self.first_point(fitter, x, 2, monkeypatch)
+        np.testing.assert_array_equal(got, [max(len(jumps), 1) / 5.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("fitter", [mh_fit, mle_fit])
+    def test_start_outside_the_support_is_refused(self, fitter, monkeypatch):
+        x = CountPath(5.0, np.array([1.0, 2.5]))
+        with pytest.raises(ValidationError, match="starting coefficients give a negative intensity"):
+            self.first_point(fitter, x, 1, monkeypatch, start=(1.0, -1.0))
+
+
 class TestChainCsv:
     def test_roundtrip_is_exact(self):
         rng = np.random.default_rng(2)
@@ -533,7 +583,7 @@ class TestChainCsv:
 class TestSummarize:
     def test_bands_are_the_per_draw_quantiles(self):
         """The bands over the grid are the quantiles and means of each draw's
-        gamma (eval_many) and Gamma (cum_many)."""
+        gamma (eval_many) and Gamma (cum)."""
         rng = np.random.default_rng(8)
         draws = np.column_stack([rng.uniform(0.5, 2.0, 301), rng.normal(0.0, 0.1, 301), rng.normal(0.0, 0.01, 301)])
         chain = Chain(
@@ -550,7 +600,7 @@ class TestSummarize:
         got = summarize(chain, t_grid=ts)
         gammas = [PolyIntensity(tuple(c)) for c in draws]
         vals = np.array([g.eval_many(ts) for g in gammas])
-        cums = np.array([g.cum_many(ts) for g in gammas])
+        cums = np.array([[g.cum(t) for t in ts] for g in gammas])
         np.testing.assert_array_equal(got.grid, ts)
         for band, want in (
             (got.gamma_mean, vals.mean(axis=0)),
