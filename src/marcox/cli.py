@@ -4,9 +4,10 @@ adapt / summarize.
 Every subcommand is a thin adapter over the library: it parses files and
 flags, calls one library entry point, and writes results.  Event and chain
 data travel as CSV, configs and reports as strict JSON (a -inf
-log-likelihood is written as null).  File outputs are written atomically
-(temp file + rename) and accompanied by a ``<out>.manifest.json`` recording
-command, config hash, seed, version, and timestamps.
+log-likelihood is written as null).  The library renders each output file's
+text; one function here, ``_write_output``, writes it and then its
+``<out>.manifest.json`` (command, config hash, seed, version, timestamps),
+each atomically (temp file + rename).
 
 Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
 """
@@ -30,14 +31,13 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .inference import (
-    Chain,
     FitConfig,
+    chain_csv,
     check_count,
     mh_fit,
     mle_fit,
     read_chain_csv,
     summarize,
-    write_chain_csv,
 )
 from .intensity import PolyIntensity
 from .marginal import marginal_loglik
@@ -46,10 +46,10 @@ from .paths import (
     CountPath,
     ModelParams,
     adapt_path,
+    events_csv,
     load_path,
     read_events_csv,
     tune_w,
-    write_events_csv,
 )
 from .simulator import simulate
 
@@ -90,10 +90,12 @@ def _utcnow() -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write exactly ``text`` to ``path``: no newline translation, and the
+    file appears whole or not at all."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -102,12 +104,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_manifest(
-    out: Path, command: str, config_path: Path | None, seed, started: str, extra: dict | None = None
+def _write_output(
+    out: str, text: str, command: str, config_path: str | None, seed, started: str, extra: dict | None = None
 ) -> None:
+    """Write ``text`` to ``out``, then its manifest ``<out>.manifest.json``."""
+    _atomic_write(Path(out), text)
     manifest = {
         "command": command,
-        "config_hash": _sha256(config_path) if config_path else None,
+        "config_hash": hashlib.sha256(Path(config_path).read_bytes()).hexdigest() if config_path else None,
         "seed": seed,
         "tool_version": __version__,
         "started_utc": started,
@@ -115,7 +119,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    _atomic_write(Path(str(out) + ".manifest.json"), _json(manifest, indent=2) + "\n")
+    _atomic_write(Path(out + ".manifest.json"), _json(manifest, indent=2) + "\n")
 
 
 def _json(obj, indent: int | None = None) -> str:
@@ -131,10 +135,6 @@ def _json(obj, indent: int | None = None) -> str:
         return v
 
     return json.dumps(clean(obj), indent=indent, allow_nan=False)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _load_json(path: str) -> dict:
@@ -170,25 +170,15 @@ def _load_events(path: str, T: float) -> CountPath:
     return load_path(times, T)
 
 
-def _events_text(times, comments) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_events_csv(buf, times, comments)
-    return buf.getvalue()
-
-
 def _cmd_simulate(args) -> int:
     started = _utcnow()
     T, params = _load_model_config(args.config)
     result = simulate(params, T, seed=args.seed)
-    out = Path(args.out)
-    _atomic_write(out, _events_text(result.x.jumps, [f"seed={args.seed}", f"T={T!r}"]))
-    _write_manifest(out, "simulate", Path(args.config), args.seed, started)
+    comments = [f"seed={args.seed}", f"T={T!r}"]
+    _write_output(args.out, events_csv(result.x.jumps, comments), "simulate", args.config, args.seed, started)
     if args.emit_latent:
-        latent = Path(args.emit_latent)
-        _atomic_write(latent, _events_text(result.y.jumps, [f"seed={args.seed}", f"T={T!r}"]))
-        _write_manifest(latent, "simulate", Path(args.config), args.seed, started)
+        latent = events_csv(result.y.jumps, comments)
+        _write_output(args.emit_latent, latent, "simulate", args.config, args.seed, started)
     return EXIT_OK
 
 
@@ -245,16 +235,11 @@ def _cmd_fit_mcmc(args) -> int:
     started = _utcnow()
     x, fixed, fit, _ = _fit_inputs(args)
     chain = mh_fit(x, fixed, fit)
-    out = Path(args.out)
-    import io
-
-    buf = io.StringIO()
-    write_chain_csv(buf, chain)
-    _atomic_write(out, buf.getvalue())
-    _write_manifest(
-        out,
+    _write_output(
+        args.out,
+        chain_csv(chain),
         "fit-mcmc",
-        Path(args.config),
+        args.config,
         fit.seed,
         started,
         extra={
@@ -290,10 +275,9 @@ def _cmd_adapt(args) -> int:
     raw = load_path(times, args.T)
     w = tune_w(raw)
     adapted = adapt_path(raw, w)
-    out = Path(args.out)
-    _atomic_write(out, _events_text(adapted.jumps, [f"adapted_w={w!r}", f"T={args.T!r}"]))
-    _write_manifest(
-        out,
+    _write_output(
+        args.out,
+        events_csv(adapted.jumps, [f"adapted_w={w!r}", f"T={args.T!r}"]),
         "adapt",
         None,
         None,
@@ -304,18 +288,22 @@ def _cmd_adapt(args) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """START:STOP:COUNT as COUNT evenly spaced times; START and STOP must be finite."""
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        bounds = float(start), float(stop)
+        if all(map(math.isfinite, bounds)):
+            return np.linspace(*bounds, int(count))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
+    raise ConfigError(f"bad grid spec {spec!r}: start and stop must be finite")
 
 
 def _cmd_summarize(args) -> int:
     started = _utcnow()
-    chain = read_chain_csv(args.chain)
+    draws = read_chain_csv(args.chain)
     grid = _parse_grid(args.grid)
-    summary = summarize(chain, t_grid=grid)
+    summary = summarize(draws, t_grid=grid)
     lines = ["t,mean,lo,hi,cum_mean,cum_lo,cum_hi"]
     for i, t in enumerate(summary.grid):
         lines.append(
@@ -332,9 +320,7 @@ def _cmd_summarize(args) -> int:
                 )
             )
         )
-    out = Path(args.out)
-    _atomic_write(out, "\n".join(lines) + "\n")
-    _write_manifest(out, "summarize", None, None, started)
+    _write_output(args.out, "\n".join(lines) + "\n", "summarize", None, None, started)
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +93,11 @@ class FitConfig:
 
     ``degree`` lies in 0..``MAX_DEGREE``, checked before any vector is
     built.  Scalars for prior/proposal settings broadcast over all
-    coefficients.  ``adapt_proposals`` runs a discarded pilot phase that
-    rescales the proposal widths toward 25% acceptance before the recorded
-    run.  ``start`` is the chain's first state, by default the constant rate
+    coefficients; ``prior_mean`` must be finite, ``prior_sd`` positive
+    (+inf is a flat prior) and ``proposal_sd`` finite and positive.
+    ``adapt_proposals`` runs a discarded pilot phase that rescales the
+    proposal widths toward 25% acceptance before the recorded run.
+    ``start`` is the chain's first state, by default the constant rate
     max(M, 1) / T as in ``mle_fit``.
     """
 
@@ -125,8 +127,13 @@ class FitConfig:
         object.__setattr__(self, "prior_mean", _as_vector(self.prior_mean, d, "prior_mean"))
         object.__setattr__(self, "prior_sd", _as_vector(self.prior_sd, d, "prior_sd"))
         object.__setattr__(self, "proposal_sd", _as_vector(self.proposal_sd, d, "proposal_sd"))
-        if np.any(self.prior_sd <= 0) or np.any(self.proposal_sd <= 0):
-            raise ValidationError("prior_sd and proposal_sd must be positive")
+        # A NaN fails each test below.
+        if not np.all(np.isfinite(self.prior_mean)):
+            raise ValidationError("prior_mean must be finite")
+        if not np.all(self.prior_sd > 0):
+            raise ValidationError("prior_sd must be positive")
+        if not np.all(np.isfinite(self.proposal_sd) & (self.proposal_sd > 0)):
+            raise ValidationError("proposal_sd must be finite and positive")
         if self.start is not None:
             object.__setattr__(self, "start", _as_vector(self.start, d, "start"))
 
@@ -510,10 +517,11 @@ class ChainSummary:
     cum_hi: np.ndarray
 
 
-def summarize(chain: Chain, t_grid: Sequence[float]) -> ChainSummary:
+def summarize(draws: np.ndarray, t_grid: Sequence[float]) -> ChainSummary:
     """Per-coefficient posterior summaries and pointwise bands for the rate
-    and its cumulative mass at the times ``t_grid``."""
-    draws = np.asarray(chain.draws, dtype=float)
+    and its cumulative mass at the times ``t_grid``, from ``draws`` of shape
+    (n, degree + 1): a ``Chain``'s draws or ``read_chain_csv``'s."""
+    draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise ValidationError("cannot summarize an empty chain")
     sd = np.std(draws, axis=0, ddof=1) if draws.shape[0] > 1 else np.zeros(draws.shape[1])
@@ -536,63 +544,52 @@ def summarize(chain: Chain, t_grid: Sequence[float]) -> ChainSummary:
     )
 
 
-def write_chain_csv(dest: str | Path | TextIO, chain: Chain) -> None:
-    """Columns: iter, c0..cd, loglik, accepted(0/1)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_chain_csv(fh, chain)
-        return
-    # The text csv.writer gives these rows: CRLF line ends, and no field
-    # that needs quoting.
+def chain_csv(chain: Chain) -> str:
+    """The text of a chain CSV: columns iter, c0..cd, loglik, accepted (0/1),
+    one row per kept draw, rendered as ``csv.writer`` renders these rows:
+    CRLF line ends, and no field that needs quoting.  Each float is its repr,
+    so ``read_chain_csv`` reads the draws back bit for bit."""
     d = chain.draws.shape[1]
     draws, logliks = np.asarray(chain.draws, dtype=float), np.asarray(chain.logliks, dtype=float)
     rows = zip(draws.tolist(), logliks.tolist(), chain.accepted.tolist())
     lines = [",".join(["iter", *(f"c{i}" for i in range(d)), "loglik", "accepted"])]
     lines += [",".join([str(i), *map(repr, draw), repr(ll), str(int(acc))]) for i, (draw, ll, acc) in enumerate(rows)]
-    dest.write("\r\n".join(lines) + "\r\n")
+    return "\r\n".join(lines) + "\r\n"
 
 
-def read_chain_csv(source: str | Path | TextIO) -> Chain:
-    """Rebuild a Chain (draws, logliks, accepted flags) from its CSV form."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_chain_csv(fh)
+def read_chain_csv(path: str | Path) -> np.ndarray:
+    """The (n_kept, degree + 1) draws of the chain CSV at ``path``.
+
+    Every row is checked whole: its field count, a loglik that parses as a
+    float, an accepted flag of 0 or 1 and finite coefficients; a bad row
+    raises ``ValidationError`` naming its line.  Only the draws are kept,
+    which is all ``summarize`` reads.
+    """
     import csv  # imported on use, so that importing marcox does not load it
 
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:
-        raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
-    d = len(header) - 3
-    draws, lls, acc = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        where = f"chain CSV line {reader.line_num}"
-        if len(row) != d + 3:
-            raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
-        if row[-1] not in ("0", "1"):
-            raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
-        try:
-            coeffs = [float(v) for v in row[1 : 1 + d]]
-            lls.append(float(row[-2]))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValidationError(f"{where}: coefficients must be finite")
-        draws.append(coeffs)
-        acc.append(row[-1] == "1")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:
+            raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
+        d = len(header) - 3
+        draws = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"chain CSV line {reader.line_num}"
+            if len(row) != d + 3:
+                raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
+            if row[-1] not in ("0", "1"):
+                raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
+            try:
+                coeffs = [float(v) for v in row[1 : 1 + d]]
+                float(row[-2])
+            except ValueError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            if not all(math.isfinite(c) for c in coeffs):
+                raise ValidationError(f"{where}: coefficients must be finite")
+            draws.append(coeffs)
     if not draws:
         raise ValidationError("chain CSV has no draws")
-    acc_arr = np.asarray(acc, dtype=bool)
-    return Chain(
-        draws=np.asarray(draws, dtype=float),
-        logliks=np.asarray(lls, dtype=float),
-        accepted=acc_arr,
-        accept_rate=float(np.mean(acc_arr)),
-        seed=-1,
-        n_evals=0,
-        n_support_rejected=0,
-        proposal_sd=np.zeros(d),
-        n_bound_rejected=0,
-    )
+    return np.asarray(draws, dtype=float)

@@ -10,11 +10,10 @@ the area under the scaled integral at every crossing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,38 +156,30 @@ def tune_w(x_star: CountPath) -> float:
     return x_star.count / area * (1.0 + 1e-9)
 
 
-def read_events_csv(source: str | Path | TextIO) -> list[float]:
-    """One event time per line; '#' lines are comments; the first other line may be a 'time' header."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_events_csv(fh)
+def read_events_csv(path: str | Path) -> list[float]:
+    """Event times from the file at ``path``: one per line; '#' lines are
+    comments; the first other line may be a 'time' header."""
     times: list[float] = []
     first = True
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if first:
-            first = False
-            if line.lower() == "time":
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-        try:
-            times.append(float(line))
-        except ValueError as exc:
-            raise ValidationError(f"bad event time on line {lineno}: {line!r}") from exc
+            if first:
+                first = False
+                if line.lower() == "time":
+                    continue
+            try:
+                times.append(float(line))
+            except ValueError as exc:
+                raise ValidationError(f"bad event time on line {lineno}: {line!r}") from exc
     return times
 
 
-def write_events_csv(
-    dest: str | Path | TextIO, times: Sequence[float], comments: Sequence[str] = ()
-) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_events_csv(fh, times, comments)
-        return
-    assert isinstance(dest, io.TextIOBase) or hasattr(dest, "write")
-    for c in comments:
-        dest.write(f"# {c}\n")
-    dest.write("time\n")
-    for t in times:
-        dest.write(f"{float(t)!r}\n")
+def events_csv(times: Sequence[float], comments: Sequence[str] = ()) -> str:
+    """The text of an event CSV: a '# ' line per comment, the 'time' header,
+    then each time's repr, every line ended by LF; ``read_events_csv`` reads
+    it back to the same floats."""
+    lines = [f"# {c}" for c in comments] + ["time"] + [repr(float(t)) for t in times]
+    return "\n".join(lines) + "\n"

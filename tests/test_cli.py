@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from marcox import __version__, cli
-from marcox.inference import FitConfig, mh_fit, read_chain_csv
+from marcox.inference import FitConfig, chain_csv, mh_fit, read_chain_csv
 from marcox.intensity import PolyIntensity
 from marcox.marginal import MarginalResult, marginal_loglik
-from marcox.paths import ModelParams, adapt_path, load_path, read_events_csv, tune_w, write_events_csv
+from marcox.paths import ModelParams, adapt_path, events_csv, load_path, read_events_csv, tune_w
 from marcox.simulator import simulate
 
 
@@ -24,6 +24,10 @@ def write_config(path, T, beta0, w, coeffs):
     cfg = {"T": T, "beta0": beta0, "w": w, "gamma": {"type": "poly", "coeffs": list(coeffs)}}
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def write_events(path, times):
+    path.write_text(events_csv(times), encoding="utf-8")
 
 
 def test_simulate_output_reads_back_into_loglik(tmp_path, capsys):
@@ -44,7 +48,7 @@ def test_adapt_output_reads_back_into_loglik(tmp_path, capsys):
     """adapt writes adapt_path(x*, tune_w(x*)) with its manifest, and loglik
     reads the adapted CSV."""
     raw = tmp_path / "raw.csv"
-    write_events_csv(raw, [0.5, 1.25, 4.0, 4.5, 7.0, 9.5])
+    write_events(raw, [0.5, 1.25, 4.0, 4.5, 7.0, 9.5])
     adapted = tmp_path / "adapted.csv"
     assert cli.main(["adapt", "--events", str(raw), "--T", "10", "--out", str(adapted)]) == cli.EXIT_OK
     x_star = load_path(read_events_csv(raw), 10.0)
@@ -75,7 +79,7 @@ def test_validate_beyond_double_range_exits_cleanly(tmp_path, capsys):
     params = ModelParams(1.0, 0.5, PolyIntensity((2.0, 0.5)))
     times = simulate(params, 30.0, seed=4).x.jumps[:500]
     events = tmp_path / "events.csv"
-    write_events_csv(events, times)
+    write_events(events, times)
     config = write_config(tmp_path / "model.json", 30.0, 1.0, 0.5, (2.0, 0.5))
     assert cli.main(["validate", "--events", str(events), "--config", config, "--mc-n", "200"]) == cli.EXIT_OK
     report = strict_json(capsys.readouterr().out)
@@ -94,7 +98,7 @@ def test_validate_below_double_range_exits_cleanly(tmp_path, capsys):
     finite in log space; the lattice is too coarse to decide, and no pass is
     claimed."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, np.linspace(0.5, 99.5, 300))
+    write_events(events, np.linspace(0.5, 99.5, 300))
     config = write_config(tmp_path / "model.json", 100.0, 1e-4, 1e-3, (0.1,))
     argv = ["validate", "--events", str(events), "--config", config, "--grid-n", "4096", "--mc-n", "2000"]
     assert cli.main(argv) == cli.EXIT_OK
@@ -109,7 +113,7 @@ def test_validate_below_double_range_exits_cleanly(tmp_path, capsys):
 def _repro_a(tmp_path):
     """validate argv for the ROADMAP's repro A: 200 events, p(x) ~ 1e-70."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, np.linspace(0.5, 99.5, 200))
+    write_events(events, np.linspace(0.5, 99.5, 200))
     config = write_config(tmp_path / "model.json", 100.0, 0.01, 0.01, (1.0,))
     return ["validate", "--events", str(events), "--config", config, "--grid-n", "4096", "--mc-n", "2000"]
 
@@ -152,7 +156,7 @@ def test_validate_passes_a_simulated_path(tmp_path, capsys, coeffs):
 def test_validate_refuses_an_impossible_path(tmp_path, capsys):
     """beta0 = 0 and gamma = 0 cannot produce an event: loglik = -inf, nothing to check."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0])
+    write_events(events, [1.0])
     config = write_config(tmp_path / "model.json", 4.0, 0.0, 1.0, (0.0,))
     assert cli.main(["validate", "--events", str(events), "--config", config]) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
@@ -166,7 +170,7 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     cfg = {"T": "abc", "beta0": 0.5, "w": 0.7, "gamma": {"type": "poly", "coeffs": [1.0]}}
     config.write_text(json.dumps(cfg), encoding="utf-8")
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0, 2.0])
+    write_events(events, [1.0, 2.0])
     if command == "simulate":
         files = ["--out", str(tmp_path / "out.csv")]
     else:
@@ -179,7 +183,7 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("budget", ["lots", 0, 2.5])
 def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0, 2.0, 4.5])
+    write_events(events, [1.0, 2.0, 4.5])
     config = tmp_path / "fit.json"
     cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 0, "budget": budget}
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -202,13 +206,18 @@ def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
         ("burnin", False),
         ("degree", 9),
         ("degree", 3_000_000),
+        ("prior_mean", math.nan),
+        ("prior_sd", math.nan),
+        ("proposal_sd", math.inf),
+        ("proposal_sd", math.nan),
     ],
 )
 def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value):
-    """Counts must be integers, the seed a nonnegative integer, flags booleans
-    and the degree at most MAX_DEGREE."""
+    """Counts must be integers, the seed a nonnegative integer, flags booleans,
+    the degree at most MAX_DEGREE, prior_mean finite, prior_sd positive and
+    proposal_sd finite and positive; json reads NaN and Infinity."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0, 2.0, 4.5])
+    write_events(events, [1.0, 2.0, 4.5])
     config = tmp_path / "fit.json"
     cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 0, "iters": 30, "burnin": 5, "pilot_iters": 5}
     config.write_text(json.dumps(dict(cfg, **{key: value})), encoding="utf-8")
@@ -223,12 +232,41 @@ def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value)
     assert not (tmp_path / "chain.csv").exists()
 
 
+def fit_mcmc_argv(tmp_path, **cfg):
+    """fit-mcmc argv on the events 1, 2, 4.5 over T = 8, with config cfg."""
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0, 4.5])
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(dict(cfg, T=8.0, beta0=0.5, w=0.7)), encoding="utf-8")
+    return ["fit-mcmc", "--events", str(events), "--config", str(config), "--out", str(tmp_path / "chain.csv")]
+
+
+def test_flat_prior_still_fits(tmp_path):
+    """prior_sd = +inf is a flat prior: the chain moves and summarizes."""
+    cfg = {"degree": 1, "iters": 200, "burnin": 50, "pilot_iters": 50, "seed": 1, "prior_sd": math.inf}
+    assert cli.main(fit_mcmc_argv(tmp_path, **cfg)) == cli.EXIT_OK
+    manifest = strict_json((tmp_path / "chain.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["accept_rate"] > 0 and manifest["diagnostics"] == []
+    assert read_chain_csv(tmp_path / "chain.csv").shape == (150, 2)
+
+
+def test_chain_that_never_moves_is_listed_in_the_manifest(tmp_path):
+    """A chain that accepts nothing still exits 0; its warning is in the manifest."""
+    msg = "chain never accepted a proposal; widen priors or shrink proposal_sd"
+    cfg = {"degree": 1, "iters": 30, "burnin": 5, "adapt_proposals": False, "proposal_sd": 1e6, "seed": 1}
+    with pytest.warns(RuntimeWarning, match=msg):
+        assert cli.main(fit_mcmc_argv(tmp_path, **cfg)) == cli.EXIT_OK
+    manifest = strict_json((tmp_path / "chain.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["diagnostics"] == [msg] and manifest["accept_rate"] == 0.0
+    assert (manifest["n_support_rejected"], manifest["n_bound_rejected"], manifest["n_evals"]) == (23, 7, 0)
+
+
 @pytest.mark.parametrize("seed", ["-1", "x"])
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
     config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0,))
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0, 2.0])
+    write_events(events, [1.0, 2.0])
     if command == "simulate":
         files = ["--out", str(tmp_path / "out.csv")]
     else:
@@ -254,7 +292,7 @@ def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
 def test_bad_validate_flag_is_a_usage_error(tmp_path, capsys, flag, value, message):
     config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0,))
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0, 2.0])
+    write_events(events, [1.0, 2.0])
     argv = ["validate", "--config", config, "--events", str(events), "--grid-n", "64", "--mc-n", "10"]
     with pytest.raises(SystemExit) as info:
         cli.main(argv + [flag, value])
@@ -267,17 +305,29 @@ def test_chain_thinned_past_its_length_still_summarizes(tmp_path, capsys):
     """thin > iters - burnin keeps the draw at iteration burnin, so the chain
     fit-mcmc writes is one that summarize reads."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, simulate(ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1))), 10.0, seed=11).x.jumps)
+    write_events(events, simulate(ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1))), 10.0, seed=11).x.jumps)
     fit = {"degree": 1, "start": [1.0, 0.1], "iters": 30, "burnin": 10, "thin": 50, "pilot_iters": 10, "seed": 2}
     config = tmp_path / "fit.json"
     config.write_text(json.dumps(dict(fit, T=10.0, beta0=1.0, w=0.5)), encoding="utf-8")
     chain = tmp_path / "chain.csv"
     argv = ["fit-mcmc", "--events", str(events), "--config", str(config), "--out", str(chain)]
     assert cli.main(argv) == cli.EXIT_OK
-    assert read_chain_csv(chain).draws.shape == (1, 2)
+    assert read_chain_csv(chain).shape == (1, 2)
     out = tmp_path / "bands.csv"
     assert cli.main(["summarize", "--chain", str(chain), "--grid", "0:10:11", "--out", str(out)]) == cli.EXIT_OK
     assert len(out.read_text(encoding="utf-8").splitlines()) == 12
+
+
+@pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-inf:0:3", "0:nan:3"])
+def test_non_finite_grid_bound_is_a_config_error(tmp_path, capsys, spec):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    out = tmp_path / "bands.csv"
+    rc = cli.main(["summarize", "--chain", str(chain), f"--grid={spec}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "must be finite" in err
+    assert not out.exists()
 
 
 def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
@@ -313,7 +363,7 @@ def strict_json(text):
 def test_loglik_underflowing_kernel_factor(tmp_path, capsys):
     """e^{-w (T - t)} = e^{-990} at the only event; the log-likelihood is still exact."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0])
+    write_events(events, [1.0])
     config = write_config(tmp_path / "model.json", 100.0, 0.0, 10.0, (1.0,))
     assert cli.main(["loglik", "--events", str(events), "--config", config]) == 0
     report = strict_json(capsys.readouterr().out)
@@ -324,7 +374,7 @@ def test_loglik_underflowing_kernel_factor(tmp_path, capsys):
 def test_impossible_path_prints_null(tmp_path, capsys):
     """beta0 = 0 and gamma = 0 cannot produce an event: log p = -inf is printed as null."""
     events = tmp_path / "events.csv"
-    write_events_csv(events, [1.0])
+    write_events(events, [1.0])
     config = write_config(tmp_path / "model.json", 4.0, 0.0, 1.0, (0.0,))
     assert cli.main(["loglik", "--events", str(events), "--config", config]) == 0
     report = strict_json(capsys.readouterr().out)
@@ -335,7 +385,7 @@ def test_impossible_path_prints_null(tmp_path, capsys):
 def test_fit_mle_reports_its_likelihood_passes(tmp_path, capsys):
     params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))
     events = tmp_path / "events.csv"
-    write_events_csv(events, simulate(params, 10.0, seed=11).x.jumps)
+    write_events(events, simulate(params, 10.0, seed=11).x.jumps)
     config = tmp_path / "fit.json"
     cfg = {"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 1, "start": [1.0, 0.1], "budget": 50}
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -353,7 +403,7 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
     and the atomic writes leave no temp file behind."""
     params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))
     events = tmp_path / "events.csv"
-    write_events_csv(events, simulate(params, 10.0, seed=11).x.jumps)
+    write_events(events, simulate(params, 10.0, seed=11).x.jumps)
     fit = {"degree": 1, "start": [1.0, 0.1], "iters": 60, "burnin": 10, "thin": 2, "pilot_iters": 20, "seed": 4}
     config = tmp_path / "fit.json"
     config.write_text(json.dumps(dict(fit, T=10.0, beta0=1.0, w=0.5)), encoding="utf-8")
@@ -363,11 +413,8 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
 
     x = load_path(read_events_csv(events), 10.0)
     want = mh_fit(x, (1.0, 0.5), FitConfig(**fit))
-    chain = read_chain_csv(out)
-    assert chain.draws.shape == (25, 2)
-    np.testing.assert_array_equal(chain.draws, want.draws)
-    np.testing.assert_array_equal(chain.logliks, want.logliks)
-    np.testing.assert_array_equal(chain.accepted, want.accepted)
+    assert want.draws.shape == (25, 2)
+    assert out.read_bytes() == chain_csv(want).encode("utf-8")
 
     manifest = strict_json((tmp_path / "chain.csv.manifest.json").read_text(encoding="utf-8"))
     assert set(manifest) == {
@@ -409,7 +456,7 @@ def test_successive_calls_match_separate_processes(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
     params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1)))
     events = tmp_path / "events.csv"
-    write_events_csv(events, simulate(params, 10.0, seed=11).x.jumps)
+    write_events(events, simulate(params, 10.0, seed=11).x.jumps)
     model = write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
     fit = tmp_path / "fit.json"
     fit.write_text(json.dumps({"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 2}), encoding="utf-8")

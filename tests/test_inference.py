@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 
 from marcox import inference
 from marcox.errors import ValidationError
-from marcox.inference import Chain, FitConfig, _qp_step, mh_fit, mle_fit, read_chain_csv, summarize, write_chain_csv
+from marcox.inference import Chain, FitConfig, _qp_step, chain_csv, mh_fit, mle_fit, read_chain_csv, summarize
 from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import CountPath, ModelParams
@@ -28,6 +28,9 @@ def path():
     x = simulate(ModelParams(BETA0, W, PolyIntensity(TRUTH)), 10.0, seed=11).x
     assert 20 <= x.count <= 120
     return x
+
+
+NEVER_ACCEPTED = "chain never accepted a proposal; widen priors or shrink proposal_sd"
 
 
 def config(seed, **kw):
@@ -221,6 +224,19 @@ class TestMhFit:
             # Delta method: se(sd) = se(variance) / (2 sd).
             se_sd = sq.std(ddof=1) / math.sqrt(ess(sq)) / (2.0 * got_sd)
             assert abs(got_sd - sd[p]) <= 4.0 * se_sd
+
+    def test_chain_that_never_moves_warns_once(self):
+        """Proposal widths of 1e6 leave every proposal outside the support or
+        rejected by the likelihood bound: one RuntimeWarning, whose message
+        is the chain's only diagnostic."""
+        x = CountPath(8.0, np.array([1.0, 2.0, 4.5]))
+        cfg = FitConfig(degree=1, iters=30, burnin=5, adapt_proposals=False, proposal_sd=1e6, seed=1)
+        with pytest.warns(RuntimeWarning) as record:
+            chain = mh_fit(x, (0.5, 0.7), cfg)
+        assert [str(w.message) for w in record] == [NEVER_ACCEPTED]
+        assert chain.diagnostics == (NEVER_ACCEPTED,)
+        assert chain.accept_rate == 0.0 and not chain.accepted.any()
+        assert (chain.n_support_rejected, chain.n_bound_rejected, chain.n_evals) == (23, 7, 0)
 
 
 def ess(draws):
@@ -505,7 +521,7 @@ class TestStart:
 
 
 class TestChainCsv:
-    def test_roundtrip_is_exact(self):
+    def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         draws = rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-12, 12, size=(6, 2))
         logliks = np.array([-1.0 / 3.0, -np.inf, 1e-300, -745.5, 0.1 + 0.2, -np.inf])
@@ -520,15 +536,14 @@ class TestChainCsv:
             n_support_rejected=0,
             proposal_sd=np.ones(2),
         )
-        buf = io.StringIO()
-        write_chain_csv(buf, chain)
-        buf.seek(0)
-        back = read_chain_csv(buf)
-        assert back.draws.tobytes() == draws.tobytes()
-        assert back.logliks.tobytes() == logliks.tobytes()
-        np.testing.assert_array_equal(back.accepted, accepted)
-        assert back.accept_rate == 0.5
-        assert back.n_evals == back.n_bound_rejected == back.n_support_rejected == 0
+        out = tmp_path / "chain.csv"
+        out.write_bytes(chain_csv(chain).encode("utf-8"))
+        back = read_chain_csv(out)
+        assert back.shape == draws.shape
+        assert back.tobytes() == draws.tobytes()
+        rows = list(csv.reader(io.StringIO(chain_csv(chain))))[1:]
+        assert np.array([float(r[-2]) for r in rows]).tobytes() == logliks.tobytes()
+        assert [r[-1] for r in rows] == ["1", "0", "0", "1", "1", "0"]
 
     def test_text_is_the_csv_writer_rendering(self, tmp_path):
         """Subnormal, huge, signed-zero and whole-number values are written as
@@ -551,21 +566,16 @@ class TestChainCsv:
         writer.writerow(["iter", "c0", "c1", "loglik", "accepted"])
         for i in range(draws.shape[0]):
             writer.writerow([i, *(repr(float(v)) for v in draws[i]), repr(float(logliks[i])), int(accepted[i])])
-        buf = io.StringIO()
-        write_chain_csv(buf, chain)
-        assert buf.getvalue() == want.getvalue()
+        assert chain_csv(chain) == want.getvalue()
         out = tmp_path / "chain.csv"
-        write_chain_csv(out, chain)
-        assert out.read_bytes() == want.getvalue().encode("utf-8")
-        back = read_chain_csv(out)
-        assert back.draws.tobytes() == draws.tobytes()
-        assert back.logliks.tobytes() == logliks.tobytes()
-        np.testing.assert_array_equal(back.accepted, accepted)
+        out.write_bytes(want.getvalue().encode("utf-8"))
+        assert read_chain_csv(str(out)).tobytes() == draws.tobytes()
 
     @pytest.mark.parametrize(
         "row, message",
         [
             ("1,abc,0.5,-3.0,1", "line 3"),
+            ("1,0.5,0.5,abc,1", "could not convert string to float: 'abc'"),
             ("1,0.5,0.5,-3.0,2", "accepted must be 0 or 1"),
             ("1,0.5,0.5,1", "expected 5 fields, got 4"),
             ("1,0.5,0.5,-3.0,1,7", "expected 5 fields, got 6"),
@@ -573,10 +583,13 @@ class TestChainCsv:
             ("1,0.5,-inf,-3.0,1", "coefficients must be finite"),
         ],
     )
-    def test_malformed_row_names_its_line(self, row, message):
-        text = "iter,c0,c1,loglik,accepted\n0,1.0,0.1,-3.0,1\n" + row + "\n"
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        """Every field of every row is checked, the loglik too though only
+        the draws are returned."""
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,c0,c1,loglik,accepted\n0,1.0,0.1,-3.0,1\n" + row + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=message) as info:
-            read_chain_csv(io.StringIO(text))
+            read_chain_csv(chain)
         assert "line 3" in str(info.value)
 
 
@@ -586,18 +599,8 @@ class TestSummarize:
         gamma (eval_many) and Gamma (cum)."""
         rng = np.random.default_rng(8)
         draws = np.column_stack([rng.uniform(0.5, 2.0, 301), rng.normal(0.0, 0.1, 301), rng.normal(0.0, 0.01, 301)])
-        chain = Chain(
-            draws=draws,
-            logliks=np.zeros(301),
-            accepted=np.ones(301, dtype=bool),
-            accept_rate=1.0,
-            seed=0,
-            n_evals=301,
-            n_support_rejected=0,
-            proposal_sd=np.ones(3),
-        )
         ts = np.linspace(0.0, 7.0, 15)
-        got = summarize(chain, t_grid=ts)
+        got = summarize(draws, t_grid=ts)
         gammas = [PolyIntensity(tuple(c)) for c in draws]
         vals = np.array([g.eval_many(ts) for g in gammas])
         cums = np.array([[g.cum(t) for t in ts] for g in gammas])

@@ -1,6 +1,5 @@
 """Unit tests for count paths and the adaptation transform."""
 
-import io
 import math
 
 import numpy as np
@@ -11,10 +10,10 @@ from marcox.paths import (
     CountPath,
     ModelParams,
     adapt_path,
+    events_csv,
     load_path,
     read_events_csv,
     tune_w,
-    write_events_csv,
 )
 from marcox.intensity import PolyIntensity
 
@@ -208,17 +207,22 @@ class TestTuneW:
 
 
 class TestEventCsv:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         """numpy floats, and comment lines ahead of the header, as simulate writes them."""
-        buf = io.StringIO()
-        write_events_csv(buf, np.array([0.25, 0.5]), comments=["seed=7", "T=1.0"])
-        buf.seek(0)
-        assert read_events_csv(buf) == [0.25, 0.5]
+        text = events_csv(np.array([0.25, 0.5]), comments=["seed=7", "T=1.0"])
+        assert text == "# seed=7\n# T=1.0\ntime\n0.25\n0.5\n"
+        events = tmp_path / "events.csv"
+        events.write_text(text, encoding="utf-8")
+        assert read_events_csv(events) == [0.25, 0.5]
+        assert read_events_csv(str(events)) == [0.25, 0.5]
 
-    def test_header_and_comments_skipped(self):
-        buf = io.StringIO("# anything\ntime\n0.125\n0.25\n")
-        assert read_events_csv(buf) == [0.125, 0.25]
+    def test_header_and_comments_skipped(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("# anything\ntime\n0.125\n0.25\n", encoding="utf-8")
+        assert read_events_csv(events) == [0.125, 0.25]
 
-    def test_bad_line_reported(self):
+    def test_bad_line_reported(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("time\nnot-a-number\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
-            read_events_csv(io.StringIO("time\nnot-a-number\n"))
+            read_events_csv(events)
