@@ -288,15 +288,18 @@ def _cmd_adapt(args) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """START:STOP:COUNT as COUNT evenly spaced times; START and STOP must be finite."""
+    """START:STOP:COUNT as COUNT evenly spaced times; START and STOP must be
+    finite and COUNT at least 1."""
     try:
         start, stop, count = spec.split(":")
-        bounds = float(start), float(stop)
-        if all(map(math.isfinite, bounds)):
-            return np.linspace(*bounds, int(count))
+        bounds, n = (float(start), float(stop)), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
-    raise ConfigError(f"bad grid spec {spec!r}: start and stop must be finite")
+    if not all(map(math.isfinite, bounds)):
+        raise ConfigError(f"bad grid spec {spec!r}: start and stop must be finite")
+    if n < 1:
+        raise ConfigError(f"bad grid spec {spec!r}: count must be at least 1")
+    return np.linspace(*bounds, n)
 
 
 def _cmd_summarize(args) -> int:

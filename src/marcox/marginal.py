@@ -55,14 +55,26 @@ computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
 ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
 its pass when even the bound fails the Metropolis test.
 
+Any pass of the same likelihood can serve as the reference, and the bound's
+slack grows with the spread of the ratios r_m.  ``loglik_bound`` takes
+several passes and bounds against one: the pass whose tilt log A_M - log A_1
+(``MarginalResult.log_tilt``) is closest to that of the masses at c'.  Two
+tilts differ by log r_M - log r_1, so equal tilts give equal end ratios.  At
+degree 1, r_m = (c'_0 + c'_1 u_m) / (c_0 + c_1 u_m) with u_m = B_(m,1) /
+B_(m,0) increasing in m, so equal end ratios make every ratio equal and the
+bound exact; at higher degrees the tilt matches the ends only.  One float
+per reference is compared, far cheaper than a bound against each: the least
+of those bounds rejects a few more proposals but costs more than the passes
+it saves.
+
 What one coefficient vector gives is one record (``_Masses``), keyed by its
 shape and bytes: int lambda and, when it and the masses B~ c are
 admissible, the masses' logs, read-only.  A ``MarginalLikelihood`` keeps
 the record of the last coefficients given, so a proposal takes its masses
 once for its support check, bound and pass; a pass's result carries the log
-masses it used (``MarginalResult.log_masses``), where ``loglik_bound``
-finds its reference's.  The record saves work only: every value is the one
-a fresh ``MarginalLikelihood`` gives, bit for bit.
+masses it used (``MarginalResult.log_masses``) and their tilt, where
+``loglik_bound`` finds its references'.  The record saves work only: every
+value is the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
 A step is three in-place ufunc calls on whole rows (five with the
 gradient), so at M in the hundreds a pass costs interpreter overhead per
@@ -78,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -99,7 +112,9 @@ class MarginalResult:
     polynomial_term_log); None at the -inf sentinel and when not computed.
     ``log_masses`` is log (A_m e^{w (T - t_m)}), m = 1..M, the log kernel
     masses the pass used (-inf for a mass of 0), read-only; None when not
-    computed.
+    computed.  ``log_tilt`` is log A_M - log A_1 (0 at M = 0), by which
+    ``loglik_bound`` picks its reference; NaN when the result cannot serve
+    as one (a mass of 0, the -inf sentinel) or was not computed.
     """
 
     loglik: float
@@ -107,11 +122,23 @@ class MarginalResult:
     exponent_term: float
     log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
     log_masses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    log_tilt: float = field(default=math.nan, compare=False, repr=False)
 
 
 def _logsumexp(v: np.ndarray) -> float:
     top = float(v.max())
     return top + math.log(float(np.exp(v - top).sum())) if top > -math.inf else top
+
+
+def _nearest(refs: Sequence[MarginalResult], tilt: float) -> MarginalResult | None:
+    """The result in refs with a finite ``log_tilt`` closest to tilt: the
+    first on a tie, and the first such when tilt is not finite."""
+    best, gap = None, math.inf
+    for ref in refs:
+        d = abs(ref.log_tilt - tilt)  # NaN when either tilt is NaN
+        if d < gap or best is None and not math.isnan(ref.log_tilt):
+            best, gap = ref, d
+    return best
 
 
 @dataclass(eq=False, slots=True)
@@ -195,29 +222,35 @@ class MarginalLikelihood:
         c = np.asarray(coeffs, dtype=float)
         return self._record(c).log is not None and grid_nonneg(self.V @ c)
 
-    def loglik_bound(self, coeffs, ref: MarginalResult) -> float:
-        """An upper bound on ``loglik(coeffs).loglik`` from ``ref``, the result
-        of a pass of this likelihood, in O(M log M) and without a pass.
+    def loglik_bound(self, coeffs, refs: Sequence[MarginalResult]) -> float:
+        """An upper bound on ``loglik(coeffs).loglik`` from one of ``refs``,
+        results of passes of this likelihood, in O(M log M + len(refs)) and
+        without a pass.
 
-        log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k) prod_(j<=k)
-        r_(j) - beta0 T - L coeffs, where r_(1) >= r_(2) >= ... are the mass
-        ratios A'_m / A_m in decreasing order and pi = exp(ref.log_k) (module
-        docstring).  Equality holds when every ratio is the same.  The
-        masses at coeffs come from the kept record, those of the reference
-        from ``ref.log_masses``.  The bound is +inf, so it rejects nothing,
-        when ref's loglik is not finite or a mass of the reference is 0.
+        The reference is the result whose ``log_tilt`` is closest to the
+        tilt log A'_M - log A'_1 of the masses at coeffs (module docstring):
+        the first on a tie, and the first with a finite tilt when coeffs'
+        tilt is not finite.  Results whose tilt is NaN (a mass of 0, a
+        loglik of -inf) are skipped, so the bound is +inf, and rejects
+        nothing, when no result can serve.  With one reference,
+
+            log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k)
+                             prod_(j<=k) r_(j) - beta0 T - L coeffs,
+
+        where r_(1) >= r_(2) >= ... are the mass ratios A'_m / A_m in
+        decreasing order and pi = exp(ref.log_k); equality holds when every
+        ratio is the same.  The masses at coeffs come from the kept record,
+        those of the reference from ``ref.log_masses``.
         """
-        if ref.log_k is None or not math.isfinite(ref.loglik):
-            return math.inf
         rec = self._admissible(coeffs)
-        # Where both masses are 0 the log ratio is -inf - -inf, NaN.
-        with np.errstate(invalid="ignore"):
-            log_ratio = rec.log - ref.log_masses
-        log_ratio.sort()
-        # A mass of 0 in the reference gives a ratio of +inf, or NaN where
-        # the mass at coeffs is 0 too, and either sorts last.
-        if log_ratio.size and not log_ratio[-1] < math.inf:
+        # Python floats: a zero first and last mass give NaN without a warning.
+        tilt = float(rec.log[-1]) - float(rec.log[0]) if rec.log.size else 0.0
+        ref = _nearest(refs, tilt)
+        if ref is None:
             return math.inf
+        # Every mass of ref is positive; a mass of 0 at coeffs gives -inf.
+        log_ratio = rec.log - ref.log_masses
+        log_ratio.sort()
         # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0 at coeffs) comes last.
         gain = log_ratio[::-1].cumsum()
         log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
@@ -303,12 +336,17 @@ class MarginalLikelihood:
                     logaddexp(shifted, g, shifted)
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
+        # NaN unless this pass can serve loglik_bound as a reference.
+        tilt = math.nan
+        if poly_log > -math.inf and rec.log.min(initial=0.0) > -math.inf:
+            tilt = float(rec.log[-1] - rec.log[0]) if M else 0.0
         result = MarginalResult(
             loglik=poly_log + exponent,
             polynomial_term_log=poly_log,
             exponent_term=exponent,
             log_k=f - poly_log if poly_log > -math.inf else None,
             log_masses=rec.log,
+            log_tilt=tilt,
         )
         if not grad:
             return result

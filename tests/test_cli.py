@@ -330,6 +330,20 @@ def test_non_finite_grid_bound_is_a_config_error(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["0:10:0", "0:10:-1"])
+def test_grid_without_points_is_a_config_error(tmp_path, capsys, spec):
+    """A COUNT below 1 would give a header-only bands file."""
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    out = tmp_path / "bands.csv"
+    rc = cli.main(["summarize", "--chain", str(chain), f"--grid={spec}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "count must be at least 1" in err
+    assert not out.exists()
+    assert not (tmp_path / "bands.csv.manifest.json").exists()
+
+
 def test_malformed_chain_csv_is_a_validation_error(tmp_path, capsys):
     chain = tmp_path / "chain.csv"
     chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n1,abc,-3.0,0\n", encoding="utf-8")

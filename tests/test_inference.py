@@ -103,7 +103,7 @@ class TestMhFit:
         every proposal, bit for bit, with fewer likelihood passes."""
         cfg = config(8, iters=300, burnin=50, pilot_iters=100, **kw)
         fast = mh_fit(path, (BETA0, W), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
         slow = mh_fit(path, (BETA0, W), cfg)
         for name in ("draws", "logliks", "accepted", "proposal_sd"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
@@ -112,6 +112,28 @@ class TestMhFit:
         assert slow.n_bound_rejected == 0 < fast.n_bound_rejected
         assert fast.n_evals < slow.n_evals
         assert fast.n_evals + fast.n_bound_rejected == slow.n_evals
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_recent_passes_bound_more_proposals(self, monkeypatch, degree):
+        """On a pinned M = 80 path the bound against the recent pass of the
+        nearest tilt gives the chain of a pass for every proposal, bit for
+        bit, with fewer passes than a bound against the current state's
+        pass alone."""
+        x = fit_path(40)
+        start = (TRUTH + (0.0,))[: degree + 1]
+        cfg = FitConfig(degree=degree, iters=250, burnin=50, pilot_iters=50, start=start, seed=4)
+        ring = mh_fit(x, (BETA0, W), cfg)
+        bound = MarginalLikelihood.loglik_bound
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: bound(self, c, refs[:1]))
+        current_only = mh_fit(x, (BETA0, W), cfg)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
+        exact = mh_fit(x, (BETA0, W), cfg)
+        for chain in (ring, current_only):
+            for name in ("draws", "logliks", "accepted", "proposal_sd"):
+                assert getattr(chain, name).tobytes() == getattr(exact, name).tobytes()
+            assert chain.n_support_rejected == exact.n_support_rejected
+            assert chain.n_evals + chain.n_bound_rejected == exact.n_evals
+        assert ring.n_evals < current_only.n_evals < exact.n_evals
 
     @pytest.mark.parametrize(
         "kw",
@@ -164,7 +186,7 @@ class TestMhFit:
         x = CountPath(1.0, np.array([0.2, 0.6]))
         cfg = FitConfig(degree=0, start=(0.0,), iters=50, burnin=0, adapt_proposals=False, seed=1)
         chain = mh_fit(x, (0.0, 1.0), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, ref: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
         slow = mh_fit(x, (0.0, 1.0), cfg)
         assert chain.draws.tobytes() == slow.draws.tobytes()
         assert chain.logliks.tobytes() == slow.logliks.tobytes()
@@ -197,7 +219,7 @@ class TestMhFit:
             def loglik(self, coeffs):
                 return MarginalResult(0.0, 0.0, 0.0)
 
-            def loglik_bound(self, coeffs, ref):
+            def loglik_bound(self, coeffs, refs):
                 return 0.0
 
         monkeypatch.setattr(inference, "MarginalLikelihood", FlatLikelihood)
@@ -224,6 +246,17 @@ class TestMhFit:
             # Delta method: se(sd) = se(variance) / (2 sd).
             se_sd = sq.std(ddof=1) / math.sqrt(ess(sq)) / (2.0 * got_sd)
             assert abs(got_sd - sd[p]) <= 4.0 * se_sd
+
+    def test_huge_proposal_width_has_a_prior_of_minus_inf_without_warning(self):
+        """At widths of 1e160 z . z overflows in the prior, which is then
+        -inf without a numpy RuntimeWarning: the chain's only warning is
+        that it never moved, and it moves as at width 1e6."""
+        x = CountPath(8.0, np.array([1.0, 2.0, 4.5]))
+        cfg = FitConfig(degree=1, iters=30, burnin=5, adapt_proposals=False, proposal_sd=1e160, seed=1)
+        with pytest.warns(RuntimeWarning) as record:
+            chain = mh_fit(x, (0.5, 0.7), cfg)
+        assert [str(w.message) for w in record] == [NEVER_ACCEPTED]
+        assert (chain.n_support_rejected, chain.n_bound_rejected, chain.n_evals) == (23, 7, 0)
 
     def test_chain_that_never_moves_warns_once(self):
         """Proposal widths of 1e6 leave every proposal outside the support or

@@ -432,8 +432,70 @@ def bound_case(M, beta0, w, T, degree, seed):
     return lik, ref_coeffs, lik.loglik(ref_coeffs)
 
 
+def single_reference_bound(lik, coeffs, ref):
+    """The bound from the one reference ref, computed step for step as
+    loglik_bound computed it before it chose among several references."""
+    if ref.log_k is None or not math.isfinite(ref.loglik):
+        return math.inf
+    rec = lik._admissible(coeffs)
+    with np.errstate(invalid="ignore"):
+        log_ratio = rec.log - ref.log_masses
+    log_ratio.sort()
+    if log_ratio.size and not log_ratio[-1] < math.inf:
+        return math.inf
+    gain = log_ratio[::-1].cumsum()
+    log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
+    return ref.polynomial_term_log + log_sum + (-lik.beta0 * lik.x.T - rec.lam)
+
+
 class TestLoglikBound:
     """loglik_bound bounds loglik from above through the posterior of k."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        M=st.integers(0, 120),
+        beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        w=st.floats(1e-2, 5.0),
+        T=st.floats(1.0, 50.0),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.lists(st.floats(-1.5, 1.0), min_size=4, max_size=4), min_size=2, max_size=6),
+    )
+    def test_every_reference_bounds_loglik(self, M, beta0, w, T, degree, seed, steps):
+        """Each of several references, alone, bounds loglik and gives the
+        single-reference bound bit for bit; together they give the bound of
+        the one whose tilt is nearest the proposal's, the first on a tie."""
+        lik, ref_coeffs, ref = bound_case(M, beta0, w, T, degree, seed)
+        coeffs, *others = (ref_coeffs * (1.0 + np.array(step[: degree + 1])) for step in steps)
+        refs = [ref] + [lik.loglik(c) for c in others if lik.in_support(c)]
+        assume(lik.in_support(coeffs))
+        got = lik.loglik(coeffs)
+        bounds = []
+        for r in refs:
+            bound = lik.loglik_bound(coeffs, (r,))
+            assert bound.hex() == single_reference_bound(lik, coeffs, r).hex()
+            slack = 1e-12 * (1.0 + abs(r.polynomial_term_log) + abs(got.exponent_term))
+            assert got.loglik <= bound + slack
+            bounds.append(bound)
+        tilt = float(got.log_masses[-1]) - float(got.log_masses[0]) if M else 0.0
+        usable = [i for i, r in enumerate(refs) if math.isfinite(r.log_tilt)]
+        gaps = [abs(refs[i].log_tilt - tilt) if math.isfinite(tilt) else 0.0 for i in usable]
+        nearest = usable[gaps.index(min(gaps))] if usable else None
+        want = bounds[nearest] if usable else math.inf
+        assert lik.loglik_bound(coeffs, refs).hex() == want.hex()
+
+    def test_nearest_tilt_tightens_the_bound(self):
+        """A reference of the proposal's tilt (coefficients in the same
+        ratio) bounds it exactly at degree 1, where the current state's
+        reference leaves slack; the reference list picks the former."""
+        lik, ref_coeffs, ref = bound_case(80, 1.0, 0.5, 15.0, 1, 3)
+        coeffs = ref_coeffs * np.array([1.0, 1.4])
+        same_tilt = lik.loglik(0.8 * coeffs)
+        assert same_tilt.log_tilt == pytest.approx(lik.loglik(coeffs).log_tilt, rel=1e-12)
+        exact = lik.loglik(coeffs).loglik
+        assert lik.loglik_bound(coeffs, (ref,)) > exact + 1e-3
+        assert lik.loglik_bound(coeffs, (ref, same_tilt)) == pytest.approx(exact, rel=0, abs=1e-10)
+        assert lik.loglik_bound(coeffs, (ref, same_tilt)) == lik.loglik_bound(coeffs, (same_tilt,))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -457,7 +519,7 @@ class TestLoglikBound:
         else:
             coeffs = ref_coeffs * (1.0 + np.array(step[: degree + 1]))
         assume(lik.in_support(coeffs))
-        bound = lik.loglik_bound(coeffs, ref)
+        bound = lik.loglik_bound(coeffs, (ref,))
         assert bound < math.inf  # every reference mass is positive
         got = lik.loglik(coeffs)
         slack = 1e-12 * (1.0 + abs(ref.polynomial_term_log) + abs(got.exponent_term))
@@ -470,7 +532,7 @@ class TestLoglikBound:
         lik, ref_coeffs, ref = bound_case(120, beta0, 0.8, 20.0, 2, 5)
         coeffs = scale * ref_coeffs
         assert lik.in_support(coeffs)
-        assert lik.loglik_bound(coeffs, ref) == pytest.approx(lik.loglik(coeffs).loglik, rel=0, abs=1e-12)
+        assert lik.loglik_bound(coeffs, (ref,)) == pytest.approx(lik.loglik(coeffs).loglik, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("beta0", [0.0, 0.7])
     def test_posterior_of_k_sums_to_one(self, beta0):
@@ -493,9 +555,10 @@ class TestLoglikBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = lik.loglik((0.0,))
-        assert ref.loglik == -math.inf and ref.log_k is None
+        assert ref.loglik == -math.inf and ref.log_k is None and math.isnan(ref.log_tilt)
         assert lik.in_support((1.0,))
-        assert lik.loglik_bound((1.0,), ref) == math.inf
+        assert lik.loglik_bound((1.0,), (ref,)) == math.inf
+        assert lik.loglik_bound((1.0,), ()) == math.inf
 
     @pytest.mark.parametrize("checked", [True, False], ids=["after-in_support", "bound-only"])
     @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
@@ -507,7 +570,7 @@ class TestLoglikBound:
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         if checked:
             assert lik.in_support(coeffs)
-        assert lik.loglik_bound(coeffs, ref) < math.inf
+        assert lik.loglik_bound(coeffs, (ref,)) < math.inf
         fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
         run = "loglik_grad" if grad else "loglik"
         for c in (coeffs, ref_coeffs):
@@ -529,8 +592,8 @@ class TestLoglikBound:
             lik.loglik(other)
         assert lik._kept.key != (ref_coeffs.shape, ref_coeffs.tobytes())
         fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
-        want = fresh.loglik_bound(coeffs, fresh.loglik(ref_coeffs))
-        assert lik.loglik_bound(coeffs, ref).hex() == want.hex()
+        want = fresh.loglik_bound(coeffs, (fresh.loglik(ref_coeffs),))
+        assert lik.loglik_bound(coeffs, (ref,)).hex() == want.hex()
         assert ref.log_masses.tobytes() == np.log(fresh._B @ ref_coeffs).tobytes()
 
     def test_log_masses_are_read_only(self):
@@ -549,5 +612,9 @@ class TestLoglikBound:
         ref = lik.loglik((0.0,))
         assert math.isfinite(ref.loglik)
         assert lik.in_support((1.0,))
-        assert lik.loglik_bound((1.0,), ref) == math.inf
-        assert lik.loglik_bound((0.0,), ref) == math.inf
+        assert lik.loglik_bound((1.0,), (ref,)) == math.inf
+        assert lik.loglik_bound((0.0,), (ref,)) == math.inf
+        assert math.isnan(ref.log_tilt)
+        # Among other references it is skipped.
+        good = lik.loglik((2.0,))
+        assert lik.loglik_bound((1.0,), (ref, good)) == lik.loglik_bound((1.0,), (good,)) < math.inf
