@@ -67,6 +67,23 @@ per reference is compared, far cheaper than a bound against each: the least
 of those bounds rejects a few more proposals but costs more than the passes
 it saves.
 
+The last rows also give the likelihood along the ray {s c, s > 0} without
+another pass.  Each term of f_M(k) holds k masses, each linear in c, so
+f_M(k) is homogeneous of degree k in c and D_p f_M(k) of degree k - 1,
+while int lambda = L c is linear.  With u = log s,
+
+    log p(s c) = log sum_k f_M(k) e^(k u) - beta0 T - s L c,
+    d log p / d c_p (s c) = sum_k D_p f_M(k) e^((k - 1) u) / sum_k f_M(k) e^(k u) - L_p,
+
+from the pass at c alone, in O(M (degree + 1)) (``MarginalLikelihood.ray``,
+from ``MarginalResult.log_k`` and ``log_dk``).  A step of the recurrence
+maps P(x) = sum_k f(k) x^k to (beta0 + w A_m x) P + w x P', which keeps P
+real-rooted with its roots in (-inf, 0].  So log P(s) - s L c is concave in
+s, and the ray has at most one best point: where E_u[k] = s L c, E_u the
+mean of k under pi_u(k) ~ f_M(k) e^(k u).  There is none inside the ray when
+the slope at s = 0, f_M(1) / f_M(0) - L c, is <= 0.  ``mle_fit`` moves each
+point it evaluates to that best point.
+
 What one coefficient vector gives is one record (``_Masses``), keyed by its
 shape and bytes: int lambda and, when it and the masses B~ c are
 admissible, the masses' logs, read-only.  A ``MarginalLikelihood`` keeps
@@ -101,6 +118,10 @@ from .paths import CountPath, ModelParams
 # Steps of the DP per block of shared views (see ``MarginalLikelihood._run``).
 # Passes at M = 80 and M = 1000 ran within noise of each other from 8 to 64.
 _BLOCK = 16
+# ``MarginalLikelihood._ray_max``: Newton steps at most, and the change in u
+# that ends the search.
+_RAY_ITERS = 64
+_RAY_UTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,6 +131,9 @@ class MarginalResult:
     ``log_k`` is log pi(k), the posterior of the number of latent points the
     events attach to, for k = 0..M (the DP's last row less
     polynomial_term_log); None at the -inf sentinel and when not computed.
+    ``log_dk`` is log D_p f_M(k) less polynomial_term_log, the last
+    sensitivity row, shape (M + 1, degree + 1), which ``ray`` reads; set by
+    ``loglik_grad`` only, and None at the -inf sentinel.
     ``log_masses`` is log (A_m e^{w (T - t_m)}), m = 1..M, the log kernel
     masses the pass used (-inf for a mass of 0), read-only; None when not
     computed.  ``log_tilt`` is log A_M - log A_1 (0 at M = 0), by which
@@ -122,6 +146,7 @@ class MarginalResult:
     exponent_term: float
     log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
     log_masses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    log_dk: np.ndarray | None = field(default=None, compare=False, repr=False)
     log_tilt: float = field(default=math.nan, compare=False, repr=False)
 
 
@@ -180,8 +205,9 @@ class MarginalLikelihood:
         self._B = kernel_moments(w, times, degree)
         self._L = lambda_moments(w, x.T, degree)
         self.V = nonneg_matrix(x.T, degree)
+        self._ks = np.arange(x.count + 1.0)  # k = 0..M, the index of the DP's rows
         with np.errstate(divide="ignore"):
-            self._log_stay = np.log(beta0 + w * np.arange(x.count + 1))
+            self._log_stay = np.log(beta0 + w * self._ks)
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
             self._log_kernel = math.log(w) - w * (x.T - times)
             # log (w B_(m,p)) in columns 1.., after a column of log 0 that
@@ -255,6 +281,83 @@ class MarginalLikelihood:
         gain = log_ratio[::-1].cumsum()
         log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
         return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - rec.lam)
+
+    def ray(self, coeffs, res: MarginalResult, u: float | None = None) -> tuple[float, float, np.ndarray] | None:
+        """(u, loglik, gradient) at e^u coeffs from ``res``, the
+        ``loglik_grad`` result at coeffs, in O(M (degree + 1)) and without a
+        pass (module docstring).
+
+        With u None, u is the maximizer of the log-likelihood along the ray
+        {s coeffs, s > 0}: the root of E_u[k] = e^u L coeffs, the mean of k
+        under pi_u(k) ~ f_M(k) e^(k u), found by Newton's method in u within
+        a bracket that every step narrows (bisection when a Newton step
+        leaves it).  The log-likelihood is concave in s, so the root is
+        unique.  None when the ray has no interior maximum: at M = 0, where
+        L coeffs = 0, where the log-likelihood falls from s = 0 on, and at
+        the -inf sentinel (``res.log_dk`` None); and where L coeffs is so
+        small (below M e^-709) that the maximizer could leave the double
+        range.  At u = 0 the loglik is ``res.loglik`` itself.
+        """
+        if res.log_dk is None:
+            return None
+        c = np.asarray(coeffs, dtype=float)
+        lc = float(self._L @ c)
+        if u is None:
+            u = self._ray_max(res.log_k, lc)
+            if u is None:
+                return None
+        ks = self._ks
+        lse = _logsumexp(res.log_k + ks * u)
+        loglik = res.loglik + (lse - _logsumexp(res.log_k)) - math.expm1(u) * lc
+        # Column p: log sum_k D_p f_M(k) e^(k u), less polynomial_term_log.
+        z = res.log_dk + (ks * u)[:, None]
+        top = z.max(axis=0)
+        top[top == -math.inf] = 0.0  # M = 0: every sensitivity is 0
+        with np.errstate(divide="ignore"):
+            sens = top + np.log(np.exp(z - top).sum(axis=0))
+        return u, loglik, np.exp(sens - u - lse) - self._L
+
+    def _ray_max(self, log_k: np.ndarray, lc: float) -> float | None:
+        """The u of ``ray``'s maximum, from the last row's log pi(k) and
+        L c; None when the ray has no interior maximum."""
+        M = log_k.size - 1
+        if M == 0 or not lc > 0.0:
+            return None
+        # E_u[k] lies in [k_min, M], so the root lies in [log(k_min / Lc), log(M / Lc)].
+        k_min = int(np.argmax(log_k > -math.inf))
+        if k_min == 0 and not log_k[1] - log_k[0] > math.log(lc):
+            return None  # d loglik / ds = f_M(1) / f_M(0) - L c <= 0 at s = 0
+        lo, hi = (math.log(k_min / lc) if k_min else -math.inf), math.log(M / lc)
+        if not hi < 709.0:
+            return None  # s = e^u up to M / L c, which may leave the double range
+        ks = self._ks
+        ks2 = ks * ks
+        u, width = min(max(0.0, lo), hi), 1.0
+        for _ in range(_RAY_ITERS):
+            z = log_k + ks * u
+            weight = np.exp(z - z.max())  # pi_u, not normalized
+            total = float(weight.sum())
+            mean = float(weight @ ks) / total
+            scaled_lc = math.exp(u) * lc
+            # phi = d loglik / du = E_u[k] - s L c; slope = d phi / du =
+            # Var_u[k] - s L c, negative at the root.
+            phi, slope = mean - scaled_lc, float(weight @ ks2) / total - mean * mean - scaled_lc
+            if phi == 0.0:
+                return u
+            if phi > 0.0:
+                lo = u
+            else:
+                hi = u
+            new_u = u - phi / slope if slope < 0.0 else math.nan
+            if not lo < new_u < hi:
+                if lo > -math.inf:
+                    new_u = 0.5 * (lo + hi)
+                else:  # no lower end yet: step down, twice as far each time
+                    new_u, width = hi - width, 2.0 * width
+            if abs(new_u - u) <= _RAY_UTOL * max(1.0, abs(u)):
+                return new_u
+            u = new_u
+        return u
 
     def _masses(self, coeffs) -> _Masses:
         """A new record of coeffs (module docstring), not kept."""
@@ -340,12 +443,14 @@ class MarginalLikelihood:
         tilt = math.nan
         if poly_log > -math.inf and rec.log.min(initial=0.0) > -math.inf:
             tilt = float(rec.log[-1] - rec.log[0]) if M else 0.0
+        possible = poly_log > -math.inf
         result = MarginalResult(
             loglik=poly_log + exponent,
             polynomial_term_log=poly_log,
             exponent_term=exponent,
-            log_k=f - poly_log if poly_log > -math.inf else None,
+            log_k=f - poly_log if possible else None,
             log_masses=rec.log,
+            log_dk=rows[:, 1:] - poly_log if grad and possible else None,
             log_tilt=tilt,
         )
         if not grad:

@@ -258,6 +258,20 @@ class TestMhFit:
         assert [str(w.message) for w in record] == [NEVER_ACCEPTED]
         assert (chain.n_support_rejected, chain.n_bound_rejected, chain.n_evals) == (23, 7, 0)
 
+    @pytest.mark.parametrize("per_coordinate", [False, True], ids=["block", "per-coordinate"])
+    def test_overflowing_proposal_step_is_quiet(self, per_coordinate):
+        """At widths of 1e308 the proposal step itself overflows, and the
+        support check refuses what it gives, without a numpy RuntimeWarning:
+        the chain's only warning is that it never moved."""
+        x = CountPath(8.0, np.array([1.0, 2.0, 4.5]))
+        cfg = FitConfig(
+            degree=1, iters=30, burnin=5, adapt_proposals=False, proposal_sd=1e308, seed=1, per_coordinate=per_coordinate
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            chain = mh_fit(x, (0.5, 0.7), cfg)
+        assert [str(w.message) for w in record] == [NEVER_ACCEPTED]
+        assert chain.n_evals == 0 and chain.n_support_rejected > 0
+
     def test_chain_that_never_moves_warns_once(self):
         """Proposal widths of 1e6 leave every proposal outside the support or
         rejected by the likelihood bound: one RuntimeWarning, whose message
@@ -398,16 +412,33 @@ class TestMleFit:
         again = mle_fit(x, (BETA0, W), degree=1, start=first.coeffs)
         assert again.converged and again.n_evals == 1
         assert again.loglik == first.loglik
+        # Nor is the optimum moved along its ray.
+        np.testing.assert_array_equal(again.coeffs, first.coeffs)
+
+    @pytest.mark.parametrize("seed", [40, 386, 631])
+    def test_degree_zero_takes_one_pass(self, seed):
+        """At degree 0 the ray through the start is the whole coefficient
+        space, so the move after the first pass lands on the optimum."""
+        x = fit_path(seed)
+        res = mle_fit(x, (BETA0, W), degree=0, start=(1.0,))
+        assert res.converged and res.n_evals == 1
+        assert res.loglik == pytest.approx(nelder_mead_best(x, (1.0,)), rel=0, abs=1e-9)
+        assert marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs)))).loglik == res.loglik
 
     def test_starts_from_the_poisson_information(self, monkeypatch):
         """The first QP model's Hessian is J^T J with J_m = w dGamma(t_m) /
         (beta0 + w Gamma(t_m)), the information of a Poisson process with
-        the marginal mean rate of X."""
+        the marginal mean rate of X, at the start moved to the best point
+        on its ray."""
         hessians = qp_hessians(monkeypatch)
         x = fit_path(40)
         mle_fit(x, (BETA0, W), degree=1, start=TRUTH)
+        lik = MarginalLikelihood(x, BETA0, W, 1)
+        scale = math.exp(lik.ray(TRUTH, lik.loglik_grad(TRUTH)[0])[0])
+        assert scale < 0.9
+        c0, c1 = scale * TRUTH[0], scale * TRUTH[1]
         t = x.jumps
-        J = W * np.column_stack([t, t**2 / 2]) / (BETA0 + W * (TRUTH[0] * t + TRUTH[1] * t**2 / 2))[:, None]
+        J = W * np.column_stack([t, t**2 / 2]) / (BETA0 + W * (c0 * t + c1 * t**2 / 2))[:, None]
         np.testing.assert_allclose(hessians[0], J.T @ J, rtol=1e-12)
 
     @pytest.mark.parametrize("jumps", [[], [3.7]], ids=["M=0", "M=1"])
@@ -434,14 +465,14 @@ class TestMleFit:
     def test_points_outside_the_support_cost_no_pass(self, monkeypatch):
         """A trial point outside the support halves the step without a
         likelihood pass and does not count toward the budget.  The support
-        check here refuses the first line-search trial (its second call,
-        after the start's)."""
+        check here refuses the first line-search trial: its third call, after
+        the start's and that of the start moved along its ray."""
         rejected, passes, calls = [], [], []
         in_support, loglik_grad = MarginalLikelihood.in_support, MarginalLikelihood.loglik_grad
 
         def checking(self, coeffs):
             calls.append(None)
-            ok = in_support(self, coeffs) and len(calls) != 2
+            ok = in_support(self, coeffs) and len(calls) != 3
             if not ok:
                 rejected.append(np.array(coeffs))
             return ok
@@ -454,13 +485,17 @@ class TestMleFit:
         monkeypatch.setattr(MarginalLikelihood, "loglik_grad", passing)
         res = mle_fit(fit_path(386), (BETA0, W), degree=1, start=TRUTH, budget=100)
         assert rejected and res.converged
+        # The refused point is off the start's ray: a line-search trial.
+        assert abs(rejected[0][0] * TRUTH[1] - rejected[0][1] * TRUTH[0]) > 1e-3
         assert res.n_evals == len(passes)
         assert not any(np.array_equal(r, p) for r in rejected for p in passes)
 
     def test_budget_stops_the_fit(self, path):
-        res = mle_fit(path, (BETA0, W), degree=1, start=TRUTH, budget=3)
+        # The fit needs more passes than the budget.
+        assert mle_fit(path, (BETA0, W), degree=1, start=TRUTH).n_evals > 1
+        res = mle_fit(path, (BETA0, W), degree=1, start=TRUTH, budget=1)
         start = marginal_loglik(path, ModelParams(BETA0, W, PolyIntensity(TRUTH))).loglik
-        assert res.n_evals == 3 and not res.converged
+        assert res.n_evals == 1 and not res.converged
         assert res.loglik >= start
 
     @pytest.mark.parametrize("budget", [15, 60])
@@ -523,9 +558,7 @@ class TestStart:
 
     @staticmethod
     def first_point(fitter, x, degree, monkeypatch, start=None):
-        """mle_fit's result after one pass; the point of mh_fit's first pass."""
-        if fitter is mle_fit:
-            return mle_fit(x, (BETA0, W), degree, start, budget=1).coeffs
+        """The point of the fitter's first likelihood pass."""
 
         class FirstPass(Exception):
             pass
@@ -533,9 +566,12 @@ class TestStart:
         def stop(self, coeffs):
             raise FirstPass(coeffs)
 
-        monkeypatch.setattr(MarginalLikelihood, "loglik", stop)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_grad" if fitter is mle_fit else "loglik", stop)
         with pytest.raises(FirstPass) as info:
-            mh_fit(x, (BETA0, W), FitConfig(degree=degree, start=start))
+            if fitter is mle_fit:
+                mle_fit(x, (BETA0, W), degree, start)
+            else:
+                mh_fit(x, (BETA0, W), FitConfig(degree=degree, start=start))
         return info.value.args[0]
 
     @pytest.mark.parametrize("fitter", [mh_fit, mle_fit])

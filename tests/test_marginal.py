@@ -618,3 +618,80 @@ class TestLoglikBound:
         # Among other references it is skipped.
         good = lik.loglik((2.0,))
         assert lik.loglik_bound((1.0,), (ref, good)) == lik.loglik_bound((1.0,), (good,)) < math.inf
+
+
+class TestRay:
+    """ray: the log-likelihood and its gradient along the ray {s c} from the
+    last row of one gradient pass at c, and the ray's best point."""
+
+    @pytest.mark.parametrize("M", [1, 80])
+    @pytest.mark.parametrize("beta0", [0.0, 1.0])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_matches_a_fresh_pass(self, M, beta0, degree, scale):
+        """At s = 1 the value is the pass's own, bit for bit.  Only the
+        gradient pass carries the sensitivity row."""
+        lik, coeffs, value_res = bound_case(M, beta0, 0.5, 15.0, degree, seed=M + degree)
+        res = lik.loglik_grad(coeffs)[0]
+        assert res.log_dk.shape == (M + 1, degree + 1) and value_res.log_dk is None
+        u, loglik, grad = lik.ray(coeffs, res, math.log(scale))
+        fresh = MarginalLikelihood(lik.x, beta0, lik.w, degree)
+        want, want_grad = fresh.loglik_grad(scale * coeffs)
+        assert u == math.log(scale)
+        assert loglik == pytest.approx(want.loglik, rel=1e-12)
+        if scale == 1.0:
+            assert loglik == res.loglik
+        # d loglik / d c_p = sum_k D_p f_M(k) / sum_k f_M(k) - L_p: the ratios
+        # agree to rtol 1e-12, and the difference with L_p can cancel digits.
+        np.testing.assert_allclose(grad + lik._L, want_grad + lik._L, rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        M=st.integers(1, 120),
+        beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        w=st.floats(1e-2, 5.0),
+        T=st.floats(1.0, 50.0),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_finds_the_best_point_on_the_ray(self, M, beta0, w, T, degree, seed, log_scale):
+        """The maximizer is stationary along the ray and no point of a grid
+        in u is higher; where there is none, loglik falls from s = 0 on.  A
+        move there never lowers loglik and stays in the support."""
+        lik, ref_coeffs, _ = bound_case(M, beta0, w, T, degree, seed)
+        coeffs = math.exp(log_scale) * ref_coeffs
+        res = lik.loglik_grad(coeffs)[0]
+        assume(math.isfinite(res.loglik))
+        grid = np.array([lik.ray(coeffs, res, u)[1] for u in np.linspace(-10.0, 10.0, 201)])
+        tol = 1e-10 * (1.0 + abs(res.loglik))
+        best = lik.ray(coeffs, res)
+        if best is None:
+            assert (np.diff(grid) <= tol).all()
+            return
+        u, loglik, grad = best
+        assert loglik >= grid.max() - tol and loglik >= res.loglik
+        moved = math.exp(u) * coeffs
+        assert abs(float(grad @ moved)) <= 1e-9 * (1.0 + M)
+        assert lik.in_support(moved)
+        assert lik.loglik(moved).loglik >= res.loglik - tol
+
+    def test_no_interior_maximum_without_events(self):
+        lik = MarginalLikelihood(load_path([], 4.0), 0.5, 0.7, degree=1)
+        assert lik.ray((1.0, 0.5), lik.loglik_grad((1.0, 0.5))[0]) is None
+
+    def test_no_maximum_past_the_double_range(self):
+        """At gamma = 1e-310 the best s is about 1e310: no move, and no
+        RuntimeWarning.  At 1e-300 the move reaches the maximum."""
+        lik = MarginalLikelihood(load_path([0.5, 2.0, 3.0], 4.0), 0.0, 0.7, degree=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lik.ray((1e-310,), lik.loglik_grad((1e-310,))[0]) is None
+            _, loglik, _ = lik.ray((1e-300,), lik.loglik_grad((1e-300,))[0])
+        assert loglik == pytest.approx(lik.ray((1.0,), lik.loglik_grad((1.0,))[0])[1], rel=1e-12)
+
+    def test_no_interior_maximum_at_the_sentinel(self):
+        lik = MarginalLikelihood(load_path([0.5, 2.0], 4.0), 0.0, 0.7, degree=1)
+        res = lik.loglik_grad((0.0, 0.0))[0]
+        assert res.loglik == -math.inf and res.log_dk is None
+        assert lik.ray((0.0, 0.0), res) is None
