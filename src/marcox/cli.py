@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .inference import (
     FitConfig,
+    bands_csv,
     chain_csv,
-    check_count,
     mh_fit,
     mle_fit,
     read_chain_csv,
@@ -306,24 +306,7 @@ def _cmd_summarize(args) -> int:
     started = _utcnow()
     draws = read_chain_csv(args.chain)
     grid = _parse_grid(args.grid)
-    summary = summarize(draws, t_grid=grid)
-    lines = ["t,mean,lo,hi,cum_mean,cum_lo,cum_hi"]
-    for i, t in enumerate(summary.grid):
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    t,
-                    summary.gamma_mean[i],
-                    summary.gamma_lo[i],
-                    summary.gamma_hi[i],
-                    summary.cum_mean[i],
-                    summary.cum_lo[i],
-                    summary.cum_hi[i],
-                )
-            )
-        )
-    _write_output(args.out, "\n".join(lines) + "\n", "summarize", None, None, started)
+    _write_output(args.out, bands_csv(summarize(draws, t_grid=grid)), "summarize", None, None, started)
     return EXIT_OK
 
 

@@ -36,7 +36,8 @@ for every in-support proposal takes 157 and a bound against the current
 state alone 96.
 
 ``mle_fit`` maximizes the same likelihood by sequential quadratic
-programming in numpy.  Each step takes the exact gradient from
+programming in numpy, in one loop of its own; its docstring gives the loop's
+steps and stopping rules in order.  Each step takes the exact gradient from
 ``MarginalLikelihood.loglik_grad``, one forward pass over the events, and
 solves a quadratic model under the linear constraints V c >= 0, the 1025
 rows of the same V, with a dual active-set method (``_qp_step``); a damped
@@ -46,8 +47,8 @@ moves to the best point on its ray {s c, s > 0}, which the pass's last row
 gives exactly (``MarginalLikelihood.ray``), at no further pass.  On the
 benchmark's paths of M = 80 events (perfbench ``conditioned_path``, seeds
 1-13, started at the simulating coefficients) a fit with two coefficients
-converges in 2 to 6 likelihood passes (4.4 on average over 832 paths; 4 to
-9 and 7.25 without the ray move), where a Nelder-Mead simplex needs 130 to
+converges in 2 to 6 likelihood passes (4.4 on average over 832 paths; 4 to 9
+and 7.25 without the ray move), where a Nelder-Mead simplex needs 130 to
 270; with three to five coefficients it takes 2 to 9 (5.5 to 6.6 on average
 over 64 paths).
 """
@@ -55,7 +56,6 @@ over 64 paths).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,8 +64,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .intensity import MAX_DEGREE
+from .errors import ValidationError, check_count
+from .intensity import check_degree
 from .marginal import MarginalLikelihood, MarginalResult
 from .paths import CountPath
 
@@ -76,12 +76,6 @@ _BOUND_MARGIN = 1e-9
 # On the 128 M = 80 degree-1 chains of the module docstring, 8, 16, 32 and 64
 # left 64, 59, 56 and 55 main-run passes per chain.
 _RING = 32
-
-
-def check_count(value, name: str, low: int) -> None:
-    """Raise ``ValidationError`` unless value is an integer (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
@@ -134,10 +128,9 @@ class FitConfig:
     per_coordinate: bool = False
 
     def __post_init__(self) -> None:
-        for name, low in (("degree", 0), ("burnin", 0), ("thin", 1), ("seed", 0), ("pilot_iters", 0)):
+        check_degree(self.degree)
+        for name, low in (("burnin", 0), ("thin", 1), ("seed", 0), ("pilot_iters", 0)):
             check_count(getattr(self, name), name, low)
-        if self.degree > MAX_DEGREE:
-            raise ValidationError(f"degree must be at most {MAX_DEGREE}, got {self.degree!r}")
         check_count(self.iters, "iters", self.burnin + 1)
         for name in ("adapt_proposals", "per_coordinate"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -326,10 +319,6 @@ class MleResult:
     n_evals: int
 
 
-class _BudgetSpent(Exception):
-    """The objective was asked for a likelihood pass beyond ``budget``."""
-
-
 _ARMIJO = 1e-4     # sufficient-decrease fraction of the first-order change
 _MIN_STEP = 1e-10  # smallest fraction of the QP step the line search tries
 _FTOL = 1e-10      # relative change in -loglik that ends the fit
@@ -400,57 +389,6 @@ def _qp_step(
     return p, work, lam
 
 
-def _sqp(objective, in_support, start_hessian, V: np.ndarray, c: np.ndarray) -> bool:
-    """Minimize objective over V c >= 0 from c; whether it converged.
-
-    ``objective(c)`` makes one pass at c and returns its value there and the
-    point the fit goes on from, with that point's value and gradient: c
-    itself, or the point ``mle_fit`` moved it to along its ray.
-    ``start_hessian(c)`` gives the first Hessian, at the start's point, once
-    its value is finite, or None for I max|gradient|.  ``mle_fit``
-    documents the iteration and its stopping rules; the caller keeps the
-    best point, and ``objective`` raises ``_BudgetSpent`` to stop.
-    """
-    _, c, f, g = objective(c)
-    if not (math.isfinite(f) and np.isfinite(g).all()):
-        return False
-    H = start_hessian(c)
-    if H is None:
-        H = np.eye(c.size) * (np.abs(g).max() or 1.0)
-    row_norm = np.linalg.norm(V, axis=1)
-    while True:
-        p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0), row_norm)[0]
-        slope = float(g @ p)
-        # No descent left, or the model promises less than the realized
-        # decrease that would end the fit one pass later.
-        if not slope < 0.0 or -(slope + 0.5 * float(p @ H @ p)) <= _FTOL * max(abs(f), 1.0):
-            return True
-        step = 1.0
-        while True:
-            if step < _MIN_STEP:
-                return False
-            trial = c + step * p
-            if not in_support(trial):
-                step *= 0.5
-                continue
-            f_line, point, f_new, g_new = objective(trial)
-            if f_new <= f + _ARMIJO * step * slope:
-                break
-            # Minimizer of the quadratic through f, slope and the value at
-            # the trial, kept within [0.1, 0.5] of the step (Nocedal &
-            # Wright, Sec. 3.5).
-            step *= min(max(-slope * step / (2.0 * (f_line - f - slope * step)), 0.1), 0.5)
-        if abs(f - f_new) <= _FTOL * max(abs(f), 1.0):
-            return True
-        s, y = point - c, g_new - g
-        Hs = H @ s
-        sHs, sy = float(s @ Hs), float(s @ y)
-        theta = 1.0 if sy >= 0.2 * sHs else 0.8 * sHs / (sHs - sy)
-        r = theta * y + (1.0 - theta) * Hs
-        H = H - np.outer(Hs, Hs) / sHs + np.outer(r, r) / float(s @ r)
-        c, f, g = point, f_new, g_new
-
-
 def mle_fit(
     x: CountPath,
     params_fixed: tuple[float, float],
@@ -460,44 +398,46 @@ def mle_fit(
 ) -> MleResult:
     """Maximum-likelihood coefficients by SQP with exact gradients.
 
-    Each likelihood pass is one ``MarginalLikelihood.loglik_grad``, which
-    returns the value and its gradient together.  Nonnegativity is imposed
-    as the linear constraints V c >= 0, where V is the likelihood's own
+    The fit is one loop, whose steps and stopping rules follow.  Each
+    likelihood pass is one ``MarginalLikelihood.loglik_grad``, which returns
+    the value and its gradient together.  After every pass the fit moves the
+    point it evaluated to the best point on its ray {s c, s > 0}, which
+    ``MarginalLikelihood.ray`` gives exactly from the pass's last row,
+    without another pass.  The move is taken when the ray has such a point,
+    the point lies in the support and the move raises loglik by more than
+    1e-10 relative to max(|loglik|, 1), the threshold of the stopping rules
+    below.  The fit goes on from the moved point: the first Hessian is
+    built there, and the Armijo test, the convergence test and the BFGS
+    update take its value and gradient; the backtracking quadratic takes the
+    value at the trial itself.  At degree 0 the ray is the whole coefficient
+    space, so one pass ends the fit.
+
+    The start's pass comes first; the fit ends there when the start's
+    log-likelihood is not finite.  The first Hessian is J^T J with J_m =
+    w dGamma(t_m) / (beta0 + w Gamma(t_m)) at the start, moved along its
+    ray, where dGamma(t) = (t^(p+1) / (p+1))_p: the observed information of
+    a Poisson process with X's marginal mean rate beta0 + w Gamma(t), which
+    carries the scale of each monomial.  The finite log-likelihood makes
+    every denominator positive; with fewer events than coefficients, or
+    where rounding leaves J^T J not positive definite, the fit starts from
+    I max|gradient| instead.  Built at the moved start rather than the
+    given one, it took fewer passes on 64 benchmark paths from the default
+    start (4.3 against 4.9 on average at degree 1, 5.3 against 7.5 at
+    degree 2) and more from the simulating coefficients (4.4 against 4.0,
+    5.5 against 4.8).
+
+    Each iteration then solves the quadratic model of -loglik under the
+    linear constraints V c >= 0, where V is the likelihood's own
     ``MarginalLikelihood.V`` (the monomials at the times
     ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support
-    check and ``is_nonneg`` see the same values of gamma.  Each iteration
-    solves the quadratic model of -loglik under those constraints
-    (``_qp_step``; a check time where gamma already dips below zero by
-    rounding may not dip further), with a Powell-damped BFGS Hessian, and
-    backtracks along the step until the Armijo condition holds: to the
-    minimizer of the quadratic through the two values and the slope, kept
-    within [0.1, 0.5] of the last trial.  A trial point outside
+    check and ``is_nonneg`` see the same values of gamma (``_qp_step``; a
+    check time where gamma already dips below zero by rounding may not dip
+    further).  It backtracks along the step until the Armijo condition
+    holds: to the minimizer of the quadratic through the two values and the
+    slope, kept within [0.1, 0.5] of the last trial.  A trial point outside
     ``MarginalLikelihood.in_support`` halves the step without a likelihood
-    pass.
-
-    After every pass the fit moves the point it evaluated to the best point
-    on its ray {s c, s > 0}, which ``MarginalLikelihood.ray`` gives exactly
-    from the pass's last row, without another pass.  The move is taken
-    when the ray has such a point, the point lies in the support and the
-    move raises loglik by more than 1e-10 relative to max(|loglik|, 1), the
-    threshold of the stopping rules below.  The fit goes on from the moved
-    point: the first Hessian is built there, and the Armijo test, the
-    convergence test and the BFGS update take its value and gradient; the
-    backtracking quadratic takes the value at the trial itself.  At degree
-    0 the ray is the whole coefficient space, so one pass ends the fit.
-
-    The first Hessian is J^T J with J_m = w dGamma(t_m) / (beta0 +
-    w Gamma(t_m)) at the start, moved along its ray, where dGamma(t) =
-    (t^(p+1) / (p+1))_p: the observed information of a Poisson process with
-    X's marginal mean rate beta0 + w Gamma(t), which carries the scale of
-    each monomial.  It is built only once the start's log-likelihood is
-    finite, which makes every denominator positive; with fewer events than
-    coefficients, or where rounding leaves J^T J not positive definite, the
-    fit starts from I max|gradient| instead.  Built at the moved start
-    rather than the given one, it took fewer passes on 64 benchmark paths
-    from the default start (4.3 against 4.9 on average at degree 1, 5.3
-    against 7.5 at degree 2) and more from the simulating coefficients (4.4
-    against 4.0, 5.5 against 4.8).
+    pass.  A Powell-damped BFGS update at the accepted point gives the next
+    model's Hessian.
 
     ``budget`` caps the likelihood passes and must be at least 1.  The fit
     has ``converged=True`` when the QP step gives no descent, when the
@@ -505,33 +445,32 @@ def mle_fit(
     relative to max(|-loglik|, 1) (the fit then ends without evaluating the
     step), or when the realized decrease of an accepted step is that small;
     it has ``converged=False`` when the start's log-likelihood is not
-    finite, the budget is spent or the step falls below 1e-10 of the QP
-    step.  The reported point is the best one evaluated or moved to, with
-    c_0 raised, where needed, until V c >= 0 holds with no tolerance; when
-    the point was moved along its ray or c_0 was raised, the log-likelihood
-    is recomputed there (one ``loglik`` call outside the count), so it
-    equals ``marginal_loglik`` at the reported point.  It falls below the
-    start's only by the effect of a rounding-size raise of c_0; ``n_evals``
-    counts the passes of the fit, not the moves.  Deterministic given the
-    starting point.
+    finite or the line search stops short: its next trial would be a pass
+    beyond the budget, or its step has fallen below 1e-10 of the QP step.
+    The reported point is the best one evaluated or moved to, with c_0
+    raised, where needed, until V c >= 0 holds with no tolerance; when the
+    point was moved along its ray or c_0 was raised, the log-likelihood is
+    recomputed there (one ``loglik`` call outside the count), so it equals
+    ``marginal_loglik`` at the reported point.  It falls below the start's
+    only by the effect of a rounding-size raise of c_0; ``n_evals`` counts
+    the passes of the fit, not the moves.  Deterministic given the starting
+    point.
     """
     check_count(budget, "budget", 1)
     beta0, w = params_fixed
     d = degree + 1
     lik = MarginalLikelihood(x, beta0, w, degree)
-    x0 = _start(lik, x, d, start)
+    c = _start(lik, x, d, start)
     V = lik.V
     evals = 0
-    best_ll, best_c, best_moved = -math.inf, x0, False
+    best_ll, best_c, best_moved = -math.inf, c, False
 
     def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
         """-loglik at a point in the support, by one pass, and the point the
         fit goes on from with its -loglik and gradient: the best point on
         the ray {s coeffs} when the move is taken (docstring above), else
-        coeffs itself."""
+        coeffs itself.  Keeps the best point so far."""
         nonlocal evals, best_ll, best_c, best_moved
-        if evals == budget:
-            raise _BudgetSpent
         evals += 1
         res, grad = lik.loglik_grad(coeffs)
         point, ll = coeffs, res.loglik
@@ -545,23 +484,53 @@ def mle_fit(
             best_ll, best_c, best_moved = ll, point, point is not coeffs
         return -res.loglik, point, -ll, -grad
 
-    def start_hessian(coeffs: np.ndarray) -> np.ndarray | None:
-        """J^T J, J_m = w dGamma(t_m) / (beta0 + w Gamma(t_m)); None unless positive definite."""
-        if x.count < d:  # rank at most M; Cholesky can still pass on rounding
-            return None
-        grad_cum = x.jumps[:, None] ** np.arange(1, d + 1) / np.arange(1, d + 1)
-        J = w * grad_cum / (beta0 + w * (grad_cum @ coeffs))[:, None]
-        H = J.T @ J
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            return None
-        return H
-
-    try:
-        converged = _sqp(objective, lik.in_support, start_hessian, V, x0)
-    except _BudgetSpent:
-        converged = False
+    _, c, f, g = objective(c)
+    converged = False
+    if math.isfinite(f) and np.isfinite(g).all():
+        H = np.eye(d) * (np.abs(g).max() or 1.0)
+        if x.count >= d:  # J^T J has rank at most M; Cholesky can still pass on rounding
+            grad_cum = x.jumps[:, None] ** np.arange(1, d + 1) / np.arange(1, d + 1)
+            J = w * grad_cum / (beta0 + w * (grad_cum @ c))[:, None]
+            info = J.T @ J
+            try:
+                np.linalg.cholesky(info)
+                H = info
+            except np.linalg.LinAlgError:
+                pass
+        row_norm = np.linalg.norm(V, axis=1)
+        while True:
+            p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0), row_norm)[0]
+            slope = float(g @ p)
+            # No descent left, or the model promises less than the realized
+            # decrease that would end the fit one pass later.
+            if not slope < 0.0 or -(slope + 0.5 * float(p @ H @ p)) <= _FTOL * max(abs(f), 1.0):
+                converged = True
+                break
+            step = 1.0
+            while evals < budget and step >= _MIN_STEP:
+                trial = c + step * p
+                if not lik.in_support(trial):
+                    step *= 0.5
+                    continue
+                f_line, point, f_new, g_new = objective(trial)
+                if f_new <= f + _ARMIJO * step * slope:
+                    break
+                # Minimizer of the quadratic through f, slope and the value at
+                # the trial, kept within [0.1, 0.5] of the step (Nocedal &
+                # Wright, Sec. 3.5).
+                step *= min(max(-slope * step / (2.0 * (f_line - f - slope * step)), 0.1), 0.5)
+            else:
+                break  # the budget is spent, or the step fell below _MIN_STEP
+            if abs(f - f_new) <= _FTOL * max(abs(f), 1.0):
+                converged = True
+                break
+            s, y = point - c, g_new - g
+            Hs = H @ s
+            sHs, sy = float(s @ Hs), float(s @ y)
+            theta = 1.0 if sy >= 0.2 * sHs else 0.8 * sHs / (sHs - sy)
+            r = theta * y + (1.0 - theta) * Hs
+            H = H - np.outer(Hs, Hs) / sHs + np.outer(r, r) / float(s @ r)
+            c, f, g = point, f_new, g_new
     # The QP holds V c >= 0 only to rounding; raise c_0 until the reported
     # rate is nonnegative at every check time, with no tolerance.
     coeffs = np.array(best_c, dtype=float)
@@ -624,6 +593,16 @@ def chain_csv(chain: Chain) -> str:
     lines = [",".join(["iter", *(f"c{i}" for i in range(d)), "loglik", "accepted"])]
     lines += [",".join([str(i), *map(repr, draw), repr(ll), str(int(acc))]) for i, (draw, ll, acc) in enumerate(rows)]
     return "\r\n".join(lines) + "\r\n"
+
+
+def bands_csv(summary: ChainSummary) -> str:
+    """The text of a bands CSV: columns t, mean, lo, hi (the rate) and
+    cum_mean, cum_lo, cum_hi (its cumulative mass), one row per grid time,
+    each float its repr, LF line ends."""
+    s = summary
+    rows = np.column_stack((s.grid, s.gamma_mean, s.gamma_lo, s.gamma_hi, s.cum_mean, s.cum_lo, s.cum_hi))
+    lines = ["t,mean,lo,hi,cum_mean,cum_lo,cum_hi", *(",".join(map(repr, row)) for row in rows.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def read_chain_csv(path: str | Path) -> np.ndarray:

@@ -30,12 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 MAX_DEGREE = 8
 
 # Nonnegativity is checked by dense sampling rather than root isolation.
 _NONNEG_SAMPLES = 1024
+
+
+def check_degree(degree) -> None:
+    """Raise ``ValidationError`` unless degree is an integer (not a bool) in
+    0..``MAX_DEGREE``: the one rule for a polynomial degree, wherever it is
+    given."""
+    check_count(degree, "degree", 0)
+    if degree > MAX_DEGREE:
+        raise ValidationError(f"degree must be at most {MAX_DEGREE}, got {degree!r}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,7 @@ class PolyIntensity:
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) == 0:
             raise ValidationError("intensity needs at least one coefficient")
-        if len(coeffs) - 1 > MAX_DEGREE:
-            raise ValidationError(
-                f"polynomial degree {len(coeffs) - 1} exceeds maximum {MAX_DEGREE}"
-            )
+        check_degree(len(coeffs) - 1)
         if not all(math.isfinite(c) for c in coeffs):
             raise ValidationError("intensity coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
@@ -101,9 +107,6 @@ class PolyIntensity:
         scaled = [c * T**j / math.comb(d, j) for j, c in enumerate(self.coeffs)]
         top = max(math.fsum(math.comb(k, j) * scaled[j] for j in range(k + 1)) for k in range(d + 1))
         return max(top, 0.0)
-
-    def to_config(self) -> dict:
-        return {"type": "poly", "coeffs": list(self.coeffs)}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PolyIntensity":

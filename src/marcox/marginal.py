@@ -112,8 +112,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import MAX_DEGREE, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
-from .paths import CountPath, ModelParams
+from .intensity import check_degree, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
+from .paths import CountPath, ModelParams, check_rates
 
 # Steps of the DP per block of shared views (see ``MarginalLikelihood._run``).
 # Passes at M = 80 and M = 1000 ran within noise of each other from 8 to 64.
@@ -190,13 +190,8 @@ class MarginalLikelihood:
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
-        beta0, w = float(beta0), float(w)
-        if not (math.isfinite(beta0) and beta0 >= 0.0):
-            raise ValidationError("baseline rate beta0 must be finite and >= 0")
-        if not (math.isfinite(w) and w > 0.0):
-            raise ValidationError("jump weight w must be finite and positive")
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValidationError(f"polynomial degree must lie in 0..{MAX_DEGREE}")
+        beta0, w = check_rates(beta0, w)
+        check_degree(degree)
         self.x = x
         self.beta0 = beta0
         self.w = w

@@ -51,14 +51,21 @@ class CountPath:
     def count(self) -> int:
         return int(self.jumps.size)
 
-    def value(self, t: float) -> int:
-        """Path value x(t) = number of events at or before t (right-continuous)."""
-        return int(np.searchsorted(self.jumps, t, side="right"))
-
     def integral(self, t: float) -> float:
         """int_0^t x(s) ds for the step path, exact from the jump structure."""
         upto = self.jumps[self.jumps <= t]
         return float(upto.size * t - upto.sum())
+
+
+def check_rates(beta0, w) -> tuple[float, float]:
+    """(beta0, w) as floats; raises ``ValidationError`` unless the baseline
+    rate beta0 is finite and >= 0 and the jump weight w finite and positive."""
+    beta0, w = float(beta0), float(w)
+    if not (math.isfinite(beta0) and beta0 >= 0.0):
+        raise ValidationError("baseline rate beta0 must be finite and >= 0")
+    if not (math.isfinite(w) and w > 0.0):
+        raise ValidationError("jump weight w must be finite and positive")
+    return beta0, w
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,7 @@ class ModelParams:
     gamma: PolyIntensity
 
     def __post_init__(self) -> None:
-        beta0 = float(self.beta0)
-        w = float(self.w)
-        if not (math.isfinite(beta0) and beta0 >= 0.0):
-            raise ValidationError("baseline rate beta0 must be finite and >= 0")
-        if not (math.isfinite(w) and w > 0.0):
-            raise ValidationError("jump weight w must be finite and positive")
+        beta0, w = check_rates(self.beta0, self.w)
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "w", w)
 

@@ -40,17 +40,10 @@ _THIN_BLOCK = 1 << 16
 class SimResult:
     x: CountPath
     y: LatentPath
-    seed: int | None
 
     def __post_init__(self) -> None:
         if self.x.T != self.y.T:
             raise ValueError("observed and latent paths must share the horizon")
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +101,7 @@ def simulate_latent(gamma: PolyIntensity, T: float, seed=None) -> LatentPath:
     """Latent jump times on (0, T] with rate gamma: one path of
     ``_latent_points``, whose times come sorted."""
     gamma.validate_nonneg(T)
-    _, times = _latent_points(gamma, T, 1, _as_generator(seed))
+    _, times = _latent_points(gamma, T, 1, np.random.default_rng(seed))
     # Two candidates on one float time is a probability-zero event; np.unique
     # drops such a tie, which CountPath would refuse.
     return CountPath(T=T, jumps=np.unique(times))
@@ -123,7 +116,7 @@ def simulate(params: ModelParams, T: float, seed=None) -> SimResult:
     uniform masses on (0, Lambda(T)] is mapped back through it, each mass
     onto the time inside its own segment.
     """
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     y = simulate_latent(params.gamma, T, rng)  # validates gamma >= 0 on [0, T]
     knots = np.concatenate(([0.0], y.jumps, [T]))
     rates = params.beta0 + params.w * np.arange(knots.size - 1)
@@ -134,12 +127,7 @@ def simulate(params: ModelParams, T: float, seed=None) -> SimResult:
     # beta0 = 0 no event falls at or before s_1.  np.unique sorts the times
     # and merges two masses that round to one time, a probability-zero event.
     times = np.clip(knots[k] + (masses - comp[k]) / rates[k], np.nextafter(knots[k], np.inf), knots[k + 1])
-    seed_out = seed if isinstance(seed, (int, np.integer)) else None
-    return SimResult(
-        x=CountPath(T=T, jumps=np.unique(times)),
-        y=y,
-        seed=None if seed_out is None else int(seed_out),
-    )
+    return SimResult(x=CountPath(T=T, jumps=np.unique(times)), y=y)
 
 
 def conditional_loglik(x: CountPath, y: LatentPath, params: ModelParams) -> float:

@@ -11,7 +11,17 @@ from scipy.optimize import minimize
 
 from marcox import inference
 from marcox.errors import ValidationError
-from marcox.inference import Chain, FitConfig, _qp_step, chain_csv, mh_fit, mle_fit, read_chain_csv, summarize
+from marcox.inference import (
+    Chain,
+    FitConfig,
+    _qp_step,
+    bands_csv,
+    chain_csv,
+    mh_fit,
+    mle_fit,
+    read_chain_csv,
+    summarize,
+)
 from marcox.intensity import PolyIntensity, nonneg_matrix
 from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import CountPath, ModelParams
@@ -507,9 +517,47 @@ class TestMleFit:
         best = marginal_loglik(path, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs))))
         assert best.loglik == res.loglik
 
+    @pytest.mark.parametrize("degree, start", [(1, TRUTH), (2, None)])
+    @pytest.mark.parametrize("seed", FIT_SEEDS[:3])
+    def test_budget_stops_the_line_search(self, seed, degree, start):
+        """A budget below the passes of the unbounded fit ends the fit when
+        its line search would need one more pass: all of the budget spent,
+        not converged, never below the start.  A budget at or above them
+        gives the unbounded fit, bit for bit."""
+        x = fit_path(seed)
+        full = mle_fit(x, (BETA0, W), degree, start)
+        assert full.converged and full.n_evals > 2
+        lik = MarginalLikelihood(x, BETA0, W, degree)
+        first = lik.loglik(start or (max(x.count, 1) / x.T,) + (0.0,) * degree).loglik  # start or default
+        for budget in range(1, full.n_evals + 2):
+            res = mle_fit(x, (BETA0, W), degree, start, budget)
+            if budget < full.n_evals:
+                assert res.n_evals == budget and not res.converged
+                assert res.loglik >= first
+            else:
+                assert (res.n_evals, res.converged, res.loglik) == (full.n_evals, True, full.loglik)
+                np.testing.assert_array_equal(res.coeffs, full.coeffs)
+
     def test_budget_below_one_rejected(self, path):
         with pytest.raises(ValidationError, match="budget"):
             mle_fit(path, (BETA0, W), degree=1, start=TRUTH, budget=0)
+
+
+@pytest.mark.parametrize("degree", [1.5, True, 9], ids=["float", "bool", "above-max"])
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda x, degree: MarginalLikelihood(x, BETA0, W, degree),
+        lambda x, degree: mle_fit(x, (BETA0, W), degree),
+        lambda x, degree: FitConfig(degree=degree),
+    ],
+    ids=["MarginalLikelihood", "mle_fit", "FitConfig"],
+)
+def test_bad_degree_is_a_validation_error(take, degree):
+    """Every site that takes a degree applies one rule: an integer, not a
+    bool, in 0..MAX_DEGREE."""
+    with pytest.raises(ValidationError, match="^degree must be"):
+        take(CountPath(10.0, np.array([1.0, 2.5])), degree)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -587,6 +635,19 @@ class TestStart:
         x = CountPath(5.0, np.array([1.0, 2.5]))
         with pytest.raises(ValidationError, match="starting coefficients give a negative intensity"):
             self.first_point(fitter, x, 1, monkeypatch, start=(1.0, -1.0))
+
+
+def test_bands_csv_reads_back_exactly():
+    """One row per grid time, each float its repr, LF line ends."""
+    draws = np.random.default_rng(3).normal([1.0, 0.1], [0.2, 0.02], size=(50, 2))
+    summary = summarize(draws, np.linspace(0.0, 10.0, 7))
+    text = bands_csv(summary)
+    assert text.endswith("\n") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["t", "mean", "lo", "hi", "cum_mean", "cum_lo", "cum_hi"]
+    s = summary
+    cols = (s.grid, s.gamma_mean, s.gamma_lo, s.gamma_hi, s.cum_mean, s.cum_lo, s.cum_hi)
+    np.testing.assert_array_equal(np.array(rows[1:], dtype=float), np.column_stack(cols))
 
 
 class TestChainCsv:

@@ -318,9 +318,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PolyIntensity((1.0, math.nan))
 
-    def test_config_roundtrip(self):
-        gamma = PolyIntensity((1.0, 0.25))
-        assert PolyIntensity.from_config(gamma.to_config()) == gamma
+    def test_from_config(self):
+        assert PolyIntensity.from_config({"type": "poly", "coeffs": [1.0, 0.25]}) == PolyIntensity((1.0, 0.25))
 
 
 def documented_nonneg(vals):

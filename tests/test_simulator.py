@@ -116,7 +116,6 @@ class TestSimulate:
         b = simulate(params, 3.0, seed=5)
         np.testing.assert_array_equal(a.x.jumps, b.x.jumps)
         np.testing.assert_array_equal(a.y.jumps, b.y.jumps)
-        assert a.seed == 5
 
     def test_paths_share_horizon_and_are_valid(self):
         params = ModelParams(beta0=1.0, w=2.0, gamma=PolyIntensity((2.0,)))
