@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_horizon
 from .inference import (
     FitConfig,
     bands_csv,
@@ -46,6 +46,7 @@ from .paths import (
     CountPath,
     ModelParams,
     adapt_path,
+    check_rates,
     events_csv,
     load_path,
     read_events_csv,
@@ -148,15 +149,16 @@ def _load_json(path: str) -> dict:
     return cfg
 
 
+def _model_scalars(cfg: dict) -> tuple[float, float, float]:
+    """T, beta0 and w of a model or fit config: required, checked by the library's rules."""
+    return (check_horizon(cfg["T"]), *check_rates(cfg["beta0"], cfg["w"]))
+
+
 def _load_model_config(path: str) -> tuple[float, ModelParams]:
     cfg = _load_json(path)
     try:
-        T = float(cfg["T"])
-        params = ModelParams(
-            beta0=float(cfg["beta0"]),
-            w=float(cfg["w"]),
-            gamma=PolyIntensity.from_config(cfg["gamma"]),
-        )
+        T, beta0, w = _model_scalars(cfg)
+        params = ModelParams(beta0, w, PolyIntensity.from_config(cfg["gamma"]))
         params.validate(T)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
@@ -205,7 +207,7 @@ def _cmd_validate(args) -> int:
     loglik = marginal_loglik(x, params).loglik
     if loglik == -math.inf:
         raise ValidationError("the model cannot produce this path (loglik = -inf); there is nothing to check")
-    grid = grid_check(x, params, args.grid_n, loglik)
+    grid = grid_check(x, params, loglik)
     mc = mc_check(x, params, McSpec(N=args.mc_n, seed=args.seed), loglik, jobs=args.jobs)
     overall = grid["pass"] is True and mc["pass"] is True
     print(_json({"loglik": loglik, "grid": grid, "mc": mc, "overall_pass": overall}))
@@ -216,9 +218,7 @@ def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, int]:
     """Path, fixed (beta0, w), sampler config and the fit-mle evaluation budget."""
     cfg = _load_json(args.config)
     try:
-        T = float(cfg["T"])
-        beta0 = float(cfg.get("beta0", 0.0))
-        w = float(cfg["w"])
+        T, beta0, w = _model_scalars(cfg)
         budget = cfg.get("budget", 2000)
         check_count(budget, "budget", 1)
         known = {f.name for f in fields(FitConfig)}
@@ -311,10 +311,10 @@ def _cmd_summarize(args) -> int:
 
 
 _VALIDATE_HELP = (
-    "check the log-likelihood against two log-space oracles: a grid filter extrapolated "
-    "from GRID_N/4, GRID_N/2 and GRID_N lattice steps, with GRID_N/8 showing whether the "
-    "lattice is fine enough for its error estimate, and Monte Carlo over MC_N latent "
-    "draws; an oracle that cannot decide reports pass null, and overall_pass needs both"
+    "check the log-likelihood against two log-space oracles: a filter over the latent count, "
+    "exact per gap between events, must agree to 1e-9 relative, and Monte Carlo over MC_N "
+    "latent draws within three standard errors (pass null when its draws cannot decide); "
+    "overall_pass needs both"
 )
 
 
@@ -339,7 +339,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate", help=_VALIDATE_HELP, description=_VALIDATE_HELP)
     p.add_argument("--events", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--grid-n", type=_int_at_least(8, "grid-n"), default=16384)
     p.add_argument("--mc-n", type=_int_at_least(1, "mc-n"), default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1)

@@ -1,5 +1,6 @@
 """Semantic exceptions shared across the package."""
 
+import math
 import numbers
 
 
@@ -11,3 +12,11 @@ def check_count(value, name: str, low: int) -> None:
     """Raise ``ValidationError`` unless value is an integer (not a bool) >= low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_horizon(T) -> float:
+    """T as a float; raises ``ValidationError`` unless it is finite and positive."""
+    T = float(T)
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError("horizon T must be finite and positive")
+    return T

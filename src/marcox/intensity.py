@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_horizon
 
 MAX_DEGREE = 8
 
@@ -88,8 +88,7 @@ class PolyIntensity:
         return grid_nonneg(nonneg_matrix(T, self.degree) @ np.asarray(self.coeffs))
 
     def validate_nonneg(self, T: float) -> None:
-        if not (math.isfinite(T) and T > 0):
-            raise ValidationError("horizon T must be finite and positive")
+        check_horizon(T)
         if not self.is_nonneg(T):
             raise ValidationError(f"intensity is negative somewhere on [0, {T}]")
 

@@ -3,13 +3,20 @@
 Two routes to log p(x), both in log space like the likelihood they check,
 so they work at any number of events:
 
-* ``grid_marginal``  forward filter over the truncated latent count on a
-                     lattice of n uniform nodes plus every event time (the
-                     steps are uneven, so no event is moved); the row is
-                     renormalised whenever its maximum leaves [1e-200, 1e200].
-                     The truncation level starts at the Poisson(Gamma(T))
-                     tail level and doubles until the value is stable, since
-                     the data can tilt the latent count far above its prior.
+* ``grid_marginal``  forward filter over the truncated latent count Y with an
+                     exact step per gap between events.  There Y only grows,
+                     by Poisson births of rate gamma: j births at s_1..s_j in
+                     a gap (a, b] of length h have density e^{-Gamma_gap}
+                     prod gamma(s_i), and each adds w (b - s_i) to the
+                     integral of X's rate.  So
+                         f_b(y) = sum_j f_a(y - j) e^{-(beta0 + w (y - j)) h}
+                                  e^{-Gamma_gap} A^j / j!,
+                     with Gamma_gap = int gamma and A = int gamma(s)
+                     e^{-w (b - s)} ds over the gap, and an event at b then
+                     multiplies state y by beta0 + w y.  The truncation level
+                     starts at the Poisson(Gamma(T)) tail level and doubles
+                     until the value is stable, since the data can tilt the
+                     latent count far above its prior.
 * ``mc_marginal``    plain Monte Carlo over latent draws: the log of the mean
                      weight p(x | Y), with the delta-method standard error of
                      that log.  The draws and the weights are the simulator's
@@ -17,18 +24,13 @@ so they work at any number of events:
                      ``simulator._conditional_logliks``), so the weights are
                      the density the simulator's tests check.
 
-The lattice error is first order in 1/n.  ``grid_check`` removes it with one
-Richardson step over the lattices n/4, n/2 and n and takes the change of
-that step as its error estimate; the lattice n/8 gives one more change,
-which shows whether the lattice is in its asymptotic range, where that
-estimate holds.  ``mc_check`` compares within three standard errors.  An
-oracle that cannot decide says so with ``"pass": None``: the grid when its
-error estimate exceeds 0.1 nats or the lattice is not in its asymptotic
-range, Monte Carlo when the weights' effective sample size
-(sum w)^2 / sum w^2 is below 100.
-
-The grid's first truncation level ``default_y_max`` sums the Poisson tail
-with the standard library, so importing this module loads no scipy.
+The grid's gap masses are quadratures of gamma's values (``_gap_masses``), so
+it shares no kernel-mass code with the likelihood, and its only errors are
+the truncation and rounding: ``grid_check`` passes within 1e-9 relative.
+``mc_check`` passes within three standard errors and cannot decide (``"pass":
+None``) when the weights' effective sample size (sum w)^2 / sum w^2 is below
+100.  ``default_y_max`` sums the Poisson tail with the standard library, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .marginal import _logsumexp
 from .paths import CountPath, ModelParams
 from .simulator import _conditional_logliks, _latent_points
 
-# Above this error estimate (nats) the grid check cannot decide.
-_GRID_UNDECIDED_NATS = 0.1
 # Below this effective sample size the Monte Carlo check cannot decide.
 _MC_MIN_ESS = 100.0
 
@@ -84,98 +85,81 @@ def default_y_max(mean_count: float) -> int:
     return k + len(pmf)
 
 
-def _grid_filter(x: CountPath, params: ModelParams, n: int, y_max: int) -> tuple[np.ndarray, float]:
-    """Final row of the forward filter over the states 0..y_max, and its log scale.
+def _gap_masses(edges: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma_gap = int gamma and A = int gamma(s) e^{-w (b - s)} ds over each gap
+    (a, b] = (edges[i], edges[i + 1]], by Gauss-Legendre quadrature of
+    ``gamma.eval_many`` on ceil(w h / 4) equal pieces of a gap of length h.
+    On a piece e^{-w (b - s)} varies by at most e^4, so 20 nodes integrate
+    it times a polynomial of degree <= 8 to rounding.  The nodes are built
+    here, not at import, which would load ``numpy.polynomial``."""
+    a, b, h = edges[:-1], edges[1:], np.diff(edges)
+    pieces = np.maximum(1, np.ceil(params.w * h / 4.0)).astype(int)
+    gap = np.repeat(np.arange(h.size), pieces)
+    index = np.arange(gap.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    width = (h / pieces)[gap, None]
+    u, wt = np.polynomial.legendre.leggauss(20)  # on [-1, 1]
+    s = a[gap, None] + width * (index[:, None] + (u + 1.0) / 2.0)
+    mass = params.gamma.eval_many(s) * (width * wt / 2.0)
+    decayed = mass * np.exp(-params.w * (b[gap, None] - s))
+    return (np.bincount(gap, mass.sum(axis=1), h.size), np.bincount(gap, decayed.sum(axis=1), h.size))
 
-    The lattice is the n + 1 uniform nodes on [0, T] plus the event times.
-    In the step from node s to node s + h the state first moves up with
-    probability gamma(s) h (mass moving past y_max is dropped); then state y
-    is multiplied by e^{-(beta0 + w y) h}, and by beta0 + w y when an event
-    sits at s + h.  A latent point born in the step is thus always in place
-    before the event that ends it, and the lattice error stays a smooth
-    first-order term that does not depend on where the events fall between
-    the uniform nodes.  log p at level k <= y_max is
-    log_scale + log(sum(row[: k + 1])): the state only moves up, so the
-    states above k never feed those below.
+
+def _grid_filter(x: CountPath, params: ModelParams, y_max: int) -> np.ndarray:
+    """Logs of the forward filter's final row over the states 0..y_max.
+
+    Each gap's step rescales the decayed row by its maximum, convolves it
+    with the Poisson(A) weights A^j / j!, rescaled likewise and cut where
+    they are 0 as doubles, and returns to logs; mass moving past y_max is
+    dropped.  log p at
+    level k <= y_max is the log-sum of the row's first k + 1 entries: the
+    state only moves up, so the states above k never feed those below.
     """
-    nodes = np.union1d(np.linspace(0.0, x.T, n + 1), x.jumps)
-    steps = np.diff(nodes)
-    p_up = params.gamma.eval_many(nodes[:-1]) * steps
-    if np.any(p_up >= 1.0):
-        raise ValidationError("step size too large: gamma(t) h must stay below 1")
-    is_event = np.isin(nodes[1:], x.jumps)
-
-    beta = params.beta0 + params.w * np.arange(y_max + 1)
-    f = np.zeros(y_max + 1)
-    f[0] = 1.0
-    log_scale = 0.0
-    for h, p, event in zip(steps.tolist(), p_up.tolist(), is_event.tolist()):
-        up = f[:-1] * p
-        f *= 1.0 - p
-        f[1:] += up
-        f *= np.exp(beta * -h)
-        if event:
-            f *= beta
-        top = f.max()
-        if not 1e-200 <= top <= 1e200:
-            if top == 0.0:
-                return f, -math.inf
-            f /= top
-            log_scale += math.log(top)
-    return f, log_scale
+    edges = np.concatenate(([0.0], x.jumps, [x.T]))
+    gammas, masses = _gap_masses(edges, params)
+    y = np.arange(y_max + 1)
+    rate = params.beta0 + params.w * y
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(y_max + 1)])
+    log_f = at_zero = np.where(y == 0, 0.0, -math.inf)  # the row at t = 0, and no births
+    with np.errstate(divide="ignore"):
+        log_rate = np.log(rate)
+        for i, (h, gam, mass) in enumerate(zip(np.diff(edges).tolist(), gammas.tolist(), masses.tolist())):
+            # Every gap but the first opens with an event.
+            decayed = (log_f + log_rate if i else log_f) - rate * h
+            top = float(decayed.max())
+            if top == -math.inf:
+                return decayed
+            log_w = y * math.log(mass) - log_fact if mass > 0.0 else at_zero
+            w_top = float(log_w.max())
+            weights = np.exp(log_w - w_top)
+            births = np.convolve(np.exp(decayed - top), weights[: np.flatnonzero(weights)[-1] + 1])
+            log_f = np.log(births[: y_max + 1]) + (top + w_top - gam)
+    return log_f
 
 
-def grid_marginal(x: CountPath, params: ModelParams, n: int) -> float:
-    """log p(x) from the forward filter on the lattice of n >= 2 uniform steps
-    plus the event times (``_grid_filter``).
+def grid_marginal(x: CountPath, params: ModelParams) -> float:
+    """log p(x) from the exact-step forward filter over the latent count
+    (``_grid_filter``).
 
     The truncation level starts at ``default_y_max(Gamma(T))`` and doubles
     until the log value moves by at most 1e-12 max(1, |value|); the
     truncated value only grows with the level.  Each filter run at level 2k
     also gives the value at level k, so a stable level costs one run.
     """
-    if n < 2:
-        raise ValidationError("grid resolution n must be at least 2")
     params.validate(x.T)
     k = default_y_max(params.gamma.cum(x.T))
     while True:
-        f, log_scale = _grid_filter(x, params, n, 2 * k)
-        total, part = float(f.sum()), float(f[: k + 1].sum())
-        if total == 0.0:
-            return -math.inf
-        value = log_scale + math.log(total)
-        if part > 0.0 and math.log(total / part) <= 1e-12 * max(1.0, abs(value)):
+        log_f = _grid_filter(x, params, 2 * k)
+        value = _logsumexp(log_f)
+        if value == -math.inf or value - _logsumexp(log_f[: k + 1]) <= 1e-12 * max(1.0, abs(value)):
             return value
         k *= 2
 
 
-def grid_check(x: CountPath, params: ModelParams, n: int, loglik: float) -> dict:
-    """The grid oracle's verdict on ``loglik``, the likelihood's value of log p(x).
-
-    With g_k the grid value on k uniform steps, R_k = 2 g_k - g_(k/2)
-    cancels the first-order lattice error.  log_value is R_n, and err_nats
-    is the first Richardson difference |d1|, d1 = R_n - R_(n/2).  The check
-    passes when |log_value - loglik| <= max(err_nats, floor), with the floor
-    1e-9 max(1, |loglik|).
-
-    |d1| bounds the error of R_n only once the lattice is in its asymptotic
-    range.  If the lattice error is a/k + b/k^2 + c/k^3, the second
-    difference d2 = R_(n/2) - R_(n/4) is 4 d1 where b dominates and 8 d1
-    where c does, and |d1| undershoots the error of R_n only when
-    d2 / d1 > 32 or < -10.  So the check cannot decide (pass None) when
-    |d2| > 10 |d1|, unless |d2| is below the floor.  Nor can it decide when
-    err_nats exceeds 0.1 nats or is not a number, or when n < 16 leaves no
-    lattice n/8.
-    """
-    g_eighth = grid_marginal(x, params, n // 8) if n >= 16 else math.nan
-    g_quarter, g_half, g = (grid_marginal(x, params, k) for k in (n // 4, n // 2, n))
-    star, star_half, star_quarter = 2.0 * g - g_half, 2.0 * g_half - g_quarter, 2.0 * g_quarter - g_eighth
-    err, d2 = abs(star - star_half), abs(star_half - star_quarter)
-    floor = 1e-9 * max(1.0, abs(loglik))
-    ok = abs(star - loglik) <= max(err, floor)
-    asymptotic = d2 <= max(10.0 * err, floor)
-    verdict = ok if err <= _GRID_UNDECIDED_NATS and asymptotic else None
-    return {"n": n, "log_value": star, "err_nats": err, "pass": verdict}
+def grid_check(x: CountPath, params: ModelParams, loglik: float) -> dict:
+    """The grid oracle's verdict on ``loglik``, the likelihood's value of log p(x):
+    pass when |log_value - loglik| <= 1e-9 max(1, |loglik|)."""
+    value = grid_marginal(x, params)
+    return {"log_value": value, "pass": abs(value - loglik) <= 1e-9 * max(1.0, abs(loglik))}
 
 
 def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSequence):

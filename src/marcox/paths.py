@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_horizon
 from .intensity import PolyIntensity
 
 
@@ -29,9 +29,7 @@ class CountPath:
     jumps: np.ndarray
 
     def __post_init__(self) -> None:
-        T = float(self.T)
-        if not (math.isfinite(T) and T > 0):
-            raise ValidationError("horizon T must be finite and positive")
+        T = check_horizon(self.T)
         jumps = np.asarray(self.jumps, dtype=float)
         if jumps.ndim != 1:
             raise ValidationError("event times must be one-dimensional")
@@ -104,8 +102,8 @@ def adapt_path(x_star: CountPath, w: float) -> CountPath:
 
     a linear equation giving u_i = i t_i - (i-1) t_{i-1} - (that integral).
     """
-    if not w > 0:
-        raise ValidationError("adaptation scale w must be positive")
+    if not (math.isfinite(w) and w > 0):
+        raise ValidationError("adaptation scale w must be finite and positive")
     if x_star.count == 0:
         raise ValidationError("adaptation needs a nonempty path")
     T = x_star.T

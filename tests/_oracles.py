@@ -3,8 +3,7 @@
 These deliberately avoid the library's closed forms: adaptive Simpson
 quadrature for integrals and a brute-force Riemann integrator for step/
 piecewise-linear paths.  Tests compare library results against these.
-``grid_coeff_marginal`` is a second lattice route to p(x), checked against
-the library's grid filter.  ``per_step_run``, ``dense_mc_chunk`` and
+``per_step_run``, ``dense_mc_chunk`` and
 ``loop_adapt_path`` are the exceptions: plain forms of library code kept as
 references for the faster forms that replaced them.  They are the
 likelihood's own step loop, cut per step (for the blocked loop); the Monte
@@ -124,58 +123,6 @@ def per_step_run(lik, coeffs, grad=False):
         with np.errstate(over="ignore"):
             ratio = np.exp(sens - poly_log)
     return value, ratio - lik._L
-
-
-def _lattice_indices(x, n: int) -> np.ndarray:
-    """Lattice index k in 1..n for each event: smallest k with k h >= t_i."""
-    ks = np.clip(np.ceil(x.jumps / (x.T / n) - 1e-9).astype(int), 1, n)
-    if np.unique(ks).size != ks.size:
-        raise ValidationError("grid too coarse: two events land on one lattice point")
-    return ks
-
-
-def grid_coeff_marginal(x, params, n: int) -> float:
-    """p(x) from the discrete coefficient recursion on the n-lattice.
-
-    Works with lattice kernels alpha_i = e^{-(n-i-1) w h} gamma(i h) and
-    lambda_i = (1 - e^{-(n-i-1) w h}) gamma(i h); each event, snapped up to
-    the lattice, contributes the kernel mass h * sum_{i<=r_m} alpha_i, where
-    the event sits at lattice point (r_m + 2) h.  Plain Python over exact
-    integer binomials, O(M^3), independent of the closed-form implementation.
-    """
-    params.validate(x.T)
-    T = x.T
-    h = T / n
-    gamma, beta0, w = params.gamma, params.beta0, params.w
-
-    i_arr = np.arange(n)
-    gam = gamma.eval_many(i_arr * h)
-    decay = np.exp(-(n - i_arr - 1) * w * h)
-    alpha = decay * gam
-    lam = (1.0 - decay) * gam
-    if np.any(gam * h >= 1.0) or np.any(lam * h >= 1.0):
-        raise ValidationError("step size too large: gamma(t) h must stay below 1")
-
-    alpha_prefix = np.concatenate(([0.0], np.cumsum(alpha * h)))
-
-    ks = sorted(_lattice_indices(x, n).tolist(), reverse=True)
-    masses = [float(alpha_prefix[max(k - 2, 0) + 1]) if k >= 2 else 0.0 for k in ks]
-
-    c = [1.0]
-    for m, A in enumerate(masses, start=1):
-        new = [1.0]
-        for j in range(1, m + 1):
-            s = sum(c[i] * math.comb(m - i - 1, j - i - 1) for i in range(j))
-            new.append(s * A + (c[j] if j < m else 0.0))
-        c = new
-
-    M = len(masses)
-    if beta0 == 0.0:
-        poly = c[M] * w**M if M > 0 else 1.0
-    else:
-        poly = sum(c[j] * w**j * beta0 ** (M - j) for j in range(M + 1))
-    log_tail = float(np.sum(np.log1p(-lam[: n - 1] * h)))
-    return poly * math.exp(-n * beta0 * h + log_tail)
 
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:

@@ -11,9 +11,10 @@ import pytest
 
 import marcox
 
-# Import the CLI, record which scipy modules are loaded, then run one
-# maximum-likelihood fit and record them again, with the standard-library
-# modules that only one rarely used function imports.
+# Import the CLI, record which scipy modules are loaded and whether
+# numpy.polynomial is, then run one maximum-likelihood fit and record the
+# scipy modules again, with the standard-library modules that only one rarely
+# used function imports.
 _SCRIPT = """
 import json, sys
 
@@ -22,11 +23,13 @@ def scipy_modules():
 
 import marcox.cli
 after_import = scipy_modules()
+polynomial = "numpy.polynomial" in sys.modules
 from marcox.inference import mle_fit
 from marcox.paths import load_path
 res = mle_fit(load_path([0.5, 1.2, 2.0, 3.1], 4.0), (0.5, 0.7), degree=1, budget=40)
 print(json.dumps({
     "after_import": after_import,
+    "polynomial": polynomial,
     "after_fit": scipy_modules(),
     "deferred": sorted(m for m in ("concurrent.futures", "csv") if m in sys.modules),
     "loglik": res.loglik,
@@ -52,7 +55,7 @@ argvs = [
     ["simulate", "--config", str(d / "model.json"), "--seed", "1", "--out", events],
     ["fit-mle", "--events", events, "--config", str(d / "fit.json")],
     ["fit-mcmc", "--events", events, "--config", str(d / "mcmc.json"), "--out", str(d / "chain.csv")],
-    ["validate", "--events", events, "--config", str(d / "model.json"), "--grid-n", "1024", "--mc-n", "2000"],
+    ["validate", "--events", events, "--config", str(d / "model.json"), "--mc-n", "2000"],
 ]
 codes = {}
 for argv in argvs:
@@ -81,6 +84,11 @@ def fresh_run():
 
 def test_cli_import_loads_no_scipy(fresh_run):
     assert fresh_run["after_import"] == []
+
+
+def test_cli_import_loads_no_numpy_polynomial(fresh_run):
+    """The grid oracle's Gauss-Legendre nodes are built on first use."""
+    assert fresh_run["polynomial"] is False
 
 
 def test_mle_fit_loads_no_scipy(fresh_run):

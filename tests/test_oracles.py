@@ -7,9 +7,10 @@ import pytest
 
 from marcox.errors import ValidationError
 from marcox.intensity import PolyIntensity
-from marcox.marginal import marginal_loglik
+from marcox.marginal import _logsumexp, marginal_loglik
 from marcox.oracles import (
     McSpec,
+    _gap_masses,
     _grid_filter,
     _mc_chunk,
     default_y_max,
@@ -19,9 +20,9 @@ from marcox.oracles import (
     mc_marginal,
 )
 from marcox.paths import ModelParams, load_path
-from marcox.simulator import conditional_loglik, simulate_latent
+from marcox.simulator import conditional_loglik, simulate, simulate_latent
 
-from _oracles import dense_mc_chunk, grid_coeff_marginal
+from _oracles import adaptive_simpson, dense_mc_chunk
 from _pinned import pinned_path
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
@@ -29,102 +30,90 @@ P_EMPTY = 0.6922006275553464  # exp(-e^{-1})
 P_ONE = 0.1651945232410606  # event at 0.5 under the unit parameters
 # Regime of the ROADMAP repro A: 200 events on [0, 100], p(x) ~ 1e-70.
 REPRO_A = ModelParams(beta0=0.01, w=0.01, gamma=PolyIntensity((1.0,)))
+# The exact filter's regimes: the two CI models (the second's gamma has a
+# double root at t = 5), no baseline rate, a constant gamma and a steep kernel.
+REGIMES = {
+    "linear": ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.1))),
+    "double root": ModelParams(1.0, 0.5, PolyIntensity((0.25, -0.1, 0.01))),
+    "beta0 = 0": ModelParams(0.0, 0.5, PolyIntensity((1.0, 0.1))),
+    "constant": ModelParams(1.0, 0.5, PolyIntensity((2.0,))),
+    "w = 20": ModelParams(1.0, 20.0, PolyIntensity((1.0, 0.1))),
+}
 
 
 class TestGridMarginal:
     def test_homogeneous_case_exact_per_step(self):
         """gamma = 0 keeps a single latent state; the filter telescopes to the
-        plain Poisson density at any resolution."""
+        plain Poisson density."""
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
         x = load_path([0.1, 0.5, 0.9], 1.0)
-        val = grid_marginal(x, params, 2**14)
-        assert val == pytest.approx(math.log(8.0) - 2.0, rel=1e-10)
+        assert grid_marginal(x, params) == pytest.approx(math.log(8.0) - 2.0, rel=1e-12)
 
-    def test_no_event_convergence_rate(self):
-        """Error against the closed form shrinks like 1/n."""
-        x = load_path([], 1.0)
-        errs = []
-        for n in (2**8, 2**10, 2**12, 2**14):
-            errs.append(abs(grid_marginal(x, UNIT, n) - math.log(P_EMPTY)))
-        for coarse, fine in zip(errs, errs[1:]):
-            assert fine < coarse / 2.5  # quartering expected for 4x n
-        assert errs[-1] < 2e-5 / P_EMPTY  # 2e-5 in p, in nats
+    def test_no_event_value(self):
+        assert grid_marginal(load_path([], 1.0), UNIT) == pytest.approx(math.log(P_EMPTY), rel=1e-12)
 
     def test_single_event_value(self):
-        x = load_path([0.5], 1.0)
-        val = grid_marginal(x, UNIT, 2**14)
-        assert val == pytest.approx(math.log(P_ONE), abs=2e-4)
+        assert grid_marginal(load_path([0.5], 1.0), UNIT) == pytest.approx(math.log(P_ONE), rel=1e-12)
+
+    @pytest.mark.parametrize("params", REGIMES.values(), ids=REGIMES.keys())
+    def test_agrees_with_the_likelihood_on_simulated_paths(self, params):
+        """Seeds 1-20 on [0, 10] of each regime, to 1e-12 relative."""
+        for seed in range(1, 21):
+            x = simulate(params, 10.0, seed=seed).x
+            exact = marginal_loglik(x, params).loglik
+            assert abs(grid_marginal(x, params) - exact) <= 1e-12 * max(1.0, abs(exact)), seed
+
+    @pytest.mark.parametrize(
+        "params", [ModelParams(1.0, 0.5, PolyIntensity((2.0, 0.5))), ModelParams(0.25, 1.0, PolyIntensity((1.0, 0.25)))]
+    )
+    def test_agrees_with_the_likelihood_at_a_thousand_events(self, params):
+        """The first 1000 events of a draw on [0, 30] (beta0 > w and beta0 < w),
+        with the horizon at the last of them: log p(x) is about 3000."""
+        times = simulate(params, 30.0, seed=1).x.jumps[:1000]
+        assert times.size == 1000
+        x = load_path(times, float(times[-1]))
+        exact = marginal_loglik(x, params).loglik
+        assert abs(grid_marginal(x, params) - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_truncation_level_invariance(self):
-        """The single-level filter at the prior's tail level and at twice it
-        agree with grid_marginal, and the value does not fall with the level."""
+        """The filter at the prior's tail level and at twice it give the same
+        value as grid_marginal, and the value does not fall with the level."""
         x = load_path([0.5], 1.0)
         base_y = default_y_max(UNIT.gamma.cum(1.0))
-        a, b = (
-            scale + math.log(row.sum())
-            for row, scale in (_grid_filter(x, UNIT, 2**10, y) for y in (base_y, 2 * base_y))
-        )
+        a, b = (_logsumexp(_grid_filter(x, UNIT, y)) for y in (base_y, 2 * base_y))
         assert b == pytest.approx(a, rel=1e-12) and b >= a
-        assert grid_marginal(x, UNIT, 2**10) == pytest.approx(b, rel=1e-12)
+        assert grid_marginal(x, UNIT) == pytest.approx(b, rel=1e-12)
 
     def test_truncation_level_follows_the_data(self):
         """1000 events where the prior expects 100 latent points: the prior's
         tail level holds almost none of p(x), and the doubling finds it."""
         x = load_path(np.linspace(0.05, 99.95, 1000), 100.0)
-        row, scale = _grid_filter(x, REPRO_A, 2048, default_y_max(REPRO_A.gamma.cum(100.0)))
-        assert grid_marginal(x, REPRO_A, 2048) > scale + math.log(row.sum()) + 100.0
+        at_prior_level = _logsumexp(_grid_filter(x, REPRO_A, default_y_max(REPRO_A.gamma.cum(100.0))))
+        value = grid_marginal(x, REPRO_A)
+        assert value > at_prior_level + 100.0
+        assert value == pytest.approx(marginal_loglik(x, REPRO_A).loglik, rel=1e-12)
 
-    def test_step_size_guard(self):
-        params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((300.0,)))
-        with pytest.raises(ValidationError, match="step size"):
-            grid_marginal(load_path([0.5], 1.0), params, 128)
-
-    def test_close_events_stay_on_the_lattice(self):
-        """Two events 1e-4 apart inside one lattice step of 1/128 are both
-        lattice nodes: the value is finite and within first order of the DP."""
-        x = load_path([0.5001, 0.5002], 1.0)
-        exact = marginal_loglik(x, UNIT).loglik
-        errs = [grid_marginal(x, UNIT, n) - exact for n in (128, 256)]
-        assert all(math.isfinite(e) and abs(e) < 1.0 / 128 for e in errs)
-        assert 0.4 < errs[1] / errs[0] < 0.6
+    def test_impossible_path_gives_minus_inf(self):
+        """beta0 = 0 and gamma = 0 cannot produce an event: every state's
+        weight is 0 after it, at every truncation level."""
+        params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.0,)))
+        assert grid_marginal(load_path([0.5], 1.0), params) == -math.inf
 
 
-class TestGridCoeffMarginal:
-    def test_no_event_matches_lattice_product(self):
-        """M = 0 reduces to exp(-n beta0 h) * prod(1 - lambda_i h)."""
-        params = ModelParams(beta0=0.5, w=1.0, gamma=PolyIntensity((1.0,)))
-        n = 2**10
-        h = 1.0 / n
-        lam = [
-            (1.0 - math.exp(-(n - i - 1) * 1.0 * h)) * 1.0 for i in range(n)
-        ]
-        expected = math.exp(-n * 0.5 * h) * math.prod(1.0 - l * h for l in lam[: n - 1])
-        got = grid_coeff_marginal(load_path([], 1.0), params, n)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_single_event_value(self):
-        val = grid_coeff_marginal(load_path([0.5], 1.0), UNIT, 2**14)
-        assert val == pytest.approx(P_ONE, abs=2e-4)
-
-    def test_difference_from_forward_filter_is_first_order(self):
-        """The two lattice routes differ by the per-step remainder terms the
-        coefficient algebra drops, so their gap shrinks like h."""
-        params = ModelParams(beta0=1.0, w=0.5, gamma=PolyIntensity((1.0, 1.0)))
-        x = load_path([0.3, 0.7], 1.0)
-        gaps = []
-        for n in (2**9, 2**10, 2**11):
-            a = math.exp(grid_marginal(x, params, n))
-            b = grid_coeff_marginal(x, params, n)
-            gaps.append(abs(a - b))
-        assert gaps[2] < 0.6 * gaps[1] or gaps[2] < 1e-12
-        assert gaps[1] < 0.6 * gaps[0] or gaps[1] < 1e-12
-
-    def test_agreement_with_forward_filter_moderate_n(self):
-        params = ModelParams(beta0=1.0, w=2.0, gamma=PolyIntensity((0.5, 1.0)))
-        x = load_path([0.2, 0.9, 1.4], 1.5)
-        a = math.exp(grid_marginal(x, params, 2**10))
-        b = grid_coeff_marginal(x, params, 2**10)
-        assert b == pytest.approx(a, rel=5e-3)
+class TestGapMasses:
+    @pytest.mark.parametrize("w", [0.01, 0.5, 20.0])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.1), (0.25, -0.1, 0.01), (0.5,) + (0.0,) * 7 + (1e-7,)])
+    def test_agree_with_adaptive_simpson(self, w, coeffs):
+        """Gamma_gap and A on gaps from 1e-4 to 5 long, so w h reaches 100."""
+        params = ModelParams(1.0, w, PolyIntensity(coeffs))
+        edges = np.array([0.0, 1e-4, 0.3, 2.5, 5.0, 10.0])
+        gammas, masses = _gap_masses(edges, params)
+        gamma = params.gamma.eval_many
+        for a, b, got_gamma, got_mass in zip(edges, edges[1:], gammas, masses):
+            want_gamma = adaptive_simpson(lambda s: float(gamma(s)), a, b)
+            want_mass = adaptive_simpson(lambda s: float(gamma(s)) * math.exp(-w * (b - s)), a, b)
+            assert got_gamma == pytest.approx(want_gamma, rel=1e-12)
+            assert got_mass == pytest.approx(want_mass, rel=1e-12)
 
 
 class TestMcMarginal:
@@ -196,50 +185,24 @@ class TestMcMarginal:
 
 class TestChecks:
     def test_grid_check_passes_the_likelihood_and_fails_a_shift(self):
-        """On a pinned path of about 45 events a 1e-3-nat error fails the check."""
+        """On a pinned path of about 45 events an error of 1e-6 nats fails the check."""
         params = ModelParams(1.0, 0.5, PolyIntensity((1.0, 0.2)))
         x = pinned_path(params, 10.0, 2)
         assert 40 <= x.count <= 55
         exact = marginal_loglik(x, params).loglik
-        good = grid_check(x, params, 16384, exact)
-        assert good["pass"] is True and abs(good["log_value"] - exact) <= good["err_nats"] < 1e-3
-        assert grid_check(x, params, 16384, exact + 1e-3)["pass"] is False
-        assert grid_check(x, params, 16384, exact - 1e-3)["pass"] is False
-
-    def test_grid_check_cannot_decide_outside_the_asymptotic_range(self):
-        """A 28-event path (a simulated one, rounded to 3 decimals) where at
-        n = 1024 the Richardson differences have not settled: the second is
-        19.6 times the first, which undershoots the error of log_value,
-        |log_value - loglik| = 1.2 err_nats.  The lattice n/8 shows it, so
-        the check cannot decide there.  At n = 16384 the ratio is 3.9, and
-        the check passes."""
-        params = ModelParams(2.0, 0.25, PolyIntensity((1.0,)))
-        x = load_path(
-            [0.551, 0.74, 1.164, 1.43, 1.513, 1.677, 1.779, 2.459, 3.177, 3.438, 4.063, 4.099, 4.146, 4.153,
-             4.849, 5.906, 6.339, 6.443, 6.71, 7.496, 7.655, 8.075, 8.326, 8.509, 9.224, 9.386, 9.419, 9.491],
-            10.0,
-        )
-        exact = marginal_loglik(x, params).loglik
-        coarse = grid_check(x, params, 1024, exact)
-        assert abs(coarse["log_value"] - exact) > coarse["err_nats"]
-        assert coarse["pass"] is None
-        assert grid_check(x, params, 16384, exact)["pass"] is True
-
-    def test_grid_check_below_16_steps_cannot_decide(self):
-        """n = 8 leaves no lattice n/8 to show the asymptotic range, even
-        where every lattice gives the same value."""
-        params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
-        x = load_path([0.1, 0.5, 0.9], 1.0)
-        assert grid_check(x, params, 8, marginal_loglik(x, params).loglik)["pass"] is None
+        good = grid_check(x, params, exact)
+        assert good == {"log_value": good["log_value"], "pass": True}
+        assert abs(good["log_value"] - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert grid_check(x, params, exact + 1e-6)["pass"] is False
+        assert grid_check(x, params, exact - 1e-6)["pass"] is False
 
     def test_homogeneous_case_passes_both(self):
-        """gamma = 0: every lattice gives the same value and every weight is
+        """gamma = 0: the filter is the Poisson density and every weight is
         equal, so both checks pass on the relative floor alone."""
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
         x = load_path([0.1, 0.5, 0.9], 1.0)
         exact = marginal_loglik(x, params).loglik
-        grid = grid_check(x, params, 64, exact)
-        assert grid["err_nats"] < 1e-12 and grid["pass"] is True
+        assert grid_check(x, params, exact)["pass"] is True
         mc = mc_check(x, params, McSpec(N=200, seed=1), exact)
         assert mc["se_log"] == 0.0 and mc["ess"] == 200 and mc["pass"] is True
 
@@ -255,10 +218,6 @@ class TestChecks:
 
 
 class TestSpecs:
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValidationError, match="at least 2"):
-            grid_marginal(load_path([0.5], 1.0), UNIT, 1)
-
     def test_mc_spec_validation(self):
         with pytest.raises(ValidationError):
             McSpec(N=0)

@@ -93,6 +93,13 @@ class TestAdaptPath:
         with pytest.raises(ValidationError, match="no events"):
             adapt_path(load_path([0.5], 1.0), 1e-6)
 
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_scale_that_is_not_finite_and_positive_rejected(self, w):
+        """Refused before any arithmetic: an infinite scale would make the
+        crossings NaN, so numpy must not even warn."""
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="finite and positive"):
+            adapt_path(load_path([0.5, 0.75], 1.0), w)
+
     def test_level_and_area_match_at_crossings(self):
         """x(t_i) = i and the adapted area equals the scaled-integral area at
         every crossing, checked against a brute-force integration oracle."""
