@@ -42,15 +42,16 @@ steps and stopping rules in order.  Each step takes the exact gradient from
 solves a quadratic model under the linear constraints V c >= 0, the 1025
 rows of the same V, with a dual active-set method (``_qp_step``); a damped
 BFGS update keeps the model's Hessian, started at the information of a
-Poisson process with X's marginal mean rate.  After each pass the point
-moves to the best point on its ray {s c, s > 0}, which the pass's last row
-gives exactly (``MarginalLikelihood.ray``), at no further pass.  On the
-benchmark's paths of M = 80 events (perfbench ``conditioned_path``, seeds
-1-13, started at the simulating coefficients) a fit with two coefficients
-converges in 2 to 6 likelihood passes (4.4 on average over 832 paths; 4 to 9
-and 7.25 without the ray move), where a Nelder-Mead simplex needs 130 to
-270; with three to five coefficients it takes 2 to 9 (5.5 to 6.6 on average
-over 64 paths).
+Poisson process with X's marginal mean rate.  The line search halves its
+step until the Armijo condition holds, and the fit reports its last
+accepted iterate.  After each pass the point moves to the best point on its
+ray {s c, s > 0}, which the pass's last row gives exactly
+(``MarginalLikelihood.ray``), at no further pass.  On the benchmark's paths
+of M = 80 events (perfbench ``conditioned_path``, seeds 1-13, started at the
+simulating coefficients) a fit with two coefficients converges in 2 to 6
+likelihood passes (4.4 on average over 832 paths; 4 to 9 and 7.25 without
+the ray move), where a Nelder-Mead simplex needs 130 to 270; with three to
+five coefficients it takes 2 to 9 (5.5 to 6.6 on average over 64 paths).
 """
 
 from __future__ import annotations
@@ -406,11 +407,10 @@ def mle_fit(
     without another pass.  The move is taken when the ray has such a point,
     the point lies in the support and the move raises loglik by more than
     1e-10 relative to max(|loglik|, 1), the threshold of the stopping rules
-    below.  The fit goes on from the moved point: the first Hessian is
-    built there, and the Armijo test, the convergence test and the BFGS
-    update take its value and gradient; the backtracking quadratic takes the
-    value at the trial itself.  At degree 0 the ray is the whole coefficient
-    space, so one pass ends the fit.
+    below.  The fit goes on from the moved point: the first Hessian is built
+    there, and the Armijo test, the convergence test and the BFGS update
+    take its value and gradient.  At degree 0 the ray is the whole
+    coefficient space, so one pass ends the fit.
 
     The start's pass comes first; the fit ends there when the start's
     log-likelihood is not finite.  The first Hessian is J^T J with J_m =
@@ -429,13 +429,12 @@ def mle_fit(
     Each iteration then solves the quadratic model of -loglik under the
     linear constraints V c >= 0, where V is the likelihood's own
     ``MarginalLikelihood.V`` (the monomials at the times
-    ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support
-    check and ``is_nonneg`` see the same values of gamma (``_qp_step``; a
-    check time where gamma already dips below zero by rounding may not dip
-    further).  It backtracks along the step until the Armijo condition
-    holds: to the minimizer of the quadratic through the two values and the
-    slope, kept within [0.1, 0.5] of the last trial.  A trial point outside
-    ``MarginalLikelihood.in_support`` halves the step without a likelihood
+    ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support check
+    and ``is_nonneg`` see the same values of gamma (``_qp_step``; a check
+    time where gamma already dips below zero by rounding may not dip
+    further).  The line search has one backtracking rule: it halves the step
+    until the trial lies in ``MarginalLikelihood.in_support`` and, by one
+    pass, meets the Armijo condition; a trial outside the support costs no
     pass.  A Powell-damped BFGS update at the accepted point gives the next
     model's Hessian.
 
@@ -443,34 +442,29 @@ def mle_fit(
     has ``converged=True`` when the QP step gives no descent, when the
     decrease of -loglik the QP model predicts for its step is at most 1e-10
     relative to max(|-loglik|, 1) (the fit then ends without evaluating the
-    step), or when the realized decrease of an accepted step is that small;
-    it has ``converged=False`` when the start's log-likelihood is not
-    finite or the line search stops short: its next trial would be a pass
-    beyond the budget, or its step has fallen below 1e-10 of the QP step.
-    The reported point is the best one evaluated or moved to, with c_0
-    raised, where needed, until V c >= 0 holds with no tolerance; when the
-    point was moved along its ray or c_0 was raised, the log-likelihood is
-    recomputed there (one ``loglik`` call outside the count), so it equals
-    ``marginal_loglik`` at the reported point.  It falls below the start's
-    only by the effect of a rounding-size raise of c_0; ``n_evals`` counts
-    the passes of the fit, not the moves.  Deterministic given the starting
-    point.
+    step), or when an accepted step's realized decrease is that small; it
+    has ``converged=False`` when the start's log-likelihood is not finite or
+    the line search stops short: its next trial would be a pass beyond the
+    budget, or its step has fallen below 1e-10 of the QP step.  The fit
+    reports its last accepted iterate (a rejected trial may have scored
+    higher), with c_0 raised, where needed, until V c >= 0 holds with no
+    tolerance; by the Armijo condition its log-likelihood falls below the
+    start's only by the effect of such a raise.  When the point was moved
+    along its ray or c_0 was raised, the log-likelihood is recomputed there
+    (one ``loglik`` call outside the count), so it equals ``marginal_loglik``
+    at the reported point; ``n_evals`` counts the passes, not the moves.
+    Deterministic given the starting point.
     """
     check_count(budget, "budget", 1)
     beta0, w = params_fixed
     d = degree + 1
     lik = MarginalLikelihood(x, beta0, w, degree)
-    c = _start(lik, x, d, start)
-    V = lik.V
     evals = 0
-    best_ll, best_c, best_moved = -math.inf, c, False
 
-    def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-        """-loglik at a point in the support, by one pass, and the point the
-        fit goes on from with its -loglik and gradient: the best point on
-        the ray {s coeffs} when the move is taken (docstring above), else
-        coeffs itself.  Keeps the best point so far."""
-        nonlocal evals, best_ll, best_c, best_moved
+    def objective(coeffs: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """One pass at ``coeffs`` (in the support): the point the fit goes on
+        from, moved along its ray or ``coeffs`` itself, with -loglik and gradient."""
+        nonlocal evals
         evals += 1
         res, grad = lik.loglik_grad(coeffs)
         point, ll = coeffs, res.loglik
@@ -480,11 +474,11 @@ def mle_fit(
             moved = math.exp(u) * coeffs
             if lik.in_support(moved):
                 point, ll, grad = moved, ray_ll, ray_grad
-        if ll > best_ll:
-            best_ll, best_c, best_moved = ll, point, point is not coeffs
-        return -res.loglik, point, -ll, -grad
+        return point, -ll, -grad
 
-    _, c, f, g = objective(c)
+    trial = _start(lik, x, d, start)
+    c, f, g = objective(trial)
+    on_ray = c is not trial
     converged = False
     if math.isfinite(f) and np.isfinite(g).all():
         H = np.eye(d) * (np.abs(g).max() or 1.0)
@@ -497,9 +491,9 @@ def mle_fit(
                 H = info
             except np.linalg.LinAlgError:
                 pass
-        row_norm = np.linalg.norm(V, axis=1)
+        row_norm = np.linalg.norm(lik.V, axis=1)
         while True:
-            p = _qp_step(H, g, V, -np.maximum(V @ c, 0.0), row_norm)[0]
+            p = _qp_step(H, g, lik.V, -np.maximum(lik.V @ c, 0.0), row_norm)[0]
             slope = float(g @ p)
             # No descent left, or the model promises less than the realized
             # decrease that would end the fit one pass later.
@@ -509,36 +503,30 @@ def mle_fit(
             step = 1.0
             while evals < budget and step >= _MIN_STEP:
                 trial = c + step * p
-                if not lik.in_support(trial):
-                    step *= 0.5
-                    continue
-                f_line, point, f_new, g_new = objective(trial)
-                if f_new <= f + _ARMIJO * step * slope:
-                    break
-                # Minimizer of the quadratic through f, slope and the value at
-                # the trial, kept within [0.1, 0.5] of the step (Nocedal &
-                # Wright, Sec. 3.5).
-                step *= min(max(-slope * step / (2.0 * (f_line - f - slope * step)), 0.1), 0.5)
+                if lik.in_support(trial):
+                    point, f_new, g_new = objective(trial)
+                    if f_new <= f + _ARMIJO * step * slope:
+                        break
+                step *= 0.5
             else:
                 break  # the budget is spent, or the step fell below _MIN_STEP
-            if abs(f - f_new) <= _FTOL * max(abs(f), 1.0):
-                converged = True
-                break
+            converged = abs(f - f_new) <= _FTOL * max(abs(f), 1.0)
             s, y = point - c, g_new - g
+            c, f, g, on_ray = point, f_new, g_new, point is not trial
+            if converged:
+                break
             Hs = H @ s
             sHs, sy = float(s @ Hs), float(s @ y)
             theta = 1.0 if sy >= 0.2 * sHs else 0.8 * sHs / (sHs - sy)
             r = theta * y + (1.0 - theta) * Hs
             H = H - np.outer(Hs, Hs) / sHs + np.outer(r, r) / float(s @ r)
-            c, f, g = point, f_new, g_new
     # The QP holds V c >= 0 only to rounding; raise c_0 until the reported
     # rate is nonnegative at every check time, with no tolerance.
-    coeffs = np.array(best_c, dtype=float)
-    while (dip := (V @ coeffs).min()) < 0.0:
+    coeffs = np.array(c, dtype=float)
+    while (dip := (lik.V @ coeffs).min()) < 0.0:
         coeffs[0] = max(coeffs[0] - dip, np.nextafter(coeffs[0], math.inf))
-    if best_moved or not np.array_equal(coeffs, best_c):
-        best_ll = lik.loglik(coeffs).loglik
-    return MleResult(coeffs=coeffs, loglik=best_ll, converged=converged, n_evals=evals)
+    ll = lik.loglik(coeffs).loglik if on_ray or not np.array_equal(coeffs, c) else -f
+    return MleResult(coeffs=coeffs, loglik=ll, converged=converged, n_evals=evals)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,7 @@ class MarginalLikelihood:
         self._L = lambda_moments(w, x.T, degree)
         self.V = nonneg_matrix(x.T, degree)
         self._ks = np.arange(x.count + 1.0)  # k = 0..M, the index of the DP's rows
+        self._ks2 = self._ks * self._ks
         with np.errstate(divide="ignore"):
             self._log_stay = np.log(beta0 + w * self._ks)
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
@@ -215,6 +216,7 @@ class MarginalLikelihood:
         self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max())
         # The _Masses of the last coefficients given (module docstring).
         self._kept: _Masses | None = None
+        self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
@@ -325,8 +327,7 @@ class MarginalLikelihood:
         lo, hi = (math.log(k_min / lc) if k_min else -math.inf), math.log(M / lc)
         if not hi < 709.0:
             return None  # s = e^u up to M / L c, which may leave the double range
-        ks = self._ks
-        ks2 = ks * ks
+        ks, ks2 = self._ks, self._ks2
         u, width = min(max(0.0, lo), hi), 1.0
         for _ in range(_RAY_ITERS):
             z = log_k + ks * u
@@ -401,7 +402,9 @@ class MarginalLikelihood:
             width = self.degree + 2
             rows = np.full((M + 1, width), -math.inf)
             f = rows[:, 0]
-            log_stay = np.repeat(self._log_stay[:, None], width, axis=1)
+            if self._log_stay_wide is None:
+                self._log_stay_wide = np.repeat(self._log_stay[:, None], width, axis=1)
+            log_stay = self._log_stay_wide
             source = np.empty((M, width))
         else:
             rows = f = np.full(M + 1, -math.inf)

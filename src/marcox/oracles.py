@@ -35,6 +35,7 @@ importing this module loads no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,19 +86,26 @@ def default_y_max(mean_count: float) -> int:
     return k + len(pmf)
 
 
+@functools.cache  # built on first use: at import it would load numpy.polynomial
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-node Gauss-Legendre rule on [-1, 1], read-only, as calls share it."""
+    u, wt = np.polynomial.legendre.leggauss(20)
+    u.flags.writeable = wt.flags.writeable = False
+    return u, wt
+
+
 def _gap_masses(edges: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Gamma_gap = int gamma and A = int gamma(s) e^{-w (b - s)} ds over each gap
     (a, b] = (edges[i], edges[i + 1]], by Gauss-Legendre quadrature of
     ``gamma.eval_many`` on ceil(w h / 4) equal pieces of a gap of length h.
     On a piece e^{-w (b - s)} varies by at most e^4, so 20 nodes integrate
-    it times a polynomial of degree <= 8 to rounding.  The nodes are built
-    here, not at import, which would load ``numpy.polynomial``."""
+    it times a polynomial of degree <= 8 to rounding (``_legendre_rule``)."""
     a, b, h = edges[:-1], edges[1:], np.diff(edges)
     pieces = np.maximum(1, np.ceil(params.w * h / 4.0)).astype(int)
     gap = np.repeat(np.arange(h.size), pieces)
     index = np.arange(gap.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     width = (h / pieces)[gap, None]
-    u, wt = np.polynomial.legendre.leggauss(20)  # on [-1, 1]
+    u, wt = _legendre_rule()
     s = a[gap, None] + width * (index[:, None] + (u + 1.0) / 2.0)
     mass = params.gamma.eval_many(s) * (width * wt / 2.0)
     decayed = mass * np.exp(-params.w * (b[gap, None] - s))

@@ -193,6 +193,59 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{\"T\": 10.0,", "not valid JSON"), ("[10.0, 1.0, 0.5]", "must be a JSON object")],
+    ids=["invalid", "array"],
+)
+def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, text, message):
+    config = tmp_path / "model.json"
+    config.write_text(text, encoding="utf-8")
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0])
+    assert cli.main(["loglik", "--events", str(events), "--config", str(config)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and message in err
+
+
+def test_unwritable_out_is_an_io_error_and_leaves_no_temp_file(tmp_path, capsys):
+    """An --out that is a directory fails the atomic write's final rename:
+    exit 74, and the temp file next to it is removed."""
+    config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0, 0.2))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["simulate", "--config", config, "--seed", "3", "--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("io-error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "out"]
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_emit_latent_writes_the_latent_path_and_its_manifest(tmp_path):
+    config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0, 0.2))
+    events, latent = tmp_path / "events.csv", tmp_path / "latent.csv"
+    argv = ["simulate", "--config", config, "--seed", "3", "--out", str(events), "--emit-latent", str(latent)]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = simulate(ModelParams(0.5, 0.7, PolyIntensity((1.0, 0.2))), 8.0, seed=3)
+    assert want.y.jumps.size > 0
+    assert latent.read_text(encoding="utf-8") == events_csv(want.y.jumps, ["seed=3", "T=8.0"])
+    assert read_events_csv(events) == want.x.jumps.tolist()
+    manifest = strict_json((tmp_path / "latent.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == "simulate" and manifest["seed"] == 3
+    assert manifest["config_hash"] == hashlib.sha256(Path(config).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", ["0:ten:3", "0:10:x", "0:10:2.5", "0:10", "0:1:2:3"])
+def test_non_numeric_grid_field_is_a_config_error(tmp_path, capsys, spec):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    out = tmp_path / "bands.csv"
+    rc = cli.main(["summarize", "--chain", str(chain), f"--grid={spec}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and "expected start:stop:count" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["lots", 0, 2.5])
 def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
     events = tmp_path / "events.csv"

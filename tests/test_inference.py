@@ -1,6 +1,7 @@
 """Tests for the Metropolis and maximum-likelihood fitters and the chain CSV."""
 
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -500,6 +501,75 @@ class TestMleFit:
         assert res.n_evals == len(passes)
         assert not any(np.array_equal(r, p) for r in rejected for p in passes)
 
+    def test_a_trial_that_fails_armijo_halves_the_step(self, monkeypatch):
+        """A line-search trial that fails the Armijo test halves the step, as
+        one outside the support does.  The first trial, the fit's second
+        pass, scores 100 nats below its value here (its ray with it), so the
+        second trial lies halfway from the start moved along its ray to the
+        first; the fit still converges on true values."""
+        passes = []
+        loglik_grad = MarginalLikelihood.loglik_grad
+
+        def worse_first_trial(self, coeffs):
+            passes.append(np.array(coeffs))
+            res, grad = loglik_grad(self, coeffs)
+            if len(passes) == 2:
+                res = dataclasses.replace(res, loglik=res.loglik - 100.0)
+            return res, grad
+
+        monkeypatch.setattr(MarginalLikelihood, "loglik_grad", worse_first_trial)
+        x = fit_path(40)
+        res = mle_fit(x, (BETA0, W), degree=1, start=TRUTH, budget=100)
+        lik = MarginalLikelihood(x, BETA0, W, 1)
+        moved_start = math.exp(lik.ray(TRUTH, loglik_grad(lik, TRUTH)[0])[0]) * np.asarray(TRUTH)
+        np.testing.assert_allclose(passes[2], (moved_start + passes[1]) / 2, rtol=1e-13)
+        assert res.converged and res.n_evals == len(passes) <= 100
+        assert res.loglik >= marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(TRUTH))).loglik
+        assert marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs)))).loglik == res.loglik
+
+    def test_a_small_realized_decrease_ends_the_fit(self, monkeypatch):
+        """Five events over T = 5 with beta0 = 1 need no latent rate: the
+        log-likelihood rises toward -beta0 T = -5 as gamma falls to 0.  The
+        fit ends when an accepted step gains at most 1e-10 relative, after a
+        pass at the step's point and not on a QP model, and reports that
+        point."""
+        events = []
+        qp_step, loglik_grad = inference._qp_step, MarginalLikelihood.loglik_grad
+
+        def qp(*args):
+            events.append("qp")
+            return qp_step(*args)
+
+        def passing(self, coeffs):
+            events.append("pass")
+            return loglik_grad(self, coeffs)
+
+        monkeypatch.setattr(inference, "_qp_step", qp)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_grad", passing)
+        x = CountPath(5.0, np.array([1.8, 2.0, 3.0, 3.7, 4.5]))
+        res = mle_fit(x, (BETA0, W), degree=1)
+        assert res.converged and events[-1] == "pass"
+        assert res.n_evals == events.count("pass") <= 2000
+        assert res.loglik >= marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity((1.0, 0.0)))).loglik
+        assert marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs)))).loglik == res.loglik
+        assert -5.0 - 1e-9 < res.loglik < -5.0
+
+    def test_a_failed_cholesky_starts_from_a_scaled_identity(self, monkeypatch):
+        """Where Cholesky refuses J^T J the fit starts from I max|gradient|,
+        as with too few events, and still converges."""
+        def refusing(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        hessians = qp_hessians(monkeypatch)
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        x = fit_path(40)
+        res = mle_fit(x, (BETA0, W), degree=1, start=TRUTH, budget=100)
+        H = hessians[0]
+        assert H[0, 0] > 0.0 and np.array_equal(H, H[0, 0] * np.eye(2))
+        assert res.converged and res.n_evals <= 100
+        assert res.loglik >= marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(TRUTH))).loglik
+        assert marginal_loglik(x, ModelParams(BETA0, W, PolyIntensity(tuple(res.coeffs)))).loglik == res.loglik
+
     def test_budget_stops_the_fit(self, path):
         # The fit needs more passes than the budget.
         assert mle_fit(path, (BETA0, W), degree=1, start=TRUTH).n_evals > 1
@@ -558,6 +628,21 @@ def test_bad_degree_is_a_validation_error(take, degree):
     bool, in 0..MAX_DEGREE."""
     with pytest.raises(ValidationError, match="^degree must be"):
         take(CountPath(10.0, np.array([1.0, 2.5])), degree)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda x, start: mle_fit(x, (BETA0, W), 1, start=start),
+        lambda x, start: FitConfig(degree=1, start=start),
+    ],
+    ids=["mle_fit", "FitConfig"],
+)
+@pytest.mark.parametrize("start", [(1.0, 0.1, 0.0), (1.0,), [[1.0, 0.1]]], ids=["long", "short", "2-D"])
+def test_start_of_the_wrong_length_is_a_validation_error(fit, start):
+    """A start is a scalar or one value per coefficient."""
+    with pytest.raises(ValidationError, match="^start must be scalar or length 2$"):
+        fit(CountPath(10.0, np.array([1.0, 2.5])), start)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -723,7 +808,34 @@ class TestChainCsv:
         assert "line 3" in str(info.value)
 
 
+    @pytest.mark.parametrize(
+        "text", ["", "time\n0.5\n", "iter,c0,c1,loglik\n0,1.0,0.1,-3.0\n", "c0,c1,loglik,accepted\n1.0,0.1,-3.0,1\n"]
+    )
+    def test_wrong_header_is_not_a_chain(self, tmp_path, text):
+        chain = tmp_path / "chain.csv"
+        chain.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match="not a chain CSV"):
+            read_chain_csv(chain)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,c0,c1,loglik,accepted\n\n0,1.0,0.1,-3.0,1\n\n1,2.0,0.2,-4.0,0\n\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_chain_csv(chain), [[1.0, 0.1], [2.0, 0.2]])
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines-only"])
+    def test_no_draws_is_an_error(self, tmp_path, body):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,c0,c1,loglik,accepted\n" + body, encoding="utf-8")
+        with pytest.raises(ValidationError, match="no draws"):
+            read_chain_csv(chain)
+
+
 class TestSummarize:
+    @pytest.mark.parametrize("draws", [np.empty((0, 2)), []], ids=["no-rows", "empty-list"])
+    def test_empty_draws_rejected(self, draws):
+        with pytest.raises(ValidationError, match="empty chain"):
+            summarize(draws, t_grid=[0.0, 1.0])
+
     def test_bands_are_the_per_draw_quantiles(self):
         """The bands over the grid are the quantiles and means of each draw's
         gamma (eval_many) and Gamma (cum)."""

@@ -318,6 +318,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PolyIntensity((1.0, math.nan))
 
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(ValidationError, match="at least one coefficient"):
+            PolyIntensity(())
+
+    @pytest.mark.parametrize("cfg", [{"type": "spline", "coeffs": [1.0]}, {"coeffs": [1.0]}, [1.0]])
+    def test_config_that_is_not_poly_rejected(self, cfg):
+        with pytest.raises(ValidationError, match="intensity config must be"):
+            PolyIntensity.from_config(cfg)
+
     def test_from_config(self):
         assert PolyIntensity.from_config({"type": "poly", "coeffs": [1.0, 0.25]}) == PolyIntensity((1.0, 0.25))
 

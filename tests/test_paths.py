@@ -54,6 +54,20 @@ class TestLoadPath:
         with pytest.raises(ValidationError):
             load_path([-0.2], 1.0)
 
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            CountPath(1.0, np.array([[0.2, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            CountPath(1.0, np.array([0.2, bad]))
+
+    def test_decreasing_times_rejected(self):
+        """CountPath takes its times in order; load_path is the one that sorts."""
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            CountPath(1.0, np.array([0.5, 0.2]))
+
     def test_boundary_jump_allowed(self):
         assert load_path([1.0], 1.0).count == 1
 
