@@ -43,7 +43,6 @@ from .intensity import PolyIntensity
 from .marginal import marginal_loglik
 from .oracles import McSpec, grid_check, mc_check
 from .paths import (
-    CountPath,
     ModelParams,
     adapt_path,
     check_rates,
@@ -159,17 +158,12 @@ def _load_model_config(path: str) -> tuple[float, ModelParams]:
     try:
         T, beta0, w = _model_scalars(cfg)
         params = ModelParams(beta0, w, PolyIntensity.from_config(cfg["gamma"]))
-        params.validate(T)
+        params.gamma.validate_nonneg(T)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
     return T, params
-
-
-def _load_events(path: str, T: float) -> CountPath:
-    times = read_events_csv(path)
-    return load_path(times, T)
 
 
 def _cmd_simulate(args) -> int:
@@ -186,7 +180,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_loglik(args) -> int:
     T, params = _load_model_config(args.config)
-    x = _load_events(args.events, T)
+    x = load_path(read_events_csv(args.events), T)
     res = marginal_loglik(x, params)
     print(
         _json(
@@ -203,7 +197,7 @@ def _cmd_loglik(args) -> int:
 
 def _cmd_validate(args) -> int:
     T, params = _load_model_config(args.config)
-    x = _load_events(args.events, T)
+    x = load_path(read_events_csv(args.events), T)
     loglik = marginal_loglik(x, params).loglik
     if loglik == -math.inf:
         raise ValidationError("the model cannot produce this path (loglik = -inf); there is nothing to check")
@@ -214,26 +208,38 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _fit_inputs(args) -> tuple[CountPath, tuple[float, float], FitConfig, int]:
-    """Path, fixed (beta0, w), sampler config and the fit-mle evaluation budget."""
+def _fit_inputs(args, read):
+    """Path, fixed (beta0, w) and ``read(cfg)``: the keys of the fit config
+    that the command reads, and only those, checked so that a bad value is
+    a config error."""
     cfg = _load_json(args.config)
     try:
         T, beta0, w = _model_scalars(cfg)
-        budget = cfg.get("budget", 2000)
-        check_count(budget, "budget", 1)
-        known = {f.name for f in fields(FitConfig)}
-        fit = FitConfig(**{k: v for k, v in cfg.items() if k in known})
+        settings = read(cfg)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}") from exc
-    x = _load_events(args.events, T)
-    return x, (beta0, w), fit, budget
+    return load_path(read_events_csv(args.events), T), (beta0, w), settings
+
+
+def _sampler_config(cfg: dict) -> FitConfig:
+    """fit-mcmc's keys: the fields of ``FitConfig``."""
+    known = {f.name for f in fields(FitConfig)}
+    return FitConfig(**{k: v for k, v in cfg.items() if k in known})
+
+
+def _mle_config(cfg: dict) -> tuple[FitConfig, int]:
+    """fit-mle's keys: degree and start, checked by ``FitConfig``'s rules
+    (its sampler fields keep their defaults), and the pass budget."""
+    budget = cfg.get("budget", 2000)
+    check_count(budget, "budget", 1)
+    return FitConfig(degree=cfg["degree"], start=cfg.get("start")), budget
 
 
 def _cmd_fit_mcmc(args) -> int:
     started = _utcnow()
-    x, fixed, fit, _ = _fit_inputs(args)
+    x, fixed, fit = _fit_inputs(args, _sampler_config)
     chain = mh_fit(x, fixed, fit)
     _write_output(
         args.out,
@@ -254,7 +260,7 @@ def _cmd_fit_mcmc(args) -> int:
 
 
 def _cmd_fit_mle(args) -> int:
-    x, fixed, fit, budget = _fit_inputs(args)
+    x, fixed, (fit, budget) = _fit_inputs(args, _mle_config)
     res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, budget=budget)
     print(
         _json(
@@ -271,8 +277,7 @@ def _cmd_fit_mle(args) -> int:
 
 def _cmd_adapt(args) -> int:
     started = _utcnow()
-    times = read_events_csv(args.events)
-    raw = load_path(times, args.T)
+    raw = load_path(read_events_csv(args.events), args.T)
     w = tune_w(raw)
     adapted = adapt_path(raw, w)
     _write_output(

@@ -45,19 +45,19 @@ BFGS update keeps the model's Hessian, started at the information of a
 Poisson process with X's marginal mean rate.  The line search halves its
 step until the Armijo condition holds, and the fit reports its last
 accepted iterate.  After each pass the point moves to the best point on its
-ray {s c, s > 0}, which the pass's last row gives exactly
-(``MarginalLikelihood.ray``), at no further pass.  On the benchmark's paths
-of M = 80 events (perfbench ``conditioned_path``, seeds 1-13, started at the
-simulating coefficients) a fit with two coefficients converges in 2 to 6
-likelihood passes (4.4 on average over 832 paths; 4 to 9 and 7.25 without
-the ray move), where a Nelder-Mead simplex needs 130 to 270; with three to
-five coefficients it takes 2 to 9 (5.5 to 6.6 on average over 64 paths).
+ray {s c, s >= 0}, which the pass's last row gives exactly
+(``MarginalLikelihood.ray``), at no further pass; where that is s = 0 the
+fit lands on gamma = 0 at once.  On the benchmark's paths of M = 80 events
+(perfbench ``conditioned_path``, seeds 1-13, started at the simulating
+coefficients) a fit with two coefficients converges in 2 to 6 likelihood
+passes (4.4 on average over 832 paths; 4 to 9 and 7.25 without the ray
+move), where a Nelder-Mead simplex needs 130 to 270; with three to five
+coefficients it takes 2 to 9 (5.5 to 6.6 on average over 64 paths).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -159,7 +159,6 @@ class Chain:
     logliks: np.ndarray        # marginal log-likelihood at each kept draw
     accepted: np.ndarray       # whether the iteration producing the draw moved
     accept_rate: float
-    seed: int
     n_evals: int               # marginal-likelihood passes in the main run
     n_support_rejected: int
     proposal_sd: np.ndarray    # widths actually used (after any pilot tuning)
@@ -189,8 +188,9 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     run, ``n_evals`` counts the passes, ``n_bound_rejected`` the proposals
     the bound rejected and ``n_support_rejected`` those outside the
     support, so in block mode the three add up to ``iters``; the start's
-    pass and the pilot are not counted.  Deterministic given (data, config,
-    seed).
+    pass and the pilot are not counted.  A main run that accepts no
+    proposal is reported in ``diagnostics``, the chain's one report of it.
+    Deterministic given (data, config, seed).
     """
     # A width near the double range can overflow a proposal step, and a
     # state far out in the prior z . z; the support check refuses the first
@@ -293,22 +293,16 @@ def _mh_chain(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -
             acc_flags[kept] = accepted
             kept += 1
 
-    diagnostics: list[str] = []
-    if n_accept == 0:
-        msg = "chain never accepted a proposal; widen priors or shrink proposal_sd"
-        diagnostics.append(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
     return Chain(
         draws=draws,
         logliks=lls,
         accepted=acc_flags,
         accept_rate=n_accept / cfg.iters,
-        seed=cfg.seed,
         n_evals=evals,
         n_support_rejected=n_support,
         proposal_sd=sd,
         n_bound_rejected=bound_rejected,
-        diagnostics=tuple(diagnostics),
+        diagnostics=() if n_accept else ("chain never accepted a proposal; widen priors or shrink proposal_sd",),
     )
 
 
@@ -402,15 +396,16 @@ def mle_fit(
     The fit is one loop, whose steps and stopping rules follow.  Each
     likelihood pass is one ``MarginalLikelihood.loglik_grad``, which returns
     the value and its gradient together.  After every pass the fit moves the
-    point it evaluated to the best point on its ray {s c, s > 0}, which
+    point it evaluated to the best point on its ray {s c, s >= 0}, which
     ``MarginalLikelihood.ray`` gives exactly from the pass's last row,
-    without another pass.  The move is taken when the ray has such a point,
-    the point lies in the support and the move raises loglik by more than
-    1e-10 relative to max(|loglik|, 1), the threshold of the stopping rules
-    below.  The fit goes on from the moved point: the first Hessian is built
-    there, and the Armijo test, the convergence test and the BFGS update
-    take its value and gradient.  At degree 0 the ray is the whole
-    coefficient space, so one pass ends the fit.
+    without another pass; the end s = 0 is the zero vector, with no -0.0.
+    The move is taken when the ray has such a point, the point lies in the
+    support and the move raises loglik by more than 1e-10 relative to
+    max(|loglik|, 1), the threshold of the stopping rules below.  The fit
+    goes on from the moved point: the first Hessian is built there, and the
+    Armijo test, the convergence test and the BFGS update take its value
+    and gradient.  At degree 0 the ray is the whole coefficient space, so
+    one pass ends the fit.
 
     The start's pass comes first; the fit ends there when the start's
     log-likelihood is not finite.  The first Hessian is J^T J with J_m =
@@ -428,15 +423,14 @@ def mle_fit(
 
     Each iteration then solves the quadratic model of -loglik under the
     linear constraints V c >= 0, where V is the likelihood's own
-    ``MarginalLikelihood.V`` (the monomials at the times
-    ``PolyIntensity.is_nonneg`` checks), so the optimizer, the support check
-    and ``is_nonneg`` see the same values of gamma (``_qp_step``; a check
-    time where gamma already dips below zero by rounding may not dip
-    further).  The line search has one backtracking rule: it halves the step
-    until the trial lies in ``MarginalLikelihood.in_support`` and, by one
-    pass, meets the Armijo condition; a trial outside the support costs no
-    pass.  A Powell-damped BFGS update at the accepted point gives the next
-    model's Hessian.
+    ``MarginalLikelihood.V`` (``nonneg_matrix``: the monomials at the times
+    ``grid_nonneg`` checks), so the optimizer and the support check see the
+    same values of gamma (``_qp_step``; a check time where gamma already
+    dips below zero by rounding may not dip further).  The line search has
+    one backtracking rule: it halves the step until the trial lies in
+    ``MarginalLikelihood.in_support`` and, by one pass, meets the Armijo
+    condition; a trial outside the support costs no pass.  A Powell-damped
+    BFGS update at the accepted point gives the next model's Hessian.
 
     ``budget`` caps the likelihood passes and must be at least 1.  The fit
     has ``converged=True`` when the QP step gives no descent, when the
@@ -471,7 +465,7 @@ def mle_fit(
         ray = lik.ray(coeffs, res)
         if ray is not None and ray[1] - ll > _FTOL * max(abs(ll), 1.0):
             u, ray_ll, ray_grad = ray
-            moved = math.exp(u) * coeffs
+            moved = math.exp(u) * coeffs + 0.0  # + 0.0 turns the -0.0 of s = 0 into 0.0
             if lik.in_support(moved):
                 point, ll, grad = moved, ray_ll, ray_grad
         return point, -ll, -grad

@@ -82,14 +82,11 @@ class PolyIntensity:
             acc = acc * t + self.coeffs[k] / (k + 1)
         return acc * t
 
-    def is_nonneg(self, T: float) -> bool:
-        """Dense-sampling nonnegativity check for gamma on [0, T]: ``grid_nonneg``
-        of the values ``nonneg_matrix`` gives."""
-        return grid_nonneg(nonneg_matrix(T, self.degree) @ np.asarray(self.coeffs))
-
     def validate_nonneg(self, T: float) -> None:
+        """Raise ``ValidationError`` unless gamma is nonnegative on [0, T]:
+        ``grid_nonneg`` of the values ``nonneg_matrix`` gives."""
         check_horizon(T)
-        if not self.is_nonneg(T):
+        if not grid_nonneg(nonneg_matrix(T, self.degree) @ np.asarray(self.coeffs)):
             raise ValidationError(f"intensity is negative somewhere on [0, {T}]")
 
     def upper_bound(self, T: float) -> float:
@@ -119,9 +116,9 @@ def nonneg_matrix(T: float, degree: int) -> np.ndarray:
     t_i = i T / 1024, i = 0..1024.
 
     Row i holds the monomials t_i^p, p = 0..degree.  Every nonnegativity
-    decision evaluates gamma as this product, so ``PolyIntensity.is_nonneg``,
-    ``MarginalLikelihood.in_support`` and the constraints of ``mle_fit`` see
-    the same values, rounding included.
+    decision evaluates gamma as this product, so
+    ``PolyIntensity.validate_nonneg``, ``MarginalLikelihood.in_support`` and
+    the constraints of ``mle_fit`` see the same values, rounding included.
     """
     return np.vander(np.linspace(0.0, T, _NONNEG_SAMPLES + 1), degree + 1, increasing=True)
 

@@ -67,7 +67,7 @@ per reference is compared, far cheaper than a bound against each: the least
 of those bounds rejects a few more proposals but costs more than the passes
 it saves.
 
-The last rows also give the likelihood along the ray {s c, s > 0} without
+The last rows also give the likelihood along the ray {s c, s >= 0} without
 another pass.  Each term of f_M(k) holds k masses, each linear in c, so
 f_M(k) is homogeneous of degree k in c and D_p f_M(k) of degree k - 1,
 while int lambda = L c is linear.  With u = log s,
@@ -80,9 +80,10 @@ from ``MarginalResult.log_k`` and ``log_dk``).  A step of the recurrence
 maps P(x) = sum_k f(k) x^k to (beta0 + w A_m x) P + w x P', which keeps P
 real-rooted with its roots in (-inf, 0].  So log P(s) - s L c is concave in
 s, and the ray has at most one best point: where E_u[k] = s L c, E_u the
-mean of k under pi_u(k) ~ f_M(k) e^(k u).  There is none inside the ray when
-the slope at s = 0, f_M(1) / f_M(0) - L c, is <= 0.  ``mle_fit`` moves each
-point it evaluates to that best point.
+mean of k under pi_u(k) ~ f_M(k) e^(k u).  When the slope at s = 0,
+f_M(1) / f_M(0) - L c, is <= 0 the best point is the end s = 0 (u = -inf),
+where only f_M(0) and D_p f_M(1) remain.  ``mle_fit`` moves each point it
+evaluates to that best point.
 
 What one coefficient vector gives is one record (``_Masses``), keyed by its
 shape and bytes: int lambda and, when it and the masses B~ c are
@@ -284,16 +285,17 @@ class MarginalLikelihood:
         ``loglik_grad`` result at coeffs, in O(M (degree + 1)) and without a
         pass (module docstring).
 
-        With u None, u is the maximizer of the log-likelihood along the ray
-        {s coeffs, s > 0}: the root of E_u[k] = e^u L coeffs, the mean of k
-        under pi_u(k) ~ f_M(k) e^(k u), found by Newton's method in u within
-        a bracket that every step narrows (bisection when a Newton step
-        leaves it).  The log-likelihood is concave in s, so the root is
-        unique.  None when the ray has no interior maximum: at M = 0, where
-        L coeffs = 0, where the log-likelihood falls from s = 0 on, and at
-        the -inf sentinel (``res.log_dk`` None); and where L coeffs is so
+        With u None, u is the maximizer of the log-likelihood along the
+        closed ray {s coeffs, s >= 0}: the root of E_u[k] = e^u L coeffs,
+        the mean of k under pi_u(k) ~ f_M(k) e^(k u), found by Newton's
+        method in u within a bracket that every step narrows (bisection when
+        a Newton step leaves it), or -inf, the end s = 0, where the
+        log-likelihood falls from s = 0 on (at M = 0 among them).  It is
+        concave in s, so the maximizer is unique.  None where L coeffs <= 0,
+        at the -inf sentinel (``res.log_dk`` None), and where L coeffs is so
         small (below M e^-709) that the maximizer could leave the double
-        range.  At u = 0 the loglik is ``res.loglik`` itself.
+        range.  At u = 0 the loglik is ``res.loglik`` itself; at u = -inf
+        only f_M(0) and D_p f_M(1) remain (module docstring).
         """
         if res.log_dk is None:
             return None
@@ -303,6 +305,10 @@ class MarginalLikelihood:
             u = self._ray_max(res.log_k, lc)
             if u is None:
                 return None
+        if u == -math.inf:  # s = 0: no 0 * (-inf) from k u at k = 0
+            loglik = res.loglik + (float(res.log_k[0]) - _logsumexp(res.log_k)) + lc
+            ratio = np.exp(res.log_dk[1] - res.log_k[0]) if res.log_k.size > 1 else 0.0
+            return u, loglik, ratio - self._L
         ks = self._ks
         lse = _logsumexp(res.log_k + ks * u)
         loglik = res.loglik + (lse - _logsumexp(res.log_k)) - math.expm1(u) * lc
@@ -316,14 +322,14 @@ class MarginalLikelihood:
 
     def _ray_max(self, log_k: np.ndarray, lc: float) -> float | None:
         """The u of ``ray``'s maximum, from the last row's log pi(k) and
-        L c; None when the ray has no interior maximum."""
-        M = log_k.size - 1
-        if M == 0 or not lc > 0.0:
+        L c: -inf at the end s = 0, None when the ray has no maximum."""
+        if not lc > 0.0:
             return None
+        M = log_k.size - 1
         # E_u[k] lies in [k_min, M], so the root lies in [log(k_min / Lc), log(M / Lc)].
         k_min = int(np.argmax(log_k > -math.inf))
-        if k_min == 0 and not log_k[1] - log_k[0] > math.log(lc):
-            return None  # d loglik / ds = f_M(1) / f_M(0) - L c <= 0 at s = 0
+        if k_min == 0 and (M == 0 or not log_k[1] - log_k[0] > math.log(lc)):
+            return -math.inf  # d loglik / ds = f_M(1) / f_M(0) - L c <= 0 at s = 0
         lo, hi = (math.log(k_min / lc) if k_min else -math.inf), math.log(M / lc)
         if not hi < 709.0:
             return None  # s = e^u up to M / L c, which may leave the double range
@@ -469,6 +475,6 @@ def marginal_loglik(x: CountPath, params: ModelParams) -> MarginalResult:
     can be (a polynomial factor of exactly zero) the result is the -inf
     sentinel.
     """
-    params.validate(x.T)
     gamma = params.gamma
+    gamma.validate_nonneg(x.T)
     return MarginalLikelihood(x, params.beta0, params.w, gamma.degree).loglik(gamma.coeffs)

@@ -153,7 +153,7 @@ def grid_marginal(x: CountPath, params: ModelParams) -> float:
     truncated value only grows with the level.  Each filter run at level 2k
     also gives the value at level k, so a stable level costs one run.
     """
-    params.validate(x.T)
+    params.gamma.validate_nonneg(x.T)
     k = default_y_max(params.gamma.cum(x.T))
     while True:
         log_f = _grid_filter(x, params, 2 * k)
@@ -187,7 +187,7 @@ def mc_marginal(
     When no draw can produce x the result is (-inf, inf).  Deterministic
     given the seed regardless of the job count.
     """
-    params.validate(x.T)
+    params.gamma.validate_nonneg(x.T)
     # Chunking is fixed so the replica stream does not depend on the job count.
     chunk = 4096
     sizes = [chunk] * (spec.N // chunk)

@@ -79,10 +79,6 @@ class ModelParams:
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "w", w)
 
-    def validate(self, T: float) -> None:
-        """Check gamma >= 0 on the working interval [0, T]."""
-        self.gamma.validate_nonneg(T)
-
 
 def load_path(events: Iterable[float], T: float) -> CountPath:
     """Sort event times ascending and validate containment in (0, T]."""

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -70,6 +71,16 @@ def test_adapt_on_a_lone_event_at_the_horizon_is_a_validation_error(tmp_path, ca
     out = tmp_path / "adapted.csv"
     assert cli.main(["adapt", "--events", str(events), "--T", "10", "--out", str(out)]) == cli.EXIT_VALIDATION
     assert "integral is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adapt_on_an_empty_events_file_is_a_validation_error(tmp_path, capsys):
+    """No events: tune_w has nothing to scale."""
+    events = tmp_path / "events.csv"
+    events.write_text("time\n", encoding="utf-8")
+    out = tmp_path / "adapted.csv"
+    assert cli.main(["adapt", "--events", str(events), "--T", "10", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "nonempty" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -193,6 +204,22 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
+@pytest.mark.parametrize("key", ["T", "beta0", "w", "gamma"])
+@pytest.mark.parametrize("command", ["simulate", "loglik"])
+def test_model_config_missing_a_key_is_a_config_error(tmp_path, capsys, command, key):
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "gamma": {"type": "poly", "coeffs": [1.0]}}
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({k: v for k, v in cfg.items() if k != key}), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0])
+    out = tmp_path / "out.csv"
+    files = ["--out", str(out)] if command == "simulate" else ["--events", str(events)]
+    assert cli.main([command, "--config", str(config)] + files) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config-error: config missing key: {key}\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("{\"T\": 10.0,", "not valid JSON"), ("[10.0, 1.0, 0.5]", "must be a JSON object")],
@@ -260,6 +287,11 @@ def test_bad_mle_budget_is_a_config_error(tmp_path, capsys, budget):
     assert captured.out == ""
 
 
+# The keys of a fit config that fit-mle reads; fit-mcmc reads T, beta0, w
+# and the fields of FitConfig.
+MLE_KEYS = {"T", "beta0", "w", "degree", "start", "budget"}
+
+
 @pytest.mark.parametrize("command", ["fit-mcmc", "fit-mle"])
 @pytest.mark.parametrize(
     "key, value",
@@ -288,7 +320,8 @@ def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value)
     the degree at most MAX_DEGREE, prior_mean finite, prior_sd positive and
     proposal_sd finite and positive; json reads NaN and Infinity.  T, beta0
     and w follow the model config's rules, and beta0 is required (None here
-    leaves it out)."""
+    leaves it out).  Each command checks only the keys it reads: fit-mle
+    reads none of the sampler's, so a bad one does not stop it."""
     events = tmp_path / "events.csv"
     write_events(events, [1.0, 2.0, 4.5])
     config = tmp_path / "fit.json"
@@ -299,11 +332,45 @@ def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value)
     if command == "fit-mcmc":
         files += ["--out", str(tmp_path / "chain.csv")]
     rc = cli.main([command] + files)
-    assert rc == cli.EXIT_CONFIG
     captured = capsys.readouterr()
+    if command == "fit-mle" and key not in MLE_KEYS:
+        assert rc == cli.EXIT_OK and captured.err == ""
+        assert strict_json(captured.out)["converged"] is True
+        return
+    assert rc == cli.EXIT_CONFIG
     assert captured.err.startswith("config-error:") and key in captured.err
     assert captured.out == ""
     assert not (tmp_path / "chain.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, bad_key, reader, other",
+    [
+        ({"iters": 50}, "iters", "fit-mcmc", "fit-mle"),
+        ({"iters": 30, "burnin": 5, "pilot_iters": 5, "budget": 0}, "budget", "fit-mle", "fit-mcmc"),
+    ],
+    ids=["iters-below-the-default-burnin", "budget-0"],
+)
+def test_each_fit_command_checks_only_the_keys_it_reads(tmp_path, capsys, extra, bad_key, reader, other):
+    """The same config is a config error (exit 65) for the command that
+    reads the bad key and runs (exit 0) for the one that does not: fit-mle
+    does not read iters, fit-mcmc does not read budget."""
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0, 4.5])
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(dict({"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 0}, **extra)), encoding="utf-8")
+    out = tmp_path / "chain.csv"
+    argvs = {
+        "fit-mle": ["fit-mle", "--events", str(events), "--config", str(config)],
+        "fit-mcmc": ["fit-mcmc", "--events", str(events), "--config", str(config), "--out", str(out)],
+    }
+    assert cli.main(argvs[reader]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config-error:") and bad_key in err
+    assert not out.exists()
+    assert cli.main(argvs[other]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out.exists() == (other == "fit-mcmc")
 
 
 def fit_mcmc_argv(tmp_path, **cfg):
@@ -325,10 +392,12 @@ def test_flat_prior_still_fits(tmp_path):
 
 
 def test_chain_that_never_moves_is_listed_in_the_manifest(tmp_path):
-    """A chain that accepts nothing still exits 0; its warning is in the manifest."""
+    """A chain that accepts nothing still exits 0, with no warning; the
+    manifest's diagnostics say so."""
     msg = "chain never accepted a proposal; widen priors or shrink proposal_sd"
     cfg = {"degree": 1, "iters": 30, "burnin": 5, "adapt_proposals": False, "proposal_sd": 1e6, "seed": 1}
-    with pytest.warns(RuntimeWarning, match=msg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(fit_mcmc_argv(tmp_path, **cfg)) == cli.EXIT_OK
     manifest = strict_json((tmp_path / "chain.csv.manifest.json").read_text(encoding="utf-8"))
     assert manifest["diagnostics"] == [msg] and manifest["accept_rate"] == 0.0
@@ -546,7 +615,7 @@ def test_successive_calls_match_separate_processes(tmp_path, capsys, monkeypatch
     fit = tmp_path / "fit.json"
     fit.write_text(json.dumps({"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 2}), encoding="utf-8")
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 1, "seed": -1}), encoding="utf-8")
+    bad.write_text(json.dumps({"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 1, "budget": 0}), encoding="utf-8")
     loglik = ["loglik", "--events", str(events), "--config", model]
     argvs = [
         loglik,

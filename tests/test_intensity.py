@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
-from marcox.intensity import PolyIntensity, grid_nonneg, kernel_moments, lambda_moments
+from marcox.intensity import PolyIntensity, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
 
 from _oracles import adaptive_simpson
 
@@ -74,7 +74,7 @@ def nonneg_polys(draw):
         poly = np.polynomial.polynomial.polymul(poly, factor)
     poly[0] += draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) * abs(poly).max()
     gamma = PolyIntensity(tuple(poly))
-    assume(gamma.is_nonneg(T))
+    assume(grid_nonneg(nonneg_matrix(T, gamma.degree) @ np.asarray(gamma.coeffs)))
     return gamma, T
 
 
@@ -104,7 +104,7 @@ def attained_bounds(draw):
         a = draw(st.floats(-1.0, 1.5 if d % 2 == 0 else 0.0)) * T
         coeffs = tuple(c * np.polynomial.polynomial.polypow((-a, 1.0), d))
     gamma = PolyIntensity(coeffs)
-    assume(gamma.is_nonneg(T))
+    assume(grid_nonneg(nonneg_matrix(T, gamma.degree) @ np.asarray(gamma.coeffs)))
     return gamma, T
 
 

@@ -225,16 +225,21 @@ class TestMarginalLikelihood:
         T=st.floats(0.1, 50.0),
         nudge=st.sampled_from([-1e-9, -1.01e-12, -1e-12, -0.99e-12, -1e-15, 0.0, 1e-15]),
     )
-    def test_is_nonneg_agrees_with_in_support_grid(self, coeffs, T, nudge):
-        """Coefficients pushed onto the edge of the tolerance: ``is_nonneg`` and
-        the grid part of ``in_support`` evaluate gamma as the same V c, so they
-        decide alike (a Horner evaluation differs in the last bits)."""
+    def test_validate_nonneg_agrees_with_in_support_grid(self, coeffs, T, nudge):
+        """Coefficients pushed onto the edge of the tolerance:
+        ``validate_nonneg`` and the grid part of ``in_support`` evaluate gamma
+        as the same V c, so they decide alike (a Horner evaluation differs in
+        the last bits)."""
         lik = MarginalLikelihood(load_path([0.5 * T], T), 0.5, 1.0, degree=len(coeffs) - 1)
         c = np.array(coeffs)
         vals = lik.V @ c
         c[0] += nudge * max(1.0, float(np.abs(vals).max())) - vals.min()
         on_grid = grid_nonneg(lik.V @ c)
-        assert PolyIntensity(tuple(c)).is_nonneg(T) == on_grid
+        if on_grid:
+            PolyIntensity(tuple(c)).validate_nonneg(T)
+        else:
+            with pytest.raises(ValidationError, match="negative"):
+                PolyIntensity(tuple(c)).validate_nonneg(T)
         assert on_grid or not lik.in_support(c)
 
     def test_wrong_coefficient_count_rejected(self):
@@ -677,8 +682,28 @@ class TestRay:
         assert lik.loglik(moved).loglik >= res.loglik - tol
 
     def test_no_interior_maximum_without_events(self):
+        """Without events loglik = -beta0 T - s L c falls from s = 0 on: the
+        best point is the end s = 0, where loglik is -beta0 T and the
+        gradient -L."""
         lik = MarginalLikelihood(load_path([], 4.0), 0.5, 0.7, degree=1)
-        assert lik.ray((1.0, 0.5), lik.loglik_grad((1.0, 0.5))[0]) is None
+        u, loglik, grad = lik.ray((1.0, 0.5), lik.loglik_grad((1.0, 0.5))[0])
+        assert u == -math.inf and loglik == pytest.approx(-2.0, rel=1e-15)
+        np.testing.assert_array_equal(grad, -lik._L)
+
+    @pytest.mark.parametrize("times", [[1.8, 2.0, 3.0, 3.7, 4.5], []], ids=["5-events", "no-events"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_the_end_at_zero_matches_a_pass_at_zero(self, times, degree):
+        """Where loglik falls from s = 0 on (beta0 = 1 explains these events
+        alone), ray's best point is the end s = 0, u = -inf; its value and
+        gradient are those of a pass at gamma = 0, and none is NaN."""
+        lik = MarginalLikelihood(load_path(times, 5.0), 1.0, 0.5, degree)
+        coeffs = np.zeros(degree + 1)
+        coeffs[:2] = (1.0, 0.1)[: degree + 1]
+        u, loglik, grad = lik.ray(coeffs, lik.loglik_grad(coeffs)[0])
+        at_zero, want_grad = lik.loglik_grad(np.zeros(degree + 1))
+        assert u == -math.inf
+        assert loglik == pytest.approx(at_zero.loglik, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
 
     def test_no_maximum_past_the_double_range(self):
         """At gamma = 1e-310 the best s is about 1e310: no move, and no

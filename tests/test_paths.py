@@ -88,7 +88,7 @@ class TestModelParams:
     def test_validate_checks_gamma_support(self):
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.1, -1.0)))
         with pytest.raises(ValidationError):
-            params.validate(1.0)
+            params.gamma.validate_nonneg(1.0)
 
 
 class TestAdaptPath:
@@ -212,6 +212,10 @@ class TestTuneW:
         """A lone event at T leaves int_0^T x*(s) ds = 0: no scale exists."""
         with pytest.raises(ValidationError, match="integral is 0"):
             tune_w(load_path([10.0], 10.0))
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            tune_w(load_path([], 10.0))
 
     def test_event_count_preserved_on_random_paths(self):
         rng = np.random.default_rng(77)

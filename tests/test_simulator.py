@@ -8,7 +8,7 @@ from scipy import stats
 
 from marcox.intensity import PolyIntensity
 from marcox.paths import CountPath, ModelParams, load_path
-from marcox.simulator import _latent_points, conditional_loglik, simulate, simulate_latent
+from marcox.simulator import SimResult, _latent_points, conditional_loglik, simulate, simulate_latent
 
 
 class TestSimulateLatent:
@@ -116,6 +116,10 @@ class TestSimulate:
         b = simulate(params, 3.0, seed=5)
         np.testing.assert_array_equal(a.x.jumps, b.x.jumps)
         np.testing.assert_array_equal(a.y.jumps, b.y.jumps)
+
+    def test_result_with_mismatched_horizons_rejected(self):
+        with pytest.raises(ValueError, match="share the horizon"):
+            SimResult(x=load_path([0.5], 1.0), y=load_path([0.5], 2.0))
 
     def test_paths_share_horizon_and_are_valid(self):
         params = ModelParams(beta0=1.0, w=2.0, gamma=PolyIntensity((2.0,)))
