@@ -7,7 +7,8 @@ data travel as CSV, configs and reports as strict JSON (a -inf
 log-likelihood is written as null).  The library renders each output file's
 text; one function here, ``_write_output``, writes it and then its
 ``<out>.manifest.json`` (command, config hash, seed, version, timestamps),
-each atomically (temp file + rename).
+each atomically (temp file + rename).  One function, ``_read_config``,
+reads every config and turns each error in it into exit 65.
 
 Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
 """
@@ -137,7 +138,13 @@ def _json(obj, indent: int | None = None) -> str:
     return json.dumps(clean(obj), indent=indent, allow_nan=False)
 
 
-def _load_json(path: str) -> dict:
+def _read_config(path: str, read):
+    """T, (beta0, w) and ``read(cfg, T)`` from the JSON object at ``path``.
+
+    T, beta0 and w are required and checked by the library's rules; ``read``
+    takes the command's own keys from ``cfg``, and only those.  A missing
+    key or a bad value is a ``ConfigError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -145,30 +152,26 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    return cfg
-
-
-def _model_scalars(cfg: dict) -> tuple[float, float, float]:
-    """T, beta0 and w of a model or fit config: required, checked by the library's rules."""
-    return (check_horizon(cfg["T"]), *check_rates(cfg["beta0"], cfg["w"]))
-
-
-def _load_model_config(path: str) -> tuple[float, ModelParams]:
-    cfg = _load_json(path)
     try:
-        T, beta0, w = _model_scalars(cfg)
-        params = ModelParams(beta0, w, PolyIntensity.from_config(cfg["gamma"]))
-        params.gamma.validate_nonneg(T)
+        T = check_horizon(cfg["T"])
+        return T, check_rates(cfg["beta0"], cfg["w"]), read(cfg, T)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-    return T, params
+        raise ConfigError(f"bad config: {exc}") from exc
+
+
+def _gamma(cfg: dict, T: float) -> PolyIntensity:
+    """A model config's own key: gamma, nonnegative on [0, T]."""
+    gamma = PolyIntensity.from_config(cfg["gamma"])
+    gamma.validate_nonneg(T)
+    return gamma
 
 
 def _cmd_simulate(args) -> int:
     started = _utcnow()
-    T, params = _load_model_config(args.config)
+    T, rates, gamma = _read_config(args.config, _gamma)
+    params = ModelParams(*rates, gamma)
     result = simulate(params, T, seed=args.seed)
     comments = [f"seed={args.seed}", f"T={T!r}"]
     _write_output(args.out, events_csv(result.x.jumps, comments), "simulate", args.config, args.seed, started)
@@ -179,7 +182,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_loglik(args) -> int:
-    T, params = _load_model_config(args.config)
+    T, rates, gamma = _read_config(args.config, _gamma)
+    params = ModelParams(*rates, gamma)
     x = load_path(read_events_csv(args.events), T)
     res = marginal_loglik(x, params)
     print(
@@ -196,7 +200,8 @@ def _cmd_loglik(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    T, params = _load_model_config(args.config)
+    T, rates, gamma = _read_config(args.config, _gamma)
+    params = ModelParams(*rates, gamma)
     x = load_path(read_events_csv(args.events), T)
     loglik = marginal_loglik(x, params).loglik
     if loglik == -math.inf:
@@ -208,39 +213,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _fit_inputs(args, read):
-    """Path, fixed (beta0, w) and ``read(cfg)``: the keys of the fit config
-    that the command reads, and only those, checked so that a bad value is
-    a config error."""
-    cfg = _load_json(args.config)
-    try:
-        T, beta0, w = _model_scalars(cfg)
-        settings = read(cfg)
-    except KeyError as exc:
-        raise ConfigError(f"config missing key: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fit config: {exc}") from exc
-    return load_path(read_events_csv(args.events), T), (beta0, w), settings
-
-
-def _sampler_config(cfg: dict) -> FitConfig:
-    """fit-mcmc's keys: the fields of ``FitConfig``."""
-    known = {f.name for f in fields(FitConfig)}
-    return FitConfig(**{k: v for k, v in cfg.items() if k in known})
-
-
-def _mle_config(cfg: dict) -> tuple[FitConfig, int]:
-    """fit-mle's keys: degree and start, checked by ``FitConfig``'s rules
-    (its sampler fields keep their defaults), and the pass budget."""
-    budget = cfg.get("budget", 2000)
-    check_count(budget, "budget", 1)
-    return FitConfig(degree=cfg["degree"], start=cfg.get("start")), budget
-
-
 def _cmd_fit_mcmc(args) -> int:
     started = _utcnow()
-    x, fixed, fit = _fit_inputs(args, _sampler_config)
-    chain = mh_fit(x, fixed, fit)
+    # fit-mcmc's own keys: degree, and any other field of FitConfig.
+    others = {f.name for f in fields(FitConfig)} - {"degree"}
+    T, fixed, fit = _read_config(
+        args.config, lambda cfg, T: FitConfig(degree=cfg["degree"], **{k: v for k, v in cfg.items() if k in others})
+    )
+    chain = mh_fit(load_path(read_events_csv(args.events), T), fixed, fit)
     _write_output(
         args.out,
         chain_csv(chain),
@@ -254,13 +234,22 @@ def _cmd_fit_mcmc(args) -> int:
             "n_bound_rejected": chain.n_bound_rejected,
             "n_support_rejected": chain.n_support_rejected,
             "diagnostics": list(chain.diagnostics),
+            "proposal_sd": chain.proposal_sd.tolist(),
         },
     )
     return EXIT_OK
 
 
 def _cmd_fit_mle(args) -> int:
-    x, fixed, (fit, budget) = _fit_inputs(args, _mle_config)
+    def read(cfg: dict, T: float) -> tuple[FitConfig, int]:
+        """fit-mle's own keys: degree and start, checked by ``FitConfig``'s
+        rules (its sampler fields keep their defaults), and the pass budget."""
+        budget = cfg.get("budget", 2000)
+        check_count(budget, "budget", 1)
+        return FitConfig(degree=cfg["degree"], start=cfg.get("start")), budget
+
+    T, fixed, (fit, budget) = _read_config(args.config, read)
+    x = load_path(read_events_csv(args.events), T)
     res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, budget=budget)
     print(
         _json(

@@ -170,6 +170,11 @@ class Chain:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
+# A width near the double range can overflow a proposal step, and a state
+# far out in the prior z . z; the support check refuses the first and the
+# second gives a prior of -inf.  One errstate for the whole chain keeps both
+# quiet with no errstate switch per proposal.
+@np.errstate(over="ignore")
 def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> Chain:
     """Block random-walk Metropolis on the coefficients, beta0 and w fixed.
 
@@ -192,16 +197,6 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     proposal is reported in ``diagnostics``, the chain's one report of it.
     Deterministic given (data, config, seed).
     """
-    # A width near the double range can overflow a proposal step, and a
-    # state far out in the prior z . z; the support check refuses the first
-    # and the second gives a prior of -inf.  One errstate for the whole
-    # chain keeps both quiet with no errstate switch per proposal.
-    with np.errstate(over="ignore"):
-        return _mh_chain(x, params_fixed, cfg)
-
-
-def _mh_chain(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> Chain:
-    """``mh_fit``'s chain, run under its errstate."""
     beta0, w = params_fixed
     rng = np.random.default_rng(cfg.seed)
     d = cfg.degree + 1

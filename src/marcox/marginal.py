@@ -87,8 +87,11 @@ evaluates to that best point.
 
 What one coefficient vector gives is one record (``_Masses``), keyed by its
 shape and bytes: int lambda and, when it and the masses B~ c are
-admissible, the masses' logs, read-only.  A ``MarginalLikelihood`` keeps
-the record of the last coefficients given, so a proposal takes its masses
+admissible, the masses' logs, read-only; the support verdict
+(``in_support``); and the tilt log A_M - log A_1, NaN unless every mass is
+> 0.  Every mass > 0 makes f_M(M) = prod_m w A_m > 0, so a pass with a
+finite tilt is possible.  A ``MarginalLikelihood`` keeps the record of the
+last coefficients given, so a proposal takes its masses, verdict and tilt
 once for its support check, bound and pass; a pass's result carries the log
 masses it used (``MarginalResult.log_masses``) and their tilt, where
 ``loglik_bound`` finds its references'.  The record saves work only: every
@@ -139,7 +142,7 @@ class MarginalResult:
     masses the pass used (-inf for a mass of 0), read-only; None when not
     computed.  ``log_tilt`` is log A_M - log A_1 (0 at M = 0), by which
     ``loglik_bound`` picks its reference; NaN when the result cannot serve
-    as one (a mass of 0, the -inf sentinel) or was not computed.
+    as one (a mass of 0, which every -inf sentinel has) or was not computed.
     """
 
     loglik: float
@@ -174,6 +177,8 @@ class _Masses:
     key: tuple  # the coefficients' shape and bytes
     lam: float  # int lambda
     log: np.ndarray | None  # log A_m e^{w (T - t_m)}, read-only; None unless admissible
+    support: bool  # admissible, and gamma passes grid_nonneg at the check times
+    tilt: float  # log A_M - log A_1 (0 at M = 0); NaN unless every mass is > 0
 
 
 class MarginalLikelihood:
@@ -239,12 +244,12 @@ class MarginalLikelihood:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: every
         kernel mass and the lambda integral are finite and >= 0, and gamma
         passes ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
-        holds, ``loglik`` does not raise.  The masses go into the kept record
-        (module docstring), so the next ``loglik_bound``, ``loglik`` or
-        ``loglik_grad`` at the same coefficients (the same bytes) does not
-        compute them again."""
-        c = np.asarray(coeffs, dtype=float)
-        return self._record(c).log is not None and grid_nonneg(self.V @ c)
+        holds, ``loglik`` does not raise.  The verdict is the kept record's
+        (module docstring), which also holds the masses and their tilt, so
+        another ``in_support``, ``loglik_bound``, ``loglik`` or
+        ``loglik_grad`` at the same coefficients (the same bytes) computes
+        none of them again."""
+        return self._record(coeffs).support
 
     def loglik_bound(self, coeffs, refs: Sequence[MarginalResult]) -> float:
         """An upper bound on ``loglik(coeffs).loglik`` from one of ``refs``,
@@ -263,13 +268,11 @@ class MarginalLikelihood:
 
         where r_(1) >= r_(2) >= ... are the mass ratios A'_m / A_m in
         decreasing order and pi = exp(ref.log_k); equality holds when every
-        ratio is the same.  The masses at coeffs come from the kept record,
-        those of the reference from ``ref.log_masses``.
+        ratio is the same.  The masses at coeffs and their tilt come from the
+        kept record, those of the reference from ``ref.log_masses``.
         """
         rec = self._admissible(coeffs)
-        # Python floats: a zero first and last mass give NaN without a warning.
-        tilt = float(rec.log[-1]) - float(rec.log[0]) if rec.log.size else 0.0
-        ref = _nearest(refs, tilt)
+        ref = _nearest(refs, rec.tilt)
         if ref is None:
             return math.inf
         # Every mass of ref is positive; a mass of 0 at coeffs gives -inf.
@@ -373,13 +376,16 @@ class MarginalLikelihood:
             # in the products; the test below refuses whatever they give.
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled, lam = self._B @ c, float(self._L @ c)
-        log = None
+        log, support, tilt = None, False, math.nan
         if 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf:
             with np.errstate(divide="ignore"):
                 log = np.log(scaled)
             # Results share it (MarginalResult.log_masses), so none may write to it.
             log.flags.writeable = False
-        return _Masses((c.shape, c.tobytes()), lam, log)
+            support = grid_nonneg(self.V @ c)
+            if scaled.min(initial=1.0) > 0.0:
+                tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
+        return _Masses((c.shape, c.tobytes()), lam, log, support, tilt)
 
     def _record(self, coeffs) -> _Masses:
         """The kept record when its bytes are coeffs', else a new one, kept instead."""
@@ -443,10 +449,6 @@ class MarginalLikelihood:
                     logaddexp(shifted, g, shifted)
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
-        # NaN unless this pass can serve loglik_bound as a reference.
-        tilt = math.nan
-        if poly_log > -math.inf and rec.log.min(initial=0.0) > -math.inf:
-            tilt = float(rec.log[-1] - rec.log[0]) if M else 0.0
         possible = poly_log > -math.inf
         result = MarginalResult(
             loglik=poly_log + exponent,
@@ -455,7 +457,7 @@ class MarginalLikelihood:
             log_k=f - poly_log if possible else None,
             log_masses=rec.log,
             log_dk=rows[:, 1:] - poly_log if grad and possible else None,
-            log_tilt=tilt,
+            log_tilt=rec.tilt,  # finite only where every mass is > 0, so f_M(M) > 0 and the pass is possible
         )
         if not grad:
             return result

@@ -204,16 +204,23 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
-@pytest.mark.parametrize("key", ["T", "beta0", "w", "gamma"])
-@pytest.mark.parametrize("command", ["simulate", "loglik"])
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("simulate", "loglik") for key in ("T", "beta0", "w", "gamma")]
+    + [(command, key) for command in ("fit-mcmc", "fit-mle") for key in ("degree", "T")],
+)
 def test_model_config_missing_a_key_is_a_config_error(tmp_path, capsys, command, key):
-    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "gamma": {"type": "poly", "coeffs": [1.0]}}
+    """Every command names a missing key as the config spells it, a fit's
+    degree among them."""
+    own = {"degree": 1} if command.startswith("fit") else {"gamma": {"type": "poly", "coeffs": [1.0]}}
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, **own}
     config = tmp_path / "model.json"
     config.write_text(json.dumps({k: v for k, v in cfg.items() if k != key}), encoding="utf-8")
     events = tmp_path / "events.csv"
     write_events(events, [1.0, 2.0])
     out = tmp_path / "out.csv"
-    files = ["--out", str(out)] if command == "simulate" else ["--events", str(events)]
+    files = [] if command == "simulate" else ["--events", str(events)]
+    files += ["--out", str(out)] if command in ("simulate", "fit-mcmc") else []
     assert cli.main([command, "--config", str(config)] + files) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"config-error: config missing key: {key}\n" and captured.out == ""
@@ -583,6 +590,7 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
         "n_bound_rejected",
         "n_support_rejected",
         "diagnostics",
+        "proposal_sd",
     }
     assert manifest["command"] == "fit-mcmc"
     assert manifest["config_hash"] == hashlib.sha256(config.read_bytes()).hexdigest()
@@ -596,6 +604,7 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
     assert manifest["n_support_rejected"] == want.n_support_rejected
     assert want.n_evals + want.n_bound_rejected + want.n_support_rejected == fit["iters"]
     assert manifest["diagnostics"] == list(want.diagnostics)
+    assert manifest["proposal_sd"] == want.proposal_sd.tolist()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "chain.csv",
         "chain.csv.manifest.json",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from marcox import inference
+from marcox import inference, marginal
 from marcox.errors import ValidationError
 from marcox.inference import (
     Chain,
@@ -85,19 +85,31 @@ class TestMhFit:
         assert nonneg_calls == []
 
     def test_masses_computed_once_per_proposal(self, path, monkeypatch):
-        """A proposal's likelihood pass reuses the masses of its support check."""
-        calls = []
-        original = MarginalLikelihood._masses
+        """A proposal's likelihood pass reuses the masses of its support
+        check, and the grid is evaluated at most once per record: the record
+        holds the support verdict."""
+        calls, grid_calls = [], []
+        original, original_grid = MarginalLikelihood._masses, marginal.grid_nonneg
 
         def counting(self, coeffs):
             calls.append(np.array(coeffs))
             return original(self, coeffs)
 
+        def counting_grid(vals):
+            grid_calls.append(len(calls))  # the _masses call it belongs to
+            return original_grid(vals)
+
         monkeypatch.setattr(MarginalLikelihood, "_masses", counting)
+        monkeypatch.setattr(marginal, "grid_nonneg", counting_grid)
         cfg = config(3, proposal_sd=0.4, adapt_proposals=False)
         chain = mh_fit(path, (BETA0, W), cfg)
         assert chain.n_evals > 0
         assert len(calls) == cfg.iters + 1  # one per support check, none per pass
+        assert 0 < len(grid_calls) == len(set(grid_calls)) <= len(calls)
+        lik = MarginalLikelihood(path, BETA0, W, 1)
+        before = len(grid_calls)
+        assert lik.in_support(np.array(TRUTH)) and lik.in_support(np.array(TRUTH))
+        assert len(grid_calls) == before + 1
 
     @pytest.mark.parametrize(
         "kw",

@@ -624,6 +624,41 @@ class TestLoglikBound:
         good = lik.loglik((2.0,))
         assert lik.loglik_bound((1.0,), (ref, good)) == lik.loglik_bound((1.0,), (good,)) < math.inf
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        M=st.integers(0, 120),
+        beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        w=st.floats(1e-2, 5.0),
+        T=st.floats(1.0, 50.0),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        # None is gamma = 0; near 1e-322 the smallest masses round to 0 and the others do not.
+        log10_scale=st.one_of(st.none(), st.floats(-324.0, 2.0), st.floats(-324.0, -318.0)),
+    )
+    def test_tilt_is_nan_exactly_at_a_zero_mass(self, M, beta0, w, T, degree, seed, log10_scale):
+        """The record's tilt is NaN exactly where a mass is 0, and a pass
+        whose masses are all > 0 has a finite loglik: f_M(M) = prod_m w A_m
+        > 0, so no pass with a finite tilt is the -inf sentinel."""
+        lik, ref_coeffs, _ = bound_case(M, beta0, w, T, degree, seed)
+        coeffs = 0.0 * ref_coeffs if log10_scale is None else ref_coeffs * 10.0**log10_scale
+        res = lik.loglik(coeffs)
+        zero_mass = bool((res.log_masses == -math.inf).any())
+        assert math.isnan(res.log_tilt) is zero_mass
+        if not zero_mass:
+            assert math.isfinite(res.loglik)
+            assert res.log_tilt == (float(res.log_masses[-1] - res.log_masses[0]) if M else 0.0)
+
+    @pytest.mark.parametrize("beta0", [0.0, 0.7])
+    def test_a_first_mass_of_zero_bounds_against_the_first_usable_reference(self, beta0):
+        """A first mass that rounds to 0 under a later positive one gives a
+        NaN tilt, and the bound takes the first reference of finite tilt."""
+        lik = MarginalLikelihood(load_path([1e-300, 0.5], 1.0), beta0, 1.0, 0)
+        res = lik.loglik((1e-30,))
+        assert res.log_masses[0] == -math.inf < res.log_masses[1] and math.isnan(res.log_tilt)
+        assert math.isfinite(res.loglik) is (beta0 > 0.0)
+        refs = [lik.loglik((c,)) for c in (0.0, 2.0, 1e-30, 0.5)]
+        assert lik.loglik_bound((1e-30,), refs) == lik.loglik_bound((1e-30,), refs[1:2])
+
 
 class TestRay:
     """ray: the log-likelihood and its gradient along the ray {s c} from the
