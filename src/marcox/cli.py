@@ -150,6 +150,8 @@ def _read_config(path: str, read):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc.reason}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     try:

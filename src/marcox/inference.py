@@ -221,29 +221,32 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     cur_post = cur_res.loglik + log_prior(current)
     margin = bound_margin(cur_res)
     ring: deque[MarginalResult] = deque(maxlen=_RING)
+    refs = (cur_res,)  # the bound's references, (cur_res, *ring), rebuilt after each pass
 
     def try_move(prop: np.ndarray) -> tuple[bool, bool]:
         """Accept/reject one proposal; returns (accepted, support_rejected)."""
-        nonlocal current, cur_res, cur_post, margin, evals, bound_rejected
+        nonlocal current, cur_res, cur_post, margin, evals, bound_rejected, refs
         if not lik.in_support(prop):
             rng.random()  # burn the decision draw to keep the stream aligned
             return False, True
         log_u = math.log(rng.random())
         prior = log_prior(prop)
         # The exact test fails wherever the bound's does, up to the margin.
-        if log_u >= lik.loglik_bound(prop, (cur_res, *ring)) + prior - cur_post + margin:
+        if log_u >= lik.loglik_bound(prop, refs) + prior - cur_post + margin:
             bound_rejected += 1
             return False, False
         evals += 1
         res = lik.loglik(prop)
         margin = max(margin, bound_margin(res))
         post = res.loglik + prior
-        if log_u < post - cur_post:
+        accepted = log_u < post - cur_post
+        if accepted:
             ring.append(cur_res)
             current, cur_res, cur_post = prop, res, post
-            return True, False
-        ring.append(res)
-        return False, False
+        else:
+            ring.append(res)
+        refs = (cur_res, *ring)
+        return accepted, False
 
     def step(scale: np.ndarray) -> tuple[bool, int]:
         """One MH iteration; returns (any move accepted, support rejections).
@@ -587,34 +590,38 @@ def read_chain_csv(path: str | Path) -> np.ndarray:
 
     Every row is checked whole: its field count, a loglik that parses as a
     float, an accepted flag of 0 or 1 and finite coefficients; a bad row
-    raises ``ValidationError`` naming its line.  Only the draws are kept,
-    which is all ``summarize`` reads.
+    raises ``ValidationError`` naming its line, and so does a file that is
+    not UTF-8, naming the file.  Only the draws are kept, which is all
+    ``summarize`` reads.
     """
     import csv  # imported on use, so that importing marcox does not load it
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:
-            raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
-        d = len(header) - 3
-        draws = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"chain CSV line {reader.line_num}"
-            if len(row) != d + 3:
-                raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
-            if row[-1] not in ("0", "1"):
-                raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
-            try:
-                coeffs = [float(v) for v in row[1 : 1 + d]]
-                float(row[-2])
-            except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ValidationError(f"{where}: coefficients must be finite")
-            draws.append(coeffs)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:
+                raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
+            d = len(header) - 3
+            draws = []
+            for row in reader:
+                if not row:
+                    continue
+                where = f"chain CSV line {reader.line_num}"
+                if len(row) != d + 3:
+                    raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
+                if row[-1] not in ("0", "1"):
+                    raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
+                try:
+                    coeffs = [float(v) for v in row[1 : 1 + d]]
+                    float(row[-2])
+                except ValueError as exc:
+                    raise ValidationError(f"{where}: {exc}") from None
+                if not all(math.isfinite(c) for c in coeffs):
+                    raise ValidationError(f"{where}: coefficients must be finite")
+                draws.append(coeffs)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"chain CSV {path} is not valid UTF-8: {exc.reason}") from exc
     if not draws:
         raise ValidationError("chain CSV has no draws")
     return np.asarray(draws, dtype=float)

@@ -86,14 +86,19 @@ where only f_M(0) and D_p f_M(1) remain.  ``mle_fit`` moves each point it
 evaluates to that best point.
 
 What one coefficient vector gives is one record (``_Masses``), keyed by its
-shape and bytes: int lambda and, when it and the masses B~ c are
-admissible, the masses' logs, read-only; the support verdict
-(``in_support``); and the tilt log A_M - log A_1, NaN unless every mass is
-> 0.  Every mass > 0 makes f_M(M) = prod_m w A_m > 0, so a pass with a
-finite tilt is possible.  A ``MarginalLikelihood`` keeps the record of the
-last coefficients given, so a proposal takes its masses, verdict and tilt
-once for its support check, bound and pass; a pass's result carries the log
-masses it used (``MarginalResult.log_masses``) and their tilt, where
+shape and bytes: int lambda and, when it and the masses B~ c are admissible,
+the masses' logs, read-only; the support verdict (``in_support``); and the
+tilt log A_M - log A_1, NaN unless every mass is > 0.  Every mass > 0 makes
+f_M(M) = prod_m w A_m > 0, so a pass with a finite tilt is possible.  One
+min of the masses decides both: with the sign of int lambda it decides
+admissibility, and the tilt is finite where it is > 0.  Below a sum of |c|
+at which the products cannot overflow, int lambda and every mass are finite,
+so nothing else is read; above it the largest mass and int lambda must also
+be finite.  The log of a mass of 0 is -inf, so ``np.errstate`` is entered
+only where that min is exactly 0.  A ``MarginalLikelihood`` keeps the record
+of the last coefficients given, so a proposal takes its masses, verdict and
+tilt once for its support check, bound and pass; a pass's result carries the
+log masses it used (``MarginalResult.log_masses``) and their tilt, where
 ``loglik_bound`` finds its references'.  The record saves work only: every
 value is the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
@@ -165,6 +170,8 @@ def _nearest(refs: Sequence[MarginalResult], tilt: float) -> MarginalResult | No
     best, gap = None, math.inf
     for ref in refs:
         d = abs(ref.log_tilt - tilt)  # NaN when either tilt is NaN
+        # log_tilt is read again only while no reference is chosen, so a
+        # local copy of it would cost a store per reference and save nothing.
         if d < gap or best is None and not math.isnan(ref.log_tilt):
             best, gap = ref, d
     return best
@@ -369,23 +376,28 @@ class MarginalLikelihood:
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.degree + 1,):
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
-        if sum(map(abs, c.tolist())) < self._quiet_coeff_sum:
+        key = (c.shape, c.tobytes())
+        quiet = sum(map(abs, c.tolist())) < self._quiet_coeff_sum
+        if quiet:  # lam and every mass are finite
             scaled, lam = self._B @ c, float(self._L @ c)
         else:
             # Huge, infinite or NaN coefficients can overflow or form inf - inf
-            # in the products; the test below refuses whatever they give.
+            # in the products; NaN fails every test below, and inf the upper ones.
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled, lam = self._B @ c, float(self._L @ c)
-        log, support, tilt = None, False, math.nan
-        if 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf:
+        low = scaled.min(initial=math.inf)
+        if not (low >= 0.0 and lam >= 0.0 and (quiet or lam < math.inf and scaled.max(initial=0.0) < math.inf)):
+            return _Masses(key, lam, None, False, math.nan)
+        if low > 0.0:  # every mass > 0 (or none, at M = 0)
+            log = np.log(scaled)
+            tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
+        else:  # a mass of 0, whose log is -inf
             with np.errstate(divide="ignore"):
                 log = np.log(scaled)
-            # Results share it (MarginalResult.log_masses), so none may write to it.
-            log.flags.writeable = False
-            support = grid_nonneg(self.V @ c)
-            if scaled.min(initial=1.0) > 0.0:
-                tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
-        return _Masses((c.shape, c.tobytes()), lam, log, support, tilt)
+            tilt = math.nan
+        # Results share it (MarginalResult.log_masses), so none may write to it.
+        log.flags.writeable = False
+        return _Masses(key, lam, log, grid_nonneg(self.V @ c), tilt)
 
     def _record(self, coeffs) -> _Masses:
         """The kept record when its bytes are coeffs', else a new one, kept instead."""

@@ -154,22 +154,26 @@ def tune_w(x_star: CountPath) -> float:
 
 def read_events_csv(path: str | Path) -> list[float]:
     """Event times from the file at ``path``: one per line; '#' lines are
-    comments; the first other line may be a 'time' header."""
+    comments; the first other line may be a 'time' header.  A file that is
+    not UTF-8 raises ``ValidationError``."""
     times: list[float] = []
     first = True
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if first:
-                first = False
-                if line.lower() == "time":
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
-            try:
-                times.append(float(line))
-            except ValueError as exc:
-                raise ValidationError(f"bad event time on line {lineno}: {line!r}") from exc
+                if first:
+                    first = False
+                    if line.lower() == "time":
+                        continue
+                try:
+                    times.append(float(line))
+                except ValueError as exc:
+                    raise ValidationError(f"bad event time on line {lineno}: {line!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"events file {path} is not valid UTF-8: {exc.reason}") from exc
     return times
 
 

@@ -3,13 +3,15 @@
 These deliberately avoid the library's closed forms: adaptive Simpson
 quadrature for integrals and a brute-force Riemann integrator for step/
 piecewise-linear paths.  Tests compare library results against these.
-``per_step_run``, ``dense_mc_chunk`` and
+``per_step_run``, ``three_reduction_masses``, ``dense_mc_chunk`` and
 ``loop_adapt_path`` are the exceptions: plain forms of library code kept as
 references for the faster forms that replaced them.  They are the
-likelihood's own step loop, cut per step (for the blocked loop); the Monte
-Carlo oracle's log weights from a dense (latent points x events) comparison
-table (for the counting that replaced it); and the per-level loops of the
-adaptation transform (for its vectorized form).
+likelihood's own step loop, cut per step (for the blocked loop); the record
+of one coefficient vector, decided by three reductions of the masses (for
+the one min that replaced them); the Monte Carlo oracle's log weights from a
+dense (latent points x events) comparison table (for the counting that
+replaced it); and the per-level loops of the adaptation transform (for its
+vectorized form).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from marcox.errors import ValidationError
+from marcox.intensity import grid_nonneg
 from marcox.marginal import _logsumexp
 from marcox.paths import CountPath
 from marcox.simulator import _latent_points
@@ -123,6 +126,25 @@ def per_step_run(lik, coeffs, grad=False):
         with np.errstate(over="ignore"):
             ratio = np.exp(sens - poly_log)
     return value, ratio - lik._L
+
+
+def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, bool, float]:
+    """(lam, log masses' bytes or None, support, tilt) of coeffs, the fields
+    of ``MarginalLikelihood._masses``'s record, by the rule it replaced:
+    admissible when 0 <= lam < inf, the least mass (0 when there are none)
+    is >= 0 and the largest < inf; the tilt finite when the least mass (1
+    when there are none) is > 0.  The products and the log are taken under
+    one ``np.errstate`` for every input."""
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scaled, lam = lik._B @ c, float(lik._L @ c)
+        log, support, tilt = None, False, math.nan
+        if 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf:
+            log = np.log(scaled)
+            support = grid_nonneg(lik.V @ c)
+            if scaled.min(initial=1.0) > 0.0:
+                tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
+    return lam, None if log is None else log.tobytes(), support, tilt
 
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:

@@ -512,6 +512,37 @@ def test_non_finite_chain_coefficient_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, bad, code, message",
+    [
+        ("fit-mle", "fit.json", cli.EXIT_CONFIG, "config-error: config is not valid UTF-8: invalid start byte"),
+        ("loglik", "events.csv", cli.EXIT_VALIDATION, "validation-error: events file {} is not valid UTF-8: invalid start byte"),
+        ("summarize", "chain.csv", cli.EXIT_VALIDATION, "validation-error: chain CSV {} is not valid UTF-8: invalid start byte"),
+    ],
+    ids=["config", "events", "chain"],
+)
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, bad, code, message):
+    """A byte 0xff in a config is a config error; in an events or chain CSV
+    it is a validation error naming the file.  Either way stderr is one
+    line, not a traceback."""
+    write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
+    (tmp_path / "fit.json").write_text('{"T": 10.0, "beta0": 1.0, "w": 0.5, "degree": 1, "note": "?"}', encoding="utf-8")
+    write_events(tmp_path / "events.csv", [1.0, 2.0, 4.5])
+    (tmp_path / "chain.csv").write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    target = tmp_path / bad
+    target.write_bytes(target.read_bytes().replace(b"?" if bad == "fit.json" else b"1.", b"\xff", 1))
+    out = tmp_path / "bands.csv"
+    argv = {
+        "fit-mle": ["--events", str(tmp_path / "events.csv"), "--config", str(tmp_path / "fit.json")],
+        "loglik": ["--events", str(tmp_path / "events.csv"), "--config", str(tmp_path / "model.json")],
+        "summarize": ["--chain", str(tmp_path / "chain.csv"), "--grid", "0:1:3", "--out", str(out)],
+    }[command]
+    assert cli.main([command] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message.format(target) + "\n" and captured.out == ""
+    assert not out.exists()
+
+
 def strict_json(text):
     """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
 

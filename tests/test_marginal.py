@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
@@ -16,7 +16,7 @@ from marcox.marginal import _BLOCK, MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
-from _oracles import adaptive_simpson, per_step_run
+from _oracles import adaptive_simpson, per_step_run, three_reduction_masses
 from _pinned import pinned_path
 
 UNIT = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((1.0,)))
@@ -658,6 +658,58 @@ class TestLoglikBound:
         assert math.isfinite(res.loglik) is (beta0 > 0.0)
         refs = [lik.loglik((c,)) for c in (0.0, 2.0, 1e-30, 0.5)]
         assert lik.loglik_bound((1e-30,), refs) == lik.loglik_bound((1e-30,), refs[1:2])
+
+
+# A coefficient: 0, +-1e-300 to +-1e300, +-inf or NaN.
+_coefficient = st.builds(
+    lambda sign, magnitude: sign * magnitude,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.just(math.inf), st.just(math.nan)),
+)
+
+
+class TestMassesRecord:
+    """The record of one coefficient vector is the one the three-reduction
+    rule gives (``_oracles.three_reduction_masses``), and building it never
+    warns: the suite turns a RuntimeWarning into an error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        M=st.sampled_from([0, 1, 80]),
+        w=st.floats(1e-2, 5.0),
+        T=st.floats(1.0, 50.0),
+        degree=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        coeffs=st.lists(_coefficient, min_size=4, max_size=4),
+        first_zero=st.booleans(),
+        quiet_ratio=st.one_of(st.none(), st.floats(0.5, 2.0)),
+    )
+    # Just below and just above the quiet sum of |c|; a first mass of exactly
+    # 0 under positive ones; no masses at all; late masses that overflow to
+    # inf while int lambda (small w T) stays finite.
+    @example(M=80, w=0.5, T=15.0, degree=1, seed=3, coeffs=[1.0, 0.1, 0.0, 0.0], first_zero=False, quiet_ratio=0.999)
+    @example(M=80, w=0.5, T=15.0, degree=1, seed=3, coeffs=[1.0, 0.1, 0.0, 0.0], first_zero=False, quiet_ratio=1.001)
+    @example(M=80, w=0.5, T=15.0, degree=2, seed=3, coeffs=[1.0, 0.1, 0.0, 0.0], first_zero=True, quiet_ratio=None)
+    @example(M=0, w=0.5, T=15.0, degree=1, seed=3, coeffs=[math.inf, 0.1, 0.0, 0.0], first_zero=False, quiet_ratio=None)
+    @example(M=80, w=0.01, T=10.0, degree=0, seed=3, coeffs=[1e308, 0.0, 0.0, 0.0], first_zero=False, quiet_ratio=None)
+    def test_record_matches_the_three_reduction_rule(self, M, w, T, degree, seed, coeffs, first_zero, quiet_ratio):
+        """quiet_ratio rescales finite coefficients to that multiple of
+        ``_quiet_coeff_sum``; first_zero puts the first event at 1e-200 and
+        sets c_0 = 0, so that the first mass is exactly 0."""
+        times = np.sort(np.random.default_rng(seed).uniform(0.0, T, M))
+        c = np.array(coeffs[: degree + 1])
+        if first_zero and M:
+            times[0], c[0] = 1e-200, 0.0  # B~_(1,p) = 0 for p >= 1, and c_0 B~_(1,0) = 0
+        lik = MarginalLikelihood(load_path(times, T), 1.0, w, degree)
+        total = float(np.abs(c).sum())
+        if quiet_ratio is not None and 0.0 < total < math.inf:
+            c = c / total * (quiet_ratio * lik._quiet_coeff_sum)
+        rec = lik._masses(c)
+        lam, log, support, tilt = three_reduction_masses(lik, c)
+        assert rec.lam.hex() == lam.hex()
+        assert (None if rec.log is None else rec.log.tobytes()) == log
+        assert rec.support is support
+        assert rec.tilt.hex() == tilt.hex()
 
 
 class TestRay:
