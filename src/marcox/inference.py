@@ -192,16 +192,19 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     chain is the one a pass for every proposal would give.  Over the main
     run, ``n_evals`` counts the passes, ``n_bound_rejected`` the proposals
     the bound rejected and ``n_support_rejected`` those outside the
-    support, so in block mode the three add up to ``iters``; the start's
-    pass and the pilot are not counted.  A main run that accepts no
-    proposal is reported in ``diagnostics``, the chain's one report of it.
-    Deterministic given (data, config, seed).
+    support, so the three add up to ``iters`` in block mode and to ``iters``
+    x (degree + 1) with ``per_coordinate``, one move per coordinate; the
+    start's pass and the pilot are not counted.  The pilot (``pilot_iters``
+    iterations when ``adapt_proposals``) and the main run are one loop:
+    the pilot rescales the widths after each iteration, and the main run
+    keeps the last widths, records draws and starts the counters at 0.  A
+    main run that accepts no proposal is reported in ``diagnostics``, the
+    chain's one report of it.  Deterministic given (data, config, seed).
     """
     beta0, w = params_fixed
     rng = np.random.default_rng(cfg.seed)
     d = cfg.degree + 1
 
-    evals = bound_rejected = 0
     lik = MarginalLikelihood(x, beta0, w, cfg.degree)
     current = _start(lik, x, d, cfg.start)
 
@@ -216,79 +219,61 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         ``res``: far above the rounding of the bound and of the exact test."""
         return _BOUND_MARGIN * (1.0 + abs(res.polynomial_term_log) + abs(res.exponent_term))
 
-    sd = np.array(cfg.proposal_sd, dtype=float)
     cur_res = lik.loglik(current)
     cur_post = cur_res.loglik + log_prior(current)
     margin = bound_margin(cur_res)
     ring: deque[MarginalResult] = deque(maxlen=_RING)
     refs = (cur_res,)  # the bound's references, (cur_res, *ring), rebuilt after each pass
 
-    def try_move(prop: np.ndarray) -> tuple[bool, bool]:
-        """Accept/reject one proposal; returns (accepted, support_rejected)."""
-        nonlocal current, cur_res, cur_post, margin, evals, bound_rejected, refs
-        if not lik.in_support(prop):
-            rng.random()  # burn the decision draw to keep the stream aligned
-            return False, True
-        log_u = math.log(rng.random())
-        prior = log_prior(prop)
-        # The exact test fails wherever the bound's does, up to the margin.
-        if log_u >= lik.loglik_bound(prop, refs) + prior - cur_post + margin:
-            bound_rejected += 1
-            return False, False
-        evals += 1
-        res = lik.loglik(prop)
-        margin = max(margin, bound_margin(res))
-        post = res.loglik + prior
-        accepted = log_u < post - cur_post
-        if accepted:
-            ring.append(cur_res)
-            current, cur_res, cur_post = prop, res, post
-        else:
-            ring.append(res)
-        refs = (cur_res, *ring)
-        return accepted, False
-
-    def step(scale: np.ndarray) -> tuple[bool, int]:
-        """One MH iteration; returns (any move accepted, support rejections).
-
-        Block mode moves every coefficient at once; per-coordinate mode sweeps
-        the coordinates with individual accept tests.
-        """
-        if not cfg.per_coordinate:
-            return try_move(current + scale * rng.standard_normal(d))
-        moved = False
-        rejected = 0
-        for idx in range(d):
-            prop = current.copy()
-            prop[idx] += scale[idx] * rng.standard_normal()
-            acc, sup = try_move(prop)
-            moved |= acc
-            rejected += sup
-        return moved, rejected
-
-    if cfg.adapt_proposals:
-        log_width = 0.0
-        for t in range(1, cfg.pilot_iters + 1):
-            accepted, _ = step(sd * math.exp(log_width))
-            log_width += (float(accepted) - _TARGET_ACCEPT) / (10 + t) ** 0.6
-        sd = sd * math.exp(log_width)
-
-    evals = bound_rejected = 0  # the counters track the main run only, not the start or the pilot
+    # An iteration makes one block move, or one move per coordinate, each
+    # with a draw of this size (None: a scalar).
+    moves, size = (range(d), None) if cfg.per_coordinate else ((np.s_[:],), d)
+    pilot = cfg.pilot_iters if cfg.adapt_proposals else 0
+    scale = np.array(cfg.proposal_sd, dtype=float)
+    log_width = 0.0
     n_kept = len(range(cfg.burnin, cfg.iters, cfg.thin))
     draws = np.empty((n_kept, d))
     lls = np.empty(n_kept)
     acc_flags = np.zeros(n_kept, dtype=bool)
-    n_accept = 0
-    n_support = 0
-    kept = 0
-    for it in range(cfg.iters):
-        accepted, support_rejected = step(sd)
-        n_accept += int(accepted)
-        n_support += int(support_rejected)
+    n_accept = kept = evals = bound_rejected = n_support = 0
+    for t in range(pilot + cfg.iters):
+        if t == pilot:  # the counters track the main run only, not the start or the pilot
+            evals = bound_rejected = n_support = 0
+        moved = False
+        for idx in moves:
+            prop = current.copy()
+            prop[idx] += scale[idx] * rng.standard_normal(size)
+            if not lik.in_support(prop):
+                rng.random()  # burn the decision draw to keep the stream aligned
+                n_support += 1
+                continue
+            log_u = math.log(rng.random())
+            prior = log_prior(prop)
+            # The exact test fails wherever the bound's does, up to the margin.
+            if log_u >= lik.loglik_bound(prop, refs) + prior - cur_post + margin:
+                bound_rejected += 1
+                continue
+            evals += 1
+            res = lik.loglik(prop)
+            margin = max(margin, bound_margin(res))
+            post = res.loglik + prior
+            if log_u < post - cur_post:
+                moved = True
+                ring.append(cur_res)
+                current, cur_res, cur_post = prop, res, post
+            else:
+                ring.append(res)
+            refs = (cur_res, *ring)
+        if t < pilot:  # toward _TARGET_ACCEPT; the main run keeps the last widths
+            log_width += (float(moved) - _TARGET_ACCEPT) / (11 + t) ** 0.6
+            scale = cfg.proposal_sd * math.exp(log_width)
+            continue
+        it = t - pilot
+        n_accept += moved
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             draws[kept] = current
             lls[kept] = cur_res.loglik
-            acc_flags[kept] = accepted
+            acc_flags[kept] = moved
             kept += 1
 
     return Chain(
@@ -298,7 +283,7 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         accept_rate=n_accept / cfg.iters,
         n_evals=evals,
         n_support_rejected=n_support,
-        proposal_sd=sd,
+        proposal_sd=scale,
         n_bound_rejected=bound_rejected,
         diagnostics=() if n_accept else ("chain never accepted a proposal; widen priors or shrink proposal_sd",),
     )

@@ -92,13 +92,15 @@ tilt log A_M - log A_1, NaN unless every mass is > 0.  Every mass > 0 makes
 f_M(M) = prod_m w A_m > 0, so a pass with a finite tilt is possible.  One
 min of the masses decides both: with the sign of int lambda it decides
 admissibility, and the tilt is finite where it is > 0.  Below a sum of |c|
-at which the products cannot overflow, int lambda and every mass are finite,
-so nothing else is read; above it the largest mass and int lambda must also
-be finite.  The log of a mass of 0 is -inf, so ``np.errstate`` is entered
-only where that min is exactly 0.  A ``MarginalLikelihood`` keeps the record
-of the last coefficients given, so a proposal takes its masses, verdict and
-tilt once for its support check, bound and pass; a pass's result carries the
-log masses it used (``MarginalResult.log_masses``) and their tilt, where
+at which the products with B, L and V cannot overflow, int lambda, every
+mass and gamma at the check times are finite, so nothing else is read;
+above it the largest mass and int lambda must also be finite, and the
+products are taken under ``np.errstate``.  The log of a mass of 0 is -inf,
+so below that sum ``np.errstate`` is entered only where that min is exactly
+0.  A ``MarginalLikelihood`` keeps the record of the last coefficients
+given, so a proposal takes its masses, verdict and tilt once for its
+support check, bound and pass; a pass's result carries the log masses it
+used (``MarginalResult.log_masses``) and their tilt, where
 ``loglik_bound`` finds its references'.  The record saves work only: every
 value is the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
@@ -224,9 +226,9 @@ class MarginalLikelihood:
             self._log_source = np.concatenate(
                 (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
             )
-        # Below this sum of |coefficients| the products with B and L can
+        # Below this sum of |coefficients| the products with B, L and V can
         # neither overflow nor meet an inf (see _masses).
-        self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max())
+        self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max(), self.V.max())
         # The _Masses of the last coefficients given (module docstring).
         self._kept: _Masses | None = None
         self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
@@ -378,7 +380,7 @@ class MarginalLikelihood:
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
         key = (c.shape, c.tobytes())
         quiet = sum(map(abs, c.tolist())) < self._quiet_coeff_sum
-        if quiet:  # lam and every mass are finite
+        if quiet:  # lam, every mass and gamma at the check times are finite
             scaled, lam = self._B @ c, float(self._L @ c)
         else:
             # Huge, infinite or NaN coefficients can overflow or form inf - inf
@@ -397,7 +399,12 @@ class MarginalLikelihood:
             tilt = math.nan
         # Results share it (MarginalResult.log_masses), so none may write to it.
         log.flags.writeable = False
-        return _Masses(key, lam, log, grid_nonneg(self.V @ c), tilt)
+        if quiet:
+            gamma = self.V @ c
+        else:  # as above; a NaN fails grid_nonneg
+            with np.errstate(over="ignore", invalid="ignore"):
+                gamma = self.V @ c
+        return _Masses(key, lam, log, grid_nonneg(gamma), tilt)
 
     def _record(self, coeffs) -> _Masses:
         """The kept record when its bytes are coeffs', else a new one, kept instead."""

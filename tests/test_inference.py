@@ -194,14 +194,39 @@ class TestMhFit:
         for name in ("accept_rate", "n_evals", "n_bound_rejected", "n_support_rejected"):
             assert getattr(kept, name) == getattr(cleared, name)
 
-    @pytest.mark.parametrize("adapt", [True, False])
-    def test_block_counts_add_up_to_iters(self, path, adapt):
-        """Each main-run iteration in block mode is one pass, one bound
-        rejection or one support rejection; the start and pilot are not counted."""
-        cfg = config(3, iters=400, burnin=0, proposal_sd=0.4, adapt_proposals=adapt)
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"adapt_proposals": True},
+            {"adapt_proposals": False},
+            {"per_coordinate": True},
+            {"degree": 2, "start": TRUTH + (0.0,), "per_coordinate": True, "proposal_sd": 0.05},
+        ],
+        ids=["True", "False", "per-coordinate", "per-coordinate-degree-2"],
+    )
+    def test_block_counts_add_up_to_iters(self, path, kw):
+        """Each main-run move is one pass, one bound rejection or one support
+        rejection: one move per iteration in block mode, degree + 1 per
+        coordinate; the start and pilot are not counted."""
+        cfg = config(3, iters=400, burnin=0, **({"proposal_sd": 0.4} | kw))
         chain = mh_fit(path, (BETA0, W), cfg)
+        moves = cfg.iters * (cfg.degree + 1 if cfg.per_coordinate else 1)
         assert chain.n_support_rejected > 0 and chain.n_bound_rejected > 0
-        assert chain.n_evals + chain.n_bound_rejected + chain.n_support_rejected == cfg.iters
+        assert chain.n_evals + chain.n_bound_rejected + chain.n_support_rejected == moves
+
+    @pytest.mark.parametrize("per_coordinate", [False, True], ids=["block", "per-coordinate"])
+    def test_no_pilot_keeps_the_configured_widths(self, path, per_coordinate):
+        """Without adapt_proposals the chain is the one of a pilot of 0
+        iterations, bit for bit, and its widths are the configured ones."""
+        widths = np.array([0.3, 0.07])
+        cfg = config(4, iters=200, proposal_sd=widths, per_coordinate=per_coordinate, adapt_proposals=False)
+        chain = mh_fit(path, (BETA0, W), cfg)
+        no_pilot = mh_fit(path, (BETA0, W), dataclasses.replace(cfg, adapt_proposals=True, pilot_iters=0))
+        for name in ("draws", "logliks", "accepted", "proposal_sd"):
+            assert getattr(chain, name).tobytes() == getattr(no_pilot, name).tobytes()
+        for name in ("accept_rate", "n_evals", "n_bound_rejected", "n_support_rejected", "diagnostics"):
+            assert getattr(chain, name) == getattr(no_pilot, name)
+        assert chain.proposal_sd.tobytes() == widths.tobytes()
 
     def test_impossible_start_is_never_bound_rejected(self, monkeypatch):
         """From a start of log-likelihood -inf the bound rejects nothing, and

@@ -711,6 +711,20 @@ class TestMassesRecord:
         assert rec.support is support
         assert rec.tilt.hex() == tilt.hex()
 
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1e308, 8e307], [1e308, -1e308], [-1e308, 1e308]])
+    def test_gamma_at_the_check_times_overflows_quietly(self, coeffs):
+        """At w T = 0.01 the masses and int lambda stay finite where gamma at
+        the check times (V c) overflows to inf (the first two cases): the
+        record is the rule's, and neither it nor the support check warns."""
+        lik = MarginalLikelihood(load_path([0.2, 0.5], 1.0), 1.0, 0.01, 1)
+        assert sum(map(abs, coeffs)) >= lik._quiet_coeff_sum
+        rec = lik._masses(coeffs)
+        lam, log, support, tilt = three_reduction_masses(lik, coeffs)
+        assert rec.lam.hex() == lam.hex() and math.isfinite(lam)
+        assert (None if rec.log is None else rec.log.tobytes()) == log
+        assert rec.support is support and rec.tilt.hex() == tilt.hex()
+        assert lik.in_support(coeffs) is support
+
 
 class TestRay:
     """ray: the log-likelihood and its gradient along the ray {s c} from the
