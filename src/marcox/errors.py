@@ -14,9 +14,16 @@ def check_count(value, name: str, low: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(value, name: str) -> float:
+    """value as a float; raises ``ValidationError`` unless it is a number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_horizon(T) -> float:
-    """T as a float; raises ``ValidationError`` unless it is finite and positive."""
-    T = float(T)
+    """T as a float; raises ``ValidationError`` unless it is a finite, positive number."""
+    T = check_real(T, "horizon T")
     if not (math.isfinite(T) and T > 0):
         raise ValidationError("horizon T must be finite and positive")
     return T

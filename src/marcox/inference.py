@@ -18,22 +18,21 @@ A Metropolis proposal inside the support draws its uniform u next and is
 tested against ``MarginalLikelihood.loglik_bound``, an upper bound on its
 log-likelihood (O(M log M), no pass) from what is already at hand: the
 proposal's masses, which its support check computed, and the results of
-recent passes, each carrying the log kernel masses it used.  The chain
-keeps the current state's result and those of its last ``_RING`` other
-passes (rejected proposals and former states), and the bound uses the one
-whose log-mass tilt log A_M - log A_1 is closest to the proposal's: the
-bound is exact when every mass ratio A'_m / A_m is the same, its slack grows
-with their spread, and a reference of the same tilt has equal first and
-last ratios.  The ring costs ``_RING`` x (2M + 1) floats per chain (about
-5 MB at M = 10^4).  When log u is at least the bound's log posterior ratio
-(plus a margin far above rounding), the exact test would reject too, so the
-proposal is rejected without a pass (early rejection: Solonen et al.,
-*Bayesian Anal.* 7, 2012).  Only the rest get the likelihood pass and the
-exact test.  The chain is the same, draw for draw, as with a pass for every
-proposal.  On 128 degree-1 chains on M = 80 paths (250 iterations after a
-50-iteration pilot) the main run takes 56 passes per chain, where a pass
-for every in-support proposal takes 157 and a bound against the current
-state alone 96.
+recent passes, each carrying the log kernel masses it used.  The chain keeps
+the results of its last ``_RING`` + 1 passes, accepted or not, most recent
+first, and the bound uses the one whose log-mass tilt log A_M - log A_1 is
+closest to the proposal's: the bound is exact when every mass ratio
+A'_m / A_m is the same, its slack grows with their spread, and a reference
+of the same tilt has equal first and last ratios.  They cost (``_RING`` + 1)
+x (2M + 1) floats per chain (about 5 MB at M = 10^4).  When log u is at
+least the bound's log posterior ratio (plus a margin far above rounding),
+the exact test would reject too, so the proposal is rejected without a pass
+(early rejection: Solonen et al., *Bayesian Anal.* 7, 2012).  Only the rest
+get the likelihood pass and the exact test.  The chain is the same, draw for
+draw, as with a pass for every proposal.  On 128 degree-1 chains on M = 80
+paths (250 iterations after a 50-iteration pilot) the main run takes 56
+passes per chain, where a pass for every in-support proposal takes 157 and a
+bound against the latest pass alone 91.
 
 ``mle_fit`` maximizes the same likelihood by sequential quadratic
 programming in numpy, in one loop of its own; its docstring gives the loop's
@@ -65,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_real
 from .intensity import check_degree
 from .marginal import MarginalLikelihood, MarginalResult
 from .paths import CountPath
@@ -73,14 +72,16 @@ from .paths import CountPath
 _TARGET_ACCEPT = 0.25
 # Relative slack of mh_fit's early rejection over the likelihood bound.
 _BOUND_MARGIN = 1e-9
-# Passes besides the current state's that mh_fit keeps as bound references.
-# On the 128 M = 80 degree-1 chains of the module docstring, 8, 16, 32 and 64
-# left 64, 59, 56 and 55 main-run passes per chain.
+# mh_fit keeps its last _RING + 1 passes as bound references.  On the 128
+# M = 80 degree-1 chains of the module docstring, 8, 16, 32 and 64 left 64,
+# 59, 56 and 55 main-run passes per chain.
 _RING = 32
 
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """value as a float vector of length size (a scalar broadcasts), each entry a number."""
+    items = np.asarray(value, dtype=object)
+    arr = np.array([check_real(v, name) for v in items.flat], dtype=float).reshape(items.shape)
     if arr.ndim == 0:
         arr = np.full(size, float(arr))
     if arr.shape != (size,):
@@ -97,7 +98,7 @@ def _start(lik: MarginalLikelihood, x: CountPath, d: int, start) -> np.ndarray:
     else:
         c = _as_vector(start, d, "start")
     if not lik.in_support(c):
-        raise ValidationError("starting coefficients give a negative intensity")
+        raise ValidationError("starting coefficients lie outside the likelihood's support")
     return c
 
 
@@ -106,13 +107,14 @@ class FitConfig:
     """Controls for the Metropolis sampler.
 
     ``degree`` lies in 0..``MAX_DEGREE``, checked before any vector is
-    built.  Scalars for prior/proposal settings broadcast over all
-    coefficients; ``prior_mean`` must be finite, ``prior_sd`` positive
-    (+inf is a flat prior) and ``proposal_sd`` finite and positive.
+    built.  Every real setting is a number, not a bool or a string; scalars
+    for prior/proposal settings broadcast over all coefficients.
+    ``prior_mean`` must be finite, ``prior_sd`` positive (+inf is a flat
+    prior) and ``proposal_sd`` finite and positive.
     ``adapt_proposals`` runs a discarded pilot phase that rescales the
     proposal widths toward 25% acceptance before the recorded run.
-    ``start`` is the chain's first state, by default the constant rate
-    max(M, 1) / T as in ``mle_fit``.
+    ``start`` is the chain's first state, finite, by default the constant
+    rate max(M, 1) / T as in ``mle_fit``.
     """
 
     degree: int
@@ -149,6 +151,8 @@ class FitConfig:
             raise ValidationError("proposal_sd must be finite and positive")
         if self.start is not None:
             object.__setattr__(self, "start", _as_vector(self.start, d, "start"))
+            if not np.all(np.isfinite(self.start)):
+                raise ValidationError("start must be finite")
 
 
 @dataclass(frozen=True)
@@ -180,26 +184,26 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
 
     Target: marginal log-likelihood plus independent normal log-priors.
     Each proposal is checked in three steps: the support (``in_support``;
-    outside it the proposal is rejected outright), then the likelihood
-    bound against the uniform drawn for the accept test (``loglik_bound``;
+    outside it the proposal is rejected outright), then the likelihood bound
+    against the uniform drawn for the accept test (``loglik_bound``;
     rejected without a pass when even the bound fails), then the likelihood
     pass, which reuses the masses of the support check, and the exact test.
-    The bound's references are the current state's pass and the last
-    ``_RING`` other passes, rejected proposals and former states alike, and
-    it uses the one whose log-mass tilt is closest to the proposal's (module
-    docstring); its slack is the largest ``bound_margin`` of any pass so
-    far, so at least the chosen reference's and the current state's.  The
-    chain is the one a pass for every proposal would give.  Over the main
-    run, ``n_evals`` counts the passes, ``n_bound_rejected`` the proposals
-    the bound rejected and ``n_support_rejected`` those outside the
-    support, so the three add up to ``iters`` in block mode and to ``iters``
+    The bound's references are the last ``_RING`` + 1 passes, accepted or
+    not, most recent first, and it uses the one whose log-mass tilt is
+    closest to the proposal's, the most recent on a tie (module docstring);
+    its slack is the largest ``bound_margin`` of any pass so far, so at
+    least the chosen reference's and the current state's.  The chain is the
+    one a pass for every proposal would give.  Over the main run,
+    ``n_evals`` counts the passes, ``n_bound_rejected`` the proposals the
+    bound rejected and ``n_support_rejected`` those outside the support, so
+    the three add up to ``iters`` in block mode and to ``iters``
     x (degree + 1) with ``per_coordinate``, one move per coordinate; the
     start's pass and the pilot are not counted.  The pilot (``pilot_iters``
-    iterations when ``adapt_proposals``) and the main run are one loop:
-    the pilot rescales the widths after each iteration, and the main run
-    keeps the last widths, records draws and starts the counters at 0.  A
-    main run that accepts no proposal is reported in ``diagnostics``, the
-    chain's one report of it.  Deterministic given (data, config, seed).
+    iterations when ``adapt_proposals``) and the main run are one loop: the
+    pilot rescales the widths after each iteration, and the main run keeps
+    the last widths, records draws and starts the counters at 0.  A main run
+    that accepts no proposal is reported in ``diagnostics``, the chain's one
+    report of it.  Deterministic given (data, config, seed).
     """
     beta0, w = params_fixed
     rng = np.random.default_rng(cfg.seed)
@@ -222,8 +226,7 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     cur_res = lik.loglik(current)
     cur_post = cur_res.loglik + log_prior(current)
     margin = bound_margin(cur_res)
-    ring: deque[MarginalResult] = deque(maxlen=_RING)
-    refs = (cur_res,)  # the bound's references, (cur_res, *ring), rebuilt after each pass
+    refs = deque((cur_res,), maxlen=_RING + 1)  # the bound's references, most recent first
 
     # An iteration makes one block move, or one move per coordinate, each
     # with a draw of this size (None: a scalar).
@@ -255,15 +258,12 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
                 continue
             evals += 1
             res = lik.loglik(prop)
+            refs.appendleft(res)
             margin = max(margin, bound_margin(res))
             post = res.loglik + prior
             if log_u < post - cur_post:
                 moved = True
-                ring.append(cur_res)
                 current, cur_res, cur_post = prop, res, post
-            else:
-                ring.append(res)
-            refs = (cur_res, *ring)
         if t < pilot:  # toward _TARGET_ACCEPT; the main run keeps the last widths
             log_width += (float(moved) - _TARGET_ACCEPT) / (11 + t) ** 0.6
             scale = cfg.proposal_sd * math.exp(log_width)

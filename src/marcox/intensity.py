@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_horizon
+from .errors import ValidationError, check_count, check_horizon, check_real
 
 MAX_DEGREE = 8
 
@@ -58,7 +58,7 @@ class PolyIntensity:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(check_real(c, "intensity coefficient") for c in self.coeffs)
         if len(coeffs) == 0:
             raise ValidationError("intensity needs at least one coefficient")
         check_degree(len(coeffs) - 1)

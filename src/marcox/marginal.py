@@ -91,13 +91,14 @@ the masses' logs, read-only; the support verdict (``in_support``); and the
 tilt log A_M - log A_1, NaN unless every mass is > 0.  Every mass > 0 makes
 f_M(M) = prod_m w A_m > 0, so a pass with a finite tilt is possible.  One
 min of the masses decides both: with the sign of int lambda it decides
-admissibility, and the tilt is finite where it is > 0.  Below a sum of |c|
-at which the products with B, L and V cannot overflow, int lambda, every
-mass and gamma at the check times are finite, so nothing else is read;
-above it the largest mass and int lambda must also be finite, and the
-products are taken under ``np.errstate``.  The log of a mass of 0 is -inf,
-so below that sum ``np.errstate`` is entered only where that min is exactly
-0.  A ``MarginalLikelihood`` keeps the record of the last coefficients
+admissibility, and the tilt is finite where it is > 0.  The support has a
+limit on the sum of |c|, 1e300 / max(1, the largest entry of B~, L and V).
+Below it the products with B~, L and V cannot overflow, so int lambda,
+every mass and gamma at the check times are finite and nothing else is
+read.  A vector at or above it, NaN and inf among them, is outside the
+support, and its record is made without a product.  The log of a mass of 0
+is -inf, so ``np.errstate`` is entered only where that min is exactly 0.
+A ``MarginalLikelihood`` keeps the record of the last coefficients
 given, so a proposal takes its masses, verdict and tilt once for its
 support check, bound and pass; a pass's result carries the log masses it
 used (``MarginalResult.log_masses``) and their tilt, where
@@ -167,8 +168,8 @@ def _logsumexp(v: np.ndarray) -> float:
 
 
 def _nearest(refs: Sequence[MarginalResult], tilt: float) -> MarginalResult | None:
-    """The result in refs with a finite ``log_tilt`` closest to tilt: the
-    first on a tie, and the first such when tilt is not finite."""
+    """The result in refs with a finite ``log_tilt`` closest to tilt: the first on
+    a tie (``mh_fit``'s most recent pass), and the first such when tilt is not finite."""
     best, gap = None, math.inf
     for ref in refs:
         d = abs(ref.log_tilt - tilt)  # NaN when either tilt is NaN
@@ -200,8 +201,8 @@ class MarginalLikelihood:
     ``in_support`` is the support check of the fitters; where it holds,
     ``loglik`` and ``loglik_grad`` do not raise.  They do not check the
     grid themselves and raise ``ValidationError`` only when a kernel mass or
-    the lambda integral is negative or not finite, so a gamma that dips
-    below zero without making either negative still gets a value.
+    the lambda integral is negative or sum |c| is past the support's limit,
+    so a gamma that dips below zero without making either negative gets a value.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
@@ -226,9 +227,9 @@ class MarginalLikelihood:
             self._log_source = np.concatenate(
                 (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
             )
-        # Below this sum of |coefficients| the products with B, L and V can
-        # neither overflow nor meet an inf (see _masses).
-        self._quiet_coeff_sum = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max(), self.V.max())
+        # The support's limit on the sum of |coefficients| (see _masses): below
+        # it the products with B, L and V can neither overflow nor meet an inf.
+        self._support_coeff_limit = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max(), self.V.max())
         # The _Masses of the last coefficients given (module docstring).
         self._kept: _Masses | None = None
         self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
@@ -250,9 +251,10 @@ class MarginalLikelihood:
         return self._run(coeffs, grad=True)
 
     def in_support(self, coeffs) -> bool:
-        """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: every
-        kernel mass and the lambda integral are finite and >= 0, and gamma
-        passes ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
+        """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: the
+        sum of |coeffs| is below the support's limit (module docstring), every
+        kernel mass and the lambda integral are >= 0, and gamma passes
+        ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
         holds, ``loglik`` does not raise.  The verdict is the kept record's
         (module docstring), which also holds the masses and their tilt, so
         another ``in_support``, ``loglik_bound``, ``loglik`` or
@@ -379,16 +381,11 @@ class MarginalLikelihood:
         if c.shape != (self.degree + 1,):
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
         key = (c.shape, c.tobytes())
-        quiet = sum(map(abs, c.tolist())) < self._quiet_coeff_sum
-        if quiet:  # lam, every mass and gamma at the check times are finite
-            scaled, lam = self._B @ c, float(self._L @ c)
-        else:
-            # Huge, infinite or NaN coefficients can overflow or form inf - inf
-            # in the products; NaN fails every test below, and inf the upper ones.
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled, lam = self._B @ c, float(self._L @ c)
+        if not sum(map(abs, c.tolist())) < self._support_coeff_limit:  # NaN and inf too
+            return _Masses(key, math.nan, None, False, math.nan)
+        scaled, lam = self._B @ c, float(self._L @ c)  # finite, as is gamma at the check times
         low = scaled.min(initial=math.inf)
-        if not (low >= 0.0 and lam >= 0.0 and (quiet or lam < math.inf and scaled.max(initial=0.0) < math.inf)):
+        if not (low >= 0.0 and lam >= 0.0):
             return _Masses(key, lam, None, False, math.nan)
         if low > 0.0:  # every mass > 0 (or none, at M = 0)
             log = np.log(scaled)
@@ -399,12 +396,7 @@ class MarginalLikelihood:
             tilt = math.nan
         # Results share it (MarginalResult.log_masses), so none may write to it.
         log.flags.writeable = False
-        if quiet:
-            gamma = self.V @ c
-        else:  # as above; a NaN fails grid_nonneg
-            with np.errstate(over="ignore", invalid="ignore"):
-                gamma = self.V @ c
-        return _Masses(key, lam, log, grid_nonneg(gamma), tilt)
+        return _Masses(key, lam, log, grid_nonneg(self.V @ c), tilt)
 
     def _record(self, coeffs) -> _Masses:
         """The kept record when its bytes are coeffs', else a new one, kept instead."""
@@ -419,7 +411,7 @@ class MarginalLikelihood:
         if rec.log is None:
             raise ValidationError(
                 "kernel masses must be finite and >= 0: gamma dips below zero on "
-                "[0, T] or has non-finite coefficients"
+                "[0, T] or its coefficients are not finite or too large"
             )
         return rec
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_horizon
+from .errors import ValidationError, check_horizon, check_real
 from .intensity import PolyIntensity
 
 
@@ -56,9 +56,9 @@ class CountPath:
 
 
 def check_rates(beta0, w) -> tuple[float, float]:
-    """(beta0, w) as floats; raises ``ValidationError`` unless the baseline
-    rate beta0 is finite and >= 0 and the jump weight w finite and positive."""
-    beta0, w = float(beta0), float(w)
+    """(beta0, w) as floats; raises ``ValidationError`` unless both are numbers,
+    the baseline rate beta0 finite and >= 0 and the jump weight w finite and positive."""
+    beta0, w = check_real(beta0, "baseline rate beta0"), check_real(w, "jump weight w")
     if not (math.isfinite(beta0) and beta0 >= 0.0):
         raise ValidationError("baseline rate beta0 must be finite and >= 0")
     if not (math.isfinite(w) and w > 0.0):

@@ -130,12 +130,17 @@ def per_step_run(lik, coeffs, grad=False):
 
 def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, bool, float]:
     """(lam, log masses' bytes or None, support, tilt) of coeffs, the fields
-    of ``MarginalLikelihood._masses``'s record, by the rule it replaced:
-    admissible when 0 <= lam < inf, the least mass (0 when there are none)
-    is >= 0 and the largest < inf; the tilt finite when the least mass (1
-    when there are none) is > 0.  The products and the log are taken under
-    one ``np.errstate`` for every input."""
+    of ``MarginalLikelihood._masses``'s record, by the rule it replaced,
+    after the support's limit on the sum of |c| (the record's own sum, so the
+    two agree at the limit to the last bit): a sum not below the limit, NaN
+    and inf among them, gives (NaN, None, False, NaN); below it, admissible
+    when 0 <= lam < inf, the least mass (0 when there are none) is >= 0 and
+    the largest < inf; the tilt finite when the least mass (1 when there are
+    none) is > 0.  The products and the log are taken under one
+    ``np.errstate`` for every input."""
     c = np.asarray(coeffs, dtype=float)
+    if not sum(map(abs, c.tolist())) < lik._support_coeff_limit:
+        return math.nan, None, False, math.nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scaled, lam = lik._B @ c, float(lik._L @ c)
         log, support, tilt = None, False, math.nan

@@ -204,6 +204,34 @@ def test_non_numeric_model_config_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
+@pytest.mark.parametrize("command", ["simulate", "loglik"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("T", "10"),
+        ("T", True),
+        ("beta0", True),
+        ("w", "0.5"),
+        ("gamma", {"type": "poly", "coeffs": ["1.0", 0.1]}),
+        ("gamma", {"type": "poly", "coeffs": [1.0, True]}),
+    ],
+)
+def test_model_config_value_that_is_not_a_json_number_is_a_config_error(tmp_path, capsys, command, key, value):
+    """T, beta0, w and gamma's coefficients must be JSON numbers: a string
+    or a boolean is refused, not converted."""
+    cfg = {"T": 10.0, "beta0": 1.0, "w": 0.5, "gamma": {"type": "poly", "coeffs": [1.0, 0.1]}}
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(dict(cfg, **{key: value})), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0])
+    out = tmp_path / "out.csv"
+    files = ["--out", str(out)] if command == "simulate" else ["--events", str(events)]
+    assert cli.main([command, "--config", str(config)] + files) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config-error:") and "must be a number" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key",
     [(command, key) for command in ("simulate", "loglik") for key in ("T", "beta0", "w", "gamma")]
@@ -320,11 +348,22 @@ MLE_KEYS = {"T", "beta0", "w", "degree", "start", "budget"}
         ("T", -8),
         ("beta0", -0.5),
         ("beta0", None),
+        ("T", "8"),
+        ("beta0", True),
+        ("w", "0.7"),
+        ("prior_mean", "0.0"),
+        ("prior_sd", True),
+        ("proposal_sd", ["0.5"]),
+        ("start", [math.nan]),
+        ("start", [math.inf]),
+        ("start", ["1.0"]),
+        ("start", [True]),
     ],
 )
 def test_bad_fit_config_is_a_config_error(tmp_path, capsys, command, key, value):
     """Counts must be integers, the seed a nonnegative integer, flags booleans,
-    the degree at most MAX_DEGREE, prior_mean finite, prior_sd positive and
+    the degree at most MAX_DEGREE, real values JSON numbers (not strings or
+    booleans), prior_mean and start finite, prior_sd positive and
     proposal_sd finite and positive; json reads NaN and Infinity.  T, beta0
     and w follow the model config's rules, and beta0 is required (None here
     leaves it out).  Each command checks only the keys it reads: fit-mle

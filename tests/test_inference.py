@@ -140,23 +140,23 @@ class TestMhFit:
     def test_recent_passes_bound_more_proposals(self, monkeypatch, degree):
         """On a pinned M = 80 path the bound against the recent pass of the
         nearest tilt gives the chain of a pass for every proposal, bit for
-        bit, with fewer passes than a bound against the current state's
-        pass alone."""
+        bit, with fewer passes than a bound against the latest pass alone
+        (``refs[0]``: the references are most recent first)."""
         x = fit_path(40)
         start = (TRUTH + (0.0,))[: degree + 1]
         cfg = FitConfig(degree=degree, iters=250, burnin=50, pilot_iters=50, start=start, seed=4)
         ring = mh_fit(x, (BETA0, W), cfg)
         bound = MarginalLikelihood.loglik_bound
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: bound(self, c, refs[:1]))
-        current_only = mh_fit(x, (BETA0, W), cfg)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: bound(self, c, (refs[0],)))
+        latest_only = mh_fit(x, (BETA0, W), cfg)
         monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
         exact = mh_fit(x, (BETA0, W), cfg)
-        for chain in (ring, current_only):
+        for chain in (ring, latest_only):
             for name in ("draws", "logliks", "accepted", "proposal_sd"):
                 assert getattr(chain, name).tobytes() == getattr(exact, name).tobytes()
             assert chain.n_support_rejected == exact.n_support_rejected
             assert chain.n_evals + chain.n_bound_rejected == exact.n_evals
-        assert ring.n_evals < current_only.n_evals < exact.n_evals
+        assert ring.n_evals < latest_only.n_evals < exact.n_evals
 
     @pytest.mark.parametrize(
         "kw",
@@ -793,8 +793,31 @@ class TestStart:
     @pytest.mark.parametrize("fitter", [mh_fit, mle_fit])
     def test_start_outside_the_support_is_refused(self, fitter, monkeypatch):
         x = CountPath(5.0, np.array([1.0, 2.5]))
-        with pytest.raises(ValidationError, match="starting coefficients give a negative intensity"):
+        with pytest.raises(ValidationError, match="starting coefficients lie outside the likelihood's support"):
             self.first_point(fitter, x, 1, monkeypatch, start=(1.0, -1.0))
+
+    @pytest.mark.parametrize("fitter", [mh_fit, mle_fit])
+    def test_start_past_the_support_limit_is_refused(self, fitter, monkeypatch):
+        """A finite start whose sum of |c| is not below the support's limit
+        is outside the support, though gamma is nonnegative there."""
+        x = CountPath(5.0, np.array([1.0, 2.5]))
+        with pytest.raises(ValidationError, match="starting coefficients lie outside the likelihood's support"):
+            self.first_point(fitter, x, 1, monkeypatch, start=(1e300, 0.0))
+
+    @pytest.mark.parametrize("start", [(math.nan, 0.1), (math.inf, 0.1), (1.0, -math.inf)])
+    def test_non_finite_start_is_refused_by_the_config(self, start):
+        with pytest.raises(ValidationError, match="^start must be finite$"):
+            FitConfig(degree=1, start=start)
+
+
+@pytest.mark.parametrize("name", ["prior_mean", "prior_sd", "proposal_sd", "start"])
+@pytest.mark.parametrize("value", [np.bool_(True), ["0.5", 0.5], [0.5, True]], ids=repr)
+def test_real_setting_that_is_not_a_number_is_refused(name, value):
+    """Every real setting, scalar or per coefficient, is a number: a string
+    or a bool, numpy's among them, is refused, not converted (the CLI's
+    tests give JSON's)."""
+    with pytest.raises(ValidationError, match=f"^{name} must be a number, got "):
+        FitConfig(degree=1, **{name: value})
 
 
 def test_bands_csv_reads_back_exactly():

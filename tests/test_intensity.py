@@ -318,6 +318,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PolyIntensity((1.0, math.nan))
 
+    @pytest.mark.parametrize("coeffs", [("1.0",), (1.0, True), (1.0, None)])
+    def test_coefficient_that_is_not_a_number_rejected(self, coeffs):
+        with pytest.raises(ValidationError, match="^intensity coefficient must be a number"):
+            PolyIntensity(coeffs)
+
     def test_no_coefficients_rejected(self):
         with pytest.raises(ValidationError, match="at least one coefficient"):
             PolyIntensity(())

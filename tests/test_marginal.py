@@ -684,7 +684,7 @@ class TestMassesRecord:
         first_zero=st.booleans(),
         quiet_ratio=st.one_of(st.none(), st.floats(0.5, 2.0)),
     )
-    # Just below and just above the quiet sum of |c|; a first mass of exactly
+    # Just below and just above the support's limit on the sum of |c|; a first mass of exactly
     # 0 under positive ones; no masses at all; late masses that overflow to
     # inf while int lambda (small w T) stays finite.
     @example(M=80, w=0.5, T=15.0, degree=1, seed=3, coeffs=[1.0, 0.1, 0.0, 0.0], first_zero=False, quiet_ratio=0.999)
@@ -694,7 +694,7 @@ class TestMassesRecord:
     @example(M=80, w=0.01, T=10.0, degree=0, seed=3, coeffs=[1e308, 0.0, 0.0, 0.0], first_zero=False, quiet_ratio=None)
     def test_record_matches_the_three_reduction_rule(self, M, w, T, degree, seed, coeffs, first_zero, quiet_ratio):
         """quiet_ratio rescales finite coefficients to that multiple of
-        ``_quiet_coeff_sum``; first_zero puts the first event at 1e-200 and
+        ``_support_coeff_limit``; first_zero puts the first event at 1e-200 and
         sets c_0 = 0, so that the first mass is exactly 0."""
         times = np.sort(np.random.default_rng(seed).uniform(0.0, T, M))
         c = np.array(coeffs[: degree + 1])
@@ -703,7 +703,7 @@ class TestMassesRecord:
         lik = MarginalLikelihood(load_path(times, T), 1.0, w, degree)
         total = float(np.abs(c).sum())
         if quiet_ratio is not None and 0.0 < total < math.inf:
-            c = c / total * (quiet_ratio * lik._quiet_coeff_sum)
+            c = c / total * (quiet_ratio * lik._support_coeff_limit)
         rec = lik._masses(c)
         lam, log, support, tilt = three_reduction_masses(lik, c)
         assert rec.lam.hex() == lam.hex()
@@ -713,17 +713,20 @@ class TestMassesRecord:
 
     @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1e308, 8e307], [1e308, -1e308], [-1e308, 1e308]])
     def test_gamma_at_the_check_times_overflows_quietly(self, coeffs):
-        """At w T = 0.01 the masses and int lambda stay finite where gamma at
-        the check times (V c) overflows to inf (the first two cases): the
-        record is the rule's, and neither it nor the support check warns."""
+        """At w T = 0.01 the masses and int lambda would stay finite where
+        gamma at the check times (V c) overflows to inf (the first two
+        cases).  These sums of |c| are past the support's limit, so the
+        record is the refusal (NaN, None, False, NaN), made without a
+        product: neither it, the support check nor a pass warns."""
         lik = MarginalLikelihood(load_path([0.2, 0.5], 1.0), 1.0, 0.01, 1)
-        assert sum(map(abs, coeffs)) >= lik._quiet_coeff_sum
+        assert sum(map(abs, coeffs)) >= lik._support_coeff_limit
         rec = lik._masses(coeffs)
         lam, log, support, tilt = three_reduction_masses(lik, coeffs)
-        assert rec.lam.hex() == lam.hex() and math.isfinite(lam)
-        assert (None if rec.log is None else rec.log.tobytes()) == log
-        assert rec.support is support and rec.tilt.hex() == tilt.hex()
-        assert lik.in_support(coeffs) is support
+        assert math.isnan(rec.lam) and math.isnan(lam) and rec.log is log is None
+        assert rec.support is support is False and math.isnan(rec.tilt) and math.isnan(tilt)
+        assert lik.in_support(coeffs) is False
+        with pytest.raises(ValidationError, match="not finite or too large"):
+            lik.loglik(coeffs)
 
 
 class TestRay:
@@ -815,6 +818,14 @@ class TestRay:
             assert lik.ray((1e-310,), lik.loglik_grad((1e-310,))[0]) is None
             _, loglik, _ = lik.ray((1e-300,), lik.loglik_grad((1e-300,))[0])
         assert loglik == pytest.approx(lik.ray((1.0,), lik.loglik_grad((1.0,))[0])[1], rel=1e-12)
+
+    def test_no_ray_where_the_lambda_integral_is_zero(self):
+        """At gamma = 0 with beta0 > 0 the pass is finite, but L c = 0: the
+        ray {s c} is the one point 0, and ray gives None."""
+        lik = MarginalLikelihood(load_path([0.5, 2.0], 4.0), 1.0, 0.7, degree=1)
+        res = lik.loglik_grad((0.0, 0.0))[0]
+        assert math.isfinite(res.loglik) and res.log_dk is not None
+        assert lik.ray((0.0, 0.0), res) is None
 
     def test_no_interior_maximum_at_the_sentinel(self):
         lik = MarginalLikelihood(load_path([0.5, 2.0], 4.0), 0.0, 0.7, degree=1)

@@ -85,6 +85,17 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             ModelParams(beta0=0.0, w=0.0, gamma=PolyIntensity((1.0,)))
 
+    @pytest.mark.parametrize("beta0, w", [("0.5", 1.0), (True, 1.0), (0.5, "1.0"), (0.5, True)])
+    def test_rates_that_are_not_numbers_rejected(self, beta0, w):
+        """A string or a bool is refused, not converted."""
+        with pytest.raises(ValidationError, match="must be a number, got "):
+            ModelParams(beta0=beta0, w=w, gamma=PolyIntensity((1.0,)))
+
+    @pytest.mark.parametrize("T", ["10", True, None])
+    def test_horizon_that_is_not_a_number_rejected(self, T):
+        with pytest.raises(ValidationError, match="^horizon T must be a number, got "):
+            load_path([0.5], T)
+
     def test_validate_checks_gamma_support(self):
         params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.1, -1.0)))
         with pytest.raises(ValidationError):
