@@ -145,18 +145,18 @@ class TestMhFit:
         x = fit_path(40)
         start = (TRUTH + (0.0,))[: degree + 1]
         cfg = FitConfig(degree=degree, iters=250, burnin=50, pilot_iters=50, start=start, seed=4)
-        ring = mh_fit(x, (BETA0, W), cfg)
+        recent = mh_fit(x, (BETA0, W), cfg)
         bound = MarginalLikelihood.loglik_bound
         monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: bound(self, c, (refs[0],)))
         latest_only = mh_fit(x, (BETA0, W), cfg)
         monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
         exact = mh_fit(x, (BETA0, W), cfg)
-        for chain in (ring, latest_only):
+        for chain in (recent, latest_only):
             for name in ("draws", "logliks", "accepted", "proposal_sd"):
                 assert getattr(chain, name).tobytes() == getattr(exact, name).tobytes()
             assert chain.n_support_rejected == exact.n_support_rejected
             assert chain.n_evals + chain.n_bound_rejected == exact.n_evals
-        assert ring.n_evals < latest_only.n_evals < exact.n_evals
+        assert recent.n_evals < latest_only.n_evals < exact.n_evals
 
     @pytest.mark.parametrize(
         "kw",
