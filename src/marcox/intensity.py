@@ -21,6 +21,14 @@ for any w T.
 Nonnegativity on [0, T] is decided at 1025 evenly spaced times, always from
 the values V c of ``nonneg_matrix`` and with the tolerance of
 ``grid_nonneg``, so every caller draws the same line.
+
+Before any of these products, the sum of |c| must lie below the support's
+limit on gamma's coefficients, ``support_limit(T, degree)``: 1e300 over
+max(1, T)^(degree + 1).  Every entry of ``kernel_moments`` (t <= T),
+``lambda_moments`` and ``nonneg_matrix`` is at most t^(p+1) / (p+1) or T^p,
+so at most max(1, T)^(degree + 1), whatever the events and w: below the
+limit no product of c with those tables overflows.  A sum at or past it,
+NaN and inf among them, is outside the support, and no product is formed.
 """
 
 from __future__ import annotations
@@ -36,6 +44,16 @@ MAX_DEGREE = 8
 
 # Nonnegativity is checked by dense sampling rather than root isolation.
 _NONNEG_SAMPLES = 1024
+
+
+def support_limit(T: float, degree: int) -> float:
+    """The support's limit on the sum of |coefficients| of a gamma of this
+    degree on [0, T] (module docstring); 0 where max(1, T)^(degree + 1) is
+    past the double range, so that no coefficients lie below it."""
+    try:
+        return 1e300 / max(1.0, T) ** (degree + 1)
+    except OverflowError:
+        return 0.0
 
 
 def check_degree(degree) -> None:
@@ -83,9 +101,12 @@ class PolyIntensity:
         return acc * t
 
     def validate_nonneg(self, T: float) -> None:
-        """Raise ``ValidationError`` unless gamma is nonnegative on [0, T]:
-        ``grid_nonneg`` of the values ``nonneg_matrix`` gives."""
-        check_horizon(T)
+        """Raise ``ValidationError`` unless the sum of |coeffs| is below
+        ``support_limit`` and gamma is nonnegative on [0, T]: ``grid_nonneg``
+        of the values ``nonneg_matrix`` gives."""
+        T = check_horizon(T)
+        if not sum(map(abs, self.coeffs)) < support_limit(T, self.degree):
+            raise ValidationError(f"intensity coefficients too large for [0, {T}]")
         if not grid_nonneg(nonneg_matrix(T, self.degree) @ np.asarray(self.coeffs)):
             raise ValidationError(f"intensity is negative somewhere on [0, {T}]")
 

@@ -91,12 +91,11 @@ the masses' logs, read-only; the support verdict (``in_support``); and the
 tilt log A_M - log A_1, NaN unless every mass is > 0.  Every mass > 0 makes
 f_M(M) = prod_m w A_m > 0, so a pass with a finite tilt is possible.  One
 min of the masses decides both: with the sign of int lambda it decides
-admissibility, and the tilt is finite where it is > 0.  The support has a
-limit on the sum of |c|, 1e300 / max(1, the largest entry of B~, L and V).
-Below it the products with B~, L and V cannot overflow, so int lambda,
-every mass and gamma at the check times are finite and nothing else is
-read.  A vector at or above it, NaN and inf among them, is outside the
-support, and its record is made without a product.  The log of a mass of 0
+admissibility, and the tilt is finite where it is > 0.  A vector whose sum
+of |c| is not below the support's limit on [0, T] (``intensity``'s module
+docstring) is outside the support, and its record is made without a
+product; below it int lambda, every mass and gamma at the check times are
+finite, so nothing else is read.  The log of a mass of 0
 is -inf, so ``np.errstate`` is entered only where that min is exactly 0.
 A ``MarginalLikelihood`` keeps the record of the last coefficients
 given, so a proposal takes its masses, verdict and tilt once for its
@@ -124,7 +123,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .intensity import check_degree, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
+from .intensity import check_degree, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix, support_limit
 from .paths import CountPath, ModelParams, check_rates
 
 # Steps of the DP per block of shared views (see ``MarginalLikelihood._run``).
@@ -201,8 +200,9 @@ class MarginalLikelihood:
     ``in_support`` is the support check of the fitters; where it holds,
     ``loglik`` and ``loglik_grad`` do not raise.  They do not check the
     grid themselves and raise ``ValidationError`` only when a kernel mass or
-    the lambda integral is negative or sum |c| is past the support's limit,
-    so a gamma that dips below zero without making either negative gets a value.
+    the lambda integral is negative or the coefficients are past the
+    support's limit (``intensity.support_limit``), so a gamma that dips
+    below zero without making either negative gets a value.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
@@ -227,9 +227,7 @@ class MarginalLikelihood:
             self._log_source = np.concatenate(
                 (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
             )
-        # The support's limit on the sum of |coefficients| (see _masses): below
-        # it the products with B, L and V can neither overflow nor meet an inf.
-        self._support_coeff_limit = 1e300 / max(1.0, self._B.max(initial=0.0), self._L.max(), self.V.max())
+        self._support_coeff_limit = support_limit(x.T, degree)
         # The _Masses of the last coefficients given (module docstring).
         self._kept: _Masses | None = None
         self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
@@ -252,7 +250,7 @@ class MarginalLikelihood:
 
     def in_support(self, coeffs) -> bool:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: the
-        sum of |coeffs| is below the support's limit (module docstring), every
+        sum of |coeffs| is below ``intensity.support_limit``, every
         kernel mass and the lambda integral are >= 0, and gamma passes
         ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
         holds, ``loglik`` does not raise.  The verdict is the kept record's

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_count
 from .marginal import _logsumexp
 from .paths import CountPath, ModelParams
 from .simulator import _conditional_logliks, _latent_points
@@ -61,8 +61,8 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValidationError("replica count N must be at least 1")
+        check_count(self.N, "replica count N", 1)
+        check_count(self.seed, "seed", 0)
 
 
 def default_y_max(mean_count: float) -> int:

@@ -98,6 +98,7 @@ def adapt_path(x_star: CountPath, w: float) -> CountPath:
 
     a linear equation giving u_i = i t_i - (i-1) t_{i-1} - (that integral).
     """
+    w = check_real(w, "adaptation scale w")
     if not (math.isfinite(w) and w > 0):
         raise ValidationError("adaptation scale w must be finite and positive")
     if x_star.count == 0:

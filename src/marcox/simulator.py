@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .intensity import PolyIntensity
 from .paths import CountPath, ModelParams
 
@@ -56,10 +57,15 @@ def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndar
     uniform path label in 0..n-1, so by the marking theorem the n labelled
     processes are independent Poisson processes with rate gamma.  Returns
     (rows, times): the path label of each point and its time, in ascending
-    time, so each path's own points come in ascending order too.
+    time, so each path's own points come in ascending order too.  A mean
+    n bound T past the range of ``rng.poisson`` raises ``ValidationError``.
     """
     bound = gamma.upper_bound(T)
-    count = rng.poisson(n * bound * T)
+    mean = n * bound * T
+    try:
+        count = rng.poisson(mean)
+    except ValueError as exc:
+        raise ValidationError(f"cannot draw the latent points: their mean count {mean!r} is too large") from exc
     kept = [np.empty(0)]
     for start in range(0, count, _THIN_BLOCK):
         size = min(_THIN_BLOCK, count - start)

@@ -232,6 +232,35 @@ def test_model_config_value_that_is_not_a_json_number_is_a_config_error(tmp_path
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "loglik", "validate"])
+def test_coefficients_too_large_for_the_horizon_are_a_config_error(tmp_path, capsys, command):
+    """At T = 1 the support's limit on the sum of |c| is 1e300.  Coefficients
+    past it are refused before gamma is formed at the check times, where
+    1e308 + 1e308 t would overflow (a RuntimeWarning fails the suite): one
+    line on stderr and exit 65."""
+    config = write_config(tmp_path / "model.json", 1.0, 1.0, 0.01, (1e308, 1e308))
+    events = tmp_path / "events.csv"
+    write_events(events, [0.2, 0.5])
+    out = tmp_path / "out.csv"
+    files = ["--out", str(out)] if command == "simulate" else ["--events", str(events)]
+    assert cli.main([command, "--config", config] + files) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config-error: bad config: intensity coefficients too large for [0, 1.0]\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulating_a_gamma_past_the_samplers_range_is_a_validation_error(tmp_path, capsys):
+    """gamma = 1e200 on [0, 1] is within the support, but no latent count
+    of mean 1e200 can be drawn: exit 2 with one line on stderr."""
+    config = write_config(tmp_path / "model.json", 1.0, 1.0, 0.01, (1e200, 0.0))
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation-error:") and captured.err.count("\n") == 1
+    assert "mean count 1e+200" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key",
     [(command, key) for command in ("simulate", "loglik") for key in ("T", "beta0", "w", "gamma")]

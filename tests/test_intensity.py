@@ -8,7 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
-from marcox.intensity import PolyIntensity, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix
+from marcox.intensity import (
+    MAX_DEGREE,
+    PolyIntensity,
+    grid_nonneg,
+    kernel_moments,
+    lambda_moments,
+    nonneg_matrix,
+    support_limit,
+)
 
 from _oracles import adaptive_simpson
 
@@ -302,6 +310,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PolyIntensity((0.1, -1.0)).validate_nonneg(1.0)
 
+    @pytest.mark.parametrize("coeffs", [(1e308, 1e308), (1e300, 0.0)])
+    def test_coefficients_past_the_support_limit_are_refused_quietly(self, coeffs):
+        """At T = 1 the limit is 1e300, and both sums are at or past it.  They
+        are refused before gamma is formed at the check times, where the
+        first would overflow: the suite turns a RuntimeWarning into an error."""
+        with pytest.raises(ValidationError, match=r"^intensity coefficients too large for \[0, 1.0\]$"):
+            PolyIntensity(coeffs).validate_nonneg(1.0)
+
     def test_monotone_cum_when_valid(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -334,6 +350,39 @@ class TestValidation:
 
     def test_from_config(self):
         assert PolyIntensity.from_config({"type": "poly", "coeffs": [1.0, 0.25]}) == PolyIntensity((1.0, 0.25))
+
+
+class TestSupportLimit:
+    @pytest.mark.parametrize(
+        "T, degree, limit",
+        [(1e-3, 8, 1e300), (1.0, 0, 1e300), (10.0, 1, 1e298), (15.0, 2, 1e300 / 3375.0), (1e3, 2, 1e291)],
+    )
+    def test_is_1e300_over_the_power_of_the_horizon(self, T, degree, limit):
+        assert support_limit(T, degree) == pytest.approx(limit, rel=1e-15)
+
+    def test_is_zero_where_the_power_leaves_the_double_range(self):
+        """(1e200)^3 is not a double: no coefficients lie below the limit,
+        not even gamma = 0, and the check says so instead of overflowing."""
+        assert support_limit(1e200, 2) == 0.0
+        with pytest.raises(ValidationError, match="too large"):
+            PolyIntensity((0.0, 0.0, 0.0)).validate_nonneg(1e200)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        T=st.floats(1e-3, 1e3),
+        w=st.floats(1e-6, 1e4),
+        degree=st.integers(0, MAX_DEGREE),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_every_table_entry_is_at_most_the_power_of_the_horizon(self, T, w, degree, fractions):
+        """The limit's premise: every entry of ``kernel_moments`` at times in
+        [0, T] (T among them), ``lambda_moments`` and ``nonneg_matrix`` is at
+        most max(1, T)^(degree + 1), whatever w."""
+        top = max(1.0, T) ** (degree + 1)
+        times = np.array(fractions + [1.0]) * T
+        assert kernel_moments(w, times, degree).max() <= top
+        assert lambda_moments(w, T, degree).max() <= top
+        assert nonneg_matrix(T, degree).max() <= top
 
 
 def documented_nonneg(vals):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from marcox.errors import ValidationError
-from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg
+from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, support_limit
 from marcox.marginal import _BLOCK, MarginalLikelihood, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
@@ -241,6 +241,39 @@ class TestMarginalLikelihood:
             with pytest.raises(ValidationError, match="negative"):
                 PolyIntensity(tuple(c)).validate_nonneg(T)
         assert on_grid or not lik.in_support(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=MAX_DEGREE + 1),
+        T=st.floats(0.1, 50.0),
+        ratio=st.floats(0.5, 2.0),
+    )
+    @example(coeffs=[1.0, 0.1], T=15.0, ratio=1.0)
+    @example(coeffs=[0.3, -0.7, 0.2], T=0.5, ratio=1.0)
+    def test_validate_nonneg_refuses_exactly_past_the_support_limit(self, coeffs, T, ratio):
+        """Coefficients rescaled to a sum of |c| at ratio times the support's
+        limit: ``validate_nonneg`` refuses them as too large exactly where
+        the likelihood's record is the past-limit refusal (int lambda NaN),
+        and neither warns."""
+        lik = MarginalLikelihood(load_path([0.5 * T], T), 0.5, 1.0, degree=len(coeffs) - 1)
+        c = np.array(coeffs)
+        c = c / float(np.abs(c).sum()) * (ratio * lik._support_coeff_limit)
+        past = math.isnan(lik._masses(c).lam)
+        try:
+            PolyIntensity(tuple(c)).validate_nonneg(T)
+            too_large = False
+        except ValidationError as exc:
+            too_large = "too large" in str(exc)
+        assert too_large is past
+        assert not (past and lik.in_support(c))
+
+    @pytest.mark.parametrize("T, degree", [(0.5, 1), (15.0, 1), (15.0, 2), (80.0, MAX_DEGREE)])
+    def test_support_limit_depends_on_the_horizon_and_degree_alone(self, T, degree):
+        """Two likelihoods on [0, T] with different events and w share the
+        limit ``support_limit(T, degree)``."""
+        one = MarginalLikelihood(load_path([0.1 * T], T), 1.0, 0.01, degree)
+        many = MarginalLikelihood(load_path(np.linspace(0.2, 1.0, 40) * T, T), 0.0, 50.0, degree)
+        assert one._support_coeff_limit == many._support_coeff_limit == support_limit(T, degree)
 
     def test_wrong_coefficient_count_rejected(self):
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
@@ -727,6 +760,23 @@ class TestMassesRecord:
         assert lik.in_support(coeffs) is False
         with pytest.raises(ValidationError, match="not finite or too large"):
             lik.loglik(coeffs)
+
+
+    def test_sum_below_the_largest_table_entry_limit_is_outside_the_support(self):
+        """At T = 15 and degree 1 the limit is 1e300 / 225 = 4.44e297, while
+        1e300 over the largest entry of the path's tables is about 1.2e298.
+        A sum of 5e297 lies between the two: every product with the tables
+        is finite, yet the coefficients are outside the support, for the
+        likelihood and for ``validate_nonneg`` alike."""
+        T, c = 15.0, np.array([5e297, 0.0])
+        lik = MarginalLikelihood(load_path([1.0, 7.5, 14.0], T), 1.0, 0.5, 1)
+        assert lik._support_coeff_limit < 5e297 < 1e300 / max(lik._B.max(), lik._L.max(), lik.V.max())
+        assert np.isfinite(lik._B @ c).all() and np.isfinite(lik.V @ c).all() and math.isfinite(lik._L @ c)
+        assert lik.in_support(c) is False
+        with pytest.raises(ValidationError, match="too large"):
+            lik.loglik(c)
+        with pytest.raises(ValidationError, match="too large"):
+            PolyIntensity(tuple(c)).validate_nonneg(T)
 
 
 class TestRay:

@@ -222,6 +222,30 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             McSpec(N=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"N": True}, "replica count N"),
+            ({"N": 2.5}, "replica count N"),
+            ({"N": 10, "seed": -1}, "seed"),
+            ({"N": 10, "seed": 1.5}, "seed"),
+            ({"N": 10, "seed": False}, "seed"),
+        ],
+    )
+    def test_mc_spec_counts_follow_the_package_rule(self, kwargs, name):
+        """N and seed are counts: an integer, not a bool, at least 1 (N) or
+        0 (seed).  N = True once ran one replica, and seed = -1 failed
+        inside ``SeedSequence``."""
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+            McSpec(**kwargs)
+
+    def test_mc_marginal_of_a_gamma_it_cannot_draw_is_a_validation_error(self):
+        """gamma = 1e200 on [0, 1] passes ``validate_nonneg``, but the latent
+        count's mean is past the sampler's range."""
+        params = ModelParams(1.0, 0.01, PolyIntensity((1e200, 0.0)))
+        with pytest.raises(ValidationError, match="mean count"):
+            mc_marginal(load_path([0.5], 1.0), params, McSpec(N=10, seed=1))
+
     def test_default_y_max_tail(self):
         """The smallest k with Poisson upper-tail mass P(N > k) < 1e-12."""
         from scipy.stats import poisson

@@ -125,6 +125,12 @@ class TestAdaptPath:
         with np.errstate(all="raise"), pytest.raises(ValidationError, match="finite and positive"):
             adapt_path(load_path([0.5, 0.75], 1.0), w)
 
+    @pytest.mark.parametrize("w", [True, "0.5", None])
+    def test_scale_that_is_not_a_number_rejected(self, w):
+        """A bool is not read as 1, nor a string as a number."""
+        with pytest.raises(ValidationError, match="^adaptation scale w must be a number"):
+            adapt_path(load_path([1.0, 2.0, 4.5], 8.0), w)
+
     def test_level_and_area_match_at_crossings(self):
         """x(t_i) = i and the adapted area equals the scaled-integral area at
         every crossing, checked against a brute-force integration oracle."""

@@ -1,11 +1,13 @@
 """Unit tests for exact simulation and the conditional log-likelihood."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from marcox.errors import ValidationError
 from marcox.intensity import PolyIntensity
 from marcox.paths import CountPath, ModelParams, load_path
 from marcox.simulator import SimResult, _latent_points, conditional_loglik, simulate, simulate_latent
@@ -73,6 +75,14 @@ class TestLatentPoints:
         assert counts.size == n
         assert abs(counts.mean() - total) <= 4.0 * math.sqrt(total / n)
         assert abs(counts.var(ddof=1) - total) <= 4.0 * math.sqrt((total + 2.0 * total**2) / n)
+
+    @pytest.mark.parametrize("rate", [1e19, 1e200])
+    def test_mean_past_the_samplers_range_is_a_validation_error(self, rate):
+        """A mean count past what ``rng.poisson`` can draw (about 9.2e18) is
+        refused, naming the mean.  Means the sampler can draw from about
+        1e8 up allocate without bound, so none is tried here."""
+        with pytest.raises(ValidationError, match=re.escape(f"mean count {rate!r} is too large")):
+            _latent_points(PolyIntensity((rate,)), 1.0, 1, np.random.default_rng(0))
 
 
 class TestSimulate:
