@@ -14,25 +14,21 @@ matrix-vector product before anything else.  Both fitters start from one
 rule (``_start``): the given start, or by default the constant rate
 max(M, 1) / T, refused unless it lies in the support.
 
-A Metropolis proposal inside the support draws its uniform u next and is
-tested against ``MarginalLikelihood.loglik_bound``, an upper bound on its
-log-likelihood (O(M log M), no pass) from what is already at hand: the
-proposal's masses, which its support check computed, and the results of
-recent passes, each carrying the log kernel masses it used.  The chain keeps
-the results of its last ``_RING`` + 1 passes, accepted or not, most recent
-first, and the bound uses the one whose log-mass tilt log A_M - log A_1 is
-closest to the proposal's: the bound is exact when every mass ratio
-A'_m / A_m is the same, its slack grows with their spread, and a reference
-of the same tilt has equal first and last ratios.  They cost (``_RING`` + 1)
-x (2M + 1) floats per chain (about 5 MB at M = 10^4).  When log u is at
-least the bound's log posterior ratio (plus a margin far above rounding),
-the exact test would reject too, so the proposal is rejected without a pass
-(early rejection: Solonen et al., *Bayesian Anal.* 7, 2012).  Only the rest
-get the likelihood pass and the exact test.  The chain is the same, draw for
-draw, as with a pass for every proposal.  On 128 degree-1 chains on M = 80
-paths (250 iterations after a 50-iteration pilot) the main run takes 56
-passes per chain, where a pass for every in-support proposal takes 157 and a
-bound against the latest pass alone 91.
+A Metropolis proposal draws the uniform u of its accept test with its step.
+One inside the support is then tested against
+``MarginalLikelihood.loglik_bound``, an upper bound on its log-likelihood
+(O(M log M), no pass) from what is already at hand: the proposal's masses,
+which its support check computed, and one of the likelihood's own recent
+passes, accepted or not, which it keeps and picks by their log-mass tilts
+(``marginal``'s module docstring).  When log u is at least the bound's log
+posterior ratio (plus a margin far above rounding), the exact test would
+reject too, so the proposal is rejected without a pass (early rejection:
+Solonen et al., *Bayesian Anal.* 7, 2012).  Only the rest get the likelihood
+pass and the exact test.  The chain is the same, draw for draw, as with a
+pass for every proposal.  On 128 degree-1 chains on M = 80 paths (250
+iterations after a 50-iteration pilot) the main run takes 56 passes per
+chain, where a pass for every in-support proposal takes 157 and a bound
+against the latest pass alone 91.
 
 ``mle_fit`` maximizes the same likelihood by sequential quadratic
 programming in numpy, in one loop of its own; its docstring gives the loop's
@@ -57,7 +53,6 @@ coefficients it takes 2 to 9 (5.5 to 6.6 on average over 64 paths).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +67,6 @@ from .paths import CountPath
 _TARGET_ACCEPT = 0.25
 # Relative slack of mh_fit's early rejection over the likelihood bound.
 _BOUND_MARGIN = 1e-9
-# mh_fit keeps its last _RING + 1 passes as bound references.  On the 128
-# M = 80 degree-1 chains of the module docstring, 8, 16, 32 and 64 left 64,
-# 59, 56 and 55 main-run passes per chain.
-_RING = 32
 
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
@@ -183,27 +174,26 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     """Block random-walk Metropolis on the coefficients, beta0 and w fixed.
 
     Target: marginal log-likelihood plus independent normal log-priors.
-    Each proposal is checked in three steps: the support (``in_support``;
-    outside it the proposal is rejected outright), then the likelihood bound
-    against the uniform drawn for the accept test (``loglik_bound``;
-    rejected without a pass when even the bound fails), then the likelihood
-    pass, which reuses the masses of the support check, and the exact test.
-    The bound's references are the last ``_RING`` + 1 passes, accepted or
-    not, most recent first, and it uses the one whose log-mass tilt is
-    closest to the proposal's, the most recent on a tie (module docstring);
-    its slack is the largest ``bound_margin`` of any pass so far, so at
-    least the chosen reference's and the current state's.  The chain is the
-    one a pass for every proposal would give.  Over the main run,
-    ``n_evals`` counts the passes, ``n_bound_rejected`` the proposals the
-    bound rejected and ``n_support_rejected`` those outside the support, so
-    the three add up to ``iters`` in block mode and to ``iters``
-    x (degree + 1) with ``per_coordinate``, one move per coordinate; the
-    start's pass and the pilot are not counted.  The pilot (``pilot_iters``
-    iterations when ``adapt_proposals``) and the main run are one loop: the
-    pilot rescales the widths after each iteration, and the main run keeps
-    the last widths, records draws and starts the counters at 0.  A main run
-    that accepts no proposal is reported in ``diagnostics``, the chain's one
-    report of it.  Deterministic given (data, config, seed).
+    Each proposal draws its step, then the uniform of its accept test, and
+    is checked in three steps: the support (``in_support``; outside it the
+    proposal is rejected outright), the likelihood bound against that
+    uniform (``loglik_bound``; rejected without a pass when even the bound
+    fails), then the likelihood pass, which reuses the masses of the support
+    check, and the exact test.  The bound's reference is one of the
+    likelihood's recent passes, accepted or not (module docstring); its
+    slack is the largest ``bound_margin`` of any pass so far, so at least
+    the reference's and the current state's.  The chain is the one a pass
+    for every proposal would give.  Over the main run, ``n_evals`` counts
+    the passes, ``n_bound_rejected`` the proposals the bound rejected and
+    ``n_support_rejected`` those outside the support, so the three add up to
+    ``iters`` in block mode and to ``iters`` x (degree + 1) with
+    ``per_coordinate``, one move per coordinate; the start's pass and the
+    pilot are not counted.  The pilot (``pilot_iters`` iterations when
+    ``adapt_proposals``) and the main run are one loop: the pilot rescales
+    the widths after each iteration, and the main run keeps the last widths,
+    records draws and starts the counters at 0.  A main run that accepts no
+    proposal is reported in ``diagnostics``, the chain's one report of it.
+    Deterministic given (data, config, seed).
     """
     beta0, w = params_fixed
     rng = np.random.default_rng(cfg.seed)
@@ -226,7 +216,6 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
     cur_res = lik.loglik(current)
     cur_post = cur_res.loglik + log_prior(current)
     margin = bound_margin(cur_res)
-    refs = deque((cur_res,), maxlen=_RING + 1)  # the bound's references, most recent first
 
     # An iteration makes one block move, or one move per coordinate, each
     # with a draw of this size (None: a scalar).
@@ -246,19 +235,18 @@ def mh_fit(x: CountPath, params_fixed: tuple[float, float], cfg: FitConfig) -> C
         for idx in moves:
             prop = current.copy()
             prop[idx] += scale[idx] * rng.standard_normal(size)
+            u = rng.random()  # drawn for every proposal, in the support or not
             if not lik.in_support(prop):
-                rng.random()  # burn the decision draw to keep the stream aligned
                 n_support += 1
                 continue
-            log_u = math.log(rng.random())
+            log_u = math.log(u)
             prior = log_prior(prop)
             # The exact test fails wherever the bound's does, up to the margin.
-            if log_u >= lik.loglik_bound(prop, refs) + prior - cur_post + margin:
+            if log_u >= lik.loglik_bound(prop) + prior - cur_post + margin:
                 bound_rejected += 1
                 continue
             evals += 1
             res = lik.loglik(prop)
-            refs.appendleft(res)
             margin = max(margin, bound_margin(res))
             post = res.loglik + prior
             if log_u < post - cur_post:

@@ -55,17 +55,20 @@ computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
 ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
 its pass when even the bound fails the Metropolis test.
 
-Any pass of the same likelihood can serve as the reference, and the bound's
-slack grows with the spread of the ratios r_m.  ``loglik_bound`` takes
-several passes and bounds against one: the pass whose tilt log A_M - log A_1
-(``MarginalResult.log_tilt``) is closest to that of the masses at c'.  Two
-tilts differ by log r_M - log r_1, so equal tilts give equal end ratios.  At
-degree 1, r_m = (c'_0 + c'_1 u_m) / (c_0 + c_1 u_m) with u_m = B_(m,1) /
-B_(m,0) increasing in m, so equal end ratios make every ratio equal and the
-bound exact; at higher degrees the tilt matches the ends only.  One float
-per reference is compared, far cheaper than a bound against each: the least
-of those bounds rejects a few more proposals but costs more than the passes
-it saves.
+Any pass of the same likelihood can serve as the reference; the bound's
+slack grows with the spread of the ratios r_m.  A ``MarginalLikelihood``
+keeps its last ``_RING`` + 1 ``loglik`` results whose tilt log A_M - log A_1
+(``MarginalResult.log_tilt``) is finite (every mass > 0), most recent first;
+not ``loglik_grad``'s, as ``mle_fit`` never bounds.  ``loglik_bound`` bounds
+against the one whose tilt is closest to that of the masses at c': the most
+recent on a tie and when the tilt at c' is NaN.  Two tilts differ by
+log r_M - log r_1, so equal tilts give equal end ratios.  At degree 1,
+r_m = (c'_0 + c'_1 u_m) / (c_0 + c_1 u_m) with u_m = B_(m,1) / B_(m,0)
+increasing in m, so equal end ratios make every ratio equal and the bound
+exact; at higher degrees the tilt matches the ends only.  One float per
+reference is compared, far cheaper than a bound against each: the least of
+those bounds rejects a few more proposals but costs more than the passes it
+saves.
 
 The last rows also give the likelihood along the ray {s c, s >= 0} without
 another pass.  Each term of f_M(k) holds k masses, each linear in c, so
@@ -101,7 +104,7 @@ A ``MarginalLikelihood`` keeps the record of the last coefficients
 given, so a proposal takes its masses, verdict and tilt once for its
 support check, bound and pass; a pass's result carries the log masses it
 used (``MarginalResult.log_masses``) and their tilt, where
-``loglik_bound`` finds its references'.  The record saves work only: every
+``loglik_bound`` finds a kept reference's.  The record saves work only: every
 value is the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
 A step is three in-place ufunc calls on whole rows (five with the
@@ -117,8 +120,8 @@ gradient is the same, bit for bit, as with views cut per step.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -133,6 +136,10 @@ _BLOCK = 16
 # that ends the search.
 _RAY_ITERS = 64
 _RAY_UTOL = 1e-12
+# A MarginalLikelihood keeps _RING + 1 bound references, (_RING + 1)(2M + 1)
+# floats.  On the 128 M = 80 degree-1 chains of ``inference``'s module
+# docstring, 8, 16, 32 and 64 left 64, 59, 56 and 55 main-run passes each.
+_RING = 32
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ class MarginalResult:
 
     ``log_k`` is log pi(k), the posterior of the number of latent points the
     events attach to, for k = 0..M (the DP's last row less
-    polynomial_term_log); None at the -inf sentinel and when not computed.
+    polynomial_term_log), read-only; None at the -inf sentinel or not computed.
     ``log_dk`` is log D_p f_M(k) less polynomial_term_log, the last
     sensitivity row, shape (M + 1, degree + 1), which ``ray`` reads; set by
     ``loglik_grad`` only, and None at the -inf sentinel.
@@ -164,19 +171,6 @@ class MarginalResult:
 def _logsumexp(v: np.ndarray) -> float:
     top = float(v.max())
     return top + math.log(float(np.exp(v - top).sum())) if top > -math.inf else top
-
-
-def _nearest(refs: Sequence[MarginalResult], tilt: float) -> MarginalResult | None:
-    """The result in refs with a finite ``log_tilt`` closest to tilt: the first on
-    a tie (``mh_fit``'s most recent pass), and the first such when tilt is not finite."""
-    best, gap = None, math.inf
-    for ref in refs:
-        d = abs(ref.log_tilt - tilt)  # NaN when either tilt is NaN
-        # log_tilt is read again only while no reference is chosen, so a
-        # local copy of it would cost a store per reference and save nothing.
-        if d < gap or best is None and not math.isnan(ref.log_tilt):
-            best, gap = ref, d
-    return best
 
 
 @dataclass(eq=False, slots=True)
@@ -202,12 +196,16 @@ class MarginalLikelihood:
     grid themselves and raise ``ValidationError`` only when a kernel mass or
     the lambda integral is negative or the coefficients are past the
     support's limit (``intensity.support_limit``), so a gamma that dips
-    below zero without making either negative gets a value.
+    below zero without making either negative gets a value.  A horizon where
+    that limit is 0 (no gamma in the support) raises before any table.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
         beta0, w = check_rates(beta0, w)
         check_degree(degree)
+        self._support_coeff_limit = support_limit(x.T, degree)
+        if self._support_coeff_limit == 0.0:
+            raise ValidationError(f"horizon T = {x.T!r} is too long for degree {degree}: T^{degree + 1} overflows")
         self.x = x
         self.beta0 = beta0
         self.w = w
@@ -227,17 +225,21 @@ class MarginalLikelihood:
             self._log_source = np.concatenate(
                 (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
             )
-        self._support_coeff_limit = support_limit(x.T, degree)
-        # The _Masses of the last coefficients given (module docstring).
+        # The _Masses of the last coefficients given, and the bound's references (module docstring).
         self._kept: _Masses | None = None
+        self._refs: deque[MarginalResult] = deque(maxlen=_RING + 1)
         self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
 
         A path no latent configuration can produce yields the -inf sentinel.
+        A result of finite ``log_tilt`` is kept for ``loglik_bound``.
         """
-        return self._run(coeffs, grad=False)
+        res = self._run(coeffs, grad=False)
+        if math.isfinite(res.log_tilt):
+            self._refs.appendleft(res)
+        return res
 
     def loglik_grad(self, coeffs) -> tuple[MarginalResult, np.ndarray]:
         """``loglik`` (the same value, bit for bit) and d loglik / d coeffs.
@@ -260,17 +262,16 @@ class MarginalLikelihood:
         none of them again."""
         return self._record(coeffs).support
 
-    def loglik_bound(self, coeffs, refs: Sequence[MarginalResult]) -> float:
-        """An upper bound on ``loglik(coeffs).loglik`` from one of ``refs``,
-        results of passes of this likelihood, in O(M log M + len(refs)) and
-        without a pass.
+    def loglik_bound(self, coeffs) -> float:
+        """An upper bound on ``loglik(coeffs).loglik`` from a kept pass, in
+        O(M log M + ``_RING``) and without a pass.
 
-        The reference is the result whose ``log_tilt`` is closest to the
-        tilt log A'_M - log A'_1 of the masses at coeffs (module docstring):
-        the first on a tie, and the first with a finite tilt when coeffs'
-        tilt is not finite.  Results whose tilt is NaN (a mass of 0, a
-        loglik of -inf) are skipped, so the bound is +inf, and rejects
-        nothing, when no result can serve.  With one reference,
+        The reference is the kept result whose ``log_tilt`` is closest to
+        the tilt log A'_M - log A'_1 of the masses at coeffs (module
+        docstring): the most recent on a tie, and the most recent when
+        coeffs' tilt is NaN.  Only ``loglik`` results of finite tilt are
+        kept, so the bound is +inf, and rejects nothing, until such a pass
+        exists.  With the reference ref,
 
             log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k)
                              prod_(j<=k) r_(j) - beta0 T - L coeffs,
@@ -281,7 +282,11 @@ class MarginalLikelihood:
         kept record, those of the reference from ``ref.log_masses``.
         """
         rec = self._admissible(coeffs)
-        ref = _nearest(refs, rec.tilt)
+        # The first (most recent) of least |r.log_tilt - tilt|, and of all at a NaN tilt; faster than min(key=).
+        ref, gap, tilt = None, math.inf, rec.tilt
+        for r in self._refs:
+            if (g := abs(r.log_tilt - tilt)) < gap or ref is None:
+                ref, gap = r, g
         if ref is None:
             return math.inf
         # Every mass of ref is positive; a mass of 0 at coeffs gives -inf.
@@ -459,11 +464,14 @@ class MarginalLikelihood:
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
         possible = poly_log > -math.inf
+        log_k = f - poly_log if possible else None
+        if possible:  # read-only: the result may be kept as a bound reference, which callers share
+            log_k.flags.writeable = False
         result = MarginalResult(
             loglik=poly_log + exponent,
             polynomial_term_log=poly_log,
             exponent_term=exponent,
-            log_k=f - poly_log if possible else None,
+            log_k=log_k,
             log_masses=rec.log,
             log_dk=rows[:, 1:] - poly_log if grad and possible else None,
             log_tilt=rec.tilt,  # finite only where every mass is > 0, so f_M(M) > 0 and the pass is possible

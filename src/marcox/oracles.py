@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import ValidationError, check_count
 from .marginal import _logsumexp
 from .paths import CountPath, ModelParams
 from .simulator import _conditional_logliks, _latent_points
@@ -71,9 +71,12 @@ def default_y_max(mean_count: float) -> int:
     The search starts at max(1, floor(mean)).  The tail P(N > k) is summed
     term by term from far past the mean downward, never formed as 1 - cdf,
     which would lose the digits that decide the comparison with 1e-12.
+    A mean past 1e8, where that sum is not vouched for, is refused.
     """
     if mean_count <= 0.0:
         return 1
+    if not mean_count <= 1e8:  # NaN too
+        raise ValidationError(f"latent count mean {mean_count!r} is past the grid oracle's range (at most 1e8)")
     k = max(1, int(mean_count))
     log_mean = math.log(mean_count)
     pmf = []  # P(N = j) for j = k + 1, k + 2, ...; every j here exceeds the mean

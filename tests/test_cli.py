@@ -261,6 +261,36 @@ def test_simulating_a_gamma_past_the_samplers_range_is_a_validation_error(tmp_pa
     assert not out.exists()
 
 
+def test_validating_a_gamma_past_the_grid_oracles_range_is_a_validation_error(tmp_path, capsys):
+    """gamma = 1e200 on [0, 1] has a finite loglik, but a latent count of
+    mean 1e200 is past the grid oracle's range: exit 2 with one line on
+    stderr, not a traceback."""
+    config = write_config(tmp_path / "model.json", 1.0, 1.0, 0.01, (1e200, 0.0))
+    events = tmp_path / "events.csv"
+    write_events(events, [0.2, 0.5])
+    assert cli.main(["validate", "--events", str(events), "--config", config]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation-error:") and captured.err.count("\n") == 1
+    assert "mean 1e+200" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fit-mle", "fit-mcmc"])
+def test_fitting_over_a_horizon_too_long_for_the_degree_is_a_validation_error(tmp_path, capsys, command):
+    """At T = 1e200 and degree 2, T^3 is past the double range, so no
+    coefficients lie in the support: exit 2 with one line on stderr that
+    names the horizon, and no warning (a RuntimeWarning fails the suite)."""
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"T": 1e200, "beta0": 1.0, "w": 0.5, "degree": 2}), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0])
+    out = tmp_path / "chain.csv"
+    files = ["--out", str(out)] if command == "fit-mcmc" else []
+    assert cli.main([command, "--events", str(events), "--config", str(config)] + files) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "validation-error: horizon T = 1e+200 is too long for degree 2: T^3 overflows\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key",
     [(command, key) for command in ("simulate", "loglik") for key in ("T", "beta0", "w", "gamma")]

@@ -126,7 +126,7 @@ class TestMhFit:
         every proposal, bit for bit, with fewer likelihood passes."""
         cfg = config(8, iters=300, burnin=50, pilot_iters=100, **kw)
         fast = mh_fit(path, (BETA0, W), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c: math.inf)
         slow = mh_fit(path, (BETA0, W), cfg)
         for name in ("draws", "logliks", "accepted", "proposal_sd"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
@@ -141,15 +141,14 @@ class TestMhFit:
         """On a pinned M = 80 path the bound against the recent pass of the
         nearest tilt gives the chain of a pass for every proposal, bit for
         bit, with fewer passes than a bound against the latest pass alone
-        (``refs[0]``: the references are most recent first)."""
+        (a likelihood that keeps _RING + 1 = 1 pass)."""
         x = fit_path(40)
         start = (TRUTH + (0.0,))[: degree + 1]
         cfg = FitConfig(degree=degree, iters=250, burnin=50, pilot_iters=50, start=start, seed=4)
         recent = mh_fit(x, (BETA0, W), cfg)
-        bound = MarginalLikelihood.loglik_bound
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: bound(self, c, (refs[0],)))
+        monkeypatch.setattr(marginal, "_RING", 0)
         latest_only = mh_fit(x, (BETA0, W), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c: math.inf)
         exact = mh_fit(x, (BETA0, W), cfg)
         for chain in (recent, latest_only):
             for name in ("draws", "logliks", "accepted", "proposal_sd"):
@@ -234,7 +233,7 @@ class TestMhFit:
         x = CountPath(1.0, np.array([0.2, 0.6]))
         cfg = FitConfig(degree=0, start=(0.0,), iters=50, burnin=0, adapt_proposals=False, seed=1)
         chain = mh_fit(x, (0.0, 1.0), cfg)
-        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c, refs: math.inf)
+        monkeypatch.setattr(MarginalLikelihood, "loglik_bound", lambda self, c: math.inf)
         slow = mh_fit(x, (0.0, 1.0), cfg)
         assert chain.draws.tobytes() == slow.draws.tobytes()
         assert chain.logliks.tobytes() == slow.logliks.tobytes()
@@ -267,7 +266,7 @@ class TestMhFit:
             def loglik(self, coeffs):
                 return MarginalResult(0.0, 0.0, 0.0)
 
-            def loglik_bound(self, coeffs, refs):
+            def loglik_bound(self, coeffs):
                 return 0.0
 
         monkeypatch.setattr(inference, "MarginalLikelihood", FlatLikelihood)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from marcox import marginal
 from marcox.errors import ValidationError
 from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, support_limit
 from marcox.marginal import _BLOCK, MarginalLikelihood, marginal_loglik
@@ -275,6 +276,28 @@ class TestMarginalLikelihood:
         many = MarginalLikelihood(load_path(np.linspace(0.2, 1.0, 40) * T, T), 0.0, 50.0, degree)
         assert one._support_coeff_limit == many._support_coeff_limit == support_limit(T, degree)
 
+    @pytest.mark.parametrize("T, degree", [(1e200, 1), (1e200, 2), (1e40, MAX_DEGREE), (1e308, 1)])
+    def test_horizon_too_long_for_the_degree_is_refused_before_any_table(self, T, degree, monkeypatch):
+        """Where max(1, T)^(degree + 1) overflows, ``support_limit`` is 0 and
+        no coefficients lie in the support: the constructor raises
+        ``ValidationError`` naming the horizon, and builds no table (each
+        would warn of an overflow, which fails the suite)."""
+        assert support_limit(T, degree) == 0.0
+        for name in ("kernel_moments", "lambda_moments", "nonneg_matrix"):
+            monkeypatch.setattr(marginal, name, lambda *args: pytest.fail("a table was built"))
+        with pytest.raises(ValidationError, match=re.escape(f"horizon T = {T!r} is too long for degree {degree}")):
+            MarginalLikelihood(load_path([1.0], T), 1.0, 0.5, degree)
+
+    @pytest.mark.parametrize("T, degree", [(1e308, 0), (1e100, 1), (1e34, MAX_DEGREE)])
+    def test_longest_horizons_below_the_limit_still_build(self, T, degree):
+        """Where max(1, T)^(degree + 1) is a double, the tables are built
+        without a warning, and a constant gamma at half the limit is in the
+        support."""
+        limit = support_limit(T, degree)
+        assert limit > 0.0
+        lik = MarginalLikelihood(load_path([1.0], T), 1.0, 0.5, degree)
+        assert lik.in_support(np.eye(degree + 1)[0] * (0.5 * limit))
+
     def test_wrong_coefficient_count_rejected(self):
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
         with pytest.raises(ValidationError):
@@ -470,6 +493,18 @@ def bound_case(M, beta0, w, T, degree, seed):
     return lik, ref_coeffs, lik.loglik(ref_coeffs)
 
 
+def fresh(lik):
+    """A new MarginalLikelihood of lik's path, rates and degree, with no passes kept."""
+    return MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
+
+
+def one_reference(lik, ref_coeffs):
+    """A fresh likelihood of lik's path whose one pass is at ref_coeffs, and
+    that pass: the likelihood that bounds against it alone."""
+    one = fresh(lik)
+    return one, one.loglik(ref_coeffs)
+
+
 def single_reference_bound(lik, coeffs, ref):
     """The bound from the one reference ref, computed step for step as
     loglik_bound computed it before it chose among several references."""
@@ -487,7 +522,8 @@ def single_reference_bound(lik, coeffs, ref):
 
 
 class TestLoglikBound:
-    """loglik_bound bounds loglik from above through the posterior of k."""
+    """loglik_bound bounds loglik from above through the posterior of k,
+    against the likelihood's own recent passes."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -500,40 +536,47 @@ class TestLoglikBound:
         steps=st.lists(st.lists(st.floats(-1.5, 1.0), min_size=4, max_size=4), min_size=2, max_size=6),
     )
     def test_every_reference_bounds_loglik(self, M, beta0, w, T, degree, seed, steps):
-        """Each of several references, alone, bounds loglik and gives the
-        single-reference bound bit for bit; together they give the bound of
-        the one whose tilt is nearest the proposal's, the first on a tie."""
-        lik, ref_coeffs, ref = bound_case(M, beta0, w, T, degree, seed)
+        """Each of several passes, kept alone, bounds loglik and gives the
+        single-reference bound bit for bit; kept together they give the
+        bound of the one whose tilt is nearest the proposal's, the most
+        recent on a tie."""
+        lik, ref_coeffs, _ = bound_case(M, beta0, w, T, degree, seed)
         coeffs, *others = (ref_coeffs * (1.0 + np.array(step[: degree + 1])) for step in steps)
-        refs = [ref] + [lik.loglik(c) for c in others if lik.in_support(c)]
+        points = [ref_coeffs] + [c for c in others if lik.in_support(c)]
         assume(lik.in_support(coeffs))
-        got = lik.loglik(coeffs)
-        bounds = []
-        for r in refs:
-            bound = lik.loglik_bound(coeffs, (r,))
-            assert bound.hex() == single_reference_bound(lik, coeffs, r).hex()
+        for c in points[1:]:
+            lik.loglik(c)
+        got = fresh(lik).loglik(coeffs)
+        refs, bounds = [], []
+        for c in points:
+            one, r = one_reference(lik, c)
+            bound = one.loglik_bound(coeffs)
+            assert bound.hex() == single_reference_bound(one, coeffs, r).hex()
             slack = 1e-12 * (1.0 + abs(r.polynomial_term_log) + abs(got.exponent_term))
             assert got.loglik <= bound + slack
+            refs.append(r)
             bounds.append(bound)
         tilt = float(got.log_masses[-1]) - float(got.log_masses[0]) if M else 0.0
-        usable = [i for i, r in enumerate(refs) if math.isfinite(r.log_tilt)]
+        usable = [i for i in reversed(range(len(refs))) if math.isfinite(refs[i].log_tilt)]  # most recent first
         gaps = [abs(refs[i].log_tilt - tilt) if math.isfinite(tilt) else 0.0 for i in usable]
         nearest = usable[gaps.index(min(gaps))] if usable else None
         want = bounds[nearest] if usable else math.inf
-        assert lik.loglik_bound(coeffs, refs).hex() == want.hex()
+        assert lik.loglik_bound(coeffs).hex() == want.hex()
 
     def test_nearest_tilt_tightens_the_bound(self):
-        """A reference of the proposal's tilt (coefficients in the same
-        ratio) bounds it exactly at degree 1, where the current state's
-        reference leaves slack; the reference list picks the former."""
-        lik, ref_coeffs, ref = bound_case(80, 1.0, 0.5, 15.0, 1, 3)
+        """A kept pass of the proposal's tilt (coefficients in the same
+        ratio) bounds it exactly at degree 1, where a pass at the current
+        state leaves slack; the likelihood picks the former, also when the
+        current state's pass is the more recent."""
+        lik, ref_coeffs, _ = bound_case(80, 1.0, 0.5, 15.0, 1, 3)
         coeffs = ref_coeffs * np.array([1.0, 1.4])
+        exact = fresh(lik).loglik(coeffs)
+        assert lik.loglik_bound(coeffs) > exact.loglik + 1e-3
         same_tilt = lik.loglik(0.8 * coeffs)
-        assert same_tilt.log_tilt == pytest.approx(lik.loglik(coeffs).log_tilt, rel=1e-12)
-        exact = lik.loglik(coeffs).loglik
-        assert lik.loglik_bound(coeffs, (ref,)) > exact + 1e-3
-        assert lik.loglik_bound(coeffs, (ref, same_tilt)) == pytest.approx(exact, rel=0, abs=1e-10)
-        assert lik.loglik_bound(coeffs, (ref, same_tilt)) == lik.loglik_bound(coeffs, (same_tilt,))
+        lik.loglik(ref_coeffs)
+        assert same_tilt.log_tilt == pytest.approx(exact.log_tilt, rel=1e-12)
+        assert lik.loglik_bound(coeffs) == pytest.approx(exact.loglik, rel=0, abs=1e-10)
+        assert lik.loglik_bound(coeffs) == one_reference(lik, 0.8 * coeffs)[0].loglik_bound(coeffs)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -557,7 +600,7 @@ class TestLoglikBound:
         else:
             coeffs = ref_coeffs * (1.0 + np.array(step[: degree + 1]))
         assume(lik.in_support(coeffs))
-        bound = lik.loglik_bound(coeffs, (ref,))
+        bound = lik.loglik_bound(coeffs)
         assert bound < math.inf  # every reference mass is positive
         got = lik.loglik(coeffs)
         slack = 1e-12 * (1.0 + abs(ref.polynomial_term_log) + abs(got.exponent_term))
@@ -570,7 +613,7 @@ class TestLoglikBound:
         lik, ref_coeffs, ref = bound_case(120, beta0, 0.8, 20.0, 2, 5)
         coeffs = scale * ref_coeffs
         assert lik.in_support(coeffs)
-        assert lik.loglik_bound(coeffs, (ref,)) == pytest.approx(lik.loglik(coeffs).loglik, rel=0, abs=1e-12)
+        assert lik.loglik_bound(coeffs) == pytest.approx(fresh(lik).loglik(coeffs).loglik, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("beta0", [0.0, 0.7])
     def test_posterior_of_k_sums_to_one(self, beta0):
@@ -587,16 +630,19 @@ class TestLoglikBound:
         assert math.exp(res.log_k[1]) == pytest.approx(A1 / (0.7 + A1), rel=1e-14)
 
     def test_sentinel_has_no_posterior_and_no_bound(self):
-        """At the -inf sentinel log_k is unset, without a RuntimeWarning, and
-        a bound from it rejects nothing."""
+        """At the -inf sentinel log_k is unset, without a RuntimeWarning.
+        The sentinel is not kept, so the bound is +inf, and rejects
+        nothing, until a kept pass exists."""
         lik = MarginalLikelihood(load_path([0.5], 1.0), 0.0, 1.0, 0)
+        assert lik.loglik_bound((1.0,)) == math.inf  # no pass yet
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = lik.loglik((0.0,))
         assert ref.loglik == -math.inf and ref.log_k is None and math.isnan(ref.log_tilt)
         assert lik.in_support((1.0,))
-        assert lik.loglik_bound((1.0,), (ref,)) == math.inf
-        assert lik.loglik_bound((1.0,), ()) == math.inf
+        assert lik.loglik_bound((1.0,)) == math.inf
+        lik.loglik((2.0,))
+        assert lik.loglik_bound((1.0,)) < math.inf
 
     @pytest.mark.parametrize("checked", [True, False], ids=["after-in_support", "bound-only"])
     @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
@@ -608,11 +654,11 @@ class TestLoglikBound:
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         if checked:
             assert lik.in_support(coeffs)
-        assert lik.loglik_bound(coeffs, (ref,)) < math.inf
-        fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
+        assert lik.loglik_bound(coeffs) < math.inf
+        other = fresh(lik)
         run = "loglik_grad" if grad else "loglik"
         for c in (coeffs, ref_coeffs):
-            got, want = getattr(lik, run)(c), getattr(fresh, run)(c)
+            got, want = getattr(lik, run)(c), getattr(other, run)(c)
             if grad:
                 (got, got_grad), (want, want_grad) = got, want
                 assert got_grad.tobytes() == want_grad.tobytes()
@@ -621,18 +667,17 @@ class TestLoglikBound:
             assert got.log_masses.tobytes() == want.log_masses.tobytes()
 
     def test_reference_outlives_the_kept_record(self):
-        """A reference result keeps its own log masses: after passes at other
-        coefficients have replaced the kept record, its bound is the one a
-        fresh MarginalLikelihood gives, bit for bit."""
+        """A kept pass keeps its own log masses: after support checks at
+        other coefficients have replaced the kept record, its bound is the
+        one a fresh MarginalLikelihood with that one pass gives, bit for bit."""
         lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 8)
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         for other in (2.0 * ref_coeffs, 0.5 * coeffs):
-            lik.loglik(other)
+            assert lik.in_support(other)
         assert lik._kept.key != (ref_coeffs.shape, ref_coeffs.tobytes())
-        fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
-        want = fresh.loglik_bound(coeffs, (fresh.loglik(ref_coeffs),))
-        assert lik.loglik_bound(coeffs, (ref,)).hex() == want.hex()
-        assert ref.log_masses.tobytes() == np.log(fresh._B @ ref_coeffs).tobytes()
+        want = one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs)
+        assert lik.loglik_bound(coeffs).hex() == want.hex()
+        assert ref.log_masses.tobytes() == np.log(lik._B @ ref_coeffs).tobytes()
 
     def test_log_masses_are_read_only(self):
         """A result shares its log masses with the kept record, so writing to
@@ -640,22 +685,70 @@ class TestLoglikBound:
         lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 9)
         with pytest.raises(ValueError, match="read-only"):
             ref.log_masses[0] = 0.0
-        fresh = MarginalLikelihood(lik.x, lik.beta0, lik.w, lik.degree)
-        assert lik.loglik(ref_coeffs).log_masses.tobytes() == fresh.loglik(ref_coeffs).log_masses.tobytes()
+        assert lik.loglik(ref_coeffs).log_masses.tobytes() == fresh(lik).loglik(ref_coeffs).log_masses.tobytes()
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
+    def test_log_k_is_read_only(self, grad):
+        """The likelihood keeps value passes as references, which their
+        callers also hold, so writing to log_k raises instead of changing
+        the next bound; a gradient pass's log_k is read-only too."""
+        lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 9)
+        res = lik.loglik_grad(ref_coeffs)[0] if grad else ref
+        with pytest.raises(ValueError, match="read-only"):
+            res.log_k[0] = 0.0
+        coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
+        assert lik.loglik_bound(coeffs).hex() == one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs).hex()
 
     def test_zero_reference_mass_bounds_nothing(self):
-        """A reference pass with a mass of 0 gives +inf, not a ratio over 0,
-        also where the proposal's mass is 0 too."""
+        """A pass with a mass of 0 is not kept: the bound is +inf until a pass
+        with every mass > 0 exists, also where the proposal's mass is 0 too,
+        and a later pass with a mass of 0 does not displace that one."""
         lik = MarginalLikelihood(load_path([0.5, 0.8], 1.0), 0.7, 1.0, 0)
         ref = lik.loglik((0.0,))
-        assert math.isfinite(ref.loglik)
+        assert math.isfinite(ref.loglik) and math.isnan(ref.log_tilt)
         assert lik.in_support((1.0,))
-        assert lik.loglik_bound((1.0,), (ref,)) == math.inf
-        assert lik.loglik_bound((0.0,), (ref,)) == math.inf
-        assert math.isnan(ref.log_tilt)
-        # Among other references it is skipped.
-        good = lik.loglik((2.0,))
-        assert lik.loglik_bound((1.0,), (ref, good)) == lik.loglik_bound((1.0,), (good,)) < math.inf
+        assert lik.loglik_bound((1.0,)) == math.inf
+        assert lik.loglik_bound((0.0,)) == math.inf
+        lik.loglik((2.0,))
+        lik.loglik((0.0,))
+        want = one_reference(lik, (2.0,))[0].loglik_bound((1.0,))
+        assert lik.loglik_bound((1.0,)) == want < math.inf
+
+    def test_gradient_pass_is_not_a_reference(self):
+        """loglik_grad results are not kept: after gradient passes alone the
+        bound is +inf, and a value pass then serves as the one reference."""
+        lik = fresh(bound_case(90, 0.7, 0.8, 20.0, 2, 10)[0])
+        ref_coeffs = np.array([1.0, 0.1, 0.01])
+        coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
+        for c in (ref_coeffs, 2.0 * ref_coeffs):
+            lik.loglik_grad(c)
+        assert len(lik._refs) == 0 and lik.loglik_bound(coeffs) == math.inf
+        lik.loglik(ref_coeffs)
+        lik.loglik_grad(coeffs)
+        assert lik.loglik_bound(coeffs).hex() == one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs).hex()
+
+    def test_window_holds_the_last_ring_plus_one_kept_passes(self):
+        """The references are the last _RING + 1 passes with every mass > 0,
+        most recent first; passes with a mass of 0 take no place among them."""
+        lik = MarginalLikelihood(load_path([0.5, 0.8], 1.0), 0.7, 1.0, 0)
+        kept = []
+        for i in range(marginal._RING + 10):
+            kept.append(lik.loglik((1.0 + i,)))
+            lik.loglik((0.0,))
+        want = kept[::-1][: marginal._RING + 1]
+        assert len(lik._refs) == marginal._RING + 1
+        assert all(got is res for got, res in zip(lik._refs, want))
+
+    def test_a_ring_of_zero_bounds_against_the_latest_kept_pass(self, monkeypatch):
+        """With _RING = 0 the one reference is the latest kept pass, even
+        where an older one has the proposal's tilt."""
+        monkeypatch.setattr(marginal, "_RING", 0)
+        lik, ref_coeffs, _ = bound_case(80, 1.0, 0.5, 15.0, 1, 3)
+        coeffs = ref_coeffs * np.array([1.0, 1.4])
+        lik.loglik(0.8 * coeffs)
+        lik.loglik(ref_coeffs)
+        assert len(lik._refs) == 1
+        assert lik.loglik_bound(coeffs) == one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -684,13 +777,16 @@ class TestLoglikBound:
     @pytest.mark.parametrize("beta0", [0.0, 0.7])
     def test_a_first_mass_of_zero_bounds_against_the_first_usable_reference(self, beta0):
         """A first mass that rounds to 0 under a later positive one gives a
-        NaN tilt, and the bound takes the first reference of finite tilt."""
+        NaN tilt, and the bound takes the first kept reference, the most
+        recent pass with every mass > 0; later passes with a mass of 0 are
+        not kept."""
         lik = MarginalLikelihood(load_path([1e-300, 0.5], 1.0), beta0, 1.0, 0)
         res = lik.loglik((1e-30,))
         assert res.log_masses[0] == -math.inf < res.log_masses[1] and math.isnan(res.log_tilt)
         assert math.isfinite(res.loglik) is (beta0 > 0.0)
-        refs = [lik.loglik((c,)) for c in (0.0, 2.0, 1e-30, 0.5)]
-        assert lik.loglik_bound((1e-30,), refs) == lik.loglik_bound((1e-30,), refs[1:2])
+        for c in (0.0, 2.0, 0.5, 1e-30, 0.0):
+            lik.loglik((c,))
+        assert lik.loglik_bound((1e-30,)) == one_reference(lik, (0.5,))[0].loglik_bound((1e-30,))
 
 
 # A coefficient: 0, +-1e-300 to +-1e300, +-inf or NaN.

@@ -254,3 +254,24 @@ class TestSpecs:
         ks = np.array([default_y_max(float(m)) for m in means])
         assert np.all(poisson.sf(ks, means) < 1e-12)
         assert np.all(poisson.sf(ks - 1, means) >= 1e-12)
+
+    def test_default_y_max_at_the_top_of_its_range(self):
+        """At a mean of 1e8 the level lies about 7 standard deviations above it."""
+        k = default_y_max(1e8)
+        assert 6.5e4 < k - 1e8 < 7.5e4
+
+    @pytest.mark.parametrize("mean", [math.nextafter(1e8, math.inf), 1e10, 1e200, math.inf, math.nan])
+    def test_default_y_max_refuses_a_mean_past_its_range(self, mean):
+        """Past 1e8 the tail sum is not vouched for (and grows slow, then
+        wrong, then overflows): ``ValidationError``, not a level."""
+        with pytest.raises(ValidationError, match="past the grid oracle's range"):
+            default_y_max(mean)
+
+    def test_grid_marginal_of_a_gamma_past_its_range_is_a_validation_error(self):
+        """gamma = 1e200 on [0, 1] passes ``validate_nonneg`` and has a finite
+        loglik, but Gamma(T) = 1e200 is past the grid oracle's range."""
+        params = ModelParams(1.0, 0.01, PolyIntensity((1e200, 0.0)))
+        x = load_path([0.2, 0.5], 1.0)
+        assert math.isfinite(marginal_loglik(x, params).loglik)
+        with pytest.raises(ValidationError, match="mean 1e\\+200"):
+            grid_marginal(x, params)
