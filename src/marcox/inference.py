@@ -561,6 +561,7 @@ def bands_csv(summary: ChainSummary) -> str:
 def read_chain_csv(path: str | Path) -> np.ndarray:
     """The (n_kept, degree + 1) draws of the chain CSV at ``path``.
 
+    The header must be iter, c0, .., c{d-1}, loglik, accepted with d >= 1.
     Every row is checked whole: its field count, a loglik that parses as a
     float, an accepted flag of 0 or 1 and finite coefficients; a bad row
     raises ``ValidationError`` naming its line, and so does a file that is
@@ -572,10 +573,10 @@ def read_chain_csv(path: str | Path) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "iter" or header[-2:] != ["loglik", "accepted"]:
-                raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
+            header = next(reader, None) or []
             d = len(header) - 3
+            if d < 1 or header != ["iter", *(f"c{p}" for p in range(d)), "loglik", "accepted"]:
+                raise ValidationError("not a chain CSV: expected iter, c0.., loglik, accepted")
             draws = []
             for row in reader:
                 if not row:

@@ -57,18 +57,18 @@ its pass when even the bound fails the Metropolis test.
 
 Any pass of the same likelihood can serve as the reference; the bound's
 slack grows with the spread of the ratios r_m.  A ``MarginalLikelihood``
-keeps its last ``_RING`` + 1 ``loglik`` results whose tilt log A_M - log A_1
-(``MarginalResult.log_tilt``) is finite (every mass > 0), most recent first;
-not ``loglik_grad``'s, as ``mle_fit`` never bounds.  ``loglik_bound`` bounds
-against the one whose tilt is closest to that of the masses at c': the most
-recent on a tie and when the tilt at c' is NaN.  Two tilts differ by
-log r_M - log r_1, so equal tilts give equal end ratios.  At degree 1,
-r_m = (c'_0 + c'_1 u_m) / (c_0 + c_1 u_m) with u_m = B_(m,1) / B_(m,0)
-increasing in m, so equal end ratios make every ratio equal and the bound
-exact; at higher degrees the tilt matches the ends only.  One float per
-reference is compared, far cheaper than a bound against each: the least of
-those bounds rejects a few more proposals but costs more than the passes it
-saves.
+keeps its last ``_RING`` + 1 ``loglik`` passes of finite tilt log A_M -
+log A_1 (every mass > 0), each as its record (below) and result, most
+recent first; not ``loglik_grad``'s, as ``mle_fit`` never bounds.
+``loglik_bound`` bounds against the one whose tilt is closest to that of
+the masses at c': the most recent on a tie and when the tilt at c' is NaN.
+Two tilts differ by log r_M - log r_1, so equal tilts give equal end
+ratios.  At degree 1, r_m = (c'_0 + c'_1 u_m) / (c_0 + c_1 u_m) with
+u_m = B_(m,1) / B_(m,0) increasing in m, so equal end ratios make every
+ratio equal and the bound exact; at higher degrees the tilt matches the
+ends only.  One float per reference is compared, far cheaper than a bound
+against each: the least of those bounds rejects a few more proposals but
+costs more than the passes it saves.
 
 The last rows also give the likelihood along the ray {s c, s >= 0} without
 another pass.  Each term of f_M(k) holds k masses, each linear in c, so
@@ -102,10 +102,10 @@ finite, so nothing else is read.  The log of a mass of 0
 is -inf, so ``np.errstate`` is entered only where that min is exactly 0.
 A ``MarginalLikelihood`` keeps the record of the last coefficients
 given, so a proposal takes its masses, verdict and tilt once for its
-support check, bound and pass; a pass's result carries the log masses it
-used (``MarginalResult.log_masses``) and their tilt, where
-``loglik_bound`` finds a kept reference's.  The record saves work only: every
-value is the one a fresh ``MarginalLikelihood`` gives, bit for bit.
+support check, bound and pass; a kept reference holds its pass's record,
+where ``loglik_bound`` reads its log masses and tilt, so a
+``MarginalResult`` holds none.  The record saves work only: every value is
+the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
 A step is three in-place ufunc calls on whole rows (five with the
 gradient), so at M in the hundreds a pass costs interpreter overhead per
@@ -151,21 +151,15 @@ class MarginalResult:
     polynomial_term_log), read-only; None at the -inf sentinel or not computed.
     ``log_dk`` is log D_p f_M(k) less polynomial_term_log, the last
     sensitivity row, shape (M + 1, degree + 1), which ``ray`` reads; set by
-    ``loglik_grad`` only, and None at the -inf sentinel.
-    ``log_masses`` is log (A_m e^{w (T - t_m)}), m = 1..M, the log kernel
-    masses the pass used (-inf for a mass of 0), read-only; None when not
-    computed.  ``log_tilt`` is log A_M - log A_1 (0 at M = 0), by which
-    ``loglik_bound`` picks its reference; NaN when the result cannot serve
-    as one (a mass of 0, which every -inf sentinel has) or was not computed.
+    ``loglik_grad`` only, and None at the -inf sentinel.  The masses the
+    pass used stay in the likelihood's record (module docstring).
     """
 
     loglik: float
     polynomial_term_log: float
     exponent_term: float
     log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
-    log_masses: np.ndarray | None = field(default=None, compare=False, repr=False)
     log_dk: np.ndarray | None = field(default=None, compare=False, repr=False)
-    log_tilt: float = field(default=math.nan, compare=False, repr=False)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -227,18 +221,23 @@ class MarginalLikelihood:
             )
         # The _Masses of the last coefficients given, and the bound's references (module docstring).
         self._kept: _Masses | None = None
-        self._refs: deque[MarginalResult] = deque(maxlen=_RING + 1)
-        self._log_stay_wide: np.ndarray | None = None  # built at the first gradient pass
+        self._refs: deque[tuple[_Masses, MarginalResult]] = deque(maxlen=_RING + 1)
+        # log_stay in every column, built at the first gradient pass.  The copy
+        # pays: broadcasting log_stay[:hi, None] instead gave the same gradients,
+        # bit for bit, in 1.27-1.30 ms per gradient pass against 1.12-1.15 ms
+        # (M = 80, degree 1, 16 paths, min of 5 x 20 runs).
+        self._log_stay_wide: np.ndarray | None = None
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
 
         A path no latent configuration can produce yields the -inf sentinel.
-        A result of finite ``log_tilt`` is kept for ``loglik_bound``.
+        A pass of finite tilt (every mass > 0) is kept for ``loglik_bound``.
         """
-        res = self._run(coeffs, grad=False)
-        if math.isfinite(res.log_tilt):
-            self._refs.appendleft(res)
+        rec = self._admissible(coeffs)
+        res = self._run(rec, grad=False)
+        if math.isfinite(rec.tilt):
+            self._refs.appendleft((rec, res))
         return res
 
     def loglik_grad(self, coeffs) -> tuple[MarginalResult, np.ndarray]:
@@ -248,7 +247,7 @@ class MarginalLikelihood:
         the likelihood's own.  At the -inf sentinel a component is +inf when
         raising that coefficient makes the path possible, and -L_p otherwise.
         """
-        return self._run(coeffs, grad=True)
+        return self._run(self._admissible(coeffs), grad=True)
 
     def in_support(self, coeffs) -> bool:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: the
@@ -266,12 +265,12 @@ class MarginalLikelihood:
         """An upper bound on ``loglik(coeffs).loglik`` from a kept pass, in
         O(M log M + ``_RING``) and without a pass.
 
-        The reference is the kept result whose ``log_tilt`` is closest to
+        The reference is the kept pass whose record's tilt is closest to
         the tilt log A'_M - log A'_1 of the masses at coeffs (module
         docstring): the most recent on a tie, and the most recent when
-        coeffs' tilt is NaN.  Only ``loglik`` results of finite tilt are
+        coeffs' tilt is NaN.  Only ``loglik`` passes of finite tilt are
         kept, so the bound is +inf, and rejects nothing, until such a pass
-        exists.  With the reference ref,
+        exists.  With the reference's result ref,
 
             log p(coeffs) <= ref.polynomial_term_log + log sum_k pi(k)
                              prod_(j<=k) r_(j) - beta0 T - L coeffs,
@@ -279,18 +278,19 @@ class MarginalLikelihood:
         where r_(1) >= r_(2) >= ... are the mass ratios A'_m / A_m in
         decreasing order and pi = exp(ref.log_k); equality holds when every
         ratio is the same.  The masses at coeffs and their tilt come from the
-        kept record, those of the reference from ``ref.log_masses``.
+        kept record, those of the reference from its own record.
         """
         rec = self._admissible(coeffs)
-        # The first (most recent) of least |r.log_tilt - tilt|, and of all at a NaN tilt; faster than min(key=).
-        ref, gap, tilt = None, math.inf, rec.tilt
+        # The first (most recent) of least |tilt gap|, and of all at a NaN tilt; faster than min(key=).
+        best, gap, tilt = None, math.inf, rec.tilt
         for r in self._refs:
-            if (g := abs(r.log_tilt - tilt)) < gap or ref is None:
-                ref, gap = r, g
-        if ref is None:
+            if (g := abs(r[0].tilt - tilt)) < gap or best is None:
+                best, gap = r, g
+        if best is None:
             return math.inf
+        ref_rec, ref = best
         # Every mass of ref is positive; a mass of 0 at coeffs gives -inf.
-        log_ratio = rec.log - ref.log_masses
+        log_ratio = rec.log - ref_rec.log
         log_ratio.sort()
         # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0 at coeffs) comes last.
         gain = log_ratio[::-1].cumsum()
@@ -397,7 +397,7 @@ class MarginalLikelihood:
             with np.errstate(divide="ignore"):
                 log = np.log(scaled)
             tilt = math.nan
-        # Results share it (MarginalResult.log_masses), so none may write to it.
+        # The kept record and the bound's references share it, so none may write to it.
         log.flags.writeable = False
         return _Masses(key, lam, log, grid_nonneg(self.V @ c), tilt)
 
@@ -418,8 +418,7 @@ class MarginalLikelihood:
             )
         return rec
 
-    def _run(self, coeffs, grad: bool):
-        rec = self._admissible(coeffs)
+    def _run(self, rec: _Masses, grad: bool):
         log_new = self._log_kernel + rec.log
         M = rec.log.size
         # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
@@ -472,9 +471,7 @@ class MarginalLikelihood:
             polynomial_term_log=poly_log,
             exponent_term=exponent,
             log_k=log_k,
-            log_masses=rec.log,
             log_dk=rows[:, 1:] - poly_log if grad and possible else None,
-            log_tilt=rec.tilt,  # finite only where every mass is > 0, so f_M(M) > 0 and the pass is possible
         )
         if not grad:
             return result

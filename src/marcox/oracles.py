@@ -168,9 +168,10 @@ def grid_marginal(x: CountPath, params: ModelParams) -> float:
 
 def grid_check(x: CountPath, params: ModelParams, loglik: float) -> dict:
     """The grid oracle's verdict on ``loglik``, the likelihood's value of log p(x):
-    pass when |log_value - loglik| <= 1e-9 max(1, |loglik|)."""
+    pass when the two are equal (both -inf among them) or |log_value - loglik|
+    <= 1e-9 max(1, |loglik|)."""
     value = grid_marginal(x, params)
-    return {"log_value": value, "pass": abs(value - loglik) <= 1e-9 * max(1.0, abs(loglik))}
+    return {"log_value": value, "pass": value == loglik or abs(value - loglik) <= 1e-9 * max(1.0, abs(loglik))}
 
 
 def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSequence):

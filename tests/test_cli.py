@@ -610,6 +610,19 @@ def test_non_finite_chain_coefficient_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_chain_without_coefficient_columns_is_not_a_chain(tmp_path, capsys):
+    """A header of iter, loglik, accepted alone is refused when read, with one
+    stderr line, not summarized as an empty chain."""
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,loglik,accepted\n0,-3.0,1\n", encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    rc = cli.main(["summarize", "--chain", str(chain), "--grid", "0:1:3", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "validation-error: not a chain CSV: expected iter, c0.., loglik, accepted\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, bad, code, message",
     [

@@ -904,7 +904,15 @@ class TestChainCsv:
 
 
     @pytest.mark.parametrize(
-        "text", ["", "time\n0.5\n", "iter,c0,c1,loglik\n0,1.0,0.1,-3.0\n", "c0,c1,loglik,accepted\n1.0,0.1,-3.0,1\n"]
+        "text",
+        [
+            "",
+            "time\n0.5\n",
+            "iter,c0,c1,loglik\n0,1.0,0.1,-3.0\n",
+            "c0,c1,loglik,accepted\n1.0,0.1,-3.0,1\n",
+            "iter,loglik,accepted\n0,-3.0,1\n",  # no coefficient columns
+            "iter,foo,bar,loglik,accepted\n0,1.0,0.1,-3.0,1\n",
+        ],
     )
     def test_wrong_header_is_not_a_chain(self, tmp_path, text):
         chain = tmp_path / "chain.csv"

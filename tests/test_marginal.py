@@ -1,5 +1,6 @@
 """Unit tests for the marginal likelihood and its open-block recursion."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from marcox import marginal
 from marcox.errors import ValidationError
 from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, support_limit
-from marcox.marginal import _BLOCK, MarginalLikelihood, marginal_loglik
+from marcox.marginal import _BLOCK, MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
@@ -505,14 +506,15 @@ def one_reference(lik, ref_coeffs):
     return one, one.loglik(ref_coeffs)
 
 
-def single_reference_bound(lik, coeffs, ref):
-    """The bound from the one reference ref, computed step for step as
-    loglik_bound computed it before it chose among several references."""
+def single_reference_bound(lik, coeffs, ref_coeffs, ref):
+    """The bound from the one reference ref, the pass at ref_coeffs, computed
+    step for step as loglik_bound computed it before it chose among several
+    references; the reference's masses come from a fresh record."""
     if ref.log_k is None or not math.isfinite(ref.loglik):
         return math.inf
     rec = lik._admissible(coeffs)
     with np.errstate(invalid="ignore"):
-        log_ratio = rec.log - ref.log_masses
+        log_ratio = rec.log - lik._masses(ref_coeffs).log
     log_ratio.sort()
     if log_ratio.size and not log_ratio[-1] < math.inf:
         return math.inf
@@ -551,14 +553,16 @@ class TestLoglikBound:
         for c in points:
             one, r = one_reference(lik, c)
             bound = one.loglik_bound(coeffs)
-            assert bound.hex() == single_reference_bound(one, coeffs, r).hex()
+            assert bound.hex() == single_reference_bound(one, coeffs, c, r).hex()
             slack = 1e-12 * (1.0 + abs(r.polynomial_term_log) + abs(got.exponent_term))
             assert got.loglik <= bound + slack
             refs.append(r)
             bounds.append(bound)
-        tilt = float(got.log_masses[-1]) - float(got.log_masses[0]) if M else 0.0
-        usable = [i for i in reversed(range(len(refs))) if math.isfinite(refs[i].log_tilt)]  # most recent first
-        gaps = [abs(refs[i].log_tilt - tilt) if math.isfinite(tilt) else 0.0 for i in usable]
+        log = lik._masses(coeffs).log
+        tilt = float(log[-1]) - float(log[0]) if M else 0.0
+        ref_tilts = [lik._masses(c).tilt for c in points]
+        usable = [i for i in reversed(range(len(refs))) if math.isfinite(ref_tilts[i])]  # most recent first
+        gaps = [abs(ref_tilts[i] - tilt) if math.isfinite(tilt) else 0.0 for i in usable]
         nearest = usable[gaps.index(min(gaps))] if usable else None
         want = bounds[nearest] if usable else math.inf
         assert lik.loglik_bound(coeffs).hex() == want.hex()
@@ -572,9 +576,9 @@ class TestLoglikBound:
         coeffs = ref_coeffs * np.array([1.0, 1.4])
         exact = fresh(lik).loglik(coeffs)
         assert lik.loglik_bound(coeffs) > exact.loglik + 1e-3
-        same_tilt = lik.loglik(0.8 * coeffs)
+        lik.loglik(0.8 * coeffs)
         lik.loglik(ref_coeffs)
-        assert same_tilt.log_tilt == pytest.approx(exact.log_tilt, rel=1e-12)
+        assert lik._masses(0.8 * coeffs).tilt == pytest.approx(lik._masses(coeffs).tilt, rel=1e-12)
         assert lik.loglik_bound(coeffs) == pytest.approx(exact.loglik, rel=0, abs=1e-10)
         assert lik.loglik_bound(coeffs) == one_reference(lik, 0.8 * coeffs)[0].loglik_bound(coeffs)
 
@@ -638,7 +642,7 @@ class TestLoglikBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = lik.loglik((0.0,))
-        assert ref.loglik == -math.inf and ref.log_k is None and math.isnan(ref.log_tilt)
+        assert ref.loglik == -math.inf and ref.log_k is None and math.isnan(lik._masses((0.0,)).tilt)
         assert lik.in_support((1.0,))
         assert lik.loglik_bound((1.0,)) == math.inf
         lik.loglik((2.0,))
@@ -648,8 +652,9 @@ class TestLoglikBound:
     @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
     def test_pass_after_the_bound_is_a_fresh_pass(self, checked, grad):
         """The pass right after loglik_bound at the same bytes reuses the kept
-        record, and gives what a fresh MarginalLikelihood gives, log_k, log
-        masses and gradient included; so does a pass at the reference."""
+        record, and gives what a fresh MarginalLikelihood gives, log_k and
+        gradient included, from the log masses of a fresh record; so does a
+        pass at the reference."""
         lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 7)
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         if checked:
@@ -664,12 +669,12 @@ class TestLoglikBound:
                 assert got_grad.tobytes() == want_grad.tobytes()
             assert got == want
             assert got.log_k.tobytes() == want.log_k.tobytes()
-            assert got.log_masses.tobytes() == want.log_masses.tobytes()
+            assert lik._kept.log.tobytes() == other._masses(c).log.tobytes()
 
     def test_reference_outlives_the_kept_record(self):
-        """A kept pass keeps its own log masses: after support checks at
-        other coefficients have replaced the kept record, its bound is the
-        one a fresh MarginalLikelihood with that one pass gives, bit for bit."""
+        """A kept pass keeps its own record: after support checks at other
+        coefficients have replaced the kept record, its bound is the one a
+        fresh MarginalLikelihood with that one pass gives, bit for bit."""
         lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 8)
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         for other in (2.0 * ref_coeffs, 0.5 * coeffs):
@@ -677,15 +682,21 @@ class TestLoglikBound:
         assert lik._kept.key != (ref_coeffs.shape, ref_coeffs.tobytes())
         want = one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs)
         assert lik.loglik_bound(coeffs).hex() == want.hex()
-        assert ref.log_masses.tobytes() == np.log(lik._B @ ref_coeffs).tobytes()
+        [(rec, kept)] = lik._refs
+        assert kept is ref and rec.log.tobytes() == np.log(lik._B @ ref_coeffs).tobytes()
 
     def test_log_masses_are_read_only(self):
-        """A result shares its log masses with the kept record, so writing to
-        them raises instead of changing the next bound or pass."""
+        """A kept reference's log masses are read-only in its record, which
+        the kept record shares, so writing to them raises instead of
+        changing the next bound or pass; a result holds no masses."""
         lik, ref_coeffs, ref = bound_case(90, 0.7, 0.8, 20.0, 2, 9)
+        [(rec, kept)] = lik._refs
+        assert kept is ref and rec is lik._kept
         with pytest.raises(ValueError, match="read-only"):
-            ref.log_masses[0] = 0.0
-        assert lik.loglik(ref_coeffs).log_masses.tobytes() == fresh(lik).loglik(ref_coeffs).log_masses.tobytes()
+            rec.log[0] = 0.0
+        assert rec.log.tobytes() == fresh(lik)._masses(ref_coeffs).log.tobytes()
+        names = [f.name for f in dataclasses.fields(MarginalResult)]
+        assert names == ["loglik", "polynomial_term_log", "exponent_term", "log_k", "log_dk"]
 
     @pytest.mark.parametrize("grad", [False, True], ids=["loglik", "loglik_grad"])
     def test_log_k_is_read_only(self, grad):
@@ -705,7 +716,7 @@ class TestLoglikBound:
         and a later pass with a mass of 0 does not displace that one."""
         lik = MarginalLikelihood(load_path([0.5, 0.8], 1.0), 0.7, 1.0, 0)
         ref = lik.loglik((0.0,))
-        assert math.isfinite(ref.loglik) and math.isnan(ref.log_tilt)
+        assert math.isfinite(ref.loglik) and math.isnan(lik._masses((0.0,)).tilt)
         assert lik.in_support((1.0,))
         assert lik.loglik_bound((1.0,)) == math.inf
         assert lik.loglik_bound((0.0,)) == math.inf
@@ -737,7 +748,7 @@ class TestLoglikBound:
             lik.loglik((0.0,))
         want = kept[::-1][: marginal._RING + 1]
         assert len(lik._refs) == marginal._RING + 1
-        assert all(got is res for got, res in zip(lik._refs, want))
+        assert all(got is res for (_, got), res in zip(lik._refs, want))
 
     def test_a_ring_of_zero_bounds_against_the_latest_kept_pass(self, monkeypatch):
         """With _RING = 0 the one reference is the latest kept pass, even
@@ -767,12 +778,12 @@ class TestLoglikBound:
         > 0, so no pass with a finite tilt is the -inf sentinel."""
         lik, ref_coeffs, _ = bound_case(M, beta0, w, T, degree, seed)
         coeffs = 0.0 * ref_coeffs if log10_scale is None else ref_coeffs * 10.0**log10_scale
-        res = lik.loglik(coeffs)
-        zero_mass = bool((res.log_masses == -math.inf).any())
-        assert math.isnan(res.log_tilt) is zero_mass
+        res, rec = lik.loglik(coeffs), lik._masses(coeffs)
+        zero_mass = bool((rec.log == -math.inf).any())
+        assert math.isnan(rec.tilt) is zero_mass
         if not zero_mass:
             assert math.isfinite(res.loglik)
-            assert res.log_tilt == (float(res.log_masses[-1] - res.log_masses[0]) if M else 0.0)
+            assert rec.tilt == (float(rec.log[-1] - rec.log[0]) if M else 0.0)
 
     @pytest.mark.parametrize("beta0", [0.0, 0.7])
     def test_a_first_mass_of_zero_bounds_against_the_first_usable_reference(self, beta0):
@@ -781,8 +792,8 @@ class TestLoglikBound:
         recent pass with every mass > 0; later passes with a mass of 0 are
         not kept."""
         lik = MarginalLikelihood(load_path([1e-300, 0.5], 1.0), beta0, 1.0, 0)
-        res = lik.loglik((1e-30,))
-        assert res.log_masses[0] == -math.inf < res.log_masses[1] and math.isnan(res.log_tilt)
+        res, rec = lik.loglik((1e-30,)), lik._masses((1e-30,))
+        assert rec.log[0] == -math.inf < rec.log[1] and math.isnan(rec.tilt)
         assert math.isfinite(res.loglik) is (beta0 > 0.0)
         for c in (0.0, 2.0, 0.5, 1e-30, 0.0):
             lik.loglik((c,))

@@ -196,6 +196,17 @@ class TestChecks:
         assert grid_check(x, params, exact + 1e-6)["pass"] is False
         assert grid_check(x, params, exact - 1e-6)["pass"] is False
 
+    def test_grid_check_passes_when_both_values_are_minus_inf(self):
+        """beta0 = 0 and gamma = 0 leave the one event unexplained: the
+        likelihood and the grid both give -inf, which agree, though their
+        difference is NaN; a finite value against -inf still fails."""
+        params = ModelParams(beta0=0.0, w=1.0, gamma=PolyIntensity((0.0,)))
+        x = load_path([0.5], 1.0)
+        exact = marginal_loglik(x, params).loglik
+        assert exact == -math.inf
+        assert grid_check(x, params, exact) == {"log_value": -math.inf, "pass": True}
+        assert grid_check(x, params, -1.0)["pass"] is False
+
     def test_homogeneous_case_passes_both(self):
         """gamma = 0: the filter is the Poisson density and every weight is
         equal, so both checks pass on the relative floor alone."""
