@@ -8,7 +8,9 @@ log-likelihood is written as null).  The library renders each output file's
 text; one function here, ``_write_output``, writes it and then its
 ``<out>.manifest.json`` (command, config hash, seed, version, timestamps),
 each atomically (temp file + rename).  One function, ``_read_config``,
-reads every config and turns each error in it into exit 65.
+reads every config and turns each error in it into exit 65; it reads the
+file's bytes once, and the manifest hashes those bytes, so a config edited
+while a command runs does not change the hash of the config that ran.
 
 Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
 """
@@ -106,13 +108,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_output(
-    out: str, text: str, command: str, config_path: str | None, seed, started: str, extra: dict | None = None
+    out: str, text: str, command: str, config: bytes | None, seed, started: str, extra: dict | None = None
 ) -> None:
-    """Write ``text`` to ``out``, then its manifest ``<out>.manifest.json``."""
+    """Write ``text`` to ``out``, then its manifest ``<out>.manifest.json``,
+    whose hash is of ``config``, the bytes ``_read_config`` read."""
     _atomic_write(Path(out), text)
     manifest = {
         "command": command,
-        "config_hash": hashlib.sha256(Path(config_path).read_bytes()).hexdigest() if config_path else None,
+        "config_hash": hashlib.sha256(config).hexdigest() if config is not None else None,
         "seed": seed,
         "tool_version": __version__,
         "started_utc": started,
@@ -139,15 +142,17 @@ def _json(obj, indent: int | None = None) -> str:
 
 
 def _read_config(path: str, read):
-    """T, (beta0, w) and ``read(cfg, T)`` from the JSON object at ``path``.
+    """The file's bytes, T, (beta0, w) and ``read(cfg, T)`` from the JSON
+    object at ``path``.
 
+    The bytes are read once and then parsed; ``_write_output`` hashes them.
     T, beta0 and w are required and checked by the library's rules; ``read``
     takes the command's own keys from ``cfg``, and only those.  A missing
     key or a bad value is a ``ConfigError``.
     """
+    raw = Path(path).read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -156,7 +161,7 @@ def _read_config(path: str, read):
         raise ConfigError("config must be a JSON object")
     try:
         T = check_horizon(cfg["T"])
-        return T, check_rates(cfg["beta0"], cfg["w"]), read(cfg, T)
+        return raw, T, check_rates(cfg["beta0"], cfg["w"]), read(cfg, T)
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
@@ -172,19 +177,19 @@ def _gamma(cfg: dict, T: float) -> PolyIntensity:
 
 def _cmd_simulate(args) -> int:
     started = _utcnow()
-    T, rates, gamma = _read_config(args.config, _gamma)
+    raw, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)
     result = simulate(params, T, seed=args.seed)
     comments = [f"seed={args.seed}", f"T={T!r}"]
-    _write_output(args.out, events_csv(result.x.jumps, comments), "simulate", args.config, args.seed, started)
+    _write_output(args.out, events_csv(result.x.jumps, comments), "simulate", raw, args.seed, started)
     if args.emit_latent:
         latent = events_csv(result.y.jumps, comments)
-        _write_output(args.emit_latent, latent, "simulate", args.config, args.seed, started)
+        _write_output(args.emit_latent, latent, "simulate", raw, args.seed, started)
     return EXIT_OK
 
 
 def _cmd_loglik(args) -> int:
-    T, rates, gamma = _read_config(args.config, _gamma)
+    _, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)
     x = load_path(read_events_csv(args.events), T)
     res = marginal_loglik(x, params)
@@ -202,7 +207,7 @@ def _cmd_loglik(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    T, rates, gamma = _read_config(args.config, _gamma)
+    _, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)
     x = load_path(read_events_csv(args.events), T)
     loglik = marginal_loglik(x, params).loglik
@@ -219,7 +224,7 @@ def _cmd_fit_mcmc(args) -> int:
     started = _utcnow()
     # fit-mcmc's own keys: degree, and any other field of FitConfig.
     others = {f.name for f in fields(FitConfig)} - {"degree"}
-    T, fixed, fit = _read_config(
+    raw, T, fixed, fit = _read_config(
         args.config, lambda cfg, T: FitConfig(degree=cfg["degree"], **{k: v for k, v in cfg.items() if k in others})
     )
     chain = mh_fit(load_path(read_events_csv(args.events), T), fixed, fit)
@@ -227,7 +232,7 @@ def _cmd_fit_mcmc(args) -> int:
         args.out,
         chain_csv(chain),
         "fit-mcmc",
-        args.config,
+        raw,
         fit.seed,
         started,
         extra={
@@ -243,16 +248,19 @@ def _cmd_fit_mcmc(args) -> int:
 
 
 def _cmd_fit_mle(args) -> int:
-    def read(cfg: dict, T: float) -> tuple[FitConfig, int]:
+    def read(cfg: dict, T: float) -> tuple[FitConfig, dict]:
         """fit-mle's own keys: degree and start, checked by ``FitConfig``'s
-        rules (its sampler fields keep their defaults), and the pass budget."""
-        budget = cfg.get("budget", 2000)
-        check_count(budget, "budget", 1)
+        rules (its sampler fields keep their defaults), and the pass budget,
+        checked here when given and ``mle_fit``'s default otherwise."""
+        budget = {}
+        if "budget" in cfg:
+            check_count(cfg["budget"], "budget", 1)
+            budget["budget"] = cfg["budget"]
         return FitConfig(degree=cfg["degree"], start=cfg.get("start")), budget
 
-    T, fixed, (fit, budget) = _read_config(args.config, read)
+    _, T, fixed, (fit, budget) = _read_config(args.config, read)
     x = load_path(read_events_csv(args.events), T)
-    res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, budget=budget)
+    res = mle_fit(x, fixed, degree=fit.degree, start=fit.start, **budget)
     print(
         _json(
             {

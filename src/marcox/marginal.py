@@ -36,7 +36,7 @@ D_p f_m(k) = d f_m(k) / d c_p follow the recurrence of f plus a source term,
 and every term is nonnegative, so they stay in log space as extra columns
 next to f (memory O(M (degree + 2)), no O(M^2) table).  Then
 d log p / d c_p = sum_k D_p f_M(k) / sum_k f_M(k) - L_p.  The value-only
-pass runs the same loop on f alone.
+pass runs the same step loop on f alone, without the source term.
 
 The last row also gives pi(k) = f_M(k) / sum_j f_M(j), the posterior of
 the number of latent points the events attach to (``MarginalResult.log_k``),
@@ -107,8 +107,9 @@ where ``loglik_bound`` reads its log masses and tilt, so a
 ``MarginalResult`` holds none.  The record saves work only: every value is
 the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
-A step is three in-place ufunc calls on whole rows (five with the
-gradient), so at M in the hundreds a pass costs interpreter overhead per
+Both passes run one step loop.  A step is three in-place ufunc calls on
+whole rows, and in the gradient pass two more between them that add the
+source term, so at M in the hundreds a pass costs interpreter overhead per
 call, not arithmetic.  The views those calls take are cut once per block of
 ``_BLOCK`` steps, at the block's last step, instead of at every step.  The
 earlier steps of a block then also run over the entries past their own
@@ -212,6 +213,11 @@ class MarginalLikelihood:
         self._ks2 = self._ks * self._ks
         with np.errstate(divide="ignore"):
             self._log_stay = np.log(beta0 + w * self._ks)
+            # log_stay in every column of the gradient pass.  The copy pays:
+            # broadcasting log_stay[:hi, None] instead gave the same gradients,
+            # bit for bit, in 1.27-1.30 ms per gradient pass against 1.12-1.15 ms
+            # (M = 80, degree 1, 16 paths, min of 5 x 20 runs).
+            self._log_stay_wide = np.repeat(self._log_stay[:, None], degree + 2, axis=1)
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
             self._log_kernel = math.log(w) - w * (x.T - times)
             # log (w B_(m,p)) in columns 1.., after a column of log 0 that
@@ -222,11 +228,6 @@ class MarginalLikelihood:
         # The _Masses of the last coefficients given, and the bound's references (module docstring).
         self._kept: _Masses | None = None
         self._refs: deque[tuple[_Masses, MarginalResult]] = deque(maxlen=_RING + 1)
-        # log_stay in every column, built at the first gradient pass.  The copy
-        # pays: broadcasting log_stay[:hi, None] instead gave the same gradients,
-        # bit for bit, in 1.27-1.30 ms per gradient pass against 1.12-1.15 ms
-        # (M = 80, degree 1, 16 paths, min of 5 x 20 runs).
-        self._log_stay_wide: np.ndarray | None = None
 
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
@@ -424,42 +425,34 @@ class MarginalLikelihood:
         # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
         # log f_m(k) in column 0 followed by the sensitivities log D_p f_m(k).
         if grad:
-            width = self.degree + 2
-            rows = np.full((M + 1, width), -math.inf)
-            f = rows[:, 0]
-            if self._log_stay_wide is None:
-                self._log_stay_wide = np.repeat(self._log_stay[:, None], width, axis=1)
-            log_stay = self._log_stay_wide
-            source = np.empty((M, width))
+            rows = np.full((M + 1, self.degree + 2), -math.inf)
+            f, log_stay, source = rows[:, 0], self._log_stay_wide, np.empty((M, self.degree + 2))
         else:
             rows = f = np.full(M + 1, -math.inf)
             log_stay = self._log_stay
         f[0] = 0.0
         grown = np.empty_like(rows[1:])
-        log_source = self._log_source
-        lns = log_new.tolist()
+        lns, log_source = log_new.tolist(), self._log_source
         add, logaddexp = np.add, np.logaddexp
-        # Step m needs rows[: m + 1]: three in-place ufunc calls, plus two for
-        # the sensitivity sources.  Cutting four views per step would cost
-        # about a third of a step, so each block of _BLOCK steps shares views
-        # cut at its last step; the rows past m that the earlier steps also
-        # touch are -inf and stay -inf (module docstring).
+        # One loop for both passes.  Step m needs rows[: m + 1]: three
+        # in-place ufunc calls, and in the gradient pass the two source calls
+        # between them.  Cutting the views per step would cost about a third
+        # of a step, so each block of _BLOCK steps shares views cut at its
+        # last step; the rows past m that the earlier steps also touch are
+        # -inf and stay -inf (module docstring).  Only where the views are cut
+        # sets this loop apart from the tests' per-step reference.
         for lo in range(0, M, _BLOCK):
             hi = min(lo + _BLOCK, M)
             row, g, stay, shifted = rows[:hi], grown[:hi], log_stay[:hi], rows[1 : hi + 1]
             if grad:
                 f_col, s = rows[:hi, :1], source[:hi]
-                for ln, src in zip(lns[lo:hi], log_source[lo:hi]):
-                    add(row, ln, g)
-                    add(f_col, src, s)
+            for m in range(lo, hi):
+                add(row, lns[m], g)
+                if grad:
+                    add(f_col, log_source[m], s)
                     logaddexp(g, s, g)
-                    add(row, stay, row)
-                    logaddexp(shifted, g, shifted)
-            else:
-                for ln in lns[lo:hi]:
-                    add(row, ln, g)
-                    add(row, stay, row)
-                    logaddexp(shifted, g, shifted)
+                add(row, stay, row)
+                logaddexp(shifted, g, shifted)
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
         possible = poly_log > -math.inf

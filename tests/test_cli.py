@@ -755,6 +755,56 @@ def test_fit_mcmc_writes_chain_and_manifest(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("command, library", [("fit-mcmc", "mh_fit"), ("simulate", "simulate")])
+def test_manifest_hashes_the_config_the_command_read(tmp_path, monkeypatch, command, library):
+    """A config rewritten while the command runs does not change the
+    manifest's hash: it is the sha256 of the bytes the command read."""
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0, 4.5])
+    # One config for both commands: each reads only its own keys.
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 1, "iters": 30, "burnin": 5, "pilot_iters": 5, "seed": 1}
+    cfg["gamma"] = {"type": "poly", "coeffs": [1.0, 0.2]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    original = config.read_bytes()
+    run = getattr(cli, library)
+
+    def run_then_edit(*args, **kwargs):
+        result = run(*args, **kwargs)
+        config.write_text(json.dumps(dict(cfg, seed=2)), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(cli, library, run_then_edit)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    assert cli.main(argv + (["--events", str(events)] if command == "fit-mcmc" else [])) == cli.EXIT_OK
+    assert config.read_bytes() != original
+    manifest = strict_json((tmp_path / "out.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == hashlib.sha256(original).hexdigest()
+
+
+@pytest.mark.parametrize("cfg_budget, passed", [(None, {}), (7, {"budget": 7})])
+def test_fit_mle_passes_only_a_budget_the_config_sets(tmp_path, capsys, monkeypatch, cfg_budget, passed):
+    """Without a budget key fit-mle leaves mle_fit's default in place."""
+    events = tmp_path / "events.csv"
+    write_events(events, [1.0, 2.0, 4.5])
+    cfg = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 1}
+    if cfg_budget is not None:
+        cfg["budget"] = cfg_budget
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    seen = []
+    fit = cli.mle_fit
+
+    def recording(*args, **kwargs):
+        seen.append({k: v for k, v in kwargs.items() if k == "budget"})
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "mle_fit", recording)
+    assert cli.main(["fit-mle", "--events", str(events), "--config", str(config)]) == cli.EXIT_OK
+    assert seen == [passed]
+
+
 def test_successive_calls_match_separate_processes(tmp_path, capsys, monkeypatch):
     """main reuses one parser per process; a run of calls in one process,
     a usage error among them, prints and exits as each call does alone."""
