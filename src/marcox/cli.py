@@ -176,6 +176,9 @@ def _gamma(cfg: dict, T: float) -> PolyIntensity:
 
 
 def _cmd_simulate(args) -> int:
+    if args.emit_latent and Path(args.emit_latent).resolve() == Path(args.out).resolve():
+        print("usage-error: --emit-latent names the same file as --out", file=sys.stderr)
+        return EXIT_USAGE
     started = _utcnow()
     raw, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)
@@ -214,7 +217,7 @@ def _cmd_validate(args) -> int:
     if loglik == -math.inf:
         raise ValidationError("the model cannot produce this path (loglik = -inf); there is nothing to check")
     grid = grid_check(x, params, loglik)
-    mc = mc_check(x, params, McSpec(N=args.mc_n, seed=args.seed), loglik, jobs=args.jobs)
+    mc = mc_check(x, params, McSpec(N=args.mc_n, seed=args.seed), loglik)
     overall = grid["pass"] is True and mc["pass"] is True
     print(_json({"loglik": loglik, "grid": grid, "mc": mc, "overall_pass": overall}))
     return EXIT_OK
@@ -345,7 +348,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--mc-n", type=_int_at_least(1, "mc-n"), default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("fit-mcmc", help="posterior sampling of the rate coefficients")

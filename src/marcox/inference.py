@@ -565,12 +565,12 @@ def read_chain_csv(path: str | Path) -> np.ndarray:
     Every row is checked whole: its field count, a loglik that parses as a
     float, an accepted flag of 0 or 1 and finite coefficients; a bad row
     raises ``ValidationError`` naming its line, and so does a file that is
-    not UTF-8, naming the file.  Only the draws are kept, which is all
-    ``summarize`` reads.
+    not UTF-8, naming the file.  One leading byte-order mark is skipped.
+    Only the draws are kept, which is all ``summarize`` reads.
     """
     import csv  # imported on use, so that importing marcox does not load it
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None) or []

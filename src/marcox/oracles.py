@@ -22,7 +22,9 @@ so they work at any number of events:
                      that log.  The draws and the weights are the simulator's
                      own (``simulator._latent_points`` and
                      ``simulator._conditional_logliks``), so the weights are
-                     the density the simulator's tests check.
+                     the density the simulator's tests check.  The replicas
+                     run in chunks of min(4096, 2^20 // max(M, 1)) on a pool
+                     of one thread per CPU the process may run on.
 
 The grid's gap masses are quadratures of gamma's values (``_gap_masses``), so
 it shares no kernel-mass code with the likelihood, and its only errors are
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,32 +183,26 @@ def _mc_chunk(x: CountPath, params: ModelParams, n: int, seed: np.random.SeedSeq
     return _conditional_logliks(x, params, n, rows, times)
 
 
-def mc_marginal(
-    x: CountPath, params: ModelParams, spec: McSpec, jobs: int = 1
-) -> tuple[float, float]:
+def mc_marginal(x: CountPath, params: ModelParams, spec: McSpec) -> tuple[float, float]:
     """Monte Carlo estimate of log p(x) and its standard error.
 
     The estimate is the log of the mean of the weights exp(conditional
     loglik(x, Y_r)) over independent latent draws, taken around the largest
     log weight; the error is the delta-method sd(w) / (mean(w) sqrt(N)).
-    When no draw can produce x the result is (-inf, inf).  Deterministic
-    given the seed regardless of the job count.
+    When no draw can produce x the result is (-inf, inf).  The replicas run
+    in chunks of min(4096, 2^20 // max(M, 1)), each from its own child of the
+    seed, so no (replica, event) table passes 2^20 cells, on a pool of one
+    worker per CPU the process may run on (``os.sched_getaffinity``, else
+    ``os.cpu_count()``); the result depends only on the seed, N and the path.
     """
     params.gamma.validate_nonneg(x.T)
-    # Chunking is fixed so the replica stream does not depend on the job count.
-    chunk = 4096
-    sizes = [chunk] * (spec.N // chunk)
-    if spec.N % chunk:
-        sizes.append(spec.N % chunk)
+    chunk = min(4096, max(1, 2**20 // max(x.count, 1)))
+    sizes = [min(chunk, spec.N - start) for start in range(0, spec.N, chunk)]
     seeds = np.random.SeedSequence(spec.seed).spawn(len(sizes))
-    if jobs <= 1 or len(sizes) == 1:
-        parts = [_mc_chunk(x, params, s, sq) for s, sq in zip(sizes, seeds)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # imported on use: it loads logging and queue
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda a: _mc_chunk(x, params, *a), zip(sizes, seeds)))
-    logs = np.concatenate(parts)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    from concurrent.futures import ThreadPoolExecutor  # imported on use: it loads logging and queue
+    with ThreadPoolExecutor(max_workers=cpus) as pool:
+        logs = np.concatenate(list(pool.map(lambda a: _mc_chunk(x, params, *a), zip(sizes, seeds))))
 
     top = float(np.max(logs))
     if top == -math.inf:
@@ -216,7 +213,7 @@ def mc_marginal(
     return top + math.log(mean), sd / (mean * math.sqrt(spec.N))
 
 
-def mc_check(x: CountPath, params: ModelParams, spec: McSpec, loglik: float, jobs: int = 1) -> dict:
+def mc_check(x: CountPath, params: ModelParams, spec: McSpec, loglik: float) -> dict:
     """The Monte Carlo oracle's verdict on ``loglik``.
 
     Passes when the estimate lies within three standard errors of loglik
@@ -225,7 +222,7 @@ def mc_check(x: CountPath, params: ModelParams, spec: McSpec, loglik: float, job
     The effective sample size (sum w)^2 / sum w^2 equals
     N / (1 + (N - 1) se^2) for the delta-method se of ``mc_marginal``.
     """
-    est, se = mc_marginal(x, params, spec, jobs=jobs)
+    est, se = mc_marginal(x, params, spec)
     ess = spec.N / (1.0 + (spec.N - 1) * se**2)
     diff = est - loglik
     ok = abs(diff) <= max(3.0 * se, 1e-9 * max(1.0, abs(loglik)))

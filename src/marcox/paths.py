@@ -155,11 +155,11 @@ def tune_w(x_star: CountPath) -> float:
 
 def read_events_csv(path: str | Path) -> list[float]:
     """Event times from the file at ``path``: one per line; '#' lines are
-    comments; the first other line may be a 'time' header.  A file that is
-    not UTF-8 raises ``ValidationError``."""
+    comments; the first other line may be a 'time' header; one leading
+    byte-order mark is skipped.  Non-UTF-8 raises ``ValidationError``."""
     times: list[float] = []
     first = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()

@@ -44,7 +44,7 @@ class SimResult:
 
     def __post_init__(self) -> None:
         if self.x.T != self.y.T:
-            raise ValueError("observed and latent paths must share the horizon")
+            raise ValidationError("observed and latent paths must share the horizon")
 
 
 def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -145,5 +145,5 @@ def conditional_loglik(x: CountPath, y: LatentPath, params: ModelParams) -> floa
     The integral is exact: beta0 T + w sum_j (T - s_j).
     """
     if x.T != y.T:
-        raise ValueError("paths must share the horizon")
+        raise ValidationError("paths must share the horizon")
     return float(_conditional_logliks(x, params, 1, np.zeros(y.count, dtype=np.intp), y.jumps)[0])

@@ -355,6 +355,21 @@ def test_simulate_emit_latent_writes_the_latent_path_and_its_manifest(tmp_path):
     assert manifest["config_hash"] == hashlib.sha256(Path(config).read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("latent", ["events.csv", "./sub/../events.csv"])
+def test_simulate_refuses_emit_latent_on_the_out_file(tmp_path, capsys, monkeypatch, latent):
+    """Else the latent points would overwrite the events under the same
+    header: an --emit-latent naming the --out file is a usage error, refused
+    with one stderr line before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0, 0.2))
+    argv = ["simulate", "--config", config, "--seed", "1", "--out", str(tmp_path / "events.csv"), "--emit-latent", latent]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage-error: --emit-latent names the same file as --out\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "sub"]
+
+
 @pytest.mark.parametrize("spec", ["0:ten:3", "0:10:x", "0:10:2.5", "0:10", "0:1:2:3"])
 def test_non_numeric_grid_field_is_a_config_error(tmp_path, capsys, spec):
     chain = tmp_path / "chain.csv"
@@ -530,8 +545,7 @@ def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
     "flag, value, message",
     [
         ("--mc-n", "0", "mc-n must be an integer >= 1"),
-        ("--jobs", "-3", "jobs must be an integer >= 1"),
-        ("--jobs", "0", "jobs must be an integer >= 1"),
+        ("--jobs", "2", "unrecognized arguments: --jobs 2"),
     ],
 )
 def test_bad_validate_flag_is_a_usage_error(tmp_path, capsys, flag, value, message):
@@ -652,6 +666,44 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, bad
     captured = capsys.readouterr()
     assert captured.err == message.format(target) + "\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("loglik", "events.csv"), ("summarize", "chain.csv")])
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command, target):
+    """A spreadsheet's "CSV UTF-8" starts with a byte-order mark; an events or
+    chain CSV reads the same with it as without it."""
+    write_config(tmp_path / "model.json", 10.0, 1.0, 0.5, (1.0, 0.1))
+    write_events(tmp_path / "events.csv", [1.0, 2.0, 4.5])
+    (tmp_path / "chain.csv").write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    out = tmp_path / "bands.csv"
+    argv = {
+        "loglik": ["--events", str(tmp_path / "events.csv"), "--config", str(tmp_path / "model.json")],
+        "summarize": ["--chain", str(tmp_path / "chain.csv"), "--grid", "0:1:3", "--out", str(out)],
+    }[command]
+
+    def run():
+        assert cli.main([command] + argv) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out, out.read_bytes() if out.exists() else b""
+
+    plain = run()
+    path = tmp_path / target
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run() == plain
+
+
+def test_config_with_a_byte_order_mark_stays_a_config_error(tmp_path, capsys):
+    """JSON forbids the mark, so a config that starts with one is refused
+    with json's own message, which names it."""
+    config = tmp_path / "model.json"
+    write_config(config, 10.0, 1.0, 0.5, (1.0, 0.1))
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    write_events(tmp_path / "events.csv", [1.0, 2.0, 4.5])
+    assert cli.main(["loglik", "--events", str(tmp_path / "events.csv"), "--config", str(config)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    want = "config-error: config is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    assert captured.err == want and captured.out == ""
 
 
 def strict_json(text):

@@ -920,6 +920,17 @@ class TestChainCsv:
         with pytest.raises(ValidationError, match="not a chain CSV"):
             read_chain_csv(chain)
 
+    def test_one_leading_byte_order_mark_skipped(self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" starts with a byte-order mark; one is
+        skipped, and a second leaves a header that is not a chain's."""
+        text = b"iter,c0,c1,loglik,accepted\r\n0,1.0,0.1,-3.0,1\r\n"
+        chain = tmp_path / "chain.csv"
+        chain.write_bytes(b"\xef\xbb\xbf" + text)
+        np.testing.assert_array_equal(read_chain_csv(chain), [[1.0, 0.1]])
+        chain.write_bytes(b"\xef\xbb\xbf" * 2 + text)
+        with pytest.raises(ValidationError, match="not a chain CSV"):
+            read_chain_csv(chain)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         chain = tmp_path / "chain.csv"
         chain.write_text("iter,c0,c1,loglik,accepted\n\n0,1.0,0.1,-3.0,1\n\n1,2.0,0.2,-4.0,0\n\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from marcox import oracles
 from marcox.errors import ValidationError
 from marcox.intensity import PolyIntensity
 from marcox.marginal import _logsumexp, marginal_loglik
@@ -116,6 +117,22 @@ class TestGapMasses:
             assert got_mass == pytest.approx(want_mass, rel=1e-12)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each thread pool that ``mc_marginal`` opens."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
 class TestMcMarginal:
     def test_degenerate_zero_variance(self):
         """gamma = 0 makes every replica identical: exact value, zero spread."""
@@ -133,12 +150,51 @@ class TestMcMarginal:
         est, se = mc_marginal(load_path([0.5], 1.0), UNIT, McSpec(N=100_000, seed=3))
         assert abs(est - math.log(P_ONE)) <= 3.0 * se
 
-    def test_seeded_determinism_and_jobs_invariance(self):
+    @pytest.mark.parametrize("M, N", [(1, 20_000), (300, 8000)])
+    def test_seeded_determinism_and_cpu_count_invariance(self, monkeypatch, pool_sizes, M, N):
+        """The same seed gives the same result, bit for bit, on a pool of one
+        worker or of four: M = 1 has five 4096-replica chunks, M = 300
+        three of up to 3495."""
+        x = load_path(np.linspace(0.5, 9.5, M) if M > 1 else [0.5], 10.0 if M > 1 else 1.0)
+        runs = []
+        for cpus in (1, 4, 1):
+            monkeypatch.setattr(oracles.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            runs.append(mc_marginal(x, UNIT, McSpec(N=N, seed=11)))
+        assert pool_sizes == [1, 4, 1]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(math.isfinite(v) for v in runs[0])
+
+    def test_pool_falls_back_to_os_cpu_count(self, monkeypatch, pool_sizes):
+        """Where the affinity call does not exist, the pool has a worker per
+        CPU that ``os.cpu_count`` reports, or one when it reports none."""
+        monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
         x = load_path([0.5], 1.0)
-        a = mc_marginal(x, UNIT, McSpec(N=20_000, seed=11))
-        b = mc_marginal(x, UNIT, McSpec(N=20_000, seed=11))
-        c = mc_marginal(x, UNIT, McSpec(N=20_000, seed=11), jobs=4)
-        assert a == b == c
+        for cpus in (3, None):
+            monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+            mc_marginal(x, UNIT, McSpec(N=10, seed=1))
+        assert pool_sizes == [3, 1]
+
+    @pytest.mark.parametrize("M", [0, 256, 257, 3000])
+    def test_chunks_hold_at_most_2_to_the_20_cells(self, monkeypatch, M):
+        """A chunk holds min(4096, 2^20 // max(M, 1)) replicas, so its
+        (replica, event) table stays at 2^20 cells or below, and M <= 256
+        keeps the 4096-replica chunks whose random stream the oracle has
+        always had."""
+        sizes = []
+
+        def record(x, params, n, seed):
+            sizes.append(n)
+            return np.zeros(n)
+
+        monkeypatch.setattr(oracles, "_mc_chunk", record)
+        x = load_path(np.linspace(0.5, 9.5, M), 10.0)
+        N = 20_001
+        assert mc_marginal(x, UNIT, McSpec(N=N, seed=1)) == (0.0, 0.0)
+        assert sum(sizes) == N
+        assert all(1 <= n <= 4096 and n * max(M, 1) <= 2**20 for n in sizes)
+        assert len(sizes) == -(-N // min(4096, 2**20 // max(M, 1)))  # as few as the rule allows
+        if M <= 256:
+            assert sorted(sizes) == [N % 4096] + [4096] * (N // 4096)
 
     def test_unbiased_coverage_over_seeds(self):
         """The +/- 3 se band contains the closed-form value on >= 19/20 seeds."""

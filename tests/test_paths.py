@@ -257,6 +257,17 @@ class TestEventCsv:
         events.write_text("# anything\ntime\n0.125\n0.25\n", encoding="utf-8")
         assert read_events_csv(events) == [0.125, 0.25]
 
+    @pytest.mark.parametrize("text", ["time\n0.125\n0.25\n", "0.125\n0.25\n", "# T=1.0\ntime\n0.125\n0.25\n"])
+    def test_one_leading_byte_order_mark_skipped(self, tmp_path, text):
+        """A spreadsheet's "CSV UTF-8" starts with a byte-order mark; one is
+        skipped, and a second is not a header or a time."""
+        events = tmp_path / "events.csv"
+        events.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_events_csv(events) == [0.125, 0.25]
+        events.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode("utf-8"))
+        with pytest.raises(ValidationError, match="line 1"):
+            read_events_csv(events)
+
     def test_bad_line_reported(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text("time\nnot-a-number\n", encoding="utf-8")

@@ -244,3 +244,11 @@ class TestConditionalLoglik:
         params = ModelParams(beta0=1.0, w=1.0, gamma=PolyIntensity((1.0,)))
         with pytest.raises(ValueError):
             conditional_loglik(load_path([], 1.0), load_path([], 2.0), params)
+
+    def test_mismatched_horizons_are_a_validation_error(self):
+        """Like every other input error of the library; it is still a ValueError."""
+        params = ModelParams(beta0=1.0, w=1.0, gamma=PolyIntensity((1.0,)))
+        with pytest.raises(ValidationError, match="^paths must share the horizon$"):
+            conditional_loglik(load_path([], 1.0), load_path([], 2.0), params)
+        with pytest.raises(ValidationError, match="share the horizon"):
+            SimResult(x=load_path([0.5], 1.0), y=load_path([0.5], 2.0))
