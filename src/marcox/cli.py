@@ -176,9 +176,16 @@ def _gamma(cfg: dict, T: float) -> PolyIntensity:
 
 
 def _cmd_simulate(args) -> int:
-    if args.emit_latent and Path(args.emit_latent).resolve() == Path(args.out).resolve():
-        print("usage-error: --emit-latent names the same file as --out", file=sys.stderr)
-        return EXIT_USAGE
+    if args.emit_latent:
+        # The four files the command writes: --out, --emit-latent and their manifests.
+        paths = (args.out, args.out + ".manifest.json", args.emit_latent, args.emit_latent + ".manifest.json")
+        out, out_manifest, latent, latent_manifest = (Path(p).resolve() for p in paths)
+        if latent == out:
+            print("usage-error: --emit-latent names the same file as --out", file=sys.stderr)
+            return EXIT_USAGE
+        if latent == out_manifest or out == latent_manifest:
+            print("usage-error: --emit-latent and --out name each other's manifest", file=sys.stderr)
+            return EXIT_USAGE
     started = _utcnow()
     raw, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)

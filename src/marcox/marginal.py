@@ -14,8 +14,8 @@ Here k counts the distinct latent points the first m events have attached
 to, and A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt is the discounted
 kernel mass up to event m.  The sum over k equals the coefficient polynomial
 sum_j c_j w^j beta0^(M-j) of the closed form.  Rows are kept in log space
-(``np.logaddexp``), so no term is lost at any M; the whole path costs
-O(M^2).
+between blocks of steps, and in linear space against a gauge within a
+block (below), so no term is lost at any M; the whole path costs O(M^2).
 
 A_m and int lambda are linear in the coefficients c of gamma: A = B c and
 int lambda = L c, with moment tables B (M x (degree + 1)) and L that depend
@@ -33,8 +33,8 @@ D_p f_m(k) = d f_m(k) / d c_p follow the recurrence of f plus a source term,
     D_p f_m(k) = (beta0 + w k) D_p f_(m-1)(k) + w A_m D_p f_(m-1)(k - 1)
                  + w B_(m,p) f_(m-1)(k - 1),
 
-and every term is nonnegative, so they stay in log space as extra columns
-next to f (memory O(M (degree + 2)), no O(M^2) table).  Then
+and every term is nonnegative, so they are kept as extra columns next to
+f, in the same form (memory O(M (degree + 2)), no O(M^2) table).  Then
 d log p / d c_p = sum_k D_p f_M(k) / sum_k f_M(k) - L_p.  The value-only
 pass runs the same step loop on f alone, without the source term.
 
@@ -107,15 +107,35 @@ where ``loglik_bound`` reads its log masses and tilt, so a
 ``MarginalResult`` holds none.  The record saves work only: every value is
 the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
-Both passes run one step loop.  A step is three in-place ufunc calls on
-whole rows, and in the gradient pass two more between them that add the
-source term, so at M in the hundreds a pass costs interpreter overhead per
-call, not arithmetic.  The views those calls take are cut once per block of
-``_BLOCK`` steps, at the block's last step, instead of at every step.  The
-earlier steps of a block then also run over the entries past their own
-step; those are -inf and stay -inf (-inf plus a finite log or -inf is -inf,
-and logaddexp(-inf, -inf) is -inf without a warning), so every value and
-gradient is the same, bit for bit, as with views cut per step.
+Both passes run the recursion in blocks of steps, each in linear space
+against a gauge of its own.  From a block's first step lo, the gauge after
+j steps is G_j(k) = P(k) + j log s(k), s(k) = beta0 + w k: P(k) is log
+f_lo(k) for the rows reached at lo and, for a row lo + i the block newly
+reaches, the weight of the path that moves from row lo at the block's
+first i steps and then stays, less its stays.  Each gauge value is the
+weight of one lattice path, so every reachable y = f / e^G is >= 1 and
+nothing underflows.  A stay multiplies f(k) and e^G(k) alike, so a value
+step is y[1:] += F_j y[:-1], two whole-row calls, with F_j(k) = w A_j
+e^(G_(j-1)(k - 1) - G_j(k)) read from one (steps x rows) table per block.
+The sensitivity columns are kept in f's gauge too, each divided by a bound
+on how far it can outgrow y in the block, so their source is the ratio
+B~_(m,p) / B~_m c times y, and a step is one small matrix product (which
+adds that source) and two calls.  At the block's end the rows go back to
+log space, log f = G + log y, and the next block takes its gauge from
+them.  Both passes take the same blocks and the same arithmetic for f
+(the product keeps y exactly), so their values agree bit for bit.
+
+A step grows every y by a factor of at most 1 + max_k F_j(k).  So a block
+ends before the sum of log(1 + max_k F_j(k)) over its steps would pass
+_RANGE nats, below the double range (each step's term bounded from the
+rows at lo and the masses, ``_block``), or before its table would pass
+_CELLS factors.  A step whose own term leaves no room for _MIN_STEPS such
+steps runs in log space instead, as three ufunc calls with np.logaddexp,
+and so do the first step at beta0 = 0 (its row 0 has a stay factor of 0)
+and every step from the first mass of 0 on.  Where the masses spread far
+(w (t_M - t_1) past about 100), each new mass outweighs the rows near the
+top by more than a block can carry, and the steps from there on run that
+way, with views shared over _LOG_VIEWS steps (``_log_steps``).
 """
 
 from __future__ import annotations
@@ -130,9 +150,22 @@ from .errors import ValidationError
 from .intensity import check_degree, grid_nonneg, kernel_moments, lambda_moments, nonneg_matrix, support_limit
 from .paths import CountPath, ModelParams, check_rates
 
-# Steps of the DP per block of shared views (see ``MarginalLikelihood._run``).
-# Passes at M = 80 and M = 1000 ran within noise of each other from 8 to 64.
-_BLOCK = 16
+# Factors in one block's table (steps x rows) at most: a block spans at most
+# _CELLS // (M + 1) steps.  At M = 1000 and 3000, passes with 2^16 ran
+# within 10 % of those with 2^17 and 2^18, and 2^15 took 15-100 % longer;
+# 2^16 keeps a value pass's table at 512 kB.
+_CELLS = 2**16
+# A block's certified growth, in nats, at most: every weight and scaled
+# sensitivity it holds stays below e^_RANGE < DBL_MAX ~ e^709.8.
+_RANGE = 700.0
+# A block starts only where its first step's bound leaves room for
+# _MIN_STEPS steps like it, that is where the step's largest log factor is
+# at most _FIRST: _MIN_STEPS log(1 + e^_FIRST) = _RANGE.  A shorter block
+# costs more than its steps in log space.
+_MIN_STEPS = 8
+_FIRST = math.log(math.expm1(_RANGE / _MIN_STEPS))
+# Log-space steps per set of shared views (``MarginalLikelihood._log_steps``).
+_LOG_VIEWS = 8
 # ``MarginalLikelihood._ray_max``: Newton steps at most, and the change in u
 # that ends the search.
 _RAY_ITERS = 64
@@ -213,18 +246,21 @@ class MarginalLikelihood:
         self._ks2 = self._ks * self._ks
         with np.errstate(divide="ignore"):
             self._log_stay = np.log(beta0 + w * self._ks)
-            # log_stay in every column of the gradient pass.  The copy pays:
-            # broadcasting log_stay[:hi, None] instead gave the same gradients,
-            # bit for bit, in 1.27-1.30 ms per gradient pass against 1.12-1.15 ms
-            # (M = 80, degree 1, 16 paths, min of 5 x 20 runs).
-            self._log_stay_wide = np.repeat(self._log_stay[:, None], degree + 2, axis=1)
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
             self._log_kernel = math.log(w) - w * (x.T - times)
+            self._log_moments = np.log(self._B)
             # log (w B_(m,p)) in columns 1.., after a column of log 0 that
             # leaves f's own column unchanged under logaddexp.
             self._log_source = np.concatenate(
-                (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + np.log(self._B)), axis=1
+                (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + self._log_moments), axis=1
             )
+        # dls[k - 1] = log s(k - 1) - log s(k), s(k) = beta0 + w k (-inf at
+        # k = 1 when beta0 = 0); steps per block at most; and, in a block's
+        # table past row lo, -_RANGE where a step has not reached the row yet.
+        self._dls = self._log_stay[:-1] - self._log_stay[1:]
+        self._span = max(1, _CELLS // (x.count + 1))
+        size = min(self._span, x.count)
+        self._unreached = np.where(np.triu(np.ones((size, size), dtype=bool), 1), -_RANGE, math.inf)
         # The _Masses of the last coefficients given, and the bound's references (module docstring).
         self._kept: _Masses | None = None
         self._refs: deque[tuple[_Masses, MarginalResult]] = deque(maxlen=_RING + 1)
@@ -419,40 +455,155 @@ class MarginalLikelihood:
             )
         return rec
 
+    def _block(
+        self, rows: np.ndarray, la: np.ndarray, log_mass: np.ndarray, lo: int, span: int, b: int, grad: bool
+    ) -> int:
+        """Run the longest certified block of at most span steps from step lo
+        in linear space and return its length: 0, running nothing, where
+        the bound of its first step leaves no room for a block (module
+        docstring).  Rows b..lo of rows hold weight at lo, and the block's
+        masses are > 0."""
+        ls = self._log_stay
+        f = rows[:, 0] if grad else rows
+        top = lo - b  # row lo's place among rows b..
+        lf = f[b : lo + 1]
+        lab = la[lo : lo + span]
+        # The certificate: y_j <= prod_(i<=j) (1 + max_k F_i(k)), so a block
+        # of n steps keeps every weight below e^_RANGE where the sum of
+        # log(1 + max_k F_j(k)) over its steps is at most _RANGE.  With
+        # log F_j(k) = log w A_j + log f_lo(k - 1) - log f_lo(k) - log s(k)
+        # + (j - 1) dls(k) below row lo + 1, and log w A_j - log w A_i +
+        # (j - i) dls(k) at row k = lo + i <= lo + j, and every dls <= 0,
+        # the largest log factor of step j is at most bound_j.
+        down = float((lf[:-1] - lf[1:] - ls[b + 1 : lo + 1]).max()) if lo > b else -math.inf
+        bound = lab - np.minimum(np.minimum.accumulate(lab), -down)
+        # Unless the first step leaves room for _MIN_STEPS such steps, no table is built.
+        if bound.item(0) > _FIRST:
+            return 0
+        n = int(np.logaddexp(0.0, bound).cumsum().searchsorted(_RANGE, side="right"))
+        hi = lo + n
+        lab = lab[:n]
+        # The gauge G_j(k) = P(k) + j log s(k), rows k = b..hi: P(k) is log
+        # f_lo(k) up to row lo, and past it the weight of the path that moves
+        # from row lo to row k and then stays, less its stays.
+        P = np.empty(hi - b + 1)
+        P[: top + 1] = lf
+        past = P[top + 1 :]
+        np.add.accumulate(lab, out=past)
+        past -= self._ks[1 : n + 1] * ls[lo + 1 : hi + 1]
+        past += P[top]
+        # log F_j(k) = log w A_j + G_(j-1)(k - 1) - G_j(k) = j dls(k) + log w A_j
+        # + c(k), c(k) = P(k - 1) - P(k) - log s(k - 1): one (n x 3) @ (3 x
+        # targets) product for the targets k = b + 1..hi.
+        by_step = np.empty((n, 3))
+        by_step[:, 0] = self._ks[1 : n + 1]
+        by_step[:, 1] = lab
+        by_step[:, 2] = 1.0
+        by_row = np.empty((3, hi - b))
+        by_row[0] = self._dls[b:hi]
+        by_row[1] = 1.0
+        np.subtract(P[:-1], P[1:], out=by_row[2])
+        by_row[2] -= ls[b:hi]
+        log_F = by_step @ by_row
+        # A target row past lo + j is not reached by step j: its factor only
+        # multiplies 0, so any finite one will do, and e^-_RANGE is neither
+        # large nor 0 (an exp of -inf or of an underflow runs slowly).
+        new = log_F[:, top:]
+        np.minimum(new, self._unreached[:n, :n], out=new)
+        F = np.exp(log_F, out=log_F)
+        # The gauge at the block's end, rows b..hi.
+        G = ls[b : hi + 1] * n
+        G += P[: hi - b + 1]
+        multiply, add = np.multiply, np.add
+        if not grad:
+            y = np.zeros(hi - b + 1)
+            y[: top + 1] = 1.0
+            tmp = np.empty(hi - b)
+            src, dst = y[:-1], y[1:]
+            for F_j in F:
+                multiply(F_j, src, tmp)
+                add(dst, tmp, dst)
+            np.log(y, out=y)
+            add(G, y, f[b : hi + 1])
+            return n
+        # Sensitivities in f's gauge, z = D f / e^G, each column divided by
+        # sigma_p = Z_p + n rho_p, with Z_p its largest z at lo and rho_p the
+        # block's largest ratio B~_(m,p) / B~_m c: after j steps z_p <=
+        # (Z_p + j rho_p) max y, so z_p / sigma_p stays within y's bound.
+        rel = rows[b : lo + 1, 1:] - P[: top + 1, None]
+        log_ratio = self._log_moments[lo:hi] - log_mass[lo:hi, None]
+        log_sigma = np.logaddexp(rel.max(axis=0), log_ratio.max(axis=0) + math.log(n))
+        np.maximum(log_sigma, -_RANGE, out=log_sigma)
+        Y = np.zeros((hi - b + 1, self.degree + 2))
+        Y[: top + 1, 0] = 1.0
+        np.exp(rel - log_sigma, out=Y[: top + 1, 1:])
+        # mix_j is the identity with row 0 [1, r_j / sigma]: Y @ mix_j holds y
+        # and z_p + r_(j,p) y / sigma_p, one small product per step.
+        mix = np.repeat(np.eye(self.degree + 2)[None], n, axis=0)
+        np.exp(log_ratio - log_sigma, out=mix[:, 0, 1:])
+        # F_j(k) in every column, so that no call of the loop broadcasts.
+        F_wide = np.repeat(F[:, :, None], self.degree + 2, axis=2)
+        tmp = np.empty((hi - b, self.degree + 2))
+        src, dst, dot = Y[:-1], Y[1:], np.dot
+        for F_j, mix_j in zip(F_wide, mix):
+            dot(src, mix_j, tmp)
+            multiply(tmp, F_j, tmp)
+            add(dst, tmp, dst)
+        with np.errstate(divide="ignore"):  # a sensitivity of 0
+            np.log(Y, out=Y)
+        Y[:, 1:] += log_sigma
+        add(Y, G[:, None], rows[b : hi + 1])
+        return n
+
+    def _log_steps(self, rows: np.ndarray, la: np.ndarray, m: int, b: int, end: int, grad: bool) -> int:
+        """Log-space steps from step m on, one at least, and return where
+        they end: at M, or at the first later step in [b, end) where the
+        first-step bound's term at the top row leaves room for a block
+        (``_block`` tests the other rows).
+
+        The views of _LOG_VIEWS steps are cut once, at the last of them;
+        the earlier steps also run over the rows past their own, which are
+        -inf and stay -inf (-inf plus a finite log or -inf is -inf, and
+        logaddexp(-inf, -inf) is -inf without a warning), so every value is
+        the same, bit for bit, as with views cut per step."""
+        M, f, ls = la.size, (rows[:, 0] if grad else rows), self._log_stay
+        stay = ls[:, None] if grad else ls
+        grown = np.empty_like(rows)
+        add, logaddexp = np.add, np.logaddexp
+        while True:
+            hi = min(m + _LOG_VIEWS, M)
+            row, g, stay_hi, shifted = rows[:hi], grown[:hi], stay[:hi], rows[1 : hi + 1]
+            for m in range(m + 1, hi + 1):
+                add(row, la.item(m - 1), g)
+                if grad:
+                    logaddexp(g, row[:, :1] + self._log_source[m - 1], g)
+                add(row, stay_hi, row)
+                logaddexp(shifted, g, shifted)
+                if m == M or b <= m < end and la.item(m) + f.item(m - 1) - f.item(m) - ls.item(m) <= _FIRST:
+                    return m
+
     def _run(self, rec: _Masses, grad: bool):
-        log_new = self._log_kernel + rec.log
-        M = rec.log.size
-        # Row k of rows[: m + 1] holds step m at k: log f_m(k) alone, or
-        # log f_m(k) in column 0 followed by the sensitivities log D_p f_m(k).
+        la = self._log_kernel + rec.log  # log w A_m
+        M = la.size
+        # Row k of rows holds log f_m(k) alone, or log f_m(k) in column 0
+        # followed by the sensitivities log D_p f_m(k), at the last step run.
         if grad:
             rows = np.full((M + 1, self.degree + 2), -math.inf)
-            f, log_stay, source = rows[:, 0], self._log_stay_wide, np.empty((M, self.degree + 2))
+            f = rows[:, 0]
         else:
             rows = f = np.full(M + 1, -math.inf)
-            log_stay = self._log_stay
         f[0] = 0.0
-        grown = np.empty_like(rows[1:])
-        lns, log_source = log_new.tolist(), self._log_source
-        add, logaddexp = np.add, np.logaddexp
-        # One loop for both passes.  Step m needs rows[: m + 1]: three
-        # in-place ufunc calls, and in the gradient pass the two source calls
-        # between them.  Cutting the views per step would cost about a third
-        # of a step, so each block of _BLOCK steps shares views cut at its
-        # last step; the rows past m that the earlier steps also touch are
-        # -inf and stay -inf (module docstring).  Only where the views are cut
-        # sets this loop apart from the tests' per-step reference.
-        for lo in range(0, M, _BLOCK):
-            hi = min(lo + _BLOCK, M)
-            row, g, stay, shifted = rows[:hi], grown[:hi], log_stay[:hi], rows[1 : hi + 1]
-            if grad:
-                f_col, s = rows[:hi, :1], source[:hi]
-            for m in range(lo, hi):
-                add(row, lns[m], g)
-                if grad:
-                    add(f_col, log_source[m], s)
-                    logaddexp(g, s, g)
-                add(row, stay, row)
-                logaddexp(shifted, g, shifted)
+        # One loop for both passes: a linear-space block where one may start,
+        # else log-space steps up to where one may.  A block needs every row
+        # it holds at its start to have a stay factor > 0, rows b.. (row 0
+        # has none at beta0 = 0), and masses > 0, which end at the first
+        # mass of 0 (module docstring).
+        end = M if math.isfinite(rec.tilt) else int(np.argmax(la == -math.inf))
+        b = 0 if self.beta0 > 0.0 else 1
+        m = 0
+        while m < M:
+            n = self._block(rows, la, rec.log, m, min(end - m, self._span), b, grad) if b <= m < end else 0
+            m = m + n if n else self._log_steps(rows, la, m, b, end, grad)
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
         possible = poly_log > -math.inf

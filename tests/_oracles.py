@@ -6,7 +6,8 @@ piecewise-linear paths.  Tests compare library results against these.
 ``per_step_run``, ``three_reduction_masses``, ``dense_mc_chunk`` and
 ``loop_adapt_path`` are the exceptions: plain forms of library code kept as
 references for the faster forms that replaced them.  They are the
-likelihood's own step loop, cut per step (for the blocked loop); the record
+likelihood's former log-space step loop, cut per step (for the linear-space
+blocks that replaced it); the record
 of one coefficient vector, decided by three reductions of the masses (for
 the one min that replaced them); the Monte Carlo oracle's log weights from a
 dense (latent points x events) comparison table (for the counting that
@@ -79,13 +80,15 @@ def piecewise_linear_integral(f: Callable[[float], float], kinks, a: float, b: f
     )
 
 
-def per_step_run(lik, coeffs, grad=False):
-    """``MarginalLikelihood._run`` with every step's views cut at that step.
+def per_step_run(lik, coeffs, grad=False, last_row=False):
+    """The recursion of ``MarginalLikelihood._run`` in log space, one step at
+    a time, with every step's views cut at that step.
 
     Runs on the tables of the given ``MarginalLikelihood`` and returns
-    ((loglik, polynomial_term_log, exponent_term), gradient or None).  Step
-    m works on rows[: m + 2] only, the entries f_m can fill, so the result
-    does not rely on the -inf entries past them.
+    ((loglik, polynomial_term_log, exponent_term), gradient or None), and
+    with last_row the DP's last row log f_M(k) after them.  Step m works on
+    rows[: m + 2] only, the entries f_m can fill, so the result does not
+    rely on the -inf entries past them.
     """
     c = np.asarray(coeffs, dtype=float)
     assert lik._masses(c).log is not None
@@ -118,14 +121,14 @@ def per_step_run(lik, coeffs, grad=False):
     exponent = -lik.beta0 * lik.x.T - lam
     value = (poly_log + exponent, poly_log, exponent)
     if not grad:
-        return value, None
+        return (value, None, f.copy()) if last_row else (value, None)
     sens = np.array([_logsumexp(rows[:, p]) for p in range(1, lik.degree + 2)])
     if poly_log == -math.inf:
         ratio = np.where(sens > -math.inf, math.inf, 0.0)
     else:
         with np.errstate(over="ignore"):
             ratio = np.exp(sens - poly_log)
-    return value, ratio - lik._L
+    return (value, ratio - lik._L, f.copy()) if last_row else (value, ratio - lik._L)
 
 
 def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, bool, float]:

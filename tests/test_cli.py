@@ -370,6 +370,24 @@ def test_simulate_refuses_emit_latent_on_the_out_file(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "sub"]
 
 
+@pytest.mark.parametrize(
+    "out, latent", [("G.csv", "G.csv.manifest.json"), ("H.csv.manifest.json", "./sub/../H.csv")]
+)
+def test_simulate_refuses_outputs_that_name_each_others_manifest(tmp_path, capsys, monkeypatch, out, latent):
+    """Else one output's manifest would overwrite the other output (the
+    latent CSV in G.csv's manifest, or a manifest over the events file
+    H.csv.manifest.json): a usage error, refused with one stderr line
+    before the config is read (it does not exist here) or anything is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["simulate", "--config", "missing.json", "--seed", "1", "--out", out, "--emit-latent", latent]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage-error: --emit-latent and --out name each other's manifest\n" and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 @pytest.mark.parametrize("spec", ["0:ten:3", "0:10:x", "0:10:2.5", "0:10", "0:1:2:3"])
 def test_non_numeric_grid_field_is_a_config_error(tmp_path, capsys, spec):
     chain = tmp_path / "chain.csv"

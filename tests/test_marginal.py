@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from marcox import marginal
 from marcox.errors import ValidationError
 from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, support_limit
-from marcox.marginal import _BLOCK, MarginalLikelihood, MarginalResult, marginal_loglik
+from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
 
@@ -388,45 +388,176 @@ class TestLoglikGrad:
         assert grad[0] == math.inf
 
 
-def assert_matches_per_step(lik, coeffs):
-    """loglik and loglik_grad equal the per-step loop bit for bit."""
+def assert_agrees_with_per_step(lik, coeffs):
+    """loglik, pi(k) and loglik_grad agree with the per-step log-space loop:
+    the loglik within 1e-12 max(1, |loglik|), pi(k) within 1e-12, each
+    gradient component within 1e-10 of the larger of its own size and L_p
+    (where the pass's ratio and L_p cancel, the gradient is their small
+    difference), and loglik_grad's value is loglik's bit for bit."""
+    (want, want_poly, _), _, want_row = per_step_run(lik, coeffs, last_row=True)
+    res = lik.loglik(coeffs)
+    if want == -math.inf:
+        assert res.loglik == -math.inf and res.log_k is None
+    else:
+        assert abs(res.loglik - want) <= 1e-12 * max(1.0, abs(want))
+        np.testing.assert_allclose(np.exp(res.log_k), np.exp(want_row - want_poly), rtol=0.0, atol=1e-12)
+    _, want_grad = per_step_run(lik, coeffs, grad=True)
+    res_grad, grad = lik.loglik_grad(coeffs)
+    assert np.array([res_grad.loglik, res_grad.polynomial_term_log, res_grad.exponent_term]).tobytes() == (
+        np.array([res.loglik, res.polynomial_term_log, res.exponent_term]).tobytes()
+    )
+    finite = np.isfinite(want_grad)
+    np.testing.assert_array_equal(grad[~finite], want_grad[~finite])
+    grad, want_grad = grad[finite], want_grad[finite]
+    assert np.all(np.abs(grad - want_grad) <= 1e-10 * np.maximum(np.abs(want_grad), np.abs(lik._L[finite])))
 
-    def bits(res):
-        return np.array([res.loglik, res.polynomial_term_log, res.exponent_term]).tobytes()
 
-    value, _ = per_step_run(lik, coeffs)
-    assert bits(lik.loglik(coeffs)) == np.array(value).tobytes()
-    value, want_grad = per_step_run(lik, coeffs, grad=True)
-    res, grad = lik.loglik_grad(coeffs)
-    assert bits(res) == np.array(value).tobytes()
-    assert grad.tobytes() == want_grad.tobytes()
+def small_blocks(mp, cells, nats):
+    """Make blocks short: tables of at most cells factors and a certified
+    growth of at most nats (``marginal``'s _CELLS, _RANGE and _FIRST)."""
+    mp.setattr(marginal, "_CELLS", cells)
+    mp.setattr(marginal, "_RANGE", nats)
+    mp.setattr(marginal, "_FIRST", math.log(math.expm1(nats / marginal._MIN_STEPS)))
 
 
-class TestBlockedLoop:
-    """The step loop cuts its views once per block of _BLOCK steps; every value
-    and gradient equals the loop that cuts them at each step."""
+class TestLinearBlocks:
+    """The pass runs in linear-space blocks, whose arithmetic differs from the
+    log-space loop it replaced; each value, pi(k) and gradient agrees with
+    that loop, kept as ``per_step_run``, to the tolerances of
+    ``assert_agrees_with_per_step``."""
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("beta0", [0.0, 0.7])
-    @pytest.mark.parametrize("M", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    def test_block_boundaries(self, M, beta0, degree):
+    @pytest.mark.parametrize("M", [0, 1, 2, 40, 300, 600])
+    def test_paths_of_one_to_several_blocks(self, M, beta0, degree):
+        """At M = 300 and 600 a block spans at most 217 and 109 steps."""
         times = np.sort(np.random.default_rng(M).uniform(0.0, 10.0, M))
         lik = MarginalLikelihood(load_path(times, 10.0), beta0, 0.8, degree)
-        assert_matches_per_step(lik, (1.0, 0.3, 0.05)[: degree + 1])
+        assert lik._span == marginal._CELLS // (M + 1)
+        assert_agrees_with_per_step(lik, (1.0, 0.3, 0.05)[: degree + 1])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        M=st.integers(0, 3 * _BLOCK + 5),
+        M=st.integers(0, 150),
         beta0=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
         w=st.floats(1e-3, 20.0),
         T=st.floats(1.0, 100.0),
         coeffs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
         seed=st.integers(0, 2**32 - 1),
+        cells=st.sampled_from([2**6, 2**10, marginal._CELLS]),
+        nats=st.sampled_from([20.0, 60.0, marginal._RANGE]),
     )
-    def test_matches_per_step_loop(self, M, beta0, w, T, coeffs, seed):
+    def test_agrees_with_per_step_loop(self, M, beta0, w, T, coeffs, seed, cells, nats):
+        """Blocks cut short by the cell cap or a smaller certified range
+        (down to blocks of one step, and steps that run in log space
+        between them) change no value beyond the tolerances."""
         times = np.sort(np.random.default_rng(seed).uniform(0.0, T, M))
-        lik = MarginalLikelihood(load_path(times, T), beta0, w, len(coeffs) - 1)
-        assert_matches_per_step(lik, coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            small_blocks(mp, cells, nats)
+            lik = MarginalLikelihood(load_path(times, T), beta0, w, len(coeffs) - 1)
+            assert_agrees_with_per_step(lik, coeffs)
+
+    def test_blocks_shorten_then_steps_run_in_log_space(self, monkeypatch):
+        """With a range of 60 nats on 120 events at w T = 15, the masses
+        spread as the path goes on: blocks shorten, until a first step's
+        bound leaves no room for a block and the rest run in log space; the
+        pass still agrees with the per-step loop."""
+        small_blocks(monkeypatch, marginal._CELLS, 60.0)
+        runs = []
+        block, log_steps = MarginalLikelihood._block, MarginalLikelihood._log_steps
+
+        def spy_block(self, *args):
+            runs.append(("block", block(self, *args)))
+            return runs[-1][1]
+
+        def spy_log_steps(self, rows, la, m, *args):
+            runs.append(("log", log_steps(self, rows, la, m, *args) - m))
+            return m + runs[-1][1]
+
+        monkeypatch.setattr(MarginalLikelihood, "_block", spy_block)
+        monkeypatch.setattr(MarginalLikelihood, "_log_steps", spy_log_steps)
+        times = np.sort(np.random.default_rng(9).uniform(0.0, 30.0, 120))
+        lik = MarginalLikelihood(load_path(times, 30.0), 0.5, 0.5, 1)
+        lik.loglik((1.0, 0.2))
+        blocks = [n for kind, n in runs if kind == "block" and n]
+        assert len(blocks) > 2 and blocks == sorted(blocks, reverse=True)
+        assert runs[-2:] == [("block", 0), ("log", 120 - sum(blocks))]
+        assert_agrees_with_per_step(lik, (1.0, 0.2))
+
+
+class TestPassEdges:
+    """Edges of the pass, with the values and flags the log-space loop gave."""
+
+    def test_beta0_zero(self):
+        """Row 0 has a stay factor of 0: its first step runs in log space,
+        pi(0) is 0, and the loglik is the log-space loop's."""
+        lik = MarginalLikelihood(load_path([1.5, 2.5, 4.0, 7.25, 9.0], 10.0), 0.0, 0.5, 1)
+        res = lik.loglik((1.0, 0.1))
+        assert res.loglik == pytest.approx(-16.859341437119017, rel=1e-12, abs=0.0)
+        assert res.log_k[0] == -math.inf and np.all(res.log_k[1:] > -math.inf)
+        assert_agrees_with_per_step(lik, (1.0, 0.1))
+
+    def test_zero_coefficients(self):
+        """c = 0: every mass is 0 and the record's tilt NaN, so every step runs
+        in log space: the result is the log-space loop's, bit for bit,
+        with the polynomial beta0^M alone."""
+        lik = MarginalLikelihood(load_path([0.5, 1.5, 2.0, 3.5, 3.9], 4.0), 0.5, 0.7, 1)
+        assert math.isnan(lik._masses((0.0, 0.0)).tilt)
+        res, grad = lik.loglik_grad((0.0, 0.0))
+        value, want_grad = per_step_run(lik, (0.0, 0.0), grad=True)
+        assert (res.loglik, res.polynomial_term_log, res.exponent_term) == value
+        assert res.polynomial_term_log == pytest.approx(5.0 * math.log(0.5), rel=1e-15)
+        np.testing.assert_array_equal(res.log_k, [0.0] + [-math.inf] * 5)
+        assert grad.tobytes() == want_grad.tobytes()
+        assert np.all(grad > -lik._L)  # raising either coefficient adds a latent point
+
+    def test_minus_inf_sentinel(self):
+        """beta0 = 0 and c = 0: no latent configuration produces the path; the
+        loglik is -inf, there is no pi(k), and every gradient component is
+        +inf, as raising any coefficient makes the path possible."""
+        lik = MarginalLikelihood(load_path([0.5, 1.5, 2.0, 3.5], 4.0), 0.0, 0.7, 2)
+        res, grad = lik.loglik_grad((0.0, 0.0, 0.0))
+        assert res.loglik == -math.inf and res.log_k is None and res.log_dk is None
+        np.testing.assert_array_equal(grad, [math.inf] * 3)
+        assert lik.loglik((0.0, 0.0, 0.0)) == res
+
+    def test_no_events(self):
+        lik = MarginalLikelihood(load_path([], 4.0), 0.5, 0.7, 1)
+        res, grad = lik.loglik_grad((1.0, 0.5))
+        assert res.polynomial_term_log == 0.0
+        assert res.loglik == res.exponent_term == -0.5 * 4.0 - float(lik._L @ np.array([1.0, 0.5]))
+        np.testing.assert_array_equal(res.log_k, [0.0])
+        np.testing.assert_array_equal(grad, -lik._L)
+
+    @pytest.mark.parametrize("beta0", [0.0, 0.5])
+    def test_one_event(self, beta0):
+        """f_1 = (beta0, w A_1): the polynomial is beta0 + w A_1."""
+        lik = MarginalLikelihood(load_path([1.0], 4.0), beta0, 0.7, 1)
+        wA = math.exp(float(lik._log_kernel[0]) + math.log(float(lik._B[0] @ np.array([1.0, 0.5]))))
+        res = lik.loglik((1.0, 0.5))
+        assert res.polynomial_term_log == pytest.approx(math.log(beta0 + wA), rel=1e-15)
+        assert_agrees_with_per_step(lik, (1.0, 0.5))
+
+    def test_steps_past_the_range_run_in_log_space(self, monkeypatch):
+        """Events at 1, 2, 1000 and 1999 on [0, 2000] with w = 1: the masses of
+        the last two are e^1000 and e^1999 times those of the first, so each
+        of their steps leaves the double range in linear space and runs in
+        log space.  The loglik is today's and mpmath's."""
+        calls = []
+        log_steps = MarginalLikelihood._log_steps
+
+        def spy(self, rows, la, m, *args):
+            calls.append(m)
+            return log_steps(self, rows, la, m, *args)
+
+        monkeypatch.setattr(MarginalLikelihood, "_log_steps", spy)
+        times = [1.0, 2.0, 1000.0, 1999.0]
+        lik = MarginalLikelihood(load_path(times, 2000.0), 1.0, 1.0, 0)
+        res = lik.loglik((1.0,))
+        assert calls == [2]
+        assert res.loglik == pytest.approx(-3998.686738312482, rel=1e-12, abs=0.0)
+        assert res.loglik == pytest.approx(mp_loglik(times, 1.0, 1.0, (1.0,), 2000.0), rel=1e-12, abs=0.0)
+        assert_agrees_with_per_step(lik, (1.0,))
 
 
 class TestMarginalLoglik:
