@@ -7,10 +7,10 @@ kernel masses A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt at the events and
 int_0^T (1 - e^{-w (T - t)}) gamma(t) dt, both linear in gamma's
 coefficients and in closed form (``intensity.kernel_moments`` and
 ``intensity.lambda_moments``).  This package provides exact simulation of
-the pair (X, Y), the closed-form likelihood via an O(M^2) log-space
-recursion over the events (``MarginalLikelihood``, bound to one path),
-independent validation oracles, and posterior / maximum-likelihood fitting
-of the latent polynomial rate.
+the pair (X, Y), the closed-form likelihood via an O(M^2) recursion over
+the events, run in certified linear-space blocks (``MarginalLikelihood``,
+bound to one path), independent validation oracles, and posterior /
+maximum-likelihood fitting of the latent polynomial rate.
 """
 
 __version__ = "0.1.0"

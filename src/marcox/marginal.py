@@ -15,7 +15,7 @@ to, and A_m = int_0^{t_m} e^{-w (T - t)} gamma(t) dt is the discounted
 kernel mass up to event m.  The sum over k equals the coefficient polynomial
 sum_j c_j w^j beta0^(M-j) of the closed form.  Rows are kept in log space
 between blocks of steps, and in linear space against a gauge within a
-block (below), so no term is lost at any M; the whole path costs O(M^2).
+block (below), so no term underflows at any M; the whole path costs O(M^2).
 
 A_m and int lambda are linear in the coefficients c of gamma: A = B c and
 int lambda = L c, with moment tables B (M x (degree + 1)) and L that depend
@@ -50,9 +50,10 @@ so
 
     log sum_k f'_M(k) <= log sum_k f_M(k) + log sum_k pi(k) prod_(j<=k) r_(j),
 
-with equality when all r_m are equal.  The exponent -beta0 T - L c' is
-computed exactly, so ``MarginalLikelihood.loglik_bound`` costs a sort of M
-ratios and one log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
+with equality when all r_m are equal (and the window dropped no row,
+below).  The exponent -beta0 T - L c' is computed exactly, so
+``MarginalLikelihood.loglik_bound`` costs a sort of M ratios and one
+log-sum-exp.  ``mh_fit`` uses it to reject a proposal before
 its pass when even the bound fails the Metropolis test.
 
 Any pass of the same likelihood can serve as the reference; the bound's
@@ -108,34 +109,45 @@ where ``loglik_bound`` reads its log masses and tilt, so a
 the one a fresh ``MarginalLikelihood`` gives, bit for bit.
 
 Both passes run the recursion in blocks of steps, each in linear space
-against a gauge of its own.  From a block's first step lo, the gauge after
-j steps is G_j(k) = P(k) + j log s(k), s(k) = beta0 + w k: P(k) is log
-f_lo(k) for the rows reached at lo and, for a row lo + i the block newly
-reaches, the weight of the path that moves from row lo at the block's
-first i steps and then stays, less its stays.  Each gauge value is the
-weight of one lattice path, so every reachable y = f / e^G is >= 1 and
-nothing underflows.  A stay multiplies f(k) and e^G(k) alike, so a value
-step is y[1:] += F_j y[:-1], two whole-row calls, with F_j(k) = w A_j
+against a gauge of its own, over the rows b..r that hold weight at its
+first step lo.  The gauge after j steps is G_j(k) = P(k) + j log s(k),
+s(k) = beta0 + w k: P(k) is log f_lo(k) up to row r and, for a row r + i
+the block newly reaches, the weight of the path that moves from row r at
+the block's first i steps and then stays, less its stays.  Each gauge value
+is the weight of one lattice path, so every reachable y = f / e^G is >= 1
+and nothing underflows.  A stay multiplies f(k) and e^G(k) alike, so a
+value step is y[1:] += F_j y[:-1], two whole-row calls, with F_j(k) = w A_j
 e^(G_(j-1)(k - 1) - G_j(k)) read from one (steps x rows) table per block.
 The sensitivity columns are kept in f's gauge too, each divided by a bound
 on how far it can outgrow y in the block, so their source is the ratio
 B~_(m,p) / B~_m c times y, and a step is one small matrix product (which
 adds that source) and two calls.  At the block's end the rows go back to
-log space, log f = G + log y, and the next block takes its gauge from
-them.  Both passes take the same blocks and the same arithmetic for f
-(the product keeps y exactly), so their values agree bit for bit.
+log space, log f = G + log y.  Both passes take the same blocks and the
+same arithmetic for f, so their values agree bit for bit.
 
 A step grows every y by a factor of at most 1 + max_k F_j(k).  So a block
 ends before the sum of log(1 + max_k F_j(k)) over its steps would pass
-_RANGE nats, below the double range (each step's term bounded from the
-rows at lo and the masses, ``_block``), or before its table would pass
-_CELLS factors.  A step whose own term leaves no room for _MIN_STEPS such
-steps runs in log space instead, as three ufunc calls with np.logaddexp,
-and so do the first step at beta0 = 0 (its row 0 has a stay factor of 0)
-and every step from the first mass of 0 on.  Where the masses spread far
-(w (t_M - t_1) past about 100), each new mass outweighs the rows near the
-top by more than a block can carry, and the steps from there on run that
-way, with views shared over _LOG_VIEWS steps (``_log_steps``).
+_RANGE nats (each step's term bounded from the rows at lo and the masses,
+``_block``), or before its table would pass _CELLS factors.  Where the
+masses spread far, a new mass can outweigh the top rows by more than that:
+a block certifies no step, and from there on each block starts with the
+window.  With k* the row of the largest log f_m, it drops to -inf the rows
+k < k* with log f_m(k) < log f_m(k*) - tau and the rows k > k* with
+log f_m(k) + (M - m) log(s(k) / s(k*)) < log f_m(k*) - tau.  This is safe:
+p = sum_k f_m(k) G_m(k), G_m(k) the weight of the paths from row k at step
+m on, and shifting a path up keeps its moves' factors and raises each
+stay's by at most s(k) / s(k*), so G_m(k) <= G_m(k*) below k* and <= (s(k)
+/ s(k*))^(M - m) G_m(k*) above.  A dropped cell loses at most e^-tau of p,
+and at tau >= _LOST + 2 log(M + 1) (``_window_nats``) all M (M + 1) cells
+at most e^-_LOST.  A path's sensitivity to c_p is at most M rho_p times
+its weight, rho_p = max_m B~_(m,p) / B~_m c, so tau adds log(M rho_p / L_p)
+where > 0, and a gradient component is off by at most 3 e^-_LOST of the
+larger of its size and L_p.  The last row lacks the dropped rows, which
+other coefficients can lift: ``loglik_bound`` allows for them and ``ray``
+gives None, which is why the window waits for a block that certifies no
+step.  A step no block takes runs in log space (``_log_step``): the first
+at beta0 = 0 (row 0 has no stay factor), each from the first mass of 0 on,
+and one whose own term passes _RANGE.
 """
 
 from __future__ import annotations
@@ -158,14 +170,9 @@ _CELLS = 2**16
 # A block's certified growth, in nats, at most: every weight and scaled
 # sensitivity it holds stays below e^_RANGE < DBL_MAX ~ e^709.8.
 _RANGE = 700.0
-# A block starts only where its first step's bound leaves room for
-# _MIN_STEPS steps like it, that is where the step's largest log factor is
-# at most _FIRST: _MIN_STEPS log(1 + e^_FIRST) = _RANGE.  A shorter block
-# costs more than its steps in log space.
-_MIN_STEPS = 8
-_FIRST = math.log(math.expm1(_RANGE / _MIN_STEPS))
-# Log-space steps per set of shared views (``MarginalLikelihood._log_steps``).
-_LOG_VIEWS = 8
+# The window's certificate: the rows it drops hold at most e^-_LOST of the
+# likelihood (module docstring).
+_LOST = 40.0
 # ``MarginalLikelihood._ray_max``: Newton steps at most, and the change in u
 # that ends the search.
 _RAY_ITERS = 64
@@ -183,6 +190,7 @@ class MarginalResult:
     ``log_k`` is log pi(k), the posterior of the number of latent points the
     events attach to, for k = 0..M (the DP's last row less
     polynomial_term_log), read-only; None at the -inf sentinel or not computed.
+    The states the window dropped read -inf (module docstring).
     ``log_dk`` is log D_p f_M(k) less polynomial_term_log, the last
     sensitivity row, shape (M + 1, degree + 1), which ``ray`` reads; set by
     ``loglik_grad`` only, and None at the -inf sentinel.  The masses the
@@ -194,6 +202,11 @@ class MarginalResult:
     exponent_term: float
     log_k: np.ndarray | None = field(default=None, compare=False, repr=False)
     log_dk: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+def _window_nats(M: int) -> float:
+    """tau, the window's cut in nats below its top row at M events (module docstring)."""
+    return _LOST + 2.0 * math.log(M + 1)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -249,14 +262,10 @@ class MarginalLikelihood:
             # log w - w (T - t_m): turns log B~_m c into log (w A_m).
             self._log_kernel = math.log(w) - w * (x.T - times)
             self._log_moments = np.log(self._B)
-            # log (w B_(m,p)) in columns 1.., after a column of log 0 that
-            # leaves f's own column unchanged under logaddexp.
-            self._log_source = np.concatenate(
-                (np.full((x.count, 1), -math.inf), self._log_kernel[:, None] + self._log_moments), axis=1
-            )
+            self._log_L = np.log(self._L)
         # dls[k - 1] = log s(k - 1) - log s(k), s(k) = beta0 + w k (-inf at
         # k = 1 when beta0 = 0); steps per block at most; and, in a block's
-        # table past row lo, -_RANGE where a step has not reached the row yet.
+        # table past its top row, -_RANGE where a step has not reached the row yet.
         self._dls = self._log_stay[:-1] - self._log_stay[1:]
         self._span = max(1, _CELLS // (x.count + 1))
         size = min(self._span, x.count)
@@ -314,8 +323,10 @@ class MarginalLikelihood:
 
         where r_(1) >= r_(2) >= ... are the mass ratios A'_m / A_m in
         decreasing order and pi = exp(ref.log_k); equality holds when every
-        ratio is the same.  The masses at coeffs and their tilt come from the
-        kept record, those of the reference from its own record.
+        ratio is the same, unless the window dropped rows of ref, for which
+        e^-_LOST max_k prod_(j<=k) r_(j) is added to the sum.  The masses at
+        coeffs and their tilt come from the kept record, those of the
+        reference from its own record.
         """
         rec = self._admissible(coeffs)
         # The first (most recent) of least |tilt gap|, and of all at a NaN tilt; faster than min(key=).
@@ -332,6 +343,8 @@ class MarginalLikelihood:
         # gain[k - 1] = sum of the k largest log ratios; -inf (a mass of 0 at coeffs) comes last.
         gain = log_ratio[::-1].cumsum()
         log_sum = float(np.logaddexp.reduce(ref.log_k[1:] + gain, initial=ref.log_k[0]))
+        if self._dropped(ref.log_k):  # they held at most e^-_LOST of ref
+            log_sum = float(np.logaddexp(log_sum, gain.max(initial=0.0) - _LOST))
         return ref.polynomial_term_log + log_sum + (-self.beta0 * self.x.T - rec.lam)
 
     def ray(self, coeffs, res: MarginalResult, u: float | None = None) -> tuple[float, float, np.ndarray] | None:
@@ -346,14 +359,15 @@ class MarginalLikelihood:
         a Newton step leaves it), or -inf, the end s = 0, where the
         log-likelihood falls from s = 0 on (at M = 0 among them).  It is
         concave in s, so the maximizer is unique.  None where L coeffs <= 0,
-        at the -inf sentinel (``res.log_dk`` None), and where L coeffs is so
+        at the -inf sentinel (``res.log_dk`` None), where the window dropped
+        rows of the pass (module docstring), and where L coeffs is so
         small (below M e^-709) that the maximizer could leave the double
         range.  At u = 0 the loglik is ``res.loglik`` itself; at u = -inf
         only f_M(0) and D_p f_M(1) remain (module docstring).
         """
-        if res.log_dk is None:
-            return None
         c = np.asarray(coeffs, dtype=float)
+        if res.log_dk is None or math.isfinite(self._record(c).tilt) and self._dropped(res.log_k):
+            return None
         lc = float(self._L @ c)
         if u is None:
             u = self._ray_max(res.log_k, lc)
@@ -415,6 +429,11 @@ class MarginalLikelihood:
             u = new_u
         return u
 
+    def _dropped(self, log_k: np.ndarray) -> bool:
+        """Whether the window dropped rows of a pass of finite tilt: its last
+        row's top or lowest row (row 1 at beta0 = 0) reads -inf."""
+        return log_k[-1] == -math.inf or log_k[1 if self.beta0 == 0.0 and log_k.size > 1 else 0] == -math.inf
+
     def _masses(self, coeffs) -> _Masses:
         """A new record of coeffs (module docstring), not kept."""
         c = np.asarray(coeffs, dtype=float)
@@ -456,41 +475,40 @@ class MarginalLikelihood:
         return rec
 
     def _block(
-        self, rows: np.ndarray, la: np.ndarray, log_mass: np.ndarray, lo: int, span: int, b: int, grad: bool
+        self, rows: np.ndarray, la: np.ndarray, log_mass: np.ndarray, lo: int, span: int, b: int, r: int, grad: bool
     ) -> int:
         """Run the longest certified block of at most span steps from step lo
-        in linear space and return its length: 0, running nothing, where
-        the bound of its first step leaves no room for a block (module
-        docstring).  Rows b..lo of rows hold weight at lo, and the block's
-        masses are > 0."""
+        in linear space over rows b..r, which hold the weight at lo, and
+        return its length: 0, running nothing, where the bound of its first
+        step alone is past _RANGE (module docstring).  Row b's stay factor
+        and the block's masses are > 0."""
         ls = self._log_stay
         f = rows[:, 0] if grad else rows
-        top = lo - b  # row lo's place among rows b..
-        lf = f[b : lo + 1]
+        top = r - b  # row r's place among rows b..
+        lf = f[b : r + 1]
         lab = la[lo : lo + span]
         # The certificate: y_j <= prod_(i<=j) (1 + max_k F_i(k)), so a block
         # of n steps keeps every weight below e^_RANGE where the sum of
         # log(1 + max_k F_j(k)) over its steps is at most _RANGE.  With
         # log F_j(k) = log w A_j + log f_lo(k - 1) - log f_lo(k) - log s(k)
-        # + (j - 1) dls(k) below row lo + 1, and log w A_j - log w A_i +
-        # (j - i) dls(k) at row k = lo + i <= lo + j, and every dls <= 0,
+        # + (j - 1) dls(k) up to row r, and log w A_j - log w A_i +
+        # (j - i) dls(k) at row k = r + i <= r + j, and every dls <= 0,
         # the largest log factor of step j is at most bound_j.
-        down = float((lf[:-1] - lf[1:] - ls[b + 1 : lo + 1]).max()) if lo > b else -math.inf
+        down = float((lf[:-1] - lf[1:] - ls[b + 1 : r + 1]).max()) if r > b else -math.inf
         bound = lab - np.minimum(np.minimum.accumulate(lab), -down)
-        # Unless the first step leaves room for _MIN_STEPS such steps, no table is built.
-        if bound.item(0) > _FIRST:
-            return 0
         n = int(np.logaddexp(0.0, bound).cumsum().searchsorted(_RANGE, side="right"))
-        hi = lo + n
+        if not n:
+            return 0
+        hi = r + n
         lab = lab[:n]
         # The gauge G_j(k) = P(k) + j log s(k), rows k = b..hi: P(k) is log
-        # f_lo(k) up to row lo, and past it the weight of the path that moves
-        # from row lo to row k and then stays, less its stays.
+        # f_lo(k) up to row r, and past it the weight of the path that moves
+        # from row r to row k and then stays, less its stays.
         P = np.empty(hi - b + 1)
         P[: top + 1] = lf
         past = P[top + 1 :]
         np.add.accumulate(lab, out=past)
-        past -= self._ks[1 : n + 1] * ls[lo + 1 : hi + 1]
+        past -= self._ks[1 : n + 1] * ls[r + 1 : hi + 1]
         past += P[top]
         # log F_j(k) = log w A_j + G_(j-1)(k - 1) - G_j(k) = j dls(k) + log w A_j
         # + c(k), c(k) = P(k - 1) - P(k) - log s(k - 1): one (n x 3) @ (3 x
@@ -505,7 +523,7 @@ class MarginalLikelihood:
         np.subtract(P[:-1], P[1:], out=by_row[2])
         by_row[2] -= ls[b:hi]
         log_F = by_step @ by_row
-        # A target row past lo + j is not reached by step j: its factor only
+        # A target row past r + j is not reached by step j: its factor only
         # multiplies 0, so any finite one will do, and e^-_RANGE is neither
         # large nor 0 (an exp of -inf or of an underflow runs slowly).
         new = log_F[:, top:]
@@ -513,7 +531,7 @@ class MarginalLikelihood:
         F = np.exp(log_F, out=log_F)
         # The gauge at the block's end, rows b..hi.
         G = ls[b : hi + 1] * n
-        G += P[: hi - b + 1]
+        G += P
         multiply, add = np.multiply, np.add
         if not grad:
             y = np.zeros(hi - b + 1)
@@ -530,8 +548,8 @@ class MarginalLikelihood:
         # sigma_p = Z_p + n rho_p, with Z_p its largest z at lo and rho_p the
         # block's largest ratio B~_(m,p) / B~_m c: after j steps z_p <=
         # (Z_p + j rho_p) max y, so z_p / sigma_p stays within y's bound.
-        rel = rows[b : lo + 1, 1:] - P[: top + 1, None]
-        log_ratio = self._log_moments[lo:hi] - log_mass[lo:hi, None]
+        rel = rows[b : r + 1, 1:] - P[: top + 1, None]
+        log_ratio = self._log_moments[lo : lo + n] - log_mass[lo : lo + n, None]
         log_sigma = np.logaddexp(rel.max(axis=0), log_ratio.max(axis=0) + math.log(n))
         np.maximum(log_sigma, -_RANGE, out=log_sigma)
         Y = np.zeros((hi - b + 1, self.degree + 2))
@@ -555,32 +573,27 @@ class MarginalLikelihood:
         add(Y, G[:, None], rows[b : hi + 1])
         return n
 
-    def _log_steps(self, rows: np.ndarray, la: np.ndarray, m: int, b: int, end: int, grad: bool) -> int:
-        """Log-space steps from step m on, one at least, and return where
-        they end: at M, or at the first later step in [b, end) where the
-        first-step bound's term at the top row leaves room for a block
-        (``_block`` tests the other rows).
+    def _window(self, rows: np.ndarray, f: np.ndarray, b: int, top: int, left: int, nats: float) -> tuple[int, int]:
+        """The window (b, top) at a step with left steps to go and a cut of
+        nats, from the rows b..top that hold weight (module docstring)."""
+        lf = f[b : top + 1]
+        i = int(lf.argmax())
+        cut, ls = lf.item(i) - nats, self._log_stay[b + i : top + 1]
+        # The first row kept below k* = b + i, and the last above it; the rows dropped read -inf.
+        new_b = b + int(np.argmax(lf[: i + 1] > cut))
+        new_top = top - int(np.argmax((lf[i:] + left * (ls - ls.item(0)) > cut)[::-1]))
+        rows[b:new_b] = rows[new_top + 1 : top + 1] = -math.inf
+        return new_b, new_top
 
-        The views of _LOG_VIEWS steps are cut once, at the last of them;
-        the earlier steps also run over the rows past their own, which are
-        -inf and stay -inf (-inf plus a finite log or -inf is -inf, and
-        logaddexp(-inf, -inf) is -inf without a warning), so every value is
-        the same, bit for bit, as with views cut per step."""
-        M, f, ls = la.size, (rows[:, 0] if grad else rows), self._log_stay
-        stay = ls[:, None] if grad else ls
-        grown = np.empty_like(rows)
-        add, logaddexp = np.add, np.logaddexp
-        while True:
-            hi = min(m + _LOG_VIEWS, M)
-            row, g, stay_hi, shifted = rows[:hi], grown[:hi], stay[:hi], rows[1 : hi + 1]
-            for m in range(m + 1, hi + 1):
-                add(row, la.item(m - 1), g)
-                if grad:
-                    logaddexp(g, row[:, :1] + self._log_source[m - 1], g)
-                add(row, stay_hi, row)
-                logaddexp(shifted, g, shifted)
-                if m == M or b <= m < end and la.item(m) + f.item(m - 1) - f.item(m) - ls.item(m) <= _FIRST:
-                    return m
+    def _log_step(self, rows: np.ndarray, la: np.ndarray, m: int, b: int, top: int, grad: bool) -> None:
+        """Step m in log space over rows b..top, which hold the weight at m."""
+        row, shifted = rows[b : top + 1], rows[b + 1 : top + 2]
+        grown = row + la.item(m)
+        if grad:  # the source w B_(m,p) f_m(k - 1) of each sensitivity, log 0 in f's own column
+            source = np.append(-math.inf, self._log_kernel.item(m) + self._log_moments[m])
+            np.logaddexp(grown, row[:, :1] + source, grown)
+        row += self._log_stay[b : top + 1, None] if grad else self._log_stay[b : top + 1]
+        np.logaddexp(shifted, grown, shifted)
 
     def _run(self, rec: _Masses, grad: bool):
         la = self._log_kernel + rec.log  # log w A_m
@@ -593,17 +606,30 @@ class MarginalLikelihood:
         else:
             rows = f = np.full(M + 1, -math.inf)
         f[0] = 0.0
-        # One loop for both passes: a linear-space block where one may start,
-        # else log-space steps up to where one may.  A block needs every row
-        # it holds at its start to have a stay factor > 0, rows b.. (row 0
-        # has none at beta0 = 0), and masses > 0, which end at the first
-        # mass of 0 (module docstring).
+        # One loop for both passes; rows b..top hold the weight at step m.  A
+        # block needs row b's stay factor and the masses to be > 0 (up to end).
         end = M if math.isfinite(rec.tilt) else int(np.argmax(la == -math.inf))
-        b = 0 if self.beta0 > 0.0 else 1
-        m = 0
+        b = top = m = 0
+        narrow, nats = False, math.inf
         while m < M:
-            n = self._block(rows, la, rec.log, m, min(end - m, self._span), b, grad) if b <= m < end else 0
-            m = m + n if n else self._log_steps(rows, la, m, b, end, grad)
+            n = 0
+            if m < end:
+                b += f.item(b) == -math.inf  # row 0 at beta0 = 0 holds no weight from step 1 on
+                if narrow:
+                    b, top = self._window(rows, f, b, top, M - m, nats)
+                if self._log_stay.item(b) > -math.inf:
+                    n = self._block(rows, la, rec.log, m, min(end - m, self._span), b, top, grad)
+                if not n and m and not narrow:
+                    # From here on every block starts with the window, cut at tau plus
+                    # log(M rho_p / L_p) where > 0 (+inf where a later mass is 0).
+                    log_rho = (self._log_moments - rec.log[:, None]).max(axis=0) - self._log_L
+                    narrow, nats = True, _window_nats(M) + max(0.0, float(log_rho.max()) + math.log(M))
+                    continue
+            if not n:
+                self._log_step(rows, la, m, b, top, grad)
+                n = 1
+            m += n
+            top += n
         poly_log = _logsumexp(f)
         exponent = -self.beta0 * self.x.T - rec.lam
         possible = poly_log > -math.inf

@@ -101,6 +101,12 @@ def per_step_run(lik, coeffs, grad=False, last_row=False):
         rows = np.full((M + 1, width), -math.inf)
         f = rows[:, 0]
         log_stay = np.repeat(lik._log_stay[:, None], width, axis=1)
+        # log (w B_(m,p)) in columns 1.., after a column of log 0 that
+        # leaves f's own column unchanged under logaddexp.
+        with np.errstate(divide="ignore"):
+            log_source = np.concatenate(
+                (np.full((M, 1), -math.inf), lik._log_kernel[:, None] + lik._log_moments), axis=1
+            )
         source = np.empty((M, width))
     else:
         rows = f = np.full(M + 1, -math.inf)
@@ -112,7 +118,7 @@ def per_step_run(lik, coeffs, grad=False, last_row=False):
         np.add(row, ln, out=g)
         if grad:
             s = source[: m + 1]
-            np.add(row[:, :1], lik._log_source[m], out=s)
+            np.add(row[:, :1], log_source[m], out=s)
             np.logaddexp(g, s, out=g)
         np.add(row, log_stay[: m + 1], out=row)
         shifted = rows[1 : m + 2]

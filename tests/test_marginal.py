@@ -154,6 +154,29 @@ class TestLongPaths:
         ref = mp_loglik(times, 1.0, 0.5, (2.0, 0.5), 30.0)
         assert got == pytest.approx(ref, abs=1e-9)
 
+    def test_1000_events_match_high_precision_with_and_without_the_window(self, monkeypatch):
+        """At M = 1000 every block certifies a step, so no row is dropped.
+        With a certified range of 10 nats a block at about step 585
+        certifies none, and from there every block starts with the window,
+        which never holds a quarter of the M + 1 rows.  Either way the
+        loglik is mpmath's within 1e-10."""
+        params = ModelParams(beta0=1.0, w=0.5, gamma=PolyIntensity((2.0, 0.5)))
+        times = simulate(params, 30.0, seed=4).x.jumps[:1000]
+        ref = mp_loglik(times, 1.0, 0.5, (2.0, 0.5), 30.0, dps=30)
+        runs = spy_pass(monkeypatch)
+        for narrow in (False, True):
+            if narrow:
+                small_blocks(monkeypatch, marginal._CELLS, 10.0)
+            runs.clear()
+            got = marginal_loglik(load_path(times, 30.0), params).loglik
+            assert got == pytest.approx(ref, abs=1e-10)
+            windows = [run for run in runs if run[0] == "window"]
+            if not narrow:
+                assert windows == []
+            else:
+                assert any(after < before for _, before, after in windows)
+                assert max(after for _, _, after in windows) < 1001 // 4
+
 
 class TestMarginalLikelihood:
     def test_reuse_matches_marginal_loglik(self):
@@ -414,10 +437,41 @@ def assert_agrees_with_per_step(lik, coeffs):
 
 def small_blocks(mp, cells, nats):
     """Make blocks short: tables of at most cells factors and a certified
-    growth of at most nats (``marginal``'s _CELLS, _RANGE and _FIRST)."""
+    growth of at most nats (``marginal``'s _CELLS and _RANGE)."""
     mp.setattr(marginal, "_CELLS", cells)
     mp.setattr(marginal, "_RANGE", nats)
-    mp.setattr(marginal, "_FIRST", math.log(math.expm1(nats / marginal._MIN_STEPS)))
+
+
+def spy_pass(mp):
+    """Record what the pass runs, in order: ("block", lo, n) per ``_block``
+    call, ("log", m) per ``_log_step`` and ("window", before, after) per
+    ``_window``, with the number of rows that hold weight before and after
+    it."""
+    runs = []
+    block, log_step, window = MarginalLikelihood._block, MarginalLikelihood._log_step, MarginalLikelihood._window
+
+    def spy_block(self, rows, la, log_mass, lo, *args):
+        runs.append(("block", lo, block(self, rows, la, log_mass, lo, *args)))
+        return runs[-1][2]
+
+    def spy_log_step(self, rows, la, m, *args):
+        runs.append(("log", m))
+        return log_step(self, rows, la, m, *args)
+
+    def spy_window(self, rows, f, b, top, *args):
+        kept = window(self, rows, f, b, top, *args)
+        runs.append(("window", top - b + 1, kept[1] - kept[0] + 1))
+        return kept
+
+    mp.setattr(MarginalLikelihood, "_block", spy_block)
+    mp.setattr(MarginalLikelihood, "_log_step", spy_log_step)
+    mp.setattr(MarginalLikelihood, "_window", spy_window)
+    return runs
+
+
+def log_steps(runs):
+    """The steps ``spy_pass`` saw run in log space."""
+    return [run[1] for run in runs if run[0] == "log"]
 
 
 class TestLinearBlocks:
@@ -449,61 +503,107 @@ class TestLinearBlocks:
     )
     def test_agrees_with_per_step_loop(self, M, beta0, w, T, coeffs, seed, cells, nats):
         """Blocks cut short by the cell cap or a smaller certified range
-        (down to blocks of one step, and steps that run in log space
-        between them) change no value beyond the tolerances."""
+        (down to blocks of one step, windows once a block certifies no step,
+        and single steps in log space where even the window cannot) change
+        no value beyond the tolerances."""
         times = np.sort(np.random.default_rng(seed).uniform(0.0, T, M))
         with pytest.MonkeyPatch.context() as mp:
             small_blocks(mp, cells, nats)
             lik = MarginalLikelihood(load_path(times, T), beta0, w, len(coeffs) - 1)
             assert_agrees_with_per_step(lik, coeffs)
 
-    def test_blocks_shorten_then_steps_run_in_log_space(self, monkeypatch):
+    def test_blocks_shorten_and_no_step_runs_in_log_space(self, monkeypatch):
         """With a range of 60 nats on 120 events at w T = 15, the masses
-        spread as the path goes on: blocks shorten, until a first step's
-        bound leaves no room for a block and the rest run in log space; the
-        pass still agrees with the per-step loop."""
+        spread as the path goes on and the second block is shorter than the
+        first.  Each block still certifies a step, so no step runs in log
+        space, and the pass agrees with the per-step loop."""
         small_blocks(monkeypatch, marginal._CELLS, 60.0)
-        runs = []
-        block, log_steps = MarginalLikelihood._block, MarginalLikelihood._log_steps
-
-        def spy_block(self, *args):
-            runs.append(("block", block(self, *args)))
-            return runs[-1][1]
-
-        def spy_log_steps(self, rows, la, m, *args):
-            runs.append(("log", log_steps(self, rows, la, m, *args) - m))
-            return m + runs[-1][1]
-
-        monkeypatch.setattr(MarginalLikelihood, "_block", spy_block)
-        monkeypatch.setattr(MarginalLikelihood, "_log_steps", spy_log_steps)
+        runs = spy_pass(monkeypatch)
         times = np.sort(np.random.default_rng(9).uniform(0.0, 30.0, 120))
         lik = MarginalLikelihood(load_path(times, 30.0), 0.5, 0.5, 1)
         lik.loglik((1.0, 0.2))
-        blocks = [n for kind, n in runs if kind == "block" and n]
-        assert len(blocks) > 2 and blocks == sorted(blocks, reverse=True)
-        assert runs[-2:] == [("block", 0), ("log", 120 - sum(blocks))]
+        blocks = [run[2] for run in runs if run[0] == "block" and run[2]]
+        assert len(blocks) > 2 and blocks[1] < blocks[0] and sum(blocks) == 120
+        assert log_steps(runs) == []
         assert_agrees_with_per_step(lik, (1.0, 0.2))
+
+
+class TestWindow:
+    """The window's certificate (``marginal``'s module docstring): a row it
+    drops at a step carries at most e^-tau of the likelihood."""
+
+    @pytest.mark.parametrize(
+        "M, beta0, w, T, coeffs",
+        [
+            (40, 1.0, 0.5, 20.0, (1.0, 0.1)),
+            (60, 0.5, 2.0, 10.0, (1.0, 0.3)),
+            (60, 0.0, 1.0, 10.0, (0.5, 0.2)),
+            (80, 0.2, 5.0, 5.0, (2.0,)),
+            (80, 1.0, 0.8, 40.0, (1.0, 0.2, 0.01)),
+        ],
+    )
+    def test_dropped_rows_cost_at_most_their_certificate(self, monkeypatch, M, beta0, w, T, coeffs):
+        """With tau = 5 nats and a certified range of 10, so that blocks
+        certify no step and windows drop rows that carry weight: the loglik
+        never exceeds the one with no row dropped (tau = inf) beyond
+        rounding, and falls below it by at most (rows dropped) e^-5
+        relative."""
+        small_blocks(monkeypatch, marginal._CELLS, 10.0)
+        times = np.sort(np.random.default_rng(M).uniform(0.0, T, M))
+        lik = MarginalLikelihood(load_path(times, T), beta0, w, len(coeffs) - 1)
+        monkeypatch.setattr(marginal, "_window_nats", lambda M: math.inf)
+        full = lik.loglik(coeffs).loglik
+        monkeypatch.setattr(marginal, "_window_nats", lambda M: 5.0)
+        runs = spy_pass(monkeypatch)
+        got = lik.loglik(coeffs).loglik
+        dropped = sum(run[1] - run[2] for run in runs if run[0] == "window")
+        assert dropped > 0
+        assert got <= full + 1e-12 * max(1.0, abs(full))
+        assert -math.expm1(got - full) <= dropped * math.exp(-5.0)
+
+    @pytest.mark.parametrize(
+        "M, beta0, w, T, degree", [(69, 1.0, 1.0, 11.0, 2), (40, 0.5, 2.0, 20.0, 1), (30, 1.0, 5.0, 10.0, 0)]
+    )
+    def test_gradient_shares_the_window_at_tiny_coefficients(self, monkeypatch, M, beta0, w, T, degree):
+        """gamma about 1e-200: a path's sensitivity is about 1e200 times its
+        weight, so rows far below the top carry the gradient.  The cut's
+        margin, log(M rho_p / L_p), keeps them, and the pass agrees with the
+        per-step loop while the window drops rows."""
+        small_blocks(monkeypatch, marginal._CELLS, 10.0)
+        rng = np.random.default_rng(0)
+        times = np.sort(rng.uniform(0.0, T, M))
+        lik = MarginalLikelihood(load_path(times, T), beta0, w, degree)
+        coeffs = 1e-200 * rng.uniform(0.5, 2.0, degree + 1) / T ** np.arange(degree + 1)
+        assert lik._dropped(lik.loglik(coeffs).log_k)
+        assert_agrees_with_per_step(lik, coeffs)
 
 
 class TestPassEdges:
     """Edges of the pass, with the values and flags the log-space loop gave."""
 
-    def test_beta0_zero(self):
-        """Row 0 has a stay factor of 0: its first step runs in log space,
-        pi(0) is 0, and the loglik is the log-space loop's."""
+    def test_beta0_zero(self, monkeypatch):
+        """Row 0 has a stay factor of 0: the first step runs in log space, in
+        both passes, and the blocks start at row 1, as row 0 holds no weight
+        from then on; pi(0) is 0, and the loglik is the log-space loop's."""
+        runs = spy_pass(monkeypatch)
         lik = MarginalLikelihood(load_path([1.5, 2.5, 4.0, 7.25, 9.0], 10.0), 0.0, 0.5, 1)
         res = lik.loglik((1.0, 0.1))
+        lik.loglik_grad((1.0, 0.1))
+        assert log_steps(runs) == [0, 0]
         assert res.loglik == pytest.approx(-16.859341437119017, rel=1e-12, abs=0.0)
         assert res.log_k[0] == -math.inf and np.all(res.log_k[1:] > -math.inf)
         assert_agrees_with_per_step(lik, (1.0, 0.1))
 
-    def test_zero_coefficients(self):
-        """c = 0: every mass is 0 and the record's tilt NaN, so every step runs
-        in log space: the result is the log-space loop's, bit for bit,
-        with the polynomial beta0^M alone."""
+    def test_zero_coefficients(self, monkeypatch):
+        """c = 0: every mass is 0 and the record's tilt NaN, so every step
+        from the first mass of 0 on, here all five, runs in log space: the
+        result is the log-space loop's, bit for bit, with the polynomial
+        beta0^M alone."""
+        runs = spy_pass(monkeypatch)
         lik = MarginalLikelihood(load_path([0.5, 1.5, 2.0, 3.5, 3.9], 4.0), 0.5, 0.7, 1)
         assert math.isnan(lik._masses((0.0, 0.0)).tilt)
         res, grad = lik.loglik_grad((0.0, 0.0))
+        assert log_steps(runs) == [0, 1, 2, 3, 4] and len(runs) == 5
         value, want_grad = per_step_run(lik, (0.0, 0.0), grad=True)
         assert (res.loglik, res.polynomial_term_log, res.exponent_term) == value
         assert res.polynomial_term_log == pytest.approx(5.0 * math.log(0.5), rel=1e-15)
@@ -538,25 +638,51 @@ class TestPassEdges:
         assert res.polynomial_term_log == pytest.approx(math.log(beta0 + wA), rel=1e-15)
         assert_agrees_with_per_step(lik, (1.0, 0.5))
 
-    def test_steps_past_the_range_run_in_log_space(self, monkeypatch):
+    def test_far_masses_collapse_the_window_to_one_row(self, monkeypatch):
         """Events at 1, 2, 1000 and 1999 on [0, 2000] with w = 1: the masses of
-        the last two are e^1000 and e^1999 times those of the first, so each
-        of their steps leaves the double range in linear space and runs in
-        log space.  The loglik is today's and mpmath's."""
-        calls = []
-        log_steps = MarginalLikelihood._log_steps
-
-        def spy(self, rows, la, m, *args):
-            calls.append(m)
-            return log_steps(self, rows, la, m, *args)
-
-        monkeypatch.setattr(MarginalLikelihood, "_log_steps", spy)
+        the last two are e^1000 and e^1999 times those of the first, more
+        than a block can carry from the rows the first two reach: a block
+        over rows 0..2 certifies no step.  Those rows carry no weight, so
+        the window at steps 2 and 3 holds row 0 alone, and no step runs in
+        log space, in either pass.  The loglik is the log-space loop's and
+        mpmath's."""
+        runs = spy_pass(monkeypatch)
         times = [1.0, 2.0, 1000.0, 1999.0]
         lik = MarginalLikelihood(load_path(times, 2000.0), 1.0, 1.0, 0)
         res = lik.loglik((1.0,))
-        assert calls == [2]
+        lik.loglik_grad((1.0,))
+        one_pass = [
+            ("block", 0, 2),
+            ("block", 2, 0),
+            ("window", 3, 1),
+            ("block", 2, 1),
+            ("window", 2, 1),
+            ("block", 3, 1),
+        ]
+        assert runs == one_pass * 2
         assert res.loglik == pytest.approx(-3998.686738312482, rel=1e-12, abs=0.0)
         assert res.loglik == pytest.approx(mp_loglik(times, 1.0, 1.0, (1.0,), 2000.0), rel=1e-12, abs=0.0)
+        assert_agrees_with_per_step(lik, (1.0,))
+
+    def test_a_step_past_the_range_runs_in_log_space(self, monkeypatch):
+        """beta0 = 0.5, w = 1, T = 1100: ten events on [0, 1], whose masses are
+        about e^-1100, then 1000 on [1000, 1100].  At step 10 the window
+        keeps row 1, about 1090 nats below row 0, as (s(1) / s(0))^1000 =
+        3^1000 could still lift it, so the step's own bound is past _RANGE
+        and it runs in log space.  So do the steps after it, until the top
+        row, whose paths all take one of those ten masses, falls out of the
+        window at step 41.  The same steps run so in both passes, and the
+        pass agrees with the per-step loop."""
+        rng = np.random.default_rng(0)
+        times = np.concatenate((rng.uniform(0.0, 1.0, 10), rng.uniform(1000.0, 1100.0, 1000)))
+        lik = MarginalLikelihood(load_path(np.sort(times), 1100.0), 0.5, 1.0, 0)
+        runs = spy_pass(monkeypatch)
+        lik.loglik((1.0,))
+        assert log_steps(runs) == list(range(10, 41))
+        runs.clear()
+        lik.loglik_grad((1.0,))
+        assert log_steps(runs) == list(range(10, 41))
+        monkeypatch.undo()
         assert_agrees_with_per_step(lik, (1.0,))
 
 
@@ -841,6 +967,20 @@ class TestLoglikBound:
         coeffs = ref_coeffs * np.array([1.1, 0.9, 1.05])
         assert lik.loglik_bound(coeffs).hex() == one_reference(lik, ref_coeffs)[0].loglik_bound(coeffs).hex()
 
+    def test_a_reference_with_dropped_rows_still_bounds(self, monkeypatch):
+        """With a range of 10 nats a block certifies no step, so the window
+        drops rows of the reference's pass, row 0 among them.  At gamma = 0
+        only row 0 holds weight, where pi(k) alone bounds -inf: the
+        allowance for the dropped rows keeps the bound above loglik there
+        and at c' = s c."""
+        small_blocks(monkeypatch, marginal._CELLS, 10.0)
+        lik, ref_coeffs, ref = bound_case(69, 1.0, 1.0, 11.0, 2, 0)
+        assert ref.log_k[0] == -math.inf and lik._dropped(ref.log_k)
+        for coeffs in (np.zeros(3), 1e-3 * ref_coeffs, 3.0 * ref_coeffs):
+            got = fresh(lik).loglik(coeffs)
+            assert got.loglik <= lik.loglik_bound(coeffs) + 1e-12 * (1.0 + abs(got.loglik))
+        assert fresh(lik).loglik(np.zeros(3)).loglik == -11.0
+
     def test_zero_reference_mass_bounds_nothing(self):
         """A pass with a mass of 0 is not kept: the bound is +inf until a pass
         with every mass > 0 exists, also where the proposal's mass is 0 too,
@@ -1106,6 +1246,15 @@ class TestRay:
             assert lik.ray((1e-310,), lik.loglik_grad((1e-310,))[0]) is None
             _, loglik, _ = lik.ray((1e-300,), lik.loglik_grad((1e-300,))[0])
         assert loglik == pytest.approx(lik.ray((1.0,), lik.loglik_grad((1.0,))[0])[1], rel=1e-12)
+
+    def test_no_ray_where_the_window_dropped_rows(self, monkeypatch):
+        """The last row lacks the rows the window dropped, which other points
+        of the ray may need, so there is no ray; with every row there is."""
+        lik, coeffs, _ = bound_case(69, 1.0, 1.0, 11.0, 2, 0)
+        assert lik.ray(coeffs, lik.loglik_grad(coeffs)[0]) is not None
+        small_blocks(monkeypatch, marginal._CELLS, 10.0)
+        res, _ = lik.loglik_grad(coeffs)
+        assert lik._dropped(res.log_k) and lik.ray(coeffs, res) is None
 
     def test_no_ray_where_the_lambda_integral_is_zero(self):
         """At gamma = 0 with beta0 > 0 the pass is finite, but L c = 0: the
