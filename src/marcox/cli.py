@@ -13,6 +13,9 @@ file's bytes once, and the manifest hashes those bytes, so a config edited
 while a command runs does not change the hash of the config that ran.
 
 Exit codes: 0 success, 2 input validation, 64 usage, 65 bad config, 74 I/O.
+Before a command runs, one rule (``_clash``) refuses with 64 an output, or
+its manifest, that would overwrite a file the command reads or another
+output or its manifest.
 """
 
 from __future__ import annotations
@@ -175,17 +178,34 @@ def _gamma(cfg: dict, T: float) -> PolyIntensity:
     return gamma
 
 
+# The flags that name a file a command reads, and those that name one it writes.
+_INPUTS = ("events", "config", "chain")
+_OUTPUTS = ("out", "emit_latent")
+
+
+def _clash(args) -> str | None:
+    """Why the command would write over a file it uses, or None: each
+    output and its ``<out>.manifest.json`` must resolve to neither a file
+    the command reads nor another output or its manifest."""
+    outputs = [(name, out) for name in _OUTPUTS if (out := getattr(args, name, None)) is not None]
+    if not outputs:  # nothing to resolve for a command that writes no file
+        return None
+    # Resolved path -> the flag that names it, or whose manifest it is.
+    seen: dict[Path, str] = {}
+    for name in _INPUTS:
+        if (path := getattr(args, name, None)) is not None:
+            seen.setdefault(Path(path).resolve(), f"--{name}")
+    for name, out in outputs:
+        flag = "--" + name.replace("_", "-")
+        own = {Path(out).resolve(): flag, Path(out + ".manifest.json").resolve(): f"{flag}'s manifest"}
+        for path, what in own.items():
+            if path in seen:
+                return f"{what} names the same file as {seen[path]}"
+        seen.update(own)
+    return None
+
+
 def _cmd_simulate(args) -> int:
-    if args.emit_latent:
-        # The four files the command writes: --out, --emit-latent and their manifests.
-        paths = (args.out, args.out + ".manifest.json", args.emit_latent, args.emit_latent + ".manifest.json")
-        out, out_manifest, latent, latent_manifest = (Path(p).resolve() for p in paths)
-        if latent == out:
-            print("usage-error: --emit-latent names the same file as --out", file=sys.stderr)
-            return EXIT_USAGE
-        if latent == out_manifest or out == latent_manifest:
-            print("usage-error: --emit-latent and --out name each other's manifest", file=sys.stderr)
-            return EXIT_USAGE
     started = _utcnow()
     raw, T, rates, gamma = _read_config(args.config, _gamma)
     params = ModelParams(*rates, gamma)
@@ -386,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if (clash := _clash(args)) is not None:
+            print(f"usage-error: {clash}", file=sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
     except SystemExit:
         raise

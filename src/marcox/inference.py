@@ -562,8 +562,9 @@ def read_chain_csv(path: str | Path) -> np.ndarray:
     """The (n_kept, degree + 1) draws of the chain CSV at ``path``.
 
     The header must be iter, c0, .., c{d-1}, loglik, accepted with d >= 1.
-    Every row is checked whole: its field count, a loglik that parses as a
-    float, an accepted flag of 0 or 1 and finite coefficients; a bad row
+    Every row is checked whole: its field count, an iter that is a
+    nonnegative integer (ASCII digits), a loglik that parses as a float, an
+    accepted flag of 0 or 1 and finite coefficients; a bad row
     raises ``ValidationError`` naming its line, and so does a file that is
     not UTF-8, naming the file.  One leading byte-order mark is skipped.
     Only the draws are kept, which is all ``summarize`` reads.
@@ -584,6 +585,8 @@ def read_chain_csv(path: str | Path) -> np.ndarray:
                 where = f"chain CSV line {reader.line_num}"
                 if len(row) != d + 3:
                     raise ValidationError(f"{where}: expected {d + 3} fields, got {len(row)}")
+                if not (row[0].isascii() and row[0].isdigit()):
+                    raise ValidationError(f"{where}: iter must be a nonnegative integer, got {row[0]!r}")
                 if row[-1] not in ("0", "1"):
                     raise ValidationError(f"{where}: accepted must be 0 or 1, got {row[-1]!r}")
                 try:

@@ -90,23 +90,26 @@ where only f_M(0) and D_p f_M(1) remain.  ``mle_fit`` moves each point it
 evaluates to that best point.
 
 What one coefficient vector gives is one record (``_Masses``), keyed by its
-shape and bytes: int lambda and, when it and the masses B~ c are admissible,
-the masses' logs, read-only; the support verdict (``in_support``); and the
-tilt log A_M - log A_1, NaN unless every mass is > 0.  Every mass > 0 makes
-f_M(M) = prod_m w A_m > 0, so a pass with a finite tilt is possible.  One
-min of the masses decides both: with the sign of int lambda it decides
-admissibility, and the tilt is finite where it is > 0.  A vector whose sum
-of |c| is not below the support's limit on [0, T] (``intensity``'s module
-docstring) is outside the support, and its record is made without a
-product; below it int lambda, every mass and gamma at the check times are
-finite, so nothing else is read.  The log of a mass of 0
-is -inf, so ``np.errstate`` is entered only where that min is exactly 0.
-A ``MarginalLikelihood`` keeps the record of the last coefficients
-given, so a proposal takes its masses, verdict and tilt once for its
-support check, bound and pass; a kept reference holds its pass's record,
-where ``loglik_bound`` reads its log masses and tilt, so a
-``MarginalResult`` holds none.  The record saves work only: every value is
-the one a fresh ``MarginalLikelihood`` gives, bit for bit.
+shape and bytes: int lambda; the masses' logs, read-only, exactly when the
+vector lies in the support (``in_support``); and the tilt log A_M - log A_1,
+NaN unless every mass is > 0.  Every mass > 0 makes f_M(M) = prod_m w A_m
+> 0, so a pass with a finite tilt is possible.  The support is one rule,
+checked in this order: the sum of |c| below the support's limit on [0, T]
+(``intensity``'s module docstring), every mass B~ c and int lambda >= 0
+(one min of the masses), and gamma at the check times (``V @ c``) passing
+``grid_nonneg``; only then are the logs taken.  Past the limit the record
+is made without a product; below it int lambda, every mass and gamma at
+the check times are finite, so nothing else is read.  The tilt is finite
+where that min is > 0; the log of a mass of 0 is -inf, so ``np.errstate``
+is entered only where the min is exactly 0.  ``loglik``, ``loglik_grad``
+and ``loglik_bound`` raise ``ValidationError`` exactly where the record
+holds no logs, so every value they give is a likelihood of the model.  A
+``MarginalLikelihood`` keeps the record of the last coefficients given, so
+a proposal takes its masses, verdict and tilt once for its support check,
+bound and pass; a kept reference holds its pass's record, where
+``loglik_bound`` reads its log masses and tilt, so a ``MarginalResult``
+holds none.  The record saves work only: every value is the one a fresh
+``MarginalLikelihood`` gives, bit for bit.
 
 Both passes run the recursion in blocks of steps, each in linear space
 against a gauge of its own, over the rows b..r that hold weight at its
@@ -146,8 +149,11 @@ larger of its size and L_p.  The last row lacks the dropped rows, which
 other coefficients can lift: ``loglik_bound`` allows for them and ``ray``
 gives None, which is why the window waits for a block that certifies no
 step.  A step no block takes runs in log space (``_log_step``): the first
-at beta0 = 0 (row 0 has no stay factor), each from the first mass of 0 on,
-and one whose own term passes _RANGE.
+at beta0 = 0 (row 0 has no stay factor), every step of a pass with a mass
+of 0, and one whose own term passes _RANGE.  Blocks run only where the
+tilt is finite: in the support a mass is 0 only where gamma = 0, where it
+underflows (at the earliest events), or where rounding cancels it at an
+event on a zero of gamma, so a pass rarely gives up its blocks.
 """
 
 from __future__ import annotations
@@ -220,8 +226,7 @@ class _Masses:
 
     key: tuple  # the coefficients' shape and bytes
     lam: float  # int lambda
-    log: np.ndarray | None  # log A_m e^{w (T - t_m)}, read-only; None unless admissible
-    support: bool  # admissible, and gamma passes grid_nonneg at the check times
+    log: np.ndarray | None  # log A_m e^{w (T - t_m)}, read-only; None outside the support
     tilt: float  # log A_M - log A_1 (0 at M = 0); NaN unless every mass is > 0
 
 
@@ -232,13 +237,13 @@ class MarginalLikelihood:
     computes everything that does not depend on the coefficients: the
     moment tables and ``V`` (``nonneg_matrix``), whose product with the
     coefficients gives gamma at the times nonnegativity is checked.
-    ``in_support`` is the support check of the fitters; where it holds,
-    ``loglik`` and ``loglik_grad`` do not raise.  They do not check the
-    grid themselves and raise ``ValidationError`` only when a kernel mass or
-    the lambda integral is negative or the coefficients are past the
-    support's limit (``intensity.support_limit``), so a gamma that dips
-    below zero without making either negative gets a value.  A horizon where
-    that limit is 0 (no gamma in the support) raises before any table.
+    ``in_support`` is the support check of the fitters, and the one domain
+    of ``loglik``, ``loglik_grad`` and ``loglik_bound``: each raises
+    ``ValidationError`` exactly where it is False, so a gamma that dips
+    below zero at a check time gets no value even where its kernel masses
+    and lambda integral are positive.  A horizon where the support's limit
+    (``intensity.support_limit``) is 0 (no gamma in the support) raises
+    before any table.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
@@ -277,7 +282,8 @@ class MarginalLikelihood:
     def loglik(self, coeffs) -> MarginalResult:
         """Log marginal likelihood at gamma(t) = sum_p coeffs[p] t^p.
 
-        A path no latent configuration can produce yields the -inf sentinel.
+        Raises ``ValidationError`` exactly where ``in_support`` is False.  A
+        path no latent configuration can produce yields the -inf sentinel.
         A pass of finite tilt (every mass > 0) is kept for ``loglik_bound``.
         """
         rec = self._admissible(coeffs)
@@ -299,17 +305,19 @@ class MarginalLikelihood:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: the
         sum of |coeffs| is below ``intensity.support_limit``, every
         kernel mass and the lambda integral are >= 0, and gamma passes
-        ``grid_nonneg`` at the check times (``V @ coeffs``).  Where it
-        holds, ``loglik`` does not raise.  The verdict is the kept record's
-        (module docstring), which also holds the masses and their tilt, so
+        ``grid_nonneg`` at the check times (``V @ coeffs``).  ``loglik``,
+        ``loglik_grad`` and ``loglik_bound`` raise exactly where it does not
+        hold.  The verdict is whether the kept record (module docstring)
+        holds the masses' logs; it also holds their tilt, so
         another ``in_support``, ``loglik_bound``, ``loglik`` or
         ``loglik_grad`` at the same coefficients (the same bytes) computes
         none of them again."""
-        return self._record(coeffs).support
+        return self._record(coeffs).log is not None
 
     def loglik_bound(self, coeffs) -> float:
         """An upper bound on ``loglik(coeffs).loglik`` from a kept pass, in
-        O(M log M + ``_RING``) and without a pass.
+        O(M log M + ``_RING``) and without a pass; like ``loglik``, it raises
+        ``ValidationError`` exactly where ``in_support`` is False.
 
         The reference is the kept pass whose record's tilt is closest to
         the tilt log A'_M - log A'_1 of the masses at coeffs (module
@@ -441,11 +449,11 @@ class MarginalLikelihood:
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
         key = (c.shape, c.tobytes())
         if not sum(map(abs, c.tolist())) < self._support_coeff_limit:  # NaN and inf too
-            return _Masses(key, math.nan, None, False, math.nan)
+            return _Masses(key, math.nan, None, math.nan)
         scaled, lam = self._B @ c, float(self._L @ c)  # finite, as is gamma at the check times
         low = scaled.min(initial=math.inf)
-        if not (low >= 0.0 and lam >= 0.0):
-            return _Masses(key, lam, None, False, math.nan)
+        if not (low >= 0.0 and lam >= 0.0 and grid_nonneg(self.V @ c)):
+            return _Masses(key, lam, None, math.nan)
         if low > 0.0:  # every mass > 0 (or none, at M = 0)
             log = np.log(scaled)
             tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
@@ -455,7 +463,7 @@ class MarginalLikelihood:
             tilt = math.nan
         # The kept record and the bound's references share it, so none may write to it.
         log.flags.writeable = False
-        return _Masses(key, lam, log, grid_nonneg(self.V @ c), tilt)
+        return _Masses(key, lam, log, tilt)
 
     def _record(self, coeffs) -> _Masses:
         """The kept record when its bytes are coeffs', else a new one, kept instead."""
@@ -465,12 +473,12 @@ class MarginalLikelihood:
         return self._kept
 
     def _admissible(self, coeffs) -> _Masses:
-        """``_record``, raising ``ValidationError`` unless admissible."""
+        """``_record``, raising ``ValidationError`` outside the support."""
         rec = self._record(coeffs)
         if rec.log is None:
             raise ValidationError(
-                "kernel masses must be finite and >= 0: gamma dips below zero on "
-                "[0, T] or its coefficients are not finite or too large"
+                "gamma lies outside the support: it dips below zero at a check time on [0, T], "
+                "a kernel mass or the lambda integral is negative, or its coefficients are not finite or too large"
             )
         return rec
 
@@ -607,21 +615,21 @@ class MarginalLikelihood:
             rows = f = np.full(M + 1, -math.inf)
         f[0] = 0.0
         # One loop for both passes; rows b..top hold the weight at step m.  A
-        # block needs row b's stay factor and the masses to be > 0 (up to end).
-        end = M if math.isfinite(rec.tilt) else int(np.argmax(la == -math.inf))
+        # block needs row b's stay factor and every mass to be > 0 (a finite tilt).
+        blocks = math.isfinite(rec.tilt)
         b = top = m = 0
         narrow, nats = False, math.inf
         while m < M:
             n = 0
-            if m < end:
+            if blocks:
                 b += f.item(b) == -math.inf  # row 0 at beta0 = 0 holds no weight from step 1 on
                 if narrow:
                     b, top = self._window(rows, f, b, top, M - m, nats)
                 if self._log_stay.item(b) > -math.inf:
-                    n = self._block(rows, la, rec.log, m, min(end - m, self._span), b, top, grad)
+                    n = self._block(rows, la, rec.log, m, min(M - m, self._span), b, top, grad)
                 if not n and m and not narrow:
                     # From here on every block starts with the window, cut at tau plus
-                    # log(M rho_p / L_p) where > 0 (+inf where a later mass is 0).
+                    # log(M rho_p / L_p) where > 0.
                     log_rho = (self._log_moments - rec.log[:, None]).max(axis=0) - self._log_L
                     narrow, nats = True, _window_nats(M) + max(0.0, float(log_rho.max()) + math.log(M))
                     continue

@@ -88,11 +88,13 @@ def per_step_run(lik, coeffs, grad=False, last_row=False):
     ((loglik, polynomial_term_log, exponent_term), gradient or None), and
     with last_row the DP's last row log f_M(k) after them.  Step m works on
     rows[: m + 2] only, the entries f_m can fill, so the result does not
-    rely on the -inf entries past them.
+    rely on the -inf entries past them.  The masses come from the tables, so
+    the run needs only every mass and int lambda to be finite and >= 0, not
+    gamma >= 0 at the check times: it scores points outside the support.
     """
     c = np.asarray(coeffs, dtype=float)
-    assert lik._masses(c).log is not None
     scaled, lam = lik._B @ c, float(lik._L @ c)
+    assert np.isfinite(scaled).all() and scaled.min(initial=0.0) >= 0.0 and 0.0 <= lam < math.inf
     with np.errstate(divide="ignore"):
         log_new = lik._log_kernel + np.log(scaled)
     M = scaled.size
@@ -137,28 +139,29 @@ def per_step_run(lik, coeffs, grad=False, last_row=False):
     return (value, ratio - lik._L, f.copy()) if last_row else (value, ratio - lik._L)
 
 
-def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, bool, float]:
-    """(lam, log masses' bytes or None, support, tilt) of coeffs, the fields
-    of ``MarginalLikelihood._masses``'s record, by the rule it replaced,
+def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, float]:
+    """(lam, log masses' bytes or None, tilt) of coeffs, the fields of
+    ``MarginalLikelihood._masses``'s record, by the rule it replaced,
     after the support's limit on the sum of |c| (the record's own sum, so the
     two agree at the limit to the last bit): a sum not below the limit, NaN
-    and inf among them, gives (NaN, None, False, NaN); below it, admissible
-    when 0 <= lam < inf, the least mass (0 when there are none) is >= 0 and
-    the largest < inf; the tilt finite when the least mass (1 when there are
-    none) is > 0.  The products and the log are taken under one
+    and inf among them, gives (NaN, None, NaN); below it, the logs are taken
+    when 0 <= lam < inf, the least mass (0 when there are none) is >= 0,
+    the largest < inf and gamma at the check times passes ``grid_nonneg``
+    (the support); the tilt finite when they are and the least mass (1 when
+    there are none) is > 0.  The products and the log are taken under one
     ``np.errstate`` for every input."""
     c = np.asarray(coeffs, dtype=float)
     if not sum(map(abs, c.tolist())) < lik._support_coeff_limit:
-        return math.nan, None, False, math.nan
+        return math.nan, None, math.nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scaled, lam = lik._B @ c, float(lik._L @ c)
-        log, support, tilt = None, False, math.nan
-        if 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf:
+        log, tilt = None, math.nan
+        admissible = 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf
+        if admissible and grid_nonneg(lik.V @ c):
             log = np.log(scaled)
-            support = grid_nonneg(lik.V @ c)
             if scaled.min(initial=1.0) > 0.0:
                 tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
-    return lam, None if log is None else log.tobytes(), support, tilt
+    return lam, None if log is None else log.tobytes(), tilt
 
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:

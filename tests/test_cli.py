@@ -371,9 +371,13 @@ def test_simulate_refuses_emit_latent_on_the_out_file(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
-    "out, latent", [("G.csv", "G.csv.manifest.json"), ("H.csv.manifest.json", "./sub/../H.csv")]
+    "out, latent, message",
+    [
+        ("G.csv", "G.csv.manifest.json", "--emit-latent names the same file as --out's manifest"),
+        ("H.csv.manifest.json", "./sub/../H.csv", "--emit-latent's manifest names the same file as --out"),
+    ],
 )
-def test_simulate_refuses_outputs_that_name_each_others_manifest(tmp_path, capsys, monkeypatch, out, latent):
+def test_simulate_refuses_outputs_that_name_each_others_manifest(tmp_path, capsys, monkeypatch, out, latent, message):
     """Else one output's manifest would overwrite the other output (the
     latent CSV in G.csv's manifest, or a manifest over the events file
     H.csv.manifest.json): a usage error, refused with one stderr line
@@ -384,8 +388,57 @@ def test_simulate_refuses_outputs_that_name_each_others_manifest(tmp_path, capsy
     argv = ["simulate", "--config", "missing.json", "--seed", "1", "--out", out, "--emit-latent", latent]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == "usage-error: --emit-latent and --out name each other's manifest\n" and captured.out == ""
+    assert captured.err == f"usage-error: {message}\n" and captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["adapt", "--events", "events.csv", "--T", "10", "--out", "events.csv"], "--out names the same file as --events"),
+        (
+            ["adapt", "--events", "old.csv.manifest.json", "--T", "10", "--out", "./sub/../old.csv"],
+            "--out's manifest names the same file as --events",
+        ),
+        (
+            ["fit-mcmc", "--events", "events.csv", "--config", "fit.json", "--out", "events.csv"],
+            "--out names the same file as --events",
+        ),
+        (
+            ["fit-mcmc", "--events", "events.csv", "--config", "fit.json", "--out", "fit.json"],
+            "--out names the same file as --config",
+        ),
+        (
+            ["summarize", "--chain", "chain.csv", "--grid", "0:10:11", "--out", "chain.csv"],
+            "--out names the same file as --chain",
+        ),
+        (["simulate", "--config", "model.json", "--out", "model.json"], "--out names the same file as --config"),
+        (
+            ["simulate", "--config", "model.json", "--out", "new.csv", "--emit-latent", "./sub/../model.json"],
+            "--emit-latent names the same file as --config",
+        ),
+    ],
+    ids=["adapt", "adapt-manifest", "fit-mcmc-events", "fit-mcmc-config", "summarize", "simulate", "simulate-latent"],
+)
+def test_an_output_that_names_an_input_is_refused(tmp_path, capsys, monkeypatch, argv, message):
+    """Else the command would overwrite what it reads: an output, or its
+    manifest, that resolves to an input of the command is a usage error,
+    refused with one stderr line before anything is written, and every
+    input is left byte-identical."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write_events(tmp_path / "events.csv", [1.0, 2.0, 4.5])
+    write_events(tmp_path / "old.csv.manifest.json", [0.5, 3.0])
+    write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0, 0.2))
+    fit = {"T": 8.0, "beta0": 0.5, "w": 0.7, "degree": 1, "iters": 20, "burnin": 5, "pilot_iters": 5}
+    (tmp_path / "fit.json").write_text(json.dumps(fit), encoding="utf-8")
+    (tmp_path / "chain.csv").write_text("iter,c0,loglik,accepted\n0,1.5,-3.0,1\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage-error: {message}\n" and captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", ["0:ten:3", "0:10:x", "0:10:2.5", "0:10", "0:1:2:3"])

@@ -28,6 +28,7 @@ from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import CountPath, ModelParams
 from marcox.simulator import simulate
 
+from _oracles import per_step_run
 from _pinned import pinned_path
 
 BETA0, W = 1.0, 0.5
@@ -413,8 +414,9 @@ def slsqp_best(x, start):
     V = lik.V
 
     def objective(coeffs):
-        res, grad = lik.loglik_grad(coeffs)
-        return -res.loglik, -grad
+        # SLSQP visits points with V c < 0, outside the likelihood's domain.
+        (loglik, _, _), grad = per_step_run(lik, coeffs, grad=True)
+        return -loglik, -grad
 
     support = {"type": "ineq", "fun": lambda c: V @ c, "jac": lambda c: V}
     opts = {"ftol": 1e-14, "maxiter": 1000}
@@ -760,6 +762,34 @@ def test_qp_step_solves_the_qp(seed):
             assert value == pytest.approx(ref.fun, rel=0, abs=1e-10)
 
 
+def test_qp_step_returns_where_a_violated_row_cannot_be_met(monkeypatch):
+    """x >= 1 and -x >= 1 have no common point.  Once x >= 1 is in the
+    working set, the second row lies in its span with no multiplier to
+    shrink, so the step that would meet it is infinite: _qp_step returns the
+    iterate x = 1 after three solves instead of stepping to NaN or running
+    to _QP_ITERS."""
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    p, work, lam = _qp_step(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.ones(2), np.ones(2))
+    assert len(solves) == 3
+    assert p.tolist() == [1.0] and work == [0] and lam.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5, math.nan])
+def test_chain_refuses_an_acceptance_rate_outside_the_unit_interval(rate):
+    with pytest.raises(ValueError, match=r"acceptance rate must lie in \[0, 1\]"):
+        Chain(
+            draws=np.zeros((1, 1)),
+            logliks=np.zeros(1),
+            accepted=np.ones(1, dtype=bool),
+            accept_rate=rate,
+            n_evals=1,
+            n_support_rejected=0,
+            proposal_sd=np.ones(1),
+        )
+
+
 class TestStart:
     """Both fitters take their first point from one rule."""
 
@@ -891,6 +921,8 @@ class TestChainCsv:
             ("1,0.5,0.5,-3.0,1,7", "expected 5 fields, got 6"),
             ("1,nan,0.5,-3.0,1", "coefficients must be finite"),
             ("1,0.5,-inf,-3.0,1", "coefficients must be finite"),
+            ("abc,1.0,0.5,-3.0,1", "iter must be a nonnegative integer, got 'abc'"),
+            (",2.0,0.5,-3.0,0", "iter must be a nonnegative integer, got ''"),
         ],
     )
     def test_malformed_row_names_its_line(self, tmp_path, row, message):

@@ -193,17 +193,45 @@ class TestMarginalLikelihood:
         with pytest.raises(ValidationError):
             lik.loglik(coeffs)
 
-    @pytest.mark.parametrize("coeffs", [(-1.0,), (math.nan,), (math.inf,), (0.0,), (0.5,)])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (-1.0,),
+            (math.nan,),
+            (math.inf,),
+            (0.0,),
+            (0.5,),
+            # gamma = 1 - 1.5 t is negative on (2/3, 1], though its kernel mass
+            # and lambda integral are positive; 1 - t touches 0 at t = 1.
+            (1.0, -1.5),
+            (1.0, -1.0),
+            (0.0, 1.0),
+            (-0.1, 1.0),
+            # (t - 0.5)^2, and the same less 0.01, which dips below 0 between the
+            # events yet keeps every mass and int lambda positive.
+            (0.25, -1.0, 1.0),
+            (0.24, -1.0, 1.0),
+            (-1.0, 0.0, 0.0),
+        ],
+    )
     def test_in_support_is_where_loglik_does_not_raise(self, coeffs):
-        """For a constant rate the support check and loglik agree both ways:
-        gamma has no dip between check times."""
-        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=0)
-        try:
-            lik.loglik(coeffs)
-            raised = False
-        except ValidationError:
-            raised = True
-        assert lik.in_support(coeffs) is not raised
+        """The support check and each evaluation agree both ways, for
+        constant, linear and quadratic gamma: ``loglik``, ``loglik_grad``
+        and ``loglik_bound`` raise ``ValidationError`` exactly where
+        ``in_support`` is False, and give a value (the bound against a kept
+        pass at gamma = 1) where it is True."""
+        lik = MarginalLikelihood(load_path([0.25, 0.5], 1.0), 0.5, 1.0, degree=len(coeffs) - 1)
+        lik.loglik(np.eye(len(coeffs))[0])
+        support = lik.in_support(coeffs)
+        for evaluate in (lik.loglik, lik.loglik_grad, lik.loglik_bound):
+            try:
+                evaluate(coeffs)
+                raised = False
+            except ValidationError:
+                raised = True
+            assert support is not raised, evaluate.__name__
+        if coeffs in [(1.0, -1.5), (0.24, -1.0, 1.0)]:
+            assert not support and lik._masses(coeffs).lam > 0.0 and (lik._B @ coeffs).min() > 0.0
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -234,15 +262,6 @@ class TestMarginalLikelihood:
                 lik.loglik(coeffs)
             with pytest.raises(ValidationError, match="finite"):
                 lik.loglik_grad(coeffs)
-
-    def test_in_support_implies_loglik_does_not_raise(self):
-        """The contract is one-way: gamma = 1 - 1.5 t is negative on (2/3, 1], so
-        it is outside the support, yet its kernel mass and lambda integral are
-        positive and loglik returns a value."""
-        lik = MarginalLikelihood(load_path([0.5], 1.0), 0.5, 1.0, degree=1)
-        assert not lik.in_support((1.0, -1.5))
-        assert lik.loglik((1.0, -1.5)).loglik == pytest.approx(-1.1133, abs=1e-4)
-        assert lik.in_support((1.0, -1.0)) and math.isfinite(lik.loglik((1.0, -1.0)).loglik)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1103,6 +1122,8 @@ class TestMassesRecord:
     @example(M=80, w=0.5, T=15.0, degree=2, seed=3, coeffs=[1.0, 0.1, 0.0, 0.0], first_zero=True, quiet_ratio=None)
     @example(M=0, w=0.5, T=15.0, degree=1, seed=3, coeffs=[math.inf, 0.1, 0.0, 0.0], first_zero=False, quiet_ratio=None)
     @example(M=80, w=0.01, T=10.0, degree=0, seed=3, coeffs=[1e308, 0.0, 0.0, 0.0], first_zero=False, quiet_ratio=None)
+    # A positive mass and int lambda, but gamma = 1 - 0.1 t < 0 on (10, 15]: outside the support.
+    @example(M=1, w=0.5, T=15.0, degree=1, seed=0, coeffs=[1.0, -0.1, 0.0, 0.0], first_zero=False, quiet_ratio=None)
     def test_record_matches_the_three_reduction_rule(self, M, w, T, degree, seed, coeffs, first_zero, quiet_ratio):
         """quiet_ratio rescales finite coefficients to that multiple of
         ``_support_coeff_limit``; first_zero puts the first event at 1e-200 and
@@ -1116,10 +1137,10 @@ class TestMassesRecord:
         if quiet_ratio is not None and 0.0 < total < math.inf:
             c = c / total * (quiet_ratio * lik._support_coeff_limit)
         rec = lik._masses(c)
-        lam, log, support, tilt = three_reduction_masses(lik, c)
+        lam, log, tilt = three_reduction_masses(lik, c)
         assert rec.lam.hex() == lam.hex()
         assert (None if rec.log is None else rec.log.tobytes()) == log
-        assert rec.support is support
+        assert lik.in_support(c) is (log is not None)
         assert rec.tilt.hex() == tilt.hex()
 
     @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1e308, 8e307], [1e308, -1e308], [-1e308, 1e308]])
@@ -1127,14 +1148,14 @@ class TestMassesRecord:
         """At w T = 0.01 the masses and int lambda would stay finite where
         gamma at the check times (V c) overflows to inf (the first two
         cases).  These sums of |c| are past the support's limit, so the
-        record is the refusal (NaN, None, False, NaN), made without a
-        product: neither it, the support check nor a pass warns."""
+        record is the refusal (NaN, None, NaN), made without a product:
+        neither it, the support check nor a pass warns."""
         lik = MarginalLikelihood(load_path([0.2, 0.5], 1.0), 1.0, 0.01, 1)
         assert sum(map(abs, coeffs)) >= lik._support_coeff_limit
         rec = lik._masses(coeffs)
-        lam, log, support, tilt = three_reduction_masses(lik, coeffs)
+        lam, log, tilt = three_reduction_masses(lik, coeffs)
         assert math.isnan(rec.lam) and math.isnan(lam) and rec.log is log is None
-        assert rec.support is support is False and math.isnan(rec.tilt) and math.isnan(tilt)
+        assert math.isnan(rec.tilt) and math.isnan(tilt)
         assert lik.in_support(coeffs) is False
         with pytest.raises(ValidationError, match="not finite or too large"):
             lik.loglik(coeffs)
@@ -1246,6 +1267,28 @@ class TestRay:
             assert lik.ray((1e-310,), lik.loglik_grad((1e-310,))[0]) is None
             _, loglik, _ = lik.ray((1e-300,), lik.loglik_grad((1e-300,))[0])
         assert loglik == pytest.approx(lik.ray((1.0,), lik.loglik_grad((1.0,))[0])[1], rel=1e-12)
+
+    def test_an_overdispersed_row_steps_down_to_its_root(self, monkeypatch):
+        """A Poisson-binomial pi has Var <= E, so only rounding gives phi < 0
+        with slope >= 0 where the bracket has no lower end yet.  A synthetic
+        overdispersed log pi, with mass at k = 0, 1 and M, does: at u = 0,
+        E[k] < L c < Var[k], so the search steps down from its upper end,
+        twice as far each time, and still ends at the root of E_u[k] =
+        e^u L c.  Capped at one iteration it returns that first step, u = -1."""
+        M, lc = 100, 5.0
+        lik = MarginalLikelihood(load_path(np.linspace(0.1, 9.9, M), 10.0), 1.0, 0.5, degree=0)
+        pi = np.zeros(M + 1)
+        pi[[0, 1, M]] = 0.05, 0.94, 0.01
+        with np.errstate(divide="ignore"):
+            log_k = np.log(pi)
+        ks = lik._ks
+        mean = float(pi @ ks)
+        assert pi[1] / pi[0] > lc and mean < lc < float(pi @ ks**2) - mean**2
+        u = lik._ray_max(log_k, lc)
+        weight = np.exp(log_k + ks * u)
+        assert u < -1.0 and float(weight @ ks) / float(weight.sum()) == pytest.approx(math.exp(u) * lc, rel=1e-12)
+        monkeypatch.setattr(marginal, "_RAY_ITERS", 1)
+        assert lik._ray_max(log_k, lc) == -1.0
 
     def test_no_ray_where_the_window_dropped_rows(self, monkeypatch):
         """The last row lacks the rows the window dropped, which other points
