@@ -71,10 +71,11 @@ class ConfigError(ValueError):
 
 
 def _int_at_least(low: int, name: str):
-    """argparse type of an integer flag that must be at least ``low``."""
+    """argparse type of an integer flag that must be at least ``low``,
+    written in ASCII digits alone (the rule of ``read_chain_csv``'s iter)."""
 
     def parse(text: str) -> int:
-        if not text.isdigit() or int(text) < low:
+        if not (text.isascii() and text.isdigit()) or int(text) < low:
             raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
         return int(text)
 

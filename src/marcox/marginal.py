@@ -93,15 +93,19 @@ What one coefficient vector gives is one record (``_Masses``), keyed by its
 shape and bytes: int lambda; the masses' logs, read-only, exactly when the
 vector lies in the support (``in_support``); and the tilt log A_M - log A_1,
 NaN unless every mass is > 0.  Every mass > 0 makes f_M(M) = prod_m w A_m
-> 0, so a pass with a finite tilt is possible.  The support is one rule,
-checked in this order: the sum of |c| below the support's limit on [0, T]
-(``intensity``'s module docstring), every mass B~ c and int lambda >= 0
-(one min of the masses), and gamma at the check times (``V @ c``) passing
-``grid_nonneg``; only then are the logs taken.  Past the limit the record
-is made without a product; below it int lambda, every mass and gamma at
-the check times are finite, so nothing else is read.  The tilt is finite
-where that min is > 0; the log of a mass of 0 is -inf, so ``np.errstate``
-is entered only where the min is exactly 0.  ``loglik``, ``loglik_grad``
+> 0, so a pass with a finite tilt is possible.  The support is a property
+of gamma alone, the rule ``PolyIntensity.validate_nonneg`` applies: the sum
+of |c| below the support's limit on [0, T] (``intensity``'s module
+docstring), then gamma at the check times (``V @ c``) passing
+``grid_nonneg``.  It reads no event and no w.  Past the limit no product is
+formed; below it gamma at the check times, int lambda and every mass are
+finite.  Outside the support the record holds no masses (int lambda NaN);
+in it the masses and int lambda are computed, and one below 0 reads as 0.
+For a gamma in the support such a value comes only from rounding (B~_m c
+cancels at an event on a zero of gamma) or from a dip between the check
+times, which the grid's tolerance admits anyway.  The tilt is finite where
+the masses' min is > 0; the log of a mass of 0 is -inf, so ``np.errstate``
+is entered only where that min is not > 0.  ``loglik``, ``loglik_grad``
 and ``loglik_bound`` raise ``ValidationError`` exactly where the record
 holds no logs, so every value they give is a likelihood of the model.  A
 ``MarginalLikelihood`` keeps the record of the last coefficients given, so
@@ -152,8 +156,9 @@ step.  A step no block takes runs in log space (``_log_step``): the first
 at beta0 = 0 (row 0 has no stay factor), every step of a pass with a mass
 of 0, and one whose own term passes _RANGE.  Blocks run only where the
 tilt is finite: in the support a mass is 0 only where gamma = 0, where it
-underflows (at the earliest events), or where rounding cancels it at an
-event on a zero of gamma, so a pass rarely gives up its blocks.
+underflows (at the earliest events), or where rounding (at an event on a
+zero of gamma) or a dip between the check times takes it to 0 or below
+(read as 0), so a pass rarely gives up its blocks.
 """
 
 from __future__ import annotations
@@ -225,7 +230,7 @@ class _Masses:
     """The record of one coefficient vector (module docstring)."""
 
     key: tuple  # the coefficients' shape and bytes
-    lam: float  # int lambda
+    lam: float  # int lambda, 0 where it falls below 0; NaN outside the support
     log: np.ndarray | None  # log A_m e^{w (T - t_m)}, read-only; None outside the support
     tilt: float  # log A_M - log A_1 (0 at M = 0); NaN unless every mass is > 0
 
@@ -241,9 +246,11 @@ class MarginalLikelihood:
     of ``loglik``, ``loglik_grad`` and ``loglik_bound``: each raises
     ``ValidationError`` exactly where it is False, so a gamma that dips
     below zero at a check time gets no value even where its kernel masses
-    and lambda integral are positive.  A horizon where the support's limit
-    (``intensity.support_limit``) is 0 (no gamma in the support) raises
-    before any table.
+    and lambda integral are positive, and a gamma that passes the check
+    gets one even where rounding makes a mass negative.  The support is
+    gamma's alone: no event and no w enters it.  A horizon where the
+    support's limit (``intensity.support_limit``) is 0 (no gamma in the
+    support) raises before any table.
     """
 
     def __init__(self, x: CountPath, beta0: float, w: float, degree: int) -> None:
@@ -303,12 +310,12 @@ class MarginalLikelihood:
 
     def in_support(self, coeffs) -> bool:
         """Whether gamma = sum_p coeffs[p] t^p lies in the model's support: the
-        sum of |coeffs| is below ``intensity.support_limit``, every
-        kernel mass and the lambda integral are >= 0, and gamma passes
-        ``grid_nonneg`` at the check times (``V @ coeffs``).  ``loglik``,
-        ``loglik_grad`` and ``loglik_bound`` raise exactly where it does not
-        hold.  The verdict is whether the kept record (module docstring)
-        holds the masses' logs; it also holds their tilt, so
+        sum of |coeffs| is below ``intensity.support_limit`` and gamma passes
+        ``grid_nonneg`` at the check times (``V @ coeffs``), the rule of
+        ``PolyIntensity.validate_nonneg``; it reads no event and no w.
+        ``loglik``, ``loglik_grad`` and ``loglik_bound`` raise exactly where
+        it does not hold.  The verdict is whether the kept record (module
+        docstring) holds the masses' logs; it also holds their tilt, so
         another ``in_support``, ``loglik_bound``, ``loglik`` or
         ``loglik_grad`` at the same coefficients (the same bytes) computes
         none of them again."""
@@ -448,18 +455,16 @@ class MarginalLikelihood:
         if c.shape != (self.degree + 1,):
             raise ValidationError(f"expected coefficients of shape ({self.degree + 1},), got shape {c.shape}")
         key = (c.shape, c.tobytes())
-        if not sum(map(abs, c.tolist())) < self._support_coeff_limit:  # NaN and inf too
+        # The limit first (NaN and inf too): below it gamma at the check times is finite.
+        if not (sum(map(abs, c.tolist())) < self._support_coeff_limit and grid_nonneg(self.V @ c)):
             return _Masses(key, math.nan, None, math.nan)
-        scaled, lam = self._B @ c, float(self._L @ c)  # finite, as is gamma at the check times
-        low = scaled.min(initial=math.inf)
-        if not (low >= 0.0 and lam >= 0.0 and grid_nonneg(self.V @ c)):
-            return _Masses(key, lam, None, math.nan)
-        if low > 0.0:  # every mass > 0 (or none, at M = 0)
+        scaled, lam = self._B @ c, max(0.0, float(self._L @ c))  # finite below the limit
+        if scaled.min(initial=math.inf) > 0.0:  # every mass > 0 (or none, at M = 0)
             log = np.log(scaled)
             tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
-        else:  # a mass of 0, whose log is -inf
+        else:  # a mass of 0, whose log is -inf; one below 0 reads as 0 (module docstring)
             with np.errstate(divide="ignore"):
-                log = np.log(scaled)
+                log = np.log(np.maximum(scaled, 0.0, out=scaled))
             tilt = math.nan
         # The kept record and the bound's references share it, so none may write to it.
         log.flags.writeable = False
@@ -478,7 +483,7 @@ class MarginalLikelihood:
         if rec.log is None:
             raise ValidationError(
                 "gamma lies outside the support: it dips below zero at a check time on [0, T], "
-                "a kernel mass or the lambda integral is negative, or its coefficients are not finite or too large"
+                "or its coefficients are not finite or too large"
             )
         return rec
 
@@ -670,5 +675,4 @@ def marginal_loglik(x: CountPath, params: ModelParams) -> MarginalResult:
     sentinel.
     """
     gamma = params.gamma
-    gamma.validate_nonneg(x.T)
     return MarginalLikelihood(x, params.beta0, params.w, gamma.degree).loglik(gamma.coeffs)

@@ -47,6 +47,15 @@ class SimResult:
             raise ValidationError("observed and latent paths must share the horizon")
 
 
+def _poisson(rng, mean: float, what: str) -> int:
+    """One Poisson(mean) count from rng; a mean past the range of
+    ``rng.poisson`` raises ``ValidationError`` naming what is counted."""
+    try:
+        return rng.poisson(mean)
+    except ValueError as exc:
+        raise ValidationError(f"cannot draw the {what}: their mean count {float(mean)!r} is too large") from exc
+
+
 def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Latent points of n independent paths on [0, T], by thinning.
 
@@ -58,14 +67,11 @@ def _latent_points(gamma: PolyIntensity, T: float, n: int, rng) -> tuple[np.ndar
     processes are independent Poisson processes with rate gamma.  Returns
     (rows, times): the path label of each point and its time, in ascending
     time, so each path's own points come in ascending order too.  A mean
-    n bound T past the range of ``rng.poisson`` raises ``ValidationError``.
+    n bound T past the range of ``rng.poisson`` raises ``ValidationError``
+    (``_poisson``).
     """
     bound = gamma.upper_bound(T)
-    mean = n * bound * T
-    try:
-        count = rng.poisson(mean)
-    except ValueError as exc:
-        raise ValidationError(f"cannot draw the latent points: their mean count {mean!r} is too large") from exc
+    count = _poisson(rng, n * bound * T, "latent points")
     kept = [np.empty(0)]
     for start in range(0, count, _THIN_BLOCK):
         size = min(_THIN_BLOCK, count - start)
@@ -120,14 +126,15 @@ def simulate(params: ModelParams, T: float, seed=None) -> SimResult:
     beta0 + w k on the k-th segment (s_k, s_(k+1)] of the knots 0, s_1, ...,
     T, so its compensator is piecewise linear: a Poisson(Lambda(T)) number of
     uniform masses on (0, Lambda(T)] is mapped back through it, each mass
-    onto the time inside its own segment.
+    onto the time inside its own segment.  A Lambda(T) past the range of
+    ``rng.poisson`` raises ``ValidationError``, as a latent mean does.
     """
     rng = np.random.default_rng(seed)
     y = simulate_latent(params.gamma, T, rng)  # validates gamma >= 0 on [0, T]
     knots = np.concatenate(([0.0], y.jumps, [T]))
     rates = params.beta0 + params.w * np.arange(knots.size - 1)
     comp = np.concatenate(([0.0], np.cumsum(rates * np.diff(knots))))
-    masses = comp[-1] * (1.0 - rng.random(rng.poisson(comp[-1])))
+    masses = comp[-1] * (1.0 - rng.random(_poisson(rng, comp[-1], "observed events")))
     k = np.searchsorted(comp, masses) - 1  # comp[k] < mass <= comp[k + 1]
     # The clip keeps rounding from moving a time out of its segment, so with
     # beta0 = 0 no event falls at or before s_1.  np.unique sorts the times

@@ -7,12 +7,11 @@ piecewise-linear paths.  Tests compare library results against these.
 ``loop_adapt_path`` are the exceptions: plain forms of library code kept as
 references for the faster forms that replaced them.  They are the
 likelihood's former log-space step loop, cut per step (for the linear-space
-blocks that replaced it); the record
-of one coefficient vector, decided by three reductions of the masses (for
-the one min that replaced them); the Monte Carlo oracle's log weights from a
-dense (latent points x events) comparison table (for the counting that
-replaced it); and the per-level loops of the adaptation transform (for its
-vectorized form).
+blocks that replaced it); the record of one coefficient vector, its masses
+and int lambda taken as 0 below 0 by separate tests (for the one min that
+replaced them); the Monte Carlo oracle's log weights from a dense (latent
+points x events) comparison table (for the counting that replaced it); and
+the per-level loops of the adaptation transform (for its vectorized form).
 """
 
 from __future__ import annotations
@@ -141,27 +140,25 @@ def per_step_run(lik, coeffs, grad=False, last_row=False):
 
 def three_reduction_masses(lik, coeffs) -> tuple[float, bytes | None, float]:
     """(lam, log masses' bytes or None, tilt) of coeffs, the fields of
-    ``MarginalLikelihood._masses``'s record, by the rule it replaced,
-    after the support's limit on the sum of |c| (the record's own sum, so the
-    two agree at the limit to the last bit): a sum not below the limit, NaN
-    and inf among them, gives (NaN, None, NaN); below it, the logs are taken
-    when 0 <= lam < inf, the least mass (0 when there are none) is >= 0,
-    the largest < inf and gamma at the check times passes ``grid_nonneg``
-    (the support); the tilt finite when they are and the least mass (1 when
-    there are none) is > 0.  The products and the log are taken under one
-    ``np.errstate`` for every input."""
+    ``MarginalLikelihood._masses``'s record, by the support rule of
+    ``PolyIntensity.validate_nonneg`` and plain forms of the rest: outside
+    the support (a sum of |c| not below the limit, NaN and inf among them,
+    or gamma at the check times failing ``grid_nonneg``) the record is
+    (NaN, None, NaN).  In it, int lambda and every mass below 0 are taken
+    as 0, each by its own test (the record reads the masses' one min), the
+    logs under one ``np.errstate``, and the tilt is finite when the least
+    mass (1 when there are none) is > 0."""
     c = np.asarray(coeffs, dtype=float)
-    if not sum(map(abs, c.tolist())) < lik._support_coeff_limit:
+    if not sum(map(abs, c.tolist())) < lik._support_coeff_limit or not grid_nonneg(lik.V @ c):
         return math.nan, None, math.nan
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scaled, lam = lik._B @ c, float(lik._L @ c)
-        log, tilt = None, math.nan
-        admissible = 0.0 <= lam < math.inf and scaled.min(initial=0.0) >= 0.0 and scaled.max(initial=0.0) < math.inf
-        if admissible and grid_nonneg(lik.V @ c):
-            log = np.log(scaled)
-            if scaled.min(initial=1.0) > 0.0:
-                tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
-    return lam, None if log is None else log.tobytes(), tilt
+    scaled, lam = lik._B @ c, float(lik._L @ c)
+    scaled = np.where(scaled > 0.0, scaled, 0.0)
+    with np.errstate(divide="ignore"):
+        log = np.log(scaled)
+    tilt = math.nan
+    if scaled.min(initial=1.0) > 0.0:
+        tilt = float(log[-1]) - float(log[0]) if log.size else 0.0
+    return (lam if lam > 0.0 else 0.0), log.tobytes(), tilt
 
 
 def dense_mc_chunk(x, params, n: int, seed) -> np.ndarray:

@@ -249,16 +249,26 @@ def test_coefficients_too_large_for_the_horizon_are_a_config_error(tmp_path, cap
     assert captured.out == "" and not out.exists()
 
 
-def test_simulating_a_gamma_past_the_samplers_range_is_a_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "T, beta0, w, coeffs, message",
+    [
+        (1.0, 1.0, 0.01, (1e200, 0.0), "the latent points: their mean count 1e+200 is"),
+        (10.0, 1e20, 1.0, (1.0,), "the observed events: their mean count 1.0000000000000001e+21 is"),
+    ],
+)
+def test_simulating_a_gamma_past_the_samplers_range_is_a_validation_error(tmp_path, capsys, T, beta0, w, coeffs, message):
     """gamma = 1e200 on [0, 1] is within the support, but no latent count
-    of mean 1e200 can be drawn: exit 2 with one line on stderr."""
-    config = write_config(tmp_path / "model.json", 1.0, 1.0, 0.01, (1e200, 0.0))
-    out = tmp_path / "out.csv"
-    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
+    of mean 1e200 can be drawn; at beta0 = 1e20 over T = 10 the latent
+    count (mean 10) is drawn, but no observed count of mean 1e21 can be.
+    Either is exit 2 with one line on stderr, and neither output nor any
+    manifest is written."""
+    config = write_config(tmp_path / "model.json", T, beta0, w, coeffs)
+    argv = ["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv + ["--emit-latent", str(tmp_path / "latent.csv")]) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err.startswith("validation-error:") and captured.err.count("\n") == 1
-    assert "mean count 1e+200" in captured.err
-    assert not out.exists()
+    assert message in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_validating_a_gamma_past_the_grid_oracles_range_is_a_validation_error(tmp_path, capsys):
@@ -595,7 +605,12 @@ def test_chain_that_never_moves_is_listed_in_the_manifest(tmp_path):
     assert (manifest["n_support_rejected"], manifest["n_bound_rejected"], manifest["n_evals"]) == (23, 7, 0)
 
 
-@pytest.mark.parametrize("seed", ["-1", "x"])
+# Arabic-Indic digits (which int() reads as 12), a superscript two, a sign
+# and a leading space: an integer flag takes ASCII digits alone.
+_NOT_ASCII_DIGITS = ["\u0661\u0662", "\u00b2", "+5", " 7"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"] + _NOT_ASCII_DIGITS)
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
     config = write_config(tmp_path / "model.json", 8.0, 0.5, 0.7, (1.0,))
@@ -608,7 +623,7 @@ def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
     with pytest.raises(SystemExit) as info:
         cli.main([command, "--config", config, "--seed", seed] + files)
     assert info.value.code == cli.EXIT_USAGE
-    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert f"seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -616,6 +631,7 @@ def test_bad_seed_flag_is_a_usage_error(tmp_path, capsys, command, seed):
     "flag, value, message",
     [
         ("--mc-n", "0", "mc-n must be an integer >= 1"),
+        *[("--mc-n", value, f"mc-n must be an integer >= 1, got {value!r}") for value in _NOT_ASCII_DIGITS],
         ("--jobs", "2", "unrecognized arguments: --jobs 2"),
     ],
 )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from marcox import marginal
 from marcox.errors import ValidationError
-from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, support_limit
+from marcox.intensity import MAX_DEGREE, PolyIntensity, grid_nonneg, nonneg_matrix, support_limit
 from marcox.marginal import MarginalLikelihood, MarginalResult, marginal_loglik
 from marcox.paths import ModelParams, load_path
 from marcox.simulator import simulate
@@ -231,7 +231,7 @@ class TestMarginalLikelihood:
                 raised = True
             assert support is not raised, evaluate.__name__
         if coeffs in [(1.0, -1.5), (0.24, -1.0, 1.0)]:
-            assert not support and lik._masses(coeffs).lam > 0.0 and (lik._B @ coeffs).min() > 0.0
+            assert not support and float(lik._L @ coeffs) > 0.0 and (lik._B @ coeffs).min() > 0.0
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -297,12 +297,11 @@ class TestMarginalLikelihood:
     def test_validate_nonneg_refuses_exactly_past_the_support_limit(self, coeffs, T, ratio):
         """Coefficients rescaled to a sum of |c| at ratio times the support's
         limit: ``validate_nonneg`` refuses them as too large exactly where
-        the likelihood's record is the past-limit refusal (int lambda NaN),
-        and neither warns."""
+        the sum is not below the likelihood's limit, and neither warns."""
         lik = MarginalLikelihood(load_path([0.5 * T], T), 0.5, 1.0, degree=len(coeffs) - 1)
         c = np.array(coeffs)
         c = c / float(np.abs(c).sum()) * (ratio * lik._support_coeff_limit)
-        past = math.isnan(lik._masses(c).lam)
+        past = not sum(map(abs, c.tolist())) < lik._support_coeff_limit
         try:
             PolyIntensity(tuple(c)).validate_nonneg(T)
             too_large = False
@@ -387,6 +386,101 @@ def _grad_case(name):
 
 
 GRAD_CASES = ["degree 1", "beta0 = 0, w T = 1000", "degree 2"]
+
+
+# gamma = (t - 5)^2 on [0, 10], whose zero sits on events at large w; and
+# (t - 5.004)^2 - 1e-6, which dips below 0 between the check times 5 and
+# 5 + 10/1024, with an event in the dip.
+_SQUARE = (25.0, -10.0, 1.0)
+_DIP = (5.004**2 - 1e-6, -2.0 * 5.004, 1.0)
+_NEAR_FIVE = 5.0 + np.spacing(5.0) * np.arange(-200, 201)
+
+
+class TestOneSupportRule:
+    """The support is gamma's alone: the limit on the sum of |c| and the
+    grid, the rule ``PolyIntensity.validate_nonneg`` applies, whatever the
+    events and w."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=MAX_DEGREE + 1),
+        T=st.floats(0.1, 50.0),
+        nudge=st.sampled_from([-1e-9, -1.01e-12, -1e-12, -0.99e-12, -1e-15, 0.0, 1e-15]),
+        ratio=st.one_of(st.none(), st.sampled_from([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]), st.floats(0.5, 2.0)),
+        sizes=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        seed=st.integers(0, 2**32 - 1),
+        ws=st.tuples(*[st.floats(-3.0, 10.0).map(lambda e: 10.0**e)] * 2),
+    )
+    @example(coeffs=list(_SQUARE), T=10.0, nudge=0.0, ratio=None, sizes=(3, 40), seed=0, ws=(1.0, 1e10))
+    def test_in_support_is_validate_nonneg_on_any_path_and_w(self, coeffs, T, nudge, ratio, sizes, seed, ws):
+        """c is nudged onto the edge of the grid's tolerance (as in
+        ``test_validate_nonneg_agrees_with_in_support_grid``) and, with
+        ratio, rescaled to that multiple of the support's limit.  On two
+        random paths, each at two values of w, ``in_support`` is True
+        exactly where ``validate_nonneg`` does not raise."""
+        degree = len(coeffs) - 1
+        c = np.array(coeffs)
+        vals = nonneg_matrix(T, degree) @ c
+        c[0] += nudge * max(1.0, float(np.abs(vals).max())) - vals.min()
+        total = float(np.abs(c).sum())
+        if ratio is not None and total > 0.0:
+            c = c / total * (ratio * support_limit(T, degree))
+        try:
+            PolyIntensity(tuple(c)).validate_nonneg(T)
+            valid = True
+        except ValidationError:
+            valid = False
+        rng = np.random.default_rng(seed)
+        verdicts = [
+            MarginalLikelihood(load_path(np.unique(rng.uniform(0.0, T, M)), T), 0.5, w, degree).in_support(c)
+            for M in sizes
+            for w in ws
+        ]
+        assert verdicts == [valid] * 4
+
+    @pytest.mark.parametrize(
+        "times, w, coeffs",
+        [
+            ([1.0, 5.000000001, 8.0], 1e10, _SQUARE),
+            (_NEAR_FIVE, 1e8, _SQUARE),
+        ],
+    )
+    def test_a_mass_that_rounds_below_zero_reads_as_zero(self, times, w, coeffs):
+        """gamma passes the grid, but a kernel mass B~_m c rounds below 0
+        where gamma's zero sits on an event (on 50 of the 401 events within
+        200 ulps of t = 5).  The likelihood is finite and is the limit of
+        the one at gamma + eps, whose masses are positive: loglik changes
+        by -eps L_0 (to 1e-3 of it), as the polynomial term is far below
+        the double range."""
+        lik = MarginalLikelihood(load_path(times, 10.0), 1.0, w, 2)
+        c = np.array(coeffs)
+        PolyIntensity(coeffs).validate_nonneg(10.0)
+        assert (lik._B @ c).min() < 0.0 and lik.in_support(c)
+        ll = lik.loglik(c).loglik
+        res, grad = lik.loglik_grad(c)
+        assert math.isfinite(ll) and res.loglik == ll and np.isfinite(grad).all()
+        for eps in (1e-4, 1e-6, 1e-8):
+            shifted = c + [eps, 0.0, 0.0]
+            assert (lik._B @ shifted).min() > 0.0
+            change = lik.loglik(shifted).loglik - ll
+            assert abs(change + eps * lik._L[0]) <= 1e-3 * eps * lik._L[0]
+
+    def test_the_dip_changes_loglik_by_its_lambda_integral(self):
+        """At w = 1e8 the dip gives -93.33348308373311 and (t - 5.004)^2
+        -93.33349308373309: the two differ by the change in int lambda,
+        1e-6 L_0 = 1.0e-5, alone.  The mass at the event t = 5.004 is below
+        0 from w = 1e4 on (it was outside the support there) and positive at
+        w = 1; the dip is in the support, with a finite loglik, at each."""
+        path = load_path([1.0, 5.004, 8.0], 10.0)
+        lik = MarginalLikelihood(path, 1.0, 1e8, 2)
+        dip = lik.loglik(_DIP).loglik
+        touch = lik.loglik((5.004**2, -2.0 * 5.004, 1.0)).loglik
+        assert dip == -93.33348308373311 and touch == -93.33349308373309
+        assert dip - touch == pytest.approx(1e-6 * lik._L[0], rel=1e-9)
+        for w, negative in ((1.0, False), (1e4, True), (1e8, True)):
+            lik = MarginalLikelihood(path, 1.0, w, 2)
+            assert bool((lik._B @ np.array(_DIP)).min() < 0.0) is negative
+            assert lik.in_support(_DIP) and math.isfinite(lik.loglik(_DIP).loglik)
 
 
 class TestLoglikGrad:

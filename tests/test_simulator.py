@@ -86,6 +86,15 @@ class TestLatentPoints:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("beta0", [1e20, 1e200])
+    def test_an_observed_count_past_the_samplers_range_is_a_validation_error(self, beta0):
+        """beta0 T past what ``rng.poisson`` can draw: the latent draw
+        (mean 10) succeeds, and the observed count is refused as a latent
+        one is, naming its mean, not with numpy's ValueError."""
+        params = ModelParams(beta0=beta0, w=1.0, gamma=PolyIntensity((1.0,)))
+        with pytest.raises(ValidationError, match=r"cannot draw the observed events: their mean count .* is too large"):
+            simulate(params, 10.0, np.random.default_rng(0))
+
     def test_degenerate_homogeneous_moments(self):
         """With no latent jumps the observed process is Poisson(beta0 T)."""
         params = ModelParams(beta0=2.0, w=1.0, gamma=PolyIntensity((0.0,)))
